@@ -7,13 +7,12 @@ Exit codes: 0 success / checks passed, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
-import json
-import re
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .dual import (
 from .discrepancy import l2_star, lp_star
 from .nets import (
     DigitalNet,
+    dumps_compact,
     enumerate_points,
     hammersley_matrices,
     hammersley_point_set,
@@ -50,9 +50,7 @@ from .walsh import KVector, character_sum_over
 
 
 def _dump_json(doc, fh) -> None:
-    text = json.dumps(doc, indent=1)
-    text = re.sub(r"\[\s+((?:-?\d+,?\s+)*-?\d+)\s+\]", lambda m: "[" + re.sub(r",\s+", ", ", m.group(1)) + "]", text)
-    fh.write(text + "\n")
+    fh.write(dumps_compact(doc) + "\n")
 
 
 @contextmanager
@@ -243,6 +241,17 @@ def _csv_row(values) -> str:
     return ",".join(cells) + "\n"
 
 
+@dataclass(frozen=True)
+class _Skipped:
+    """A study row left out because its N^2 estimate is over --max-ops."""
+
+    ops: int
+
+
+def _warn_skipped(label, skip: _Skipped, max_ops: int) -> None:
+    print(f"warning: skipped {label}: N^2 = {skip.ops} over --max-ops {max_ops}", file=sys.stderr)
+
+
 def _run_rows(rows, worker, threads: int):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -266,7 +275,7 @@ def cmd_study_discrepancy(args) -> int:
             raise ValueError(f"unknown study kind {kind!r}")
         N = pts.n_points
         if N * N > args.max_ops:
-            return None
+            return _Skipped(N * N)
         res = l2_star(pts) if p == 2 else lp_star(pts, p)
         # log_b N: m digits for Hammersley, m+2 after symmetrization
         logn = m if kind == "hammersley" else m + 2
@@ -278,12 +287,12 @@ def cmd_study_discrepancy(args) -> int:
         fh.write("# schema=1\n")
         fh.write("kind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn\n")
         for row, res in zip(rows, out_rows):
-            if res is None:
-                skipped.append(row)
+            if isinstance(res, _Skipped):
+                skipped.append((row, res))
                 continue
             fh.write(_csv_row(res))
-    for row in skipped:
-        print(f"warning: skipped {row}: N^2 over --max-ops", file=sys.stderr)
+    for row, res in skipped:
+        _warn_skipped(row, res, args.max_ops)
     return 0
 
 
@@ -294,7 +303,7 @@ def cmd_study_wce(args) -> int:
         n = m + args.n_extra
         net = symmetrize_matrices(hammersley_matrices(args.base, m, n))
         if net.n_points**2 > args.max_ops:
-            return None
+            return _Skipped(net.n_points**2)
         kernel = _parse_kernel(args.kernel, args.base, net.s, args.seed)
         direct = wce_direct(enumerate_points(net), kernel)
         cap = min(args.cap, n) if args.cap else None
@@ -319,8 +328,8 @@ def cmd_study_wce(args) -> int:
         fh.write("# schema=1\n")
         fh.write("base,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail\n")
         for m, res in zip(rows, out_rows):
-            if res is None:
-                print(f"warning: skipped m={m}: N^2 over --max-ops", file=sys.stderr)
+            if isinstance(res, _Skipped):
+                _warn_skipped(f"m={m}", res, args.max_ops)
                 continue
             all_ok = all_ok and res[-1]
             fh.write(_csv_row(res))
@@ -333,8 +342,9 @@ def cmd_study_convergence(args) -> int:
     def worker(m):
         ham = hammersley_point_set(args.base, m)
         sym = sym_hammersley_points(args.base, m)
-        if max(ham.n_points, sym.n_points) ** 2 > args.max_ops:
-            return None
+        N = max(ham.n_points, sym.n_points)
+        if N * N > args.max_ops:
+            return _Skipped(N * N)
         l2h = l2_star(ham).value
         l2s = l2_star(sym).value
         return (
@@ -353,8 +363,8 @@ def cmd_study_convergence(args) -> int:
         fh.write("# schema=1\n")
         fh.write("base,m,N_ham,l2_ham,ham_n_over_logn,N_sym,l2_sym,sym_n_over_sqrt_logn\n")
         for m, res in zip(rows, out_rows):
-            if res is None:
-                print(f"warning: skipped m={m}: N^2 over --max-ops", file=sys.stderr)
+            if isinstance(res, _Skipped):
+                _warn_skipped(f"m={m}", res, args.max_ops)
                 continue
             fh.write(_csv_row(res))
     return 0

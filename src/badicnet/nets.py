@@ -340,6 +340,12 @@ def hammersley_point_set(base: int, m: int) -> PointSet2:
 # serialization
 
 
+def dumps_compact(doc) -> str:
+    """json.dumps with indent 1, but every list of integers on one line."""
+    text = json.dumps(doc, indent=1)
+    return re.sub(r"\[\s+((?:-?\d+,?\s+)*-?\d+)\s+\]", lambda m: "[" + re.sub(r",\s+", ", ", m.group(1)) + "]", text)
+
+
 def net_to_json(net: DigitalNet) -> str:
     doc = {
         "base": net.base,
@@ -352,9 +358,7 @@ def net_to_json(net: DigitalNet) -> str:
         doc["tail_rows"] = [t.tolist() for t in net.tail_rows]
     if net.sym_columns:
         doc["sym_columns"] = net.sym_columns
-    # keep digit rows on one line each
-    text = json.dumps(doc, indent=1)
-    return re.sub(r"\[\s+((?:-?\d+,?\s+)*-?\d+)\s+\]", lambda m: "[" + re.sub(r",\s+", ", ", m.group(1)) + "]", text)
+    return dumps_compact(doc)
 
 
 def net_from_json(text: str) -> DigitalNet:

@@ -184,3 +184,18 @@ def test_parameter_errors_exit_two(capsys):
     assert "need --base and --m" in err
     code, _, err = run(capsys, "study", "discrepancy", "--base", "2", "--m-range", "2:3", "--kinds", "bogus")
     assert code == 2
+
+
+def test_study_skip_warnings_state_cost_and_cap(capsys):
+    code, _, err = run(
+        capsys, "study", "discrepancy", "--base", "2", "--m-range", "4:4", "--p", "2",
+        "--max-ops", "4000",
+    )
+    assert code == 0
+    # sym-hammersley m=4 has 64 points; hammersley m=4 (16 points) runs
+    assert err == "warning: skipped ('sym-hammersley', 4, 2): N^2 = 4096 over --max-ops 4000\n"
+    for study in ("convergence", "wce"):
+        code, out, err = run(capsys, "study", study, "--base", "2", "--m-range", "3:3", "--max-ops", "100")
+        assert code == 0
+        assert err == "warning: skipped m=3: N^2 = 1024 over --max-ops 100\n"
+        assert [l for l in out.splitlines() if not l.startswith("#")][1:] == []

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badicnet import (
     PointSet2,
@@ -202,3 +203,108 @@ def test_truncation_bound_warns_where_p_below_two_fails():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             truncation_bound(*args)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the exact kernels: the O(N^2) pair sum for L_2 and the
+# per-cell Fraction loop for even p, as the library computed them before
+# the dominance sweep and the bilinear forms
+
+
+def pair_sum_l2sq(ps: PointSet2) -> Fraction:
+    """Warnock's formula with the pair sum taken over all N^2 ordered pairs."""
+    N, D = ps.n_points, ps.den
+    pts = [(int(x), int(y)) for x, y in ps.nums]
+    s2 = sum((D * D - a * a) * (D * D - c * c) for a, c in pts)
+    s3 = 0
+    for ax, ay in pts:
+        for cx, cy in pts:
+            s3 += (D - max(ax, cx)) * (D - max(ay, cy))
+    return Fraction(1, 9) - Fraction(s2, 2 * N * D**4) + Fraction(s3, N * N * D * D)
+
+
+def cell_loop_lp_even(ps: PointSet2, p: int) -> Fraction:
+    """Integral of the p-th power of the local discrepancy, cell by cell."""
+    N, D = ps.n_points, ps.den
+    gx = sorted({0, D, *(int(x) for x in ps.nums[:, 0])})
+    gy = sorted({0, D, *(int(y) for y in ps.nums[:, 1])})
+    pts = [(int(x), int(y)) for x, y in ps.nums]
+    total = Fraction(0)
+    for i in range(len(gx) - 1):
+        for j in range(len(gy) - 1):
+            cf = Fraction(sum(1 for x, y in pts if x <= gx[i] and y <= gy[j]), N)
+            for q in range(p + 1):
+                xint = Fraction(gx[i + 1] ** (q + 1) - gx[i] ** (q + 1), (q + 1) * D ** (q + 1))
+                yint = Fraction(gy[j + 1] ** (q + 1) - gy[j] ** (q + 1), (q + 1) * D ** (q + 1))
+                total += math.comb(p, q) * (-1) ** q * cf ** (p - q) * xint * yint
+    return total
+
+
+@st.composite
+def point_sets(draw, max_points=8):
+    """Numerators over a drawn denominator, kept as drawn (not reduced).
+
+    Coordinates favour 0, D and a small pool of values, so repeated x and y
+    values and points on the faces are common.  Denominators past 2^40 get
+    object-dtype numerators, as PointSet2.from_fractions gives them; int64
+    ones up to 2^62 push N D past 2^62.
+    """
+    den = draw(st.one_of(st.integers(1, 16), st.integers(1 << 45, 1 << 50), st.integers(1 << 58, 1 << 62)))
+    pool = draw(st.lists(st.integers(0, den), min_size=1, max_size=3)) + [0, den]
+    coord = st.one_of(st.sampled_from(pool), st.integers(0, den))
+    nums = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=max_points))
+    dtype = object if (1 << 45) <= den < (1 << 58) else np.int64
+    return PointSet2(np.array(nums, dtype=dtype).reshape(len(nums), 2), den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_l2_dominance_sweep_matches_pair_sum(ps):
+    res = l2_star(ps)
+    assert res.exact == pair_sum_l2sq(ps)
+    assert res.value == math.sqrt(res.exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(max_points=6))
+def test_l2_dominance_sweep_matches_brute_cells(ps):
+    assert l2_star(ps).exact == brute_l2sq(ps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(max_points=6), st.sampled_from([2, 4, 6]))
+def test_lp_even_bilinear_matches_cell_loop(ps, p):
+    res = lp_star(ps, p)
+    assert res.method == "piecewise_exact"
+    assert res.exact == cell_loop_lp_even(ps, p)
+    assert res.value == float(res.exact) ** (1.0 / p)
+    if p == 2:
+        assert res.exact == pair_sum_l2sq(ps)
+
+
+def test_exact_kernels_on_single_points_at_the_corners():
+    for x, y in [(0, 0), (0, 5), (5, 0), (5, 5), (2, 5)]:
+        ps = PointSet2(np.array([[x, y]], dtype=np.int64), 5)
+        assert l2_star(ps).exact == pair_sum_l2sq(ps) == brute_l2sq(ps)
+        for p in (2, 4, 6):
+            assert lp_star(ps, p).exact == cell_loop_lp_even(ps, p)
+
+
+def test_exact_kernels_on_object_numerators():
+    den = (1 << 45) + 7
+    nums = np.array([[1, den], [den // 3, 17], [den // 3, den], [0, 17], [den - 1, 0]], dtype=object)
+    ps = PointSet2(nums, den)
+    assert l2_star(ps).exact == pair_sum_l2sq(ps) == brute_l2sq(ps)
+    for p in (2, 4, 6):
+        assert lp_star(ps, p).exact == cell_loop_lp_even(ps, p)
+
+
+def test_l2_dominance_sweep_on_larger_sets():
+    # enough points for many rank bits and long runs of tied coordinates
+    rng = np.random.default_rng(7)
+    for den in (12, 1000):
+        ps = PointSet2(rng.integers(0, den + 1, size=(300, 2)), den)
+        assert l2_star(ps).exact == pair_sum_l2sq(ps)
+    for ps in (hammersley_point_set(3, 4), sym_hammersley_points(2, 5)):
+        assert l2_star(ps).exact == pair_sum_l2sq(ps)
+        assert lp_star(ps, 4).exact == cell_loop_lp_even(ps, 4)

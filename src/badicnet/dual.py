@@ -48,6 +48,54 @@ def dual_contains(net: DigitalNet, k: Sequence[int]) -> bool:
     return not np.any(acc % net.base)
 
 
+def image_table(net: DigitalNet, j: int, k_digits: int) -> np.ndarray:
+    """(b^k_digits, m) array whose row k is vec(k) C_j mod b.
+
+    Built one digit at a time (row k + d b^a is row k plus d times row a
+    of C_j) in the smallest unsigned dtype that holds 2(b-1), so that no
+    int64 digit matrix of b^k_digits rows is ever held.  Sums of several
+    tables must be taken in a wider dtype.
+    """
+    if k_digits > net.n:
+        raise ValueError("digits exceed matrix rows")
+    b = net.base
+    dtype = np.min_scalar_type(2 * (b - 1))
+    table = np.zeros((1, net.m), dtype=dtype)
+    for row in net.matrices[j][:k_digits]:
+        table = np.concatenate([(table + (d * row % b).astype(dtype)) % b for d in range(b)])
+    return table
+
+
+def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False) -> list[tuple[int, ...]]:
+    """Dual vectors in a box, in lexicographic order, origin included.
+
+    Unweighted, every component ranges over k < b^k_digits.  Weighted,
+    k_digits is a budget on the sum of the components' digit counts, so
+    each component ranges over k < b^(budget left).  The first s-1
+    components are walked one value at a time; the last one's whole
+    admissible block is tested in one comparison against the image that
+    would cancel the prefix.
+    """
+    b, s = net.base, net.s
+    tables = [image_table(net, j, k_digits) for j in range(s)]
+    out: list[tuple[int, ...]] = []
+
+    def rec(j: int, budget: int, need: np.ndarray, prefix: tuple[int, ...]):
+        block = tables[j][: b**budget]
+        if j == s - 1:
+            hits = np.flatnonzero(np.all(block == need, axis=1))
+            out.extend(prefix + (int(k),) for k in hits)
+            return
+        lo = 0
+        for a in range(budget + 1):  # the k with a digits
+            for k in range(lo, b**a):
+                rec(j + 1, budget - a if weighted else budget, (need - block[k]) % b, prefix + (k,))
+            lo = b**a
+
+    rec(0, k_digits, np.zeros(net.m, dtype=np.int64), ())
+    return out
+
+
 def dual_enumerate_below(net: DigitalNet, k_digits: int, max_candidates: int = GUARD_DEFAULT) -> list[tuple[int, ...]]:
     """All dual vectors with every component below b^k_digits, sorted.
 
@@ -62,24 +110,7 @@ def dual_enumerate_below(net: DigitalNet, k_digits: int, max_candidates: int = G
     box = b**k_digits
     if box**s > max_candidates:
         raise ValueError(f"guard exceeded: {box**s} candidates over cap {max_candidates}")
-    images = []
-    for j in range(s):
-        arr = np.empty((box, net.m), dtype=np.int64)
-        for k in range(box):
-            arr[k] = _k_image(net, j, k)
-        images.append(arr)
-    out: list[tuple[int, ...]] = []
-
-    def rec(j: int, partial: np.ndarray, prefix: tuple[int, ...]):
-        if j == s - 1:
-            hits = np.nonzero(np.all((partial + images[j]) % b == 0, axis=1))[0]
-            out.extend(prefix + (int(k),) for k in hits)
-            return
-        for k in range(box):
-            rec(j + 1, partial + images[j][k], prefix + (k,))
-
-    rec(0, np.zeros(net.m, dtype=np.int64), ())
-    return sorted(out)
+    return dual_scan(net, k_digits)
 
 
 # ---------------------------------------------------------------------------

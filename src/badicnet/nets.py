@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -120,18 +120,68 @@ def point_digit_arrays(net: DigitalNet) -> tuple[np.ndarray, np.ndarray]:
     return digits, tails
 
 
-def enumerate_points(net: DigitalNet) -> list[GVector]:
+class NetPoints(Sequence[GVector]):
+    """Read-only sequence of a net's points in index order.
+
+    It holds the net only.  Indexing or iterating builds the GVector
+    objects once, on first use, and keeps them; digit_arrays() gives the
+    same points as arrays without building any object.
+    """
+
+    def __init__(self, net: DigitalNet):
+        self.net = net
+        self._points: list[GVector] | None = None
+
+    def __len__(self) -> int:
+        return self.net.n_points
+
+    def __getitem__(self, i):
+        return self._objects()[i]
+
+    def __iter__(self):
+        return iter(self._objects())
+
+    def digit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, s, n) digits and (N, s) tails, as point_digit_arrays."""
+        return point_digit_arrays(self.net)
+
+    def _objects(self) -> list[GVector]:
+        if self._points is None:
+            digits, tails = point_digit_arrays(self.net)
+            b = self.net.base
+            out = []
+            for i in range(digits.shape[0]):
+                coords = tuple(
+                    GElement(b, tuple(int(d) for d in digits[i, j]), int(tails[i, j]))
+                    for j in range(self.net.s)
+                )
+                out.append(GVector(coords))
+            self._points = out
+        return self._points
+
+
+def enumerate_points(net: DigitalNet) -> NetPoints:
     """Net points in index order, as exact digit vectors."""
-    digits, tails = point_digit_arrays(net)
-    b = net.base
-    out = []
-    for i in range(digits.shape[0]):
-        coords = tuple(
-            GElement(b, tuple(int(d) for d in digits[i, j]), int(tails[i, j]))
-            for j in range(net.s)
-        )
-        out.append(GVector(coords))
-    return out
+    return NetPoints(net)
+
+
+def digit_arrays(points: Sequence[GVector]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, s, n) digits and (N, s) tails of a point sequence.
+
+    Net points come from their net without building any object.  Other
+    digit vectors are packed one by one, each padded with its tail digit
+    to the largest precision among them.
+    """
+    if isinstance(points, NetPoints):
+        return points.digit_arrays()
+    s, n = points[0].s, max(z.precision for z in points)
+    digits = np.empty((len(points), s, n), dtype=np.int64)
+    tails = np.empty((len(points), s), dtype=np.int64)
+    for i, z in enumerate(points):
+        for j, zj in enumerate(z.coords):
+            digits[i, j] = zj.digits + (zj.tail,) * (n - len(zj.digits))
+            tails[i, j] = zj.tail
+    return digits, tails
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +211,6 @@ class PointSet2:
         d = self.den
         return [(Fraction(int(x), d), Fraction(int(y), d)) for x, y in self.nums]
 
-    def sorted_fractions(self) -> list[tuple[Fraction, Fraction]]:
-        return sorted(self.fractions())
-
     @classmethod
     def from_fractions(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "PointSet2":
         pairs = [(Fraction(x), Fraction(y)) for x, y in pairs]
@@ -175,26 +222,6 @@ class PointSet2:
             [[x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)] for x, y in pairs],
             dtype=dtype,
         ).reshape(len(pairs), 2)
-        return cls(nums, den)
-
-    @classmethod
-    def from_gvectors(cls, points: Sequence[GVector]) -> "PointSet2":
-        if not points:
-            return cls(np.zeros((0, 2), dtype=np.int64), 1)
-        b = points[0].base
-        n = points[0].precision
-        den = b**n * (b - 1)
-        dtype = object if den > _INT64_SAFE_DEN else np.int64
-        nums = np.empty((len(points), 2), dtype=dtype)
-        for i, z in enumerate(points):
-            if z.s != 2:
-                raise ValueError("planar point set needs two coordinates")
-            for j in (0, 1):
-                zj = z.coords[j]
-                acc = 0
-                for d in zj.digits:
-                    acc = acc * b + d
-                nums[i, j] = acc * (b - 1) + zj.tail
         return cls(nums, den)
 
 

@@ -14,6 +14,22 @@ The squared worst-case error of a point multiset P is
 (direct route) and equals the coefficient mass of the nonzero dual
 frequencies of the generating net (spectral route); both are computed
 independently so they can be checked against each other.
+
+A diagonal kernel depends on x and y only through the digitwise
+difference x - y, and the points of a digital net form a group under
+that subtraction, tails included: each y sees the same multiset x - y.
+So on a net (the NetPoints that enumerate_points returns) the direct
+route is
+
+    e^2 = -1 + (1/N) sum_x K(x, 0),
+
+in O(N s n) from the digit arrays (J. Dick and F. Pillichshammer,
+Digital Nets and Sequences, Cambridge University Press, 2010).  Any
+other point sequence, such as a digitally shifted net or an arbitrary
+multiset, is not licensed for that identity and takes the O(N^2 s n)
+sum over ordered point pairs.  The spectral route scans the dual
+candidates coordinate by coordinate, testing the last coordinate's
+whole block at once (dual.dual_scan).
 """
 
 from __future__ import annotations
@@ -21,12 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from .badic import GElement, GVector, first_nonzero_position, g_add, g_sub, project_pi
-from .nets import DigitalNet, PointSet2
+from .nets import DigitalNet, NetPoints, PointSet2, digit_arrays
 from .walsh import KVector, character_exponent_table, compensated_sum
 from . import dual as dualmod
 
@@ -266,7 +282,11 @@ def _clamped(e2: float) -> tuple[float, bool]:
 
 
 def wce_direct(points: Sequence[GVector], kernel) -> WceResult:
-    """Three-term squared worst-case error from the points themselves."""
+    """Three-term squared worst-case error from the points themselves.
+
+    A diagonal kernel on net points takes the group identity (N terms);
+    on any other sequence it sums all N^2 ordered pairs.
+    """
     N = len(points)
     if N == 0:
         raise ValueError("empty point set")
@@ -285,40 +305,49 @@ def wce_direct(points: Sequence[GVector], kernel) -> WceResult:
         val, cl = _clamped(e2c.real)
         return WceResult(val, "direct", 0.0, N * N, cl)
     if isinstance(kernel, SpectralDiagonalKernel):
-        pair_sum = _diag_pair_sum(points, kernel)
-        e2 = -1.0 + pair_sum / (N * N)
+        if isinstance(points, NetPoints):
+            e2, terms = -1.0 + _diag_group_sum(points, kernel) / N, N
+        else:
+            e2, terms = -1.0 + _diag_pair_sum(points, kernel) / (N * N), N * N
         val, cl = _clamped(e2)
-        return WceResult(val, "direct", 0.0, N * N, cl)
+        return WceResult(val, "direct", 0.0, terms, cl)
     raise TypeError("unknown kernel type")
+
+
+def _phi_table(kernel: SpectralDiagonalKernel, n: int) -> np.ndarray:
+    """phi per first-nonzero position: 1..n digits, n+1 the tail, 0 none."""
+    return np.array([kernel.phi(None)] + [kernel.phi(i0) for i0 in range(1, n + 2)])
+
+
+def _first_positions(nonzero: np.ndarray, tail_nonzero: np.ndarray) -> np.ndarray:
+    """Index into _phi_table from (..., n) digit and (...) tail masks."""
+    n = nonzero.shape[-1]
+    any_digit = nonzero.any(axis=-1)
+    pos = np.where(any_digit, nonzero.argmax(axis=-1) + 1, 0)
+    return np.where(~any_digit & tail_nonzero, n + 1, pos)
+
+
+def _diag_group_sum(points: NetPoints, kernel: SpectralDiagonalKernel) -> float:
+    """sum over the net points x of the diagonal kernel K(x, 0)."""
+    digits, tails = points.digit_arrays()
+    table = _phi_table(kernel, digits.shape[2])
+    prod = np.ones(len(points))
+    for j in range(digits.shape[1]):
+        pos = _first_positions(digits[:, j, :] != 0, tails[:, j] != 0)
+        prod *= 1.0 + kernel.gammas[j] * table[pos]
+    return math.fsum(prod)
 
 
 def _diag_pair_sum(points: Sequence[GVector], kernel: SpectralDiagonalKernel) -> float:
     """sum over ordered point pairs of the diagonal kernel, vectorized on
     the first-nonzero-difference position."""
-    N = len(points)
-    b = kernel.base
-    s = points[0].s
-    n = points[0].precision
-    digits = np.empty((N, s, n), dtype=np.int8)
-    tails = np.empty((N, s), dtype=np.int8)
-    for i, z in enumerate(points):
-        for j in range(s):
-            digits[i, j, :] = z.coords[j].digits
-            tails[i, j] = z.coords[j].tail
-    # phi value per possible first-difference position: 1..n, n+1 (tail), 0 = equal
-    table = np.empty(n + 2)
-    table[0] = kernel.phi(None)
-    for i0 in range(1, n + 2):
-        table[i0] = kernel.phi(i0)
+    digits, tails = digit_arrays(points)
+    table = _phi_table(kernel, digits.shape[2])
     total = 0.0
-    for i in range(N):
-        prod = np.ones(N)
-        for j in range(s):
-            neq = digits[:, j, :] != digits[i, j, :][None, :]
-            any_neq = neq.any(axis=1)
-            pos = np.where(any_neq, neq.argmax(axis=1) + 1, 0)
-            tail_diff = tails[:, j] != tails[i, j]
-            pos = np.where(~any_neq & tail_diff, n + 1, pos)
+    for i in range(len(points)):
+        prod = np.ones(len(points))
+        for j in range(digits.shape[1]):
+            pos = _first_positions(digits[:, j, :] != digits[i, j, :][None, :], tails[:, j] != tails[i, j])
             prod *= 1.0 + kernel.gammas[j] * table[pos]
         total += float(prod.sum())
     return total
@@ -341,19 +370,17 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
     |direct - spectral| <= tail_bound always holds.
     """
     if isinstance(kernel, BandLimitedKernel):
-        if kernel.k_digits > net.n:
-            raise ValueError("digits exceed matrix rows")
-        members = [
-            t
-            for t in range(kernel.size)
-            if t != 0 and dualmod.dual_contains(net, kernel.frequency(t))
-        ]
-        idx = np.array(members, dtype=np.intp)
-        val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if members else 0j
+        box = kernel.box
+        t = np.arange(kernel.size)
+        image = np.zeros((kernel.size, net.m), dtype=np.int64)
+        for j in range(net.s):
+            image += dualmod.image_table(net, j, kernel.k_digits)[(t // box**j) % box]
+        idx = np.flatnonzero(np.all(image % net.base == 0, axis=1))[1:]  # t = 0 is the origin
+        val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if len(idx) else 0j
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ArithmeticError("squared error came out non-real")
         v, cl = _clamped(val.real)
-        return WceResult(v, "spectral", 0.0, len(members) ** 2, cl)
+        return WceResult(v, "spectral", 0.0, len(idx) ** 2, cl)
     if isinstance(kernel, SpectralDiagonalKernel):
         if cap is None:
             cap = net.n
@@ -362,15 +389,9 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
         count = _weighted_box_count(kernel.base, net.s, cap)
         if count > max_candidates:
             raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
-        hits = 0
-        parts = []
-        for ks in _weighted_box(kernel.base, net.s, cap):
-            if any(ks) and dualmod.dual_contains(net, ks):
-                parts.append(complex(kernel.r(ks)))
-                hits += 1
-        value = compensated_sum(parts).real
-        tail = _diag_tail(kernel, cap)
-        return WceResult(value, "spectral", tail, hits)
+        hits = [ks for ks in dualmod.dual_scan(net, cap, weighted=True) if any(ks)]
+        value = compensated_sum(complex(kernel.r(ks)) for ks in hits).real
+        return WceResult(value, "spectral", _diag_tail(kernel, cap), len(hits))
     raise TypeError("unknown kernel type")
 
 
@@ -388,21 +409,6 @@ def _weighted_box_count(base: int, s: int, cap: int) -> int:
                     new[w + a] += counts[w] * level(a)
         counts = new
     return sum(counts)
-
-
-def _weighted_box(base: int, s: int, cap: int):
-    """All frequency tuples whose top-digit positions sum to at most cap."""
-
-    def rec(j: int, budget: int, prefix: tuple[int, ...]):
-        if j == s:
-            yield prefix
-            return
-        yield from rec(j + 1, budget, prefix + (0,))
-        for a in range(1, budget + 1):
-            for k in range(base ** (a - 1), base**a):
-                yield from rec(j + 1, budget - a, prefix + (k,))
-
-    yield from rec(0, cap, ())
 
 
 def _diag_tail(kernel: SpectralDiagonalKernel, cap: int) -> float:

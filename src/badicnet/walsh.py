@@ -17,11 +17,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from .badic import DigitVec, GElement, GVector, as_digit_vec, minimal_precision, section_sigma
+from .nets import NetPoints, digit_arrays
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,6 @@ class KVector:
     @property
     def s(self) -> int:
         return len(self.components)
-
-    def to_ints(self) -> tuple[int, ...]:
-        return tuple(c.to_int() for c in self.components)
 
     def is_zero(self) -> bool:
         return all(not c.digits for c in self.components)
@@ -191,10 +189,10 @@ class CharacterSum:
 
 def character_sum_over(points: Iterable[GVector], k: KVector) -> CharacterSum:
     """Sum of W_k over a finite multiset of digit vectors, exactly."""
-    counts = [0] * k.base
-    for z in points:
-        counts[character_vec(k, z).e] += 1
-    return CharacterSum(k.base, tuple(counts))
+    if not isinstance(points, Sequence):
+        points = list(points)
+    E = character_exponent_table(points, [k])
+    return CharacterSum(k.base, tuple(int(c) for c in np.bincount(E[:, 0], minlength=k.base)))
 
 
 def compensated_sum(values: Iterable[complex]) -> complex:
@@ -232,15 +230,13 @@ def character_exponent_table(points: Sequence[GVector], ks: Sequence[KVector]) -
     """
     if not points or not ks:
         return np.zeros((len(points), len(ks)), dtype=np.int64)
-    b = points[0].base
-    s = points[0].s
-    n = points[0].precision
+    b = points.net.base if isinstance(points, NetPoints) else points[0].base
+    digits, tails = digit_arrays(points)
+    _, s, n = digits.shape
     depth = max([n] + [len(c.digits) for k in ks for c in k.components])
     Z = np.empty((len(points), s, depth), dtype=np.int64)
-    for i, z in enumerate(points):
-        for j, zj in enumerate(z.coords):
-            Z[i, j, :n] = zj.digits
-            Z[i, j, n:] = zj.tail
+    Z[:, :, :n] = digits
+    Z[:, :, n:] = tails[:, :, None]
     K = np.zeros((len(ks), s, depth), dtype=np.int64)
     for t, k in enumerate(ks):
         if k.base != b or k.s != s:

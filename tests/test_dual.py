@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badicnet import (
     KVector,
@@ -19,7 +20,7 @@ from badicnet import (
     truncated_sym_hammersley,
 )
 from badicnet.badic import in_E
-from badicnet.dual import rank_mod_p
+from badicnet.dual import _k_image, dual_scan, image_table, rank_mod_p
 from badicnet.nets import DigitalNet
 
 
@@ -189,3 +190,72 @@ def test_certificate_respects_matrix_depth():
     assert not certify_rho2_via_independence(net, 4)
     assert not certify_rho2_via_independence(net, 5)
     assert rho2_min_weight(net, cap=6).weight == 5
+
+
+def per_k_enumerate_below(net, k_digits):
+    """dual_enumerate_below as it was: one _k_image call per k, then the
+    last coordinate's whole box against each prefix."""
+    b, s = net.base, net.s
+    box = b**k_digits
+    images = [np.array([_k_image(net, j, k) for k in range(box)], dtype=np.int64).reshape(box, net.m) for j in range(s)]
+    out = []
+
+    def rec(j, partial, prefix):
+        if j == s - 1:
+            hits = np.nonzero(np.all((partial + images[j]) % b == 0, axis=1))[0]
+            out.extend(prefix + (int(k),) for k in hits)
+            return
+        for k in range(box):
+            rec(j + 1, partial + images[j][k], prefix + (k,))
+
+    rec(0, np.zeros(net.m, dtype=np.int64), ())
+    return sorted(out)
+
+
+@st.composite
+def nets_and_digits(draw):
+    """Random generating matrices, b in {2, 3, 5}, s in {1, 2, 3}, and a
+    digit count whose box holds at most 1000 candidates."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    digit = st.integers(0, b - 1)
+    mats = tuple(np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(s))
+    k_digits = draw(st.integers(1, n).filter(lambda k: b ** (k * s) <= 1000))
+    return DigitalNet(b, mats), k_digits
+
+
+@settings(max_examples=80, deadline=None)
+@given(nets_and_digits())
+def test_batched_enumeration_matches_per_k_scan(case):
+    net, k_digits = case
+    got = dual_enumerate_below(net, k_digits)
+    assert got == per_k_enumerate_below(net, k_digits)
+    for j in range(net.s):
+        table = image_table(net, j, k_digits)
+        for k in range(net.base**k_digits):
+            assert np.array_equal(table[k], _k_image(net, j, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nets_and_digits())
+def test_weighted_scan_is_the_box_scan_within_budget(case):
+    net, budget = case
+
+    def digit_count(k):
+        return len(np.base_repr(k, net.base)) if k else 0
+
+    within = [ks for ks in dual_scan(net, budget) if sum(map(digit_count, ks)) <= budget]
+    assert dual_scan(net, budget, weighted=True) == within
+
+
+def test_image_table_rows_for_a_base_past_one_byte():
+    # residues up to 2(b-1) = 512 need more than a byte while the table is built
+    b = 257
+    rng = np.random.default_rng(3)
+    net = DigitalNet(b, (rng.integers(0, b, size=(3, 2)),))
+    table = image_table(net, 0, 2)
+    assert table.shape == (b * b, 2)
+    for k in [0, 1, b - 1, b, b * b - 1, *rng.integers(0, b * b, size=200)]:
+        assert np.array_equal(table[k], _k_image(net, 0, int(k)))

@@ -25,7 +25,8 @@ from badicnet import (
     to_point_set,
     truncated_sym_hammersley,
 )
-from badicnet.badic import gv_pi
+from badicnet.badic import GElement, GVector, gv_pi
+from badicnet.nets import NetPoints, digit_arrays, point_digit_arrays
 
 
 def frac_pairs(points):
@@ -180,3 +181,38 @@ def test_points_csv_layout():
     assert lines[1] == "x1_frac,x1,x2_frac,x2"
     assert len(lines) == 4
     assert lines[2].split(",")[0] in {"0/1", "1/2"}
+
+
+def eager_points(net):
+    """enumerate_points as it was: the whole list of digit vectors at once."""
+    digits, tails = point_digit_arrays(net)
+    return [
+        GVector(tuple(GElement(net.base, tuple(int(d) for d in digits[i, j]), int(tails[i, j])) for j in range(net.s)))
+        for i in range(digits.shape[0])
+    ]
+
+
+def test_net_points_agree_with_the_eager_list():
+    tailed = DigitalNet(3, (np.array([[1, 2], [0, 1], [2, 2]]),), (np.array([2, 1]),))
+    for net in (hammersley_matrices(2, 3), symmetrize_matrices(hammersley_matrices(3, 2, 4)), truncated_sym_hammersley(2, 2, 5), tailed):
+        pts = enumerate_points(net)
+        want = eager_points(net)
+        assert isinstance(pts, NetPoints)
+        assert len(pts) == len(want) == net.n_points
+        # digit arrays come straight from the net, no objects are built
+        for got, ref in zip(pts.digit_arrays(), point_digit_arrays(net)):
+            assert np.array_equal(got, ref)
+        assert pts._points is None
+        assert [pts[i] for i in range(len(pts))] == want
+        assert pts[-1] == want[-1] and pts[1:3] == want[1:3]
+        assert list(pts) == want and list(pts) == want  # iteration repeats
+        assert pts._points is not None
+        with pytest.raises(IndexError):
+            pts[len(want)]
+
+
+def test_digit_arrays_pad_mixed_precision_with_tails():
+    pts = [GVector((GElement(3, (1, 2), 1),)), GVector((GElement(3, (2,), 2),))]
+    digits, tails = digit_arrays(pts)
+    assert digits.tolist() == [[[1, 2]], [[2, 2]]]
+    assert tails.tolist() == [[1], [2]]

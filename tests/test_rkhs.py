@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badicnet import (
     BandLimitedKernel,
     GElement,
     GVector,
     SpectralDiagonalKernel,
+    DigitalNet,
     draw_shift,
     ds_invariant_coeffs,
+    dual_contains,
     dual_enumerate_below,
     enumerate_points,
     g_sub,
@@ -29,7 +32,9 @@ from badicnet import (
     wce_spectral,
 )
 from badicnet.badic import gv_pi, project_pi
-from badicnet.rkhs import _digit_negate
+from badicnet.dual import dual_scan
+from badicnet.rkhs import _diag_pair_sum, _digit_negate, _weighted_box_count
+from badicnet.walsh import compensated_sum
 
 
 def _sym_net(b, m, n=None):
@@ -254,3 +259,119 @@ def test_wce_result_report_shape():
     res = wce_spectral(net, kern)
     doc = res.to_json_dict()
     assert set(doc) >= {"method", "value", "tail_bound", "terms_used"}
+
+
+# ---------------------------------------------------------------------------
+# fast routes against their per-pair and per-candidate oracles
+
+
+def weighted_box(base, s, cap):
+    """All frequency tuples whose top-digit positions sum to at most cap,
+    in lexicographic order."""
+
+    def rec(j, budget, prefix):
+        if j == s:
+            yield prefix
+            return
+        yield from rec(j + 1, budget, prefix + (0,))
+        for a in range(1, budget + 1):
+            for k in range(base ** (a - 1), base**a):
+                yield from rec(j + 1, budget - a, prefix + (k,))
+
+    yield from rec(0, cap, ())
+
+
+def spectral_by_candidates(net, kernel, cap=None):
+    """wce_spectral's (value, terms_used), one dual_contains call per candidate."""
+    if isinstance(kernel, BandLimitedKernel):
+        members = [t for t in range(kernel.size) if t != 0 and dual_contains(net, kernel.frequency(t))]
+        idx = np.array(members, dtype=np.intp)
+        val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if members else 0j
+        return (0.0 if val.real < 0 else val.real), len(members) ** 2
+    cap = net.n if cap is None else cap
+    parts = [
+        complex(kernel.r(ks))
+        for ks in weighted_box(kernel.base, net.s, cap)
+        if any(ks) and dual_contains(net, ks)
+    ]
+    return compensated_sum(parts).real, len(parts)
+
+
+@st.composite
+def digital_nets(draw, max_points=243):
+    """Random generating matrices over b in {2, 3, 5}, s in {1, 2, 3},
+    optionally with random tail rows and optionally symmetrized, with at
+    most max_points points."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    s = draw(st.integers(1, 3))
+    sym = draw(st.booleans())
+    m_max = 0
+    while b ** (m_max + 1 + (s if sym else 0)) <= max_points:
+        m_max += 1
+    m = draw(st.integers(0, m_max))
+    n = draw(st.integers(1, m + 3))
+    digit = st.integers(0, b - 1)
+    mats = [np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(s)]
+    tails = None
+    if draw(st.booleans()):
+        tails = [draw(st.lists(digit, min_size=m, max_size=m)) for _ in range(s)]
+    net = DigitalNet(b, tuple(mats), tails)
+    return symmetrize_matrices(net) if sym else net
+
+
+def diagonal_kernels(b, s):
+    return st.builds(
+        SpectralDiagonalKernel,
+        st.just(b),
+        st.just(s),
+        st.floats(0.75, 2.0),
+        st.tuples(*[st.floats(0.0, 1.0)] * s),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_direct_group_identity_matches_pair_sum(data):
+    net = data.draw(digital_nets())
+    kern = data.draw(diagonal_kernels(net.base, net.s))
+    pts = enumerate_points(net)
+    N = len(pts)
+    fast = wce_direct(pts, kern)
+    assert fast.terms_used == N
+    assert pts._points is None  # the group route builds no point objects
+    e2 = -1.0 + _diag_pair_sum(list(pts), kern) / (N * N)
+    # both sums hold terms up to K(0, 0); scale the tolerance by it
+    scale = math.prod(1.0 + g * kern.phi(None) for g in kern.gammas)
+    assert fast.value == pytest.approx(max(e2, 0.0), abs=1e-12 * scale)
+    slow = wce_direct(list(pts), kern)
+    assert slow.terms_used == N * N
+    assert fast.value == pytest.approx(slow.value, abs=1e-12 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batched_spectral_matches_candidate_scan(data):
+    net = data.draw(digital_nets())
+    b, s, n = net.base, net.s, net.n
+    if data.draw(st.booleans(), label="band-limited"):
+        k_digits = data.draw(st.integers(1, n).filter(lambda k: b ** (k * s) <= 125), label="k_digits")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        kern = BandLimitedKernel.random(b, s, k_digits, 3, np.random.default_rng(seed))
+        cap = None
+    else:
+        kern = data.draw(diagonal_kernels(b, s))
+        cap = data.draw(st.integers(1, n), label="cap")
+        while cap > 1 and _weighted_box_count(b, s, cap) > 3000:
+            cap -= 1
+        # hits come in the candidate generator's order, so the sum repeats bit for bit
+        in_order = [ks for ks in weighted_box(b, s, cap) if dual_contains(net, ks)]
+        assert dual_scan(net, cap, weighted=True) == in_order
+    got = wce_spectral(net, kern, cap=cap)
+    value, terms = spectral_by_candidates(net, kern, cap)
+    assert got.value == value
+    assert got.terms_used == terms
+
+
+def test_weighted_box_count_matches_generator():
+    for b, s, cap in [(2, 1, 5), (2, 3, 4), (3, 2, 3), (5, 3, 2)]:
+        assert len(list(weighted_box(b, s, cap))) == _weighted_box_count(b, s, cap)

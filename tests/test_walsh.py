@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from badicnet import (
     CharacterSum,
@@ -17,6 +17,9 @@ from badicnet import (
     character_sum_over,
     character_vec,
     delta_digit_sum,
+    enumerate_points,
+    hammersley_matrices,
+    symmetrize_matrices,
     walsh_eval,
     walsh_exponent,
 )
@@ -204,3 +207,33 @@ def test_walsh_pulls_back_group_translation(b, data):
     k = data.draw(st.integers(0, b**n - 1))
     x = project_pi(z)
     assert walsh_exponent(k, x, b).e == character(k, z).e
+
+
+def character_loop(points, k):
+    """Residue counts of W_k over the points, one character_vec at a time."""
+    counts = [0] * k.base
+    for z in points:
+        counts[character_vec(k, z).e] += 1
+    return tuple(counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 3, 5), (3, 2, 4), (5, 1, 3)]), st.data())
+def test_character_sums_match_the_character_loop(shape, data):
+    b, m, n = shape
+    net = symmetrize_matrices(hammersley_matrices(b, m, n))
+    # frequencies reach past the stored digits, into the tails
+    ks = data.draw(st.tuples(st.integers(0, b ** (n + 2)), st.integers(0, b ** (n + 2))))
+    k = KVector.of(b, *ks)
+    pts = enumerate_points(net)
+    want = character_loop(list(pts), k)
+    assert character_sum_over(pts, k).counts == want
+    assert character_sum_over(list(pts), k).counts == want
+    assert character_sum_over(iter(pts), k).counts == want
+
+
+def test_character_sum_over_mixed_precisions():
+    pts = [GVector((GElement(3, (1, 2), 1),)), GVector((GElement(3, (2,), 2),)), GVector((GElement(3, (0,), 0),))]
+    for kk in (0, 1, 5, 7, 26, 80):
+        k = KVector.of(3, kk)
+        assert character_sum_over(pts, k).counts == character_loop(pts, k)

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -83,30 +81,37 @@ def _net_by_kind(kind: str, base: int, m: int, n: int | None) -> DigitalNet:
 
 
 def _parse_m_range(text: str) -> range:
-    lo, _, hi = text.partition(":")
-    if not _:
-        v = int(text)
-        return range(v, v + 1)
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        hi = lo
+    if int(lo) > int(hi):
+        raise ValueError(f"empty --m-range {text!r}: start is past end")
     return range(int(lo), int(hi) + 1)
+
+
+_KERNEL_KEYS = {"diagonal": {"alpha", "gamma"}, "bandlimited": {"k", "rank"}}
 
 
 def _parse_kernel(spec: str, base: int, s: int, seed: int):
     name, _, rest = spec.partition(":")
+    if name not in _KERNEL_KEYS:
+        raise ValueError(f"unknown kernel spec {spec!r}")
     kv = {}
     if rest:
         for part in rest.split(","):
             key, _, val = part.partition("=")
-            kv[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _KERNEL_KEYS[name]:
+                raise ValueError(f"unknown key {key!r} in kernel spec {spec!r}")
+            kv[key] = val.strip()
     if name == "diagonal":
         alpha = float(kv.get("alpha", 1.0))
         gamma = float(kv.get("gamma", 1.0))
         return SpectralDiagonalKernel(base, s, alpha, (gamma,) * s)
-    if name == "bandlimited":
-        kd = int(kv.get("k", 2))
-        rank = int(kv.get("rank", 4))
-        rng = np.random.default_rng(seed)
-        return BandLimitedKernel.random(base, s, kd, rank, rng)
-    raise ValueError(f"unknown kernel spec {spec!r}")
+    kd = int(kv.get("k", 2))
+    rank = int(kv.get("rank", 4))
+    rng = np.random.default_rng(seed)
+    return BandLimitedKernel.random(base, s, kd, rank, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +232,6 @@ def cmd_verify_rho2(args) -> int:
 # study commands
 
 
-def _threads(args) -> int:
-    if args.threads:
-        return args.threads
-    return int(os.environ.get("QMC_THREADS", "1"))
-
-
 def _csv_row(values) -> str:
     cells = []
     for v in values:
@@ -248,22 +247,30 @@ class _Skipped:
     ops: int
 
 
-def _warn_skipped(label, skip: _Skipped, max_ops: int) -> None:
-    print(f"warning: skipped {label}: N^2 = {skip.ops} over --max-ops {max_ops}", file=sys.stderr)
+def _write_study(args, header: str, rows, worker, label="m={}".format) -> list:
+    """Compute every row, then write the CSV; return the rows written.
 
-
-def _run_rows(rows, worker, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, rows))
-    return [worker(r) for r in rows]
+    Rows that come back _Skipped are left out of the CSV with a warning
+    on stderr that states the estimate and the cap.
+    """
+    results = [worker(r) for r in rows]
+    written = []
+    with _out_stream(args.out) as fh:
+        fh.write("# schema=1\n")
+        fh.write(header + "\n")
+        for row, res in zip(rows, results):
+            if isinstance(res, _Skipped):
+                print(f"warning: skipped {label(row)}: N^2 = {res.ops} over --max-ops {args.max_ops}", file=sys.stderr)
+                continue
+            fh.write(_csv_row(res))
+            written.append(res)
+    return written
 
 
 def cmd_study_discrepancy(args) -> int:
     kinds = args.kinds.split(",")
     ps = [int(p) if p.lstrip("+-").isdigit() else float(p) for p in args.p.split(",")]
     rows = [(kind, m, p) for kind in kinds for m in _parse_m_range(args.m_range) for p in ps]
-    skipped = []
 
     def worker(row):
         kind, m, p = row
@@ -282,29 +289,20 @@ def cmd_study_discrepancy(args) -> int:
         scaled = res.value * N / math.sqrt(logn)
         return (kind, args.base, m, N, p, res.method, res.value, res.error_bound, scaled)
 
-    out_rows = _run_rows(rows, worker, _threads(args))
-    with _out_stream(args.out) as fh:
-        fh.write("# schema=1\n")
-        fh.write("kind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn\n")
-        for row, res in zip(rows, out_rows):
-            if isinstance(res, _Skipped):
-                skipped.append((row, res))
-                continue
-            fh.write(_csv_row(res))
-    for row, res in skipped:
-        _warn_skipped(row, res, args.max_ops)
+    header = "kind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn"
+    _write_study(args, header, rows, worker, str)
     return 0
 
 
 def cmd_study_wce(args) -> int:
-    rows = list(_parse_m_range(args.m_range))
+    # the study nets are planar: symmetrized two dimensional Hammersley
+    kernel = _parse_kernel(args.kernel, args.base, 2, args.seed)
 
     def worker(m):
         n = m + args.n_extra
         net = symmetrize_matrices(hammersley_matrices(args.base, m, n))
         if net.n_points**2 > args.max_ops:
             return _Skipped(net.n_points**2)
-        kernel = _parse_kernel(args.kernel, args.base, net.s, args.seed)
         direct = wce_direct(enumerate_points(net), kernel)
         cap = min(args.cap, n) if args.cap else None
         spectral = wce_spectral(net, kernel, cap=cap, max_candidates=args.max_candidates)
@@ -322,23 +320,12 @@ def cmd_study_wce(args) -> int:
             ok,
         )
 
-    out_rows = _run_rows(rows, worker, _threads(args))
-    all_ok = True
-    with _out_stream(args.out) as fh:
-        fh.write("# schema=1\n")
-        fh.write("base,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail\n")
-        for m, res in zip(rows, out_rows):
-            if isinstance(res, _Skipped):
-                _warn_skipped(f"m={m}", res, args.max_ops)
-                continue
-            all_ok = all_ok and res[-1]
-            fh.write(_csv_row(res))
-    return 0 if all_ok else 1
+    header = "base,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail"
+    written = _write_study(args, header, _parse_m_range(args.m_range), worker)
+    return 0 if all(row[-1] for row in written) else 1
 
 
 def cmd_study_convergence(args) -> int:
-    rows = list(_parse_m_range(args.m_range))
-
     def worker(m):
         ham = hammersley_point_set(args.base, m)
         sym = sym_hammersley_points(args.base, m)
@@ -358,15 +345,8 @@ def cmd_study_convergence(args) -> int:
             l2s * sym.n_points / math.sqrt(m + 2),
         )
 
-    out_rows = _run_rows(rows, worker, _threads(args))
-    with _out_stream(args.out) as fh:
-        fh.write("# schema=1\n")
-        fh.write("base,m,N_ham,l2_ham,ham_n_over_logn,N_sym,l2_sym,sym_n_over_sqrt_logn\n")
-        for m, res in zip(rows, out_rows):
-            if isinstance(res, _Skipped):
-                _warn_skipped(f"m={m}", res, args.max_ops)
-                continue
-            fh.write(_csv_row(res))
+    header = "base,m,N_ham,l2_ham,ham_n_over_logn,N_sym,l2_sym,sym_n_over_sqrt_logn"
+    _write_study(args, header, _parse_m_range(args.m_range), worker)
     return 0
 
 
@@ -376,7 +356,6 @@ def cmd_study_convergence(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="badicnet", description=__doc__)
-    p.add_argument("--threads", type=int, default=0, help="worker threads (QMC_THREADS env as fallback)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add_net_args(sp, with_kind=True):

@@ -255,43 +255,31 @@ def linf_star(ps: PointSet2) -> DiscrepancyResult:
 
     On each grid cell the sup is attained in the limit at the lower
     corner (count held, box shrunk) or at the closed upper corner, so a
-    sweep over both corner families suffices.
+    sweep over both corner families suffices.  One grid row at a time,
+    the scaled corner values count * D^2 - N u v are integers bounded by
+    N D^2: int64 while that stays below 2^61, python ints past it.
     """
     N, D = ps.n_points, ps.den
     if N == 0:
         raise ValueError("empty point set")
     gx, gy = _grids(ps)
-    small = ps.nums.dtype != object and N * D * D < (1 << 61)
-    best = Fraction(0)
-    if small:
-        iy = np.searchsorted(gy, ps.nums[:, 1])
-        ix = np.searchsorted(gx, ps.nums[:, 0])
-        hist = np.zeros(len(gy), dtype=np.int64)
-        gy_lo = gy[:-1].astype(np.int64)
-        gy_hi = gy[1:].astype(np.int64)
-        best_num = 0
-        order = np.argsort(ix, kind="stable")
-        pos = 0
-        for i in range(len(gx) - 1):
-            while pos < len(order) and ix[order[pos]] == i:
-                hist[iy[order[pos]]] += 1
-                pos += 1
-            row = np.cumsum(hist)[: len(gy) - 1]
-            v1 = row * D * D - N * int(gx[i]) * gy_lo
-            v2 = row * D * D - N * int(gx[i + 1]) * gy_hi
-            m = max(int(np.abs(v1).max()), int(np.abs(v2).max()))
-            if m > best_num:
-                best_num = m
-        best = Fraction(best_num, N * D * D)
-    else:
-        C = _cell_counts(ps, gx, gy)
-        for i in range(len(gx) - 1):
-            for j in range(len(gy) - 1):
-                c = int(C[i, j])
-                for u, v in ((int(gx[i]), int(gy[j])), (int(gx[i + 1]), int(gy[j + 1]))):
-                    cand = abs(Fraction(c, N) - Fraction(u * v, D * D))
-                    if cand > best:
-                        best = cand
+    dtype = np.int64 if ps.nums.dtype != object and N * D * D < (1 << 61) else object
+    iy = np.searchsorted(gy, ps.nums[:, 1])
+    ix = np.searchsorted(gx, ps.nums[:, 0])
+    hist = np.zeros(len(gy), dtype=np.int64)
+    gx, gy = gx.astype(dtype), gy.astype(dtype)
+    best_num = 0
+    order = np.argsort(ix, kind="stable")
+    pos = 0
+    for i in range(len(gx) - 1):
+        while pos < len(order) and ix[order[pos]] == i:
+            hist[iy[order[pos]]] += 1
+            pos += 1
+        row = np.cumsum(hist)[: len(gy) - 1].astype(dtype)
+        v1 = row * (D * D) - N * gx[i] * gy[:-1]
+        v2 = row * (D * D) - N * gx[i + 1] * gy[1:]
+        best_num = max(best_num, int(np.abs(v1).max()), int(np.abs(v2).max()))
+    best = Fraction(best_num, N * D * D)
     return DiscrepancyResult(math.inf, float(best), "corner_sweep", 0.0, best)
 
 

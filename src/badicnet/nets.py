@@ -229,25 +229,27 @@ def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
+def _numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.ndarray, int]:
+    """Exact values of digit arrays as numerators over den = b^n (b - 1).
+
+    A coordinate with digits d_1..d_n and constant tail c has value
+    (sum_i d_i b^(n-i) (b - 1) + c) / (b^n (b - 1)).  The (N, s)
+    numerators come from one matrix product, in int64 while den fits
+    comfortably and in python ints past that.
+    """
+    b, n = base, digits.shape[-1]
+    den = b**n * (b - 1)
+    dtype = np.int64 if den <= _INT64_SAFE_DEN else object
+    weights = np.array([b**e for e in range(n - 1, -1, -1)], dtype=dtype)
+    nums = (digits.astype(dtype) @ weights) * (b - 1) + tails.astype(dtype)
+    return nums, den
+
+
 def to_point_set(net: DigitalNet) -> PointSet2:
     """Exact rational image of a two dimensional net."""
     if net.s != 2:
         raise ValueError("planar point set needs two coordinates")
-    digits, tails = point_digit_arrays(net)
-    b, n = net.base, net.n
-    den = b**n * (b - 1)
-    weights = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    if den > _INT64_SAFE_DEN:
-        N = digits.shape[0]
-        nums = np.empty((N, 2), dtype=object)
-        wl = [b**e for e in range(n - 1, -1, -1)]
-        for i in range(N):
-            for j in (0, 1):
-                acc = sum(int(d) * w for d, w in zip(digits[i, j], wl))
-                nums[i, j] = acc * (b - 1) + int(tails[i, j])
-        return PointSet2(nums, den)
-    nums = (digits @ weights) * (b - 1) + tails
-    return PointSet2(nums.astype(np.int64), den)
+    return PointSet2(*_numerators(*point_digit_arrays(net), net.base))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +334,13 @@ def truncated_sym_hammersley(base: int, m: int, n: int) -> DigitalNet:
     return DigitalNet(base, (C1, C2))
 
 
+def _check_family(base: int, m: int) -> None:
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    if m < 1:
+        raise ValueError("need m >= 1")
+
+
 def sym_hammersley_points(base: int, m: int) -> PointSet2:
     """Exact closed form of the symmetrized Hammersley point set.
 
@@ -341,8 +350,7 @@ def sym_hammersley_points(base: int, m: int) -> PointSet2:
     The trailing term is the value of the constant digit tail.
     """
     b = base
-    if m < 1:
-        raise ValueError("need m >= 1")
+    _check_family(b, m)
     a = _index_digits(b, m + 2)
     powers = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
     xs = ((a[:, :m] + a[:, [m]]) % b) @ powers
@@ -357,6 +365,7 @@ def sym_hammersley_points(base: int, m: int) -> PointSet2:
 def hammersley_point_set(base: int, m: int) -> PointSet2:
     """Exact closed form of the plain Hammersley point set."""
     b = base
+    _check_family(b, m)
     a = _index_digits(b, m)
     powers = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
     nums = np.stack([a @ powers, a[:, ::-1] @ powers], axis=1)
@@ -403,20 +412,23 @@ def net_from_json(text: str) -> DigitalNet:
 
 
 def points_to_csv(points: Sequence[GVector], stream) -> None:
-    """Exact p/q columns next to decimal columns, one row per point."""
+    """Exact p/q columns next to decimal columns, one row per point.
+
+    Rows are written from the digit arrays, so net points are printed
+    without building a digit-vector object per point.
+    """
     stream.write("# schema=1\n")
     if not points:
         return
-    s = points[0].s
+    base = points.net.base if isinstance(points, NetPoints) else points[0].base
+    nums, den = _numerators(*digit_arrays(points), base)
     head = []
-    for j in range(1, s + 1):
+    for j in range(1, nums.shape[1] + 1):
         head += [f"x{j}_frac", f"x{j}"]
     stream.write(",".join(head) + "\n")
-    from .badic import project_pi
-
-    for z in points:
+    for row in nums.tolist():
         cells = []
-        for c in z.coords:
-            v = project_pi(c)
+        for num in row:
+            v = Fraction(num, den)
             cells += [f"{v.numerator}/{v.denominator}", repr(float(v))]
         stream.write(",".join(cells) + "\n")

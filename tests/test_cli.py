@@ -159,22 +159,16 @@ def test_study_wce_band_limited_seeded(capsys):
     assert out1 == out2
 
 
-def test_study_convergence_threads_match_serial(capsys, monkeypatch):
-    base_args = ("study", "convergence", "--base", "2", "--m-range", "2:5")
-    _, serial, _ = run(capsys, *base_args)
-    _, threaded, _ = run(capsys, "--threads", "3", *base_args)
-    assert serial == threaded
-    monkeypatch.setenv("QMC_THREADS", "2")
-    _, via_env, _ = run(capsys, *base_args)
-    assert via_env == serial
-
-
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["net", "gen", "--kind", "not-a-kind"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 2
+    # the thread pool option is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "study", "convergence", "--base", "2", "--m-range", "2:3"])
     assert exc.value.code == 2
 
 
@@ -199,3 +193,47 @@ def test_study_skip_warnings_state_cost_and_cap(capsys):
         assert code == 0
         assert err == "warning: skipped m=3: N^2 = 1024 over --max-ops 100\n"
         assert [l for l in out.splitlines() if not l.startswith("#")][1:] == []
+
+
+def test_degenerate_families_exit_two(capsys):
+    # m = 0 and base 1 are parameter errors, not failed verifications
+    for base, m_range, message in (("2", "0:1", "need m >= 1"), ("1", "1:1", "base must be >= 2")):
+        for kind in ("hammersley", "sym-hammersley"):
+            code, out, err = run(
+                capsys, "study", "discrepancy", "--base", base, "--m-range", m_range,
+                "--kinds", kind, "--p", "2",
+            )
+            assert code == 2
+            assert err == f"error: {message}\n"
+            assert out == ""
+        code, _, err = run(capsys, "study", "convergence", "--base", base, "--m-range", m_range)
+        assert code == 2
+        assert message in err
+
+
+def test_reversed_m_range_exits_two(capsys):
+    for study in ("convergence", "discrepancy", "wce"):
+        code, out, err = run(capsys, "study", study, "--base", "2", "--m-range", "3:2")
+        assert code == 2
+        assert "'3:2'" in err
+        assert out == ""
+    # one value, or a range of one, is still a row
+    for spec in ("3", "3:3"):
+        code, out, _ = run(capsys, "study", "convergence", "--base", "2", "--m-range", spec)
+        assert code == 0
+        assert [l.split(",")[1] for l in out.splitlines()[2:]] == ["3"]
+
+
+def test_unknown_kernel_keys_exit_two(capsys):
+    for spec, key in (
+        ("diagonal:alpah=3", "alpah"),
+        ("diagonal:alpha=1,k=2", "k"),
+        ("bandlimited:k=2,gamma=1", "gamma"),
+    ):
+        code, out, err = run(capsys, "study", "wce", "--base", "2", "--m-range", "1:1", "--kernel", spec)
+        assert code == 2
+        assert f"unknown key {key!r}" in err
+        assert out == ""
+    code, _, err = run(capsys, "study", "wce", "--base", "2", "--m-range", "1:1", "--kernel", "gaussian:alpha=1")
+    assert code == 2
+    assert "unknown kernel spec" in err

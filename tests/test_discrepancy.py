@@ -20,6 +20,8 @@ from badicnet import (
     local_discrepancy,
     lp_star,
     sym_hammersley_points,
+    to_point_set,
+    truncated_sym_hammersley,
     truncation_bound,
 )
 
@@ -166,6 +168,18 @@ def test_linf_matches_brute_force():
     assert linf_star(ham).exact == brute_linf(ham)
     sym = sym_hammersley_points(2, 2)
     assert linf_star(sym).exact == brute_linf(sym)
+    # N D^2 = 2^61 exactly: the first set whose row sweep runs in python ints
+    trunc = to_point_set(truncated_sym_hammersley(2, 3, 28))
+    assert trunc.nums.dtype != object and trunc.n_points * trunc.den**2 == 1 << 61
+    assert linf_star(trunc).exact == brute_linf(trunc)
+    # object numerators over den >= 2^45, more than two points
+    big = (1 << 45) + 7
+    wide = PointSet2.from_fractions(
+        [(Fraction(k * 7919 % big, big), Fraction((k * k * 104729 + 1) % big, big)) for k in range(9)]
+        + [(Fraction(1), Fraction(1, 3)), (Fraction(0), Fraction(1))]
+    )
+    assert wide.nums.dtype == object and wide.den >= 1 << 45
+    assert linf_star(wide).exact == brute_linf(wide)
 
 
 def test_linf_object_path_for_wide_denominators():

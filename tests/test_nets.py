@@ -216,3 +216,65 @@ def test_digit_arrays_pad_mixed_precision_with_tails():
     digits, tails = digit_arrays(pts)
     assert digits.tolist() == [[[1, 2]], [[2, 2]]]
     assert tails.tolist() == [[1], [2]]
+
+
+def per_point_csv(points) -> str:
+    """points_to_csv as it was: project_pi on every coordinate of every GVector."""
+    lines = ["# schema=1"]
+    if points:
+        lines.append(",".join(f"x{j}_frac,x{j}" for j in range(1, points[0].s + 1)))
+        for z in points:
+            cells = []
+            for c in z.coords:
+                v = project_pi(c)
+                cells += [f"{v.numerator}/{v.denominator}", repr(float(v))]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def csv_text(points) -> str:
+    buf = io.StringIO()
+    points_to_csv(points, buf)
+    return buf.getvalue()
+
+
+def test_points_csv_from_digit_arrays_matches_per_point_writer():
+    tailed = DigitalNet(3, (np.array([[1, 2], [0, 1], [2, 2]]),), (np.array([2, 1]),))
+    nets = [
+        symmetrize_matrices(hammersley_matrices(2, 3, 6)),
+        symmetrize_matrices(hammersley_matrices(3, 2, 4)),
+        symmetrize_matrices(hammersley_matrices(5, 1, 3)),
+        tailed,
+        truncated_sym_hammersley(3, 2, 6),
+        truncated_sym_hammersley(2, 2, 45),  # den 2^45: numerators in python ints
+    ]
+    for net in nets:
+        pts = enumerate_points(net)
+        text = csv_text(pts)
+        assert pts._points is None  # written without building a GVector
+        assert text == per_point_csv(eager_points(net))
+    # one precision per vector, a different one per point
+    mixed = [
+        GVector((GElement(3, (1, 2), 1), GElement(3, (2, 0), 2))),
+        GVector((GElement(3, (2,), 0), GElement(3, (1,), 1))),
+        GVector((GElement(3, (2, 2, 2), 2), GElement(3, (0, 1, 2), 0))),
+    ]
+    assert csv_text(mixed) == per_point_csv(mixed)
+    assert csv_text([]) == per_point_csv([]) == "# schema=1\n"
+
+
+def test_point_set_past_int64_matches_projection():
+    # den 2^45 without tails; den 4 * 5^25 with tails and values past 2^53
+    for net in (truncated_sym_hammersley(2, 2, 45), symmetrize_matrices(hammersley_matrices(5, 1, 25))):
+        ps = to_point_set(net)
+        assert ps.den > 1 << 40 and ps.nums.dtype == object
+        want = [tuple(project_pi(c) for c in z.coords) for z in enumerate_points(net)]
+        assert ps.fractions() == want
+
+
+def test_closed_form_families_reject_degenerate_parameters():
+    for family in (hammersley_point_set, sym_hammersley_points):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            family(2, 0)
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            family(1, 2)

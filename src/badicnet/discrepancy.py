@@ -19,7 +19,6 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .nets import PointSet2
 
@@ -158,14 +157,16 @@ def lp_star(ps: PointSet2, p) -> DiscrepancyResult:
 
     The counting function is constant on every half-open grid cell, so
     even integer p reduces to exact rational integrals of polynomials.
-    Other finite p >= 1 use per-cell quadrature of the one remaining
-    outer variable (the inner integral has a closed form); the combined
-    absolute quadrature error on the p-th power is kept below 1e-10.
+    Every other finite p >= 1 integrates the one remaining outer variable
+    numerically (the inner integral has a closed form), by QUADPACK's
+    21-point Gauss–Kronrod rule batched over all pieces of the grid rows;
+    the combined absolute error on the p-th power is kept below 1e-10 (see
+    _lp_quadrature for the cost).
     """
     if p == math.inf:
         return linf_star(ps)
     p = float(p)
-    if p < 1:
+    if not p >= 1:  # NaN included
         raise ValueError("p must be >= 1 (or inf)")
     N = ps.n_points
     if N == 0:
@@ -200,51 +201,146 @@ def _lp_even_exact(ps: PointSet2, p: int) -> DiscrepancyResult:
     return DiscrepancyResult(float(p), value, "piecewise_exact", 1e-14 * max(value, 1.0), total)
 
 
+# QUADPACK's qk21 rule (R. Piessens et al., QUADPACK, Springer 1983): the
+# 21-point Kronrod nodes on [-1, 1] and their weights, listed from the
+# outermost node in to the centre, and the 10-point Gauss weights on every
+# second node.  Expanded below to all 21 nodes in ascending order, with a
+# zero Gauss weight on the Kronrod-only nodes.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600802224003, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK_NODES = np.concatenate((-_XGK[:10], _XGK[::-1]))
+_GK_KRONROD = np.concatenate((_WGK[:10], _WGK[::-1]))
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[11::2] = _WG[::-1]
+
+# integrand values evaluated at once, bounding the temporaries (~0.5 MB each)
+_BLOCK = 1 << 16
+# intervals one piece may be split into, as QUADPACK's limit = 200
+# subintervals; past it the piece's intervals are taken as they stand, their
+# error estimates added to the bound
+_MAX_INTERVALS = 200
+
+
+def _gk21(A, v_lo, v_hi, p, row, a, b):
+    """qk21 on every interval [a_k, b_k] of the outer integrand of row row_k.
+
+    The outer integrand at t1 is the sum over cells j of
+    int_{v_lo_j}^{v_hi_j} |A_j - t1 t2|^p dt2, A being the row's counts over
+    N; each term is (w_lo |w_lo|^p - w_hi |w_hi|^p) / (t1 (p+1)) with
+    w = A_j - t1 v.  It is evaluated _BLOCK values at a time.  Returns the
+    Kronrod values and QUADPACK's error estimates.
+    """
+    hl = 0.5 * (b - a)
+    t = (0.5 * (a + b))[:, None] + hl[:, None] * _GK_NODES
+    f = np.empty_like(t)
+    step = max(1, _BLOCK // (21 * len(v_lo)))
+    for s in range(0, len(a), step):
+        ts = t[s : s + step, :, None]
+        Ar = A[row[s : s + step]][:, None, :]
+        w_lo = Ar - ts * v_lo
+        w_hi = Ar - ts * v_hi
+        inner = w_lo * np.abs(w_lo) ** p - w_hi * np.abs(w_hi) ** p
+        f[s : s + step] = inner.sum(axis=-1) / (t[s : s + step] * (p + 1.0))
+    resk = f @ _GK_KRONROD
+    resabs = np.abs(f) @ _GK_KRONROD * hl
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_KRONROD * hl
+    err = np.abs((resk - f @ _GK_GAUSS) * hl)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    return resk * hl, np.maximum(err, 50 * np.finfo(float).eps * resabs)
+
+
 def _lp_quadrature(ps: PointSet2, p: float) -> DiscrepancyResult:
+    """Integral of |local discrepancy|^p by batched adaptive Gauss–Kronrod.
+
+    The inner variable t2 is integrated in closed form cell by cell; the
+    outer t1 runs over pieces of each grid row, cut where A - t1 v changes
+    sign for some cell count A and cell edge v, so the integrand is smooth
+    on every piece.  All pieces go through QUADPACK's 21-point rule at once,
+    and only the intervals whose error estimate is over their share of the
+    1e-10 budget are bisected: a piece is allowed
+    max(1e-10 / pieces, 1e-12 |piece|) on the p-th power, shared among its
+    intervals by width.  A piece is split into at most _MAX_INTERVALS
+    intervals; those still over their share then are kept, and their
+    estimates go into the error bound.
+
+    A round costs O(intervals * G * 21) for G grid columns.  On symmetrized
+    Hammersley sets (G = N/4 + 1 lines per axis) there are about 0.57 G^2
+    pieces and every one passes in the first round, so the cost grows like
+    N^3: on a 2-vCPU Xeon VM,
+    sym_hammersley_points(2, m) takes 0.06 / 0.07 s at N = 256, 0.25 /
+    0.44 s at N = 512 and 2.2 / 3.8 s at N = 1024 for p = 1 / 1.5.
+    """
     N, D = ps.n_points, ps.den
     gx, gy = _grids(ps)
-    C = _cell_counts(ps, gx, gy)
-    gxf = np.array([int(v) for v in gx], dtype=float) / D
-    gyf = np.array([int(v) for v in gy], dtype=float) / D
-    v_lo = gyf[:-1]
-    v_hi = gyf[1:]
+    A = _cell_counts(ps, gx, gy)[:-1, :-1] / N
+    gxf = gx.astype(float) / D
+    gyf = gy.astype(float) / D
+    v_lo, v_hi = gyf[:-1], gyf[1:]
 
-    def s_pow(w):
-        return np.sign(w) * np.abs(w) ** (p + 1.0)
+    # kinks: t1 = A / v strictly inside its row's [t_lo, t_hi); A / 0 and
+    # 0 / v never pass t_lo < t1, since counts and edges are >= 0
+    valid = np.flatnonzero(gxf[1:] > gxf[:-1])
+    rows, cuts = [valid, valid], [gxf[valid], gxf[valid + 1]]
+    step = max(1, _BLOCK // len(v_lo))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, len(A), step):
+            As = A[s : s + step]
+            t_lo, t_hi = gxf[s : s + len(As), None], gxf[s + 1 : s + 1 + len(As), None]
+            for v in (v_lo, v_hi):
+                t = As / v
+                r, j = np.nonzero((t_lo < t) & (t < t_hi))
+                rows.append(r + s)
+                cuts.append(t[r, j])
+    row = np.concatenate(rows)
+    cut = np.concatenate(cuts)
+    order = np.lexsort((cut, row))
+    row, cut = row[order], cut[order]
+    keep = np.concatenate(([True], (row[1:] != row[:-1]) | (cut[1:] != cut[:-1])))
+    row, cut = row[keep], cut[keep]
+    same = row[1:] == row[:-1]
+    row, a, b = row[:-1][same], cut[:-1][same], cut[1:][same]
 
-    pieces = []  # (t_lo, t_hi, counts row)
-    for i in range(len(gx) - 1):
-        t_lo, t_hi = gxf[i], gxf[i + 1]
-        if t_hi <= t_lo:
-            continue
-        A = C[i, : len(gyf) - 1] / N
-        # inner-integral kinks: t1 where A - t1 * v changes sign inside the cell
-        cuts = {t_lo, t_hi}
-        for Aj, vj, wj in zip(A, v_lo, v_hi):
-            for v in (vj, wj):
-                if v > 0 and Aj > 0:
-                    t = Aj / v
-                    if t_lo < t < t_hi:
-                        cuts.add(t)
-        cs = sorted(cuts)
-        for lo, hi in zip(cs[:-1], cs[1:]):
-            pieces.append((lo, hi, A))
-
-    eps_each = 1e-10 / max(len(pieces), 1)
-    total = 0.0
-    err = 0.0
-    for lo, hi, A in pieces:
-
-        def outer(t1, A=A):
-            if t1 <= 0:
-                return float(np.sum(np.abs(A) ** p * (v_hi - v_lo)))
-            inner = (s_pow(A - t1 * v_lo) - s_pow(A - t1 * v_hi)) / (t1 * (p + 1.0))
-            return float(inner.sum())
-
-        val, e = quad(outer, lo, hi, epsabs=eps_each, epsrel=1e-12, limit=200)
-        total += val
-        err += e
-    err = max(err, 1e-15)
+    n_pieces = len(a)
+    piece = np.arange(n_pieces)
+    held = np.ones(n_pieces, dtype=np.int64)  # intervals per piece
+    vals, errs = [], []
+    while len(a):
+        val, err = _gk21(A, v_lo, v_hi, p, row, a, b)
+        if not vals:
+            # the piece's allowance per unit of width
+            allow = np.maximum(1e-10 / n_pieces, 1e-12 * np.abs(val)) / (b - a)
+        mid = 0.5 * (a + b)
+        split = (err > allow[piece] * (b - a)) & (a < mid) & (mid < b)
+        held += np.bincount(piece[split], minlength=n_pieces)
+        split &= held[piece] <= _MAX_INTERVALS
+        vals.append(val[~split])
+        errs.append(err[~split])
+        row, piece = np.tile(row[split], 2), np.tile(piece[split], 2)
+        a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
+    total = math.fsum(np.concatenate(vals))
+    err = max(math.fsum(np.concatenate(errs)), 1e-15)
     value = total ** (1.0 / p)
     bound = (total + err) ** (1.0 / p) - value
     return DiscrepancyResult(p, value, "quadrature", bound + 1e-15, None)
@@ -302,7 +398,7 @@ def truncation_bound(base: int, m: int, n: int, p) -> float:
     """
     if n < m + 2:
         raise ValueError("truncation too short: need n >= m + 2")
-    if p != math.inf and p < 1:
+    if not p >= 1:  # NaN included
         raise ValueError("p must be >= 1 (or inf)")
     if p < 2 and n > m + 2:
         warnings.warn(

@@ -1,6 +1,9 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +212,21 @@ def test_degenerate_families_exit_two(capsys):
         code, _, err = run(capsys, "study", "convergence", "--base", base, "--m-range", m_range)
         assert code == 2
         assert message in err
+
+
+def test_nan_p_exits_two(capsys):
+    code, out, err = run(capsys, "study", "discrepancy", "--base", "2", "--m-range", "2:2", "--p", "nan")
+    assert code == 2
+    assert err == "error: p must be >= 1 (or inf)\n"
+    assert out == ""
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test oracle only; importing it would cost the CLI its set-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = f"import sys; sys.path.insert(0, {src!r}); import badicnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_reversed_m_range_exits_two(capsys):

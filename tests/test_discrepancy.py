@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from badicnet import (
     PointSet2,
@@ -24,6 +25,8 @@ from badicnet import (
     truncated_sym_hammersley,
     truncation_bound,
 )
+from badicnet import discrepancy
+from badicnet.discrepancy import _lp_even_exact, _lp_quadrature
 
 
 def _grid(vals):
@@ -145,6 +148,14 @@ def test_lp_rejects_small_p():
     ps = PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
     with pytest.raises(ValueError, match="p must be >= 1"):
         lp_star(ps, 0.5)
+
+
+def test_lp_rejects_nan_p():
+    ps = PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
+    with pytest.raises(ValueError, match=r"p must be >= 1 \(or inf\)"):
+        lp_star(ps, float("nan"))
+    with pytest.raises(ValueError, match=r"p must be >= 1 \(or inf\)"):
+        truncation_bound(2, 3, 5, float("nan"))
 
 
 def test_lp_inf_routes_to_sup():
@@ -322,3 +333,117 @@ def test_l2_dominance_sweep_on_larger_sets():
     for ps in (hammersley_point_set(3, 4), sym_hammersley_points(2, 5)):
         assert l2_star(ps).exact == pair_sum_l2sq(ps)
         assert lp_star(ps, 4).exact == cell_loop_lp_even(ps, 4)
+
+
+# ---------------------------------------------------------------------------
+# oracle for the batched quadrature: one scipy quad call per piece, as the
+# library computed non-even p before the Gauss–Kronrod rule was batched
+
+
+def per_piece_quad_lp(ps: PointSet2, p: float):
+    """(value, error_bound) of L_p by a per-piece loop of scipy quad calls."""
+    N, D = ps.n_points, ps.den
+    gx = sorted({0, D, *(int(x) for x in ps.nums[:, 0])})
+    gy = sorted({0, D, *(int(y) for y in ps.nums[:, 1])})
+    pts = [(int(x), int(y)) for x, y in ps.nums]
+    gxf = np.array(gx, dtype=float) / D
+    gyf = np.array(gy, dtype=float) / D
+    v_lo, v_hi = gyf[:-1], gyf[1:]
+
+    def s_pow(w):
+        return np.sign(w) * np.abs(w) ** (p + 1.0)
+
+    pieces = []  # (t_lo, t_hi, counts row)
+    for i in range(len(gx) - 1):
+        t_lo, t_hi = gxf[i], gxf[i + 1]
+        if t_hi <= t_lo:
+            continue
+        A = np.array([sum(1 for x, y in pts if x <= gx[i] and y <= c) for c in gy[:-1]]) / N
+        cuts = {t_lo, t_hi}
+        for Aj, vj, wj in zip(A, v_lo, v_hi):
+            for v in (vj, wj):
+                if v > 0 and Aj > 0 and t_lo < Aj / v < t_hi:
+                    cuts.add(Aj / v)
+        cs = sorted(cuts)
+        pieces += [(lo, hi, A) for lo, hi in zip(cs[:-1], cs[1:])]
+
+    eps_each = 1e-10 / len(pieces)
+    total = err = 0.0
+    for lo, hi, A in pieces:
+
+        def outer(t1, A=A):
+            if t1 <= 0:
+                return float(np.sum(np.abs(A) ** p * (v_hi - v_lo)))
+            return float(((s_pow(A - t1 * v_lo) - s_pow(A - t1 * v_hi)) / (t1 * (p + 1.0))).sum())
+
+        val, e = quad(outer, lo, hi, epsabs=eps_each, epsrel=1e-12, limit=200)
+        total += val
+        err += e
+    err = max(err, 1e-15)
+    value = total ** (1.0 / p)
+    return value, (total + err) ** (1.0 / p) - value + 1e-15
+
+
+def _assert_quadrature_matches_oracle(ps, p):
+    res = _lp_quadrature(ps, p)
+    assert res.method == "quadrature" and res.exact is None and res.p == p
+    value, bound = per_piece_quad_lp(ps, p)
+    assert abs(res.value - value) <= res.error_bound + bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_sets(max_points=6), st.sampled_from([1.0, 1.5, 2.5, 3.0]))
+def test_batched_quadrature_matches_per_piece_quad(ps, p):
+    _assert_quadrature_matches_oracle(ps, p)
+
+
+def test_batched_quadrature_on_faces_ties_and_wide_denominators():
+    sets = [
+        PointSet2(np.array([[x, y]], dtype=np.int64), 5)
+        for x, y in [(0, 0), (0, 5), (5, 0), (5, 5), (2, 5), (0, 3)]
+    ]
+    # repeated x and y values, several points on x = 0 (the t1 -> 0 column)
+    sets.append(PointSet2(np.array([[0, 2], [0, 2], [0, 9], [4, 2], [4, 9], [9, 0], [9, 9]], dtype=np.int64), 9))
+    # object numerators over den >= 2^45, with a column next to 0 of width 1/den
+    den = (1 << 45) + 7
+    sets.append(PointSet2(np.array([[1, den], [den // 3, 17], [den // 3, den], [0, 17], [den - 1, 0]], dtype=object), den))
+    sets.append(hammersley_point_set(3, 2))
+    sets.append(sym_hammersley_points(2, 2))
+    for ps in sets:
+        for p in (1.0, 1.5, 2.5, 3.0):
+            _assert_quadrature_matches_oracle(ps, p)
+
+
+def test_quadrature_matches_exact_even_p():
+    # on the p-th power: |value^p - exact| <= (value + bound)^p - value^p
+    sets = _random_sets(8, 7, 9, seed=31) + [sym_hammersley_points(2, m) for m in range(1, 7)]
+    for ps in sets:
+        for p, exact in ((2, l2_star(ps).exact), (4, _lp_even_exact(ps, 4).exact)):
+            res = _lp_quadrature(ps, float(p))
+            value = Fraction(res.value)
+            assert abs(value**p - exact) <= (value + Fraction(res.error_bound)) ** p - value**p
+
+
+def test_interval_limit_keeps_the_estimates(monkeypatch):
+    # p = 1.5 splits pieces at their kinks; with one interval per piece the
+    # unsplit values are kept and their larger estimates widen the bound
+    ps = sym_hammersley_points(2, 3)
+    full = _lp_quadrature(ps, 1.5)
+    monkeypatch.setattr(discrepancy, "_MAX_INTERVALS", 1)
+    capped = _lp_quadrature(ps, 1.5)
+    assert capped.error_bound > full.error_bound
+    assert abs(capped.value - full.value) <= capped.error_bound + full.error_bound
+    value, bound = per_piece_quad_lp(ps, 1.5)
+    assert abs(capped.value - value) <= capped.error_bound + bound
+
+
+def test_gauss_kronrod_table():
+    # the 10-point Gauss rule on its nodes, and the 21-point Kronrod rule
+    # exact for every monomial up to degree 31
+    x, w = np.polynomial.legendre.leggauss(10)
+    gauss = discrepancy._GK_GAUSS > 0
+    assert np.allclose(discrepancy._GK_NODES[gauss], x, rtol=0, atol=1e-15)
+    assert np.allclose(discrepancy._GK_GAUSS[gauss], w, rtol=0, atol=1e-15)
+    for k in range(32):
+        moment = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(discrepancy._GK_NODES**k @ discrepancy._GK_KRONROD - moment) < 1e-15

@@ -203,7 +203,7 @@ def cmd_verify_orthogonality(args) -> int:
 
 
 def cmd_verify_independence(args) -> int:
-    net = truncated_sym_hammersley(args.base, args.m, args.n if args.n else 2 * args.m + 1)
+    net = truncated_sym_hammersley(args.base, args.m, args.n if args.n is not None else 2 * args.m + 1)
     report = check_independence_sets(net)
     with _out_stream(args.out) as fh:
         _dump_json(report.to_json_dict(), fh)
@@ -212,12 +212,11 @@ def cmd_verify_independence(args) -> int:
 
 def cmd_verify_rho2(args) -> int:
     net = _load_net(args)
-    cap = args.cap if args.cap else 2 * net.n
-    res = rho2_min_weight(net, cap, args.max_candidates)
+    res = rho2_min_weight(net, args.cap, args.max_candidates)
     certified = res.certified_by
-    if res.exceeded and net.s == 2 and cap <= 2 * net.m:
+    if res.exceeded and net.s == 2 and res.cap <= 2 * net.m:
         try:
-            if certify_rho2_via_independence(net, cap):
+            if certify_rho2_via_independence(net, res.cap):
                 certified = "enumeration+independence"
         except ValueError:
             pass
@@ -304,7 +303,7 @@ def cmd_study_wce(args) -> int:
         if net.n_points**2 > args.max_ops:
             return _Skipped(net.n_points**2)
         direct = wce_direct(enumerate_points(net), kernel)
-        cap = min(args.cap, n) if args.cap else None
+        cap = min(args.cap, n) if args.cap is not None else None
         spectral = wce_spectral(net, kernel, cap=cap, max_candidates=args.max_candidates)
         ok = abs(direct.value - spectral.value) <= spectral.tail_bound + 1e-10
         return (

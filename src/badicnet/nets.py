@@ -123,13 +123,15 @@ def point_digit_arrays(net: DigitalNet) -> tuple[np.ndarray, np.ndarray]:
 class NetPoints(Sequence[GVector]):
     """Read-only sequence of a net's points in index order.
 
-    It holds the net only.  Indexing or iterating builds the GVector
-    objects once, on first use, and keeps them; digit_arrays() gives the
-    same points as arrays without building any object.
+    It holds the net and an optional digital shift ((s, n) digits, zero
+    tail).  Indexing or iterating builds the GVector objects once, on
+    first use, and keeps them; digit_arrays() gives the same points as
+    arrays without building any object.
     """
 
-    def __init__(self, net: DigitalNet):
+    def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
         self.net = net
+        self.shift = shift
         self._points: list[GVector] | None = None
 
     def __len__(self) -> int:
@@ -142,12 +144,13 @@ class NetPoints(Sequence[GVector]):
         return iter(self._objects())
 
     def digit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N, s, n) digits and (N, s) tails, as point_digit_arrays."""
-        return point_digit_arrays(self.net)
+        """(N, s, n) digits and (N, s) tails, as point_digit_arrays, shift added."""
+        digits, tails = point_digit_arrays(self.net)
+        return (digits if self.shift is None else (digits + self.shift) % self.net.base), tails
 
     def _objects(self) -> list[GVector]:
         if self._points is None:
-            digits, tails = point_digit_arrays(self.net)
+            digits, tails = self.digit_arrays()
             b = self.net.base
             out = []
             for i in range(digits.shape[0]):
@@ -399,15 +402,21 @@ def net_to_json(net: DigitalNet) -> str:
 
 def net_from_json(text: str) -> DigitalNet:
     doc = json.loads(text)
-    mats = tuple(np.array(m, dtype=np.int64) for m in doc["matrices"])
+    if not isinstance(doc, dict):
+        raise ValueError("net JSON must be an object")
+    for key in ("base", "s", "m", "n", "matrices"):
+        if type(doc.get(key)) is not (list if key == "matrices" else int):
+            raise ValueError(f"net JSON field {key!r} is missing or of the wrong type")
+    try:
+        mats = tuple(np.array(m, dtype=np.int64) for m in doc["matrices"])
+        tails = tuple(np.array(t, dtype=np.int64) for t in doc["tail_rows"]) if "tail_rows" in doc else None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"net JSON matrices and tail_rows must hold integer rows: {exc}") from None
     if len(mats) != doc["s"]:
         raise ValueError("coordinate count does not match matrices")
     for m in mats:
         if m.shape != (doc["n"], doc["m"]):
             raise ValueError("matrix shape does not match declared n, m")
-    tails = None
-    if "tail_rows" in doc:
-        tails = tuple(np.array(t, dtype=np.int64) for t in doc["tail_rows"])
     return DigitalNet(doc["base"], mats, tails, sym_columns=doc.get("sym_columns", 0))
 
 

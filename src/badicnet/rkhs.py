@@ -18,16 +18,15 @@ independently so they can be checked against each other.
 A diagonal kernel depends on x and y only through the digitwise
 difference x - y, and the points of a digital net form a group under
 that subtraction, tails included: each y sees the same multiset x - y.
-So on a net (the NetPoints that enumerate_points returns) the direct
-route is
+A shifted net P + sigma is a coset, and (x + sigma) - (y + sigma) = x - y.
+So on any NetPoints, shifted or not, the direct route is
 
-    e^2 = -1 + (1/N) sum_x K(x, 0),
+    e^2 = -1 + (1/N) sum_{x in P} K(x, 0),
 
-in O(N s n) from the digit arrays (J. Dick and F. Pillichshammer,
-Digital Nets and Sequences, Cambridge University Press, 2010).  Any
-other point sequence, such as a digitally shifted net or an arbitrary
-multiset, is not licensed for that identity and takes the O(N^2 s n)
-sum over ordered point pairs.  The spectral route scans the dual
+in O(N s n) from the unshifted digit arrays (J. Dick and
+F. Pillichshammer, Digital Nets and Sequences, Cambridge University
+Press, 2010).  An arbitrary multiset takes the O(N^2 s n) sum over
+ordered point pairs.  The spectral route scans the dual
 candidates coordinate by coordinate, testing the last coordinate's
 whole block at once (dual.dual_scan).
 """
@@ -41,9 +40,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import GElement, GVector, first_nonzero_position, g_add, g_sub, project_pi
-from .nets import DigitalNet, NetPoints, PointSet2, digit_arrays
-from .walsh import KVector, character_exponent_table, compensated_sum
+from .badic import GElement, GVector, first_nonzero_position, g_sub
+from .nets import DigitalNet, NetPoints, PointSet2, _numerators, digit_arrays, point_digit_arrays
+from .walsh import KVector, character_exponent_table, compensated_sum, walsh_eval
 from . import dual as dualmod
 
 
@@ -284,8 +283,8 @@ def _clamped(e2: float) -> tuple[float, bool]:
 def wce_direct(points: Sequence[GVector], kernel) -> WceResult:
     """Three-term squared worst-case error from the points themselves.
 
-    A diagonal kernel on net points takes the group identity (N terms);
-    on any other sequence it sums all N^2 ordered pairs.
+    A diagonal kernel on NetPoints (shifted or not) takes the group
+    identity, N terms; any other sequence sums all N^2 ordered pairs.
     """
     N = len(points)
     if N == 0:
@@ -306,7 +305,7 @@ def wce_direct(points: Sequence[GVector], kernel) -> WceResult:
         return WceResult(val, "direct", 0.0, N * N, cl)
     if isinstance(kernel, SpectralDiagonalKernel):
         if isinstance(points, NetPoints):
-            e2, terms = -1.0 + _diag_group_sum(points, kernel) / N, N
+            e2, terms = -1.0 + _diag_group_sum(points.net, kernel) / N, N
         else:
             e2, terms = -1.0 + _diag_pair_sum(points, kernel) / (N * N), N * N
         val, cl = _clamped(e2)
@@ -327,11 +326,11 @@ def _first_positions(nonzero: np.ndarray, tail_nonzero: np.ndarray) -> np.ndarra
     return np.where(~any_digit & tail_nonzero, n + 1, pos)
 
 
-def _diag_group_sum(points: NetPoints, kernel: SpectralDiagonalKernel) -> float:
-    """sum over the net points x of the diagonal kernel K(x, 0)."""
-    digits, tails = points.digit_arrays()
+def _diag_group_sum(net: DigitalNet, kernel: SpectralDiagonalKernel) -> float:
+    """sum over the unshifted net points x of the diagonal kernel K(x, 0)."""
+    digits, tails = point_digit_arrays(net)
     table = _phi_table(kernel, digits.shape[2])
-    prod = np.ones(len(points))
+    prod = np.ones(net.n_points)
     for j in range(digits.shape[1]):
         pos = _first_positions(digits[:, j, :] != 0, tails[:, j] != 0)
         prod *= 1.0 + kernel.gammas[j] * table[pos]
@@ -446,17 +445,17 @@ def draw_shift(base: int, s: int, precision: int, rng) -> GVector:
     )
 
 
-def random_digital_shift(points: Sequence[GVector], seed_or_rng) -> list[GVector]:
-    """Shift every point by one shared uniform digit vector.
+def random_digital_shift(points: NetPoints, seed_or_rng) -> NetPoints:
+    """Shift every net point by one shared uniform digit vector.
 
-    The shift has the points' precision and a zero tail; pairwise
-    digitwise differences between points are untouched.
+    The shift has the net's precision and a zero tail, and shifts add
+    mod b; pairwise digitwise differences between points are untouched.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    if not points:
-        return []
-    sigma = draw_shift(points[0].base, points[0].s, points[0].precision, rng)
-    return [GVector(tuple(g_add(zj, sj) for zj, sj in zip(z.coords, sigma.coords))) for z in points]
+    if not isinstance(points, NetPoints):
+        raise TypeError("random_digital_shift needs the net points of enumerate_points")
+    net, rng = points.net, np.random.default_rng(seed_or_rng)  # a Generator passes through unchanged
+    shift = np.array([c.digits for c in draw_shift(net.base, net.s, net.n, rng).coords], dtype=np.int64)
+    return NetPoints(net, shift if points.shift is None else (shift + points.shift) % net.base)
 
 
 @dataclass(frozen=True)
@@ -471,12 +470,6 @@ class IntegrationResult:
         return abs(self.value - self.exact)
 
 
-def _points_as_fraction_rows(points) -> list[tuple[Fraction, ...]]:
-    if isinstance(points, PointSet2):
-        return [tuple(pair) for pair in points.fractions()]
-    return [tuple(project_pi(c) for c in z.coords) for z in points]
-
-
 def qmc_integrate(points, integrand: str, **params) -> IntegrationResult:
     """Equal-weight cubature of a few built-in integrands with known value.
 
@@ -485,38 +478,35 @@ def qmc_integrate(points, integrand: str, **params) -> IntegrationResult:
       prod-exp         prod_j exp(x_j),    exact (e - 1)^s
       walsh            wal_k(x),           exact 1 if k = 0 else 0 (param k: tuple)
     """
-    rows = _points_as_fraction_rows(points)
-    if not rows:
+    N = points.n_points if isinstance(points, PointSet2) else len(points)
+    if N == 0:
         raise ValueError("empty point set")
-    s = len(rows[0])
-    N = len(rows)
+    if isinstance(points, PointSet2):
+        nums, den = points.nums, points.den
+    else:
+        base = points.net.base if isinstance(points, NetPoints) else points[0].base
+        nums, den = _numerators(*digit_arrays(points), base)
+    rows = nums.tolist()
+    s = nums.shape[1]
     if integrand == "prod-quadratic":
+        # one exact ratio of integers per row; int / int rounds as float(Fraction)
         c = Fraction(params.get("c", 0))
-        vals = []
-        for row in rows:
-            v = Fraction(1)
-            for x in row:
-                v *= x * x + c
-            vals.append(complex(float(v)))
+        cn, cd = c.numerator * den * den, c.denominator
+        scale = (cd * den * den) ** s
+        vals = [complex(math.prod(cd * x * x + cn for x in row) / scale) for row in rows]
         exact = complex(float((Fraction(1, 3) + c) ** s))
     elif integrand == "prod-exp":
-        vals = [complex(math.prod(math.exp(float(x)) for x in row)) for row in rows]
+        vals = [complex(math.prod(math.exp(x / den) for x in row)) for row in rows]
         exact = complex((math.e - 1.0) ** s)
     elif integrand == "walsh":
         k = params["k"]
         if len(k) != s:
             raise ValueError("incompatible elements: dimension mismatch")
-        from .walsh import walsh_eval
-
         base = params.get("base")
         if base is None:
             raise ValueError("walsh integrand needs the base")
-        vals = []
-        for row in rows:
-            v = complex(1.0)
-            for kj, x in zip(k, row):
-                v *= walsh_eval(kj, x, base)
-            vals.append(v)
+        vals = [math.prod((walsh_eval(kj, Fraction(x, den), base) for kj, x in zip(k, row)), start=complex(1.0))
+                for row in rows]
         exact = complex(1.0) if all(int(v) == 0 for v in k) else complex(0.0)
     else:
         raise ValueError(f"unknown integrand {integrand!r}")

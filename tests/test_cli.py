@@ -255,3 +255,39 @@ def test_unknown_kernel_keys_exit_two(capsys):
     code, _, err = run(capsys, "study", "wce", "--base", "2", "--m-range", "1:1", "--kernel", "gaussian:alpha=1")
     assert code == 2
     assert "unknown kernel spec" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"base": 2, "matrices": [[[1]]]}', "net JSON field 's' is missing or of the wrong type"),
+        ("[1, 2]", "net JSON must be an object"),
+        ('{"base": 2, "s": 1, "m": 1, "n": 1, "matrices": 5}', "net JSON field 'matrices' is missing or of the wrong type"),
+        ('{"base": 2, "s": 1, "m": 1, "n": 1, "matrices": [[[1]]], "tail_rows": [null]}', "net JSON matrices and tail_rows"),
+    ],
+    ids=["missing-key", "not-an-object", "matrices-not-a-list", "null-tail-row"],
+)
+def test_malformed_net_json_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "net", "points", "--in", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "rho2", "--kind", "sym-hammersley-truncated", "--base", "2", "--m", "2", "--n", "5", "--cap", "0"), "cap must lie in 1..2n"),
+        (("study", "wce", "--base", "2", "--m-range", "1:1", "--cap", "0"), "cap must lie in 1..n"),
+        (("verify", "independence", "--base", "3", "--m", "2", "--n", "0"), "truncation too short: need n >= m + 2"),
+    ],
+    ids=["verify-rho2-cap", "study-wce-cap", "verify-independence-n"],
+)
+def test_zero_flags_are_values_not_defaults(capsys, argv, message):
+    # 0 is out of range for each flag, so it must not fall back to the default
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""

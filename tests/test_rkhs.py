@@ -1,5 +1,6 @@
 """Kernel machinery and worst-case integration error, two routes."""
 
+import io
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from badicnet import (
     BandLimitedKernel,
     GElement,
     GVector,
+    PointSet2,
     SpectralDiagonalKernel,
     DigitalNet,
     draw_shift,
@@ -23,15 +25,17 @@ from badicnet import (
     kernel_eval,
     khat,
     ms_wce_spectral,
+    points_to_csv,
     qmc_integrate,
     random_digital_shift,
+    sym_hammersley_points,
     symmetrize_matrices,
     truncated_sym_hammersley,
     walsh_eval,
     wce_direct,
     wce_spectral,
 )
-from badicnet.badic import gv_pi, project_pi
+from badicnet.badic import g_add, gv_pi, project_pi
 from badicnet.dual import dual_scan
 from badicnet.rkhs import _diag_pair_sum, _digit_negate, _weighted_box_count
 from badicnet.walsh import compensated_sum
@@ -375,3 +379,114 @@ def test_batched_spectral_matches_candidate_scan(data):
 def test_weighted_box_count_matches_generator():
     for b, s, cap in [(2, 1, 5), (2, 3, 4), (3, 2, 3), (5, 3, 2)]:
         assert len(list(weighted_box(b, s, cap))) == _weighted_box_count(b, s, cap)
+
+
+# ---------------------------------------------------------------------------
+# digital shifts and QMC on digit arrays against the digit-vector objects
+
+
+def shift_by_objects(points, sigma):
+    """The shifted point list, one g_add per coordinate of every point."""
+    return [GVector(tuple(g_add(zj, sj) for zj, sj in zip(z.coords, sigma.coords))) for z in points]
+
+
+def fraction_rows(points):
+    """Exact coordinates as Fraction rows: PointSet2 pairs or project_pi per coordinate."""
+    if isinstance(points, PointSet2):
+        return [tuple(pair) for pair in points.fractions()]
+    return [gv_pi(z) for z in points]
+
+
+def qmc_by_fraction_rows(points, integrand, **params):
+    """qmc_integrate's (value, exact) by Fraction arithmetic on each row."""
+    rows = fraction_rows(points)
+    s = len(rows[0])
+    if integrand == "prod-quadratic":
+        c = Fraction(params.get("c", 0))
+        vals = []
+        for row in rows:
+            v = Fraction(1)
+            for x in row:
+                v *= x * x + c
+            vals.append(complex(float(v)))
+        exact = complex(float((Fraction(1, 3) + c) ** s))
+    elif integrand == "prod-exp":
+        vals = [complex(math.prod(math.exp(float(x)) for x in row)) for row in rows]
+        exact = complex((math.e - 1.0) ** s)
+    else:
+        vals = []
+        for row in rows:
+            v = complex(1.0)
+            for kj, x in zip(params["k"], row):
+                v *= walsh_eval(kj, x, params["base"])
+            vals.append(v)
+        exact = complex(1.0) if not any(params["k"]) else complex(0.0)
+    return compensated_sum(vals) / len(rows), exact
+
+
+def csv_text(points):
+    out = io.StringIO()
+    points_to_csv(points, out)
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shifted_net_points_match_the_object_path(data):
+    net = data.draw(digital_nets())
+    b, s, n = net.base, net.s, net.n
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    pts = enumerate_points(net)
+    shifted = random_digital_shift(pts, seed)
+    oracle = shift_by_objects(list(pts), draw_shift(b, s, n, np.random.default_rng(seed)))
+    N = len(oracle)
+    # QMC: bit for bit, every integrand, without building point objects
+    c = data.draw(st.one_of(st.floats(-2, 2), st.fractions(-2, 2, max_denominator=60)).filter(bool), label="c")
+    k = data.draw(st.tuples(*[st.integers(0, b ** (n + 1) - 1)] * s), label="k")
+    for integrand, params in (("prod-quadratic", {"c": c}), ("prod-exp", {}), ("walsh", {"k": k, "base": b})):
+        got = qmc_integrate(shifted, integrand, **params)
+        value, exact = qmc_by_fraction_rows(oracle, integrand, **params)
+        assert (got.value, got.exact, got.n_points) == (value, exact, N)
+    # diagonal kernels: the group identity on the coset, against the pair sum
+    kern = data.draw(diagonal_kernels(b, s))
+    fast = wce_direct(shifted, kern)
+    assert fast.terms_used == N
+    assert shifted._points is None
+    e2 = -1.0 + _diag_pair_sum(oracle, kern) / (N * N)
+    scale = math.prod(1.0 + g * kern.phi(None) for g in kern.gammas)
+    assert fast.value == pytest.approx(max(e2, 0.0), abs=1e-12 * scale)
+    # band-limited kernels see the shift through the exponent table
+    k_digits = data.draw(st.integers(1, n).filter(lambda kd: b ** (kd * s) <= 125), label="k_digits")
+    band = BandLimitedKernel.random(b, s, k_digits, 3, np.random.default_rng(seed))
+    assert wce_direct(shifted, band) == wce_direct(oracle, band)
+    # the points themselves and their CSV
+    assert csv_text(shifted) == csv_text(oracle)
+    assert list(shifted) == oracle
+    # two shifts are one shift by their sum
+    seed2 = data.draw(st.integers(0, 2**32 - 1), label="seed2")
+    twice = random_digital_shift(shifted, seed2)
+    assert list(twice) == shift_by_objects(oracle, draw_shift(b, s, n, np.random.default_rng(seed2)))
+
+
+def test_digital_shift_needs_net_points():
+    pts = enumerate_points(_sym_net(2, 1))
+    with pytest.raises(TypeError, match="enumerate_points"):
+        random_digital_shift(list(pts), 0)
+    with pytest.raises(TypeError, match="enumerate_points"):
+        random_digital_shift([], 0)
+
+
+def test_qmc_on_point_sets_matches_the_symmetrized_net():
+    for b, m in ((2, 3), (3, 2), (5, 1)):
+        ps = sym_hammersley_points(b, m)
+        pts = enumerate_points(symmetrize_matrices(hammersley_matrices(b, m)))
+        for integrand, params in (
+            ("prod-quadratic", {"c": Fraction(1, 5)}),
+            ("prod-exp", {}),
+            ("walsh", {"k": (1, b), "base": b}),
+        ):
+            got = qmc_integrate(ps, integrand, **params)
+            assert (got.value, got.exact) == qmc_by_fraction_rows(ps, integrand, **params)
+            assert got == qmc_integrate(pts, integrand, **params)
+    with pytest.raises(ValueError, match="empty point set"):
+        qmc_integrate(PointSet2(np.zeros((0, 2), dtype=np.int64), 1), "prod-exp")

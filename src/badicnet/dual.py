@@ -66,26 +66,77 @@ def image_table(net: DigitalNet, j: int, k_digits: int) -> np.ndarray:
     return table
 
 
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One integer per row, sum_c row[c] b^c.
+
+    Keys are int64 while b^m <= 2^62 and Python ints past that, as in
+    nets._numerators, so no key silently overflows.
+    """
+    m = rows.shape[-1]
+    dtype = np.int64 if base**m <= 1 << 62 else object
+    weights = np.array([base**c for c in range(m)], dtype=dtype)
+    return rows.astype(dtype) @ weights
+
+
+def _sorted_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of keys and the keys in that order, so equal keys
+    keep their index order."""
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def _matches(side: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per target, where its run of equal keys starts in the sorted side
+    and how long it is (zero when no key matches)."""
+    lo = np.searchsorted(side[1], targets, side="left")
+    return lo, np.searchsorted(side[1], targets, side="right") - lo
+
+
+def _join(side: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, k) with keys[k] == targets[i], ordered by i, then k."""
+    lo, counts = _matches(side, targets)
+    i = np.repeat(np.arange(len(targets)), counts)
+    start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return i, side[0][start + np.arange(len(i))]
+
+
 def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False) -> list[tuple[int, ...]]:
     """Dual vectors in a box, in lexicographic order, origin included.
 
     Unweighted, every component ranges over k < b^k_digits.  Weighted,
     k_digits is a budget on the sum of the components' digit counts, so
-    each component ranges over k < b^(budget left).  The first s-1
-    components are walked one value at a time; the last one's whole
-    admissible block is tested in one comparison against the image that
-    would cancel the prefix.
+    each component ranges over k < b^(budget left).  The first s-2
+    components are walked one value at a time.  The last two are a join:
+    each image row is keyed as one integer, and per digit count of
+    k_{s-1} the rows that would cancel it are looked up in a stable sort
+    of the last coordinate's admissible keys.
     """
     b, s = net.base, net.s
     tables = [image_table(net, j, k_digits) for j in range(s)]
+    if s == 1:
+        return [(int(k),) for k in np.flatnonzero(~tables[0].any(axis=1))]
+    last = _row_keys(tables[-1], b)
+    sides: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by admissible prefix length
     out: list[tuple[int, ...]] = []
 
+    def join(budget: int, need: np.ndarray, prefix: tuple[int, ...]):
+        k1s, k2s = [], []
+        for a in range(budget + 1):  # the k_{s-1} with a digits
+            lo = b ** (a - 1) if a else 0
+            size = b ** (budget - a if weighted else budget)
+            if size not in sides:
+                sides[size] = _sorted_keys(last[:size])
+            i, k2 = _join(sides[size], _row_keys((need - tables[-2][lo : b**a]) % b, b))
+            k1s.append(i + lo)
+            k2s.append(k2)
+        pairs = zip(np.concatenate(k1s).tolist(), np.concatenate(k2s).tolist())
+        out.extend(prefix + pair for pair in pairs)
+
     def rec(j: int, budget: int, need: np.ndarray, prefix: tuple[int, ...]):
-        block = tables[j][: b**budget]
-        if j == s - 1:
-            hits = np.flatnonzero(np.all(block == need, axis=1))
-            out.extend(prefix + (int(k),) for k in hits)
+        if j == s - 2:
+            join(budget, need, prefix)
             return
+        block = tables[j][: b**budget]
         lo = 0
         for a in range(budget + 1):  # the k with a digits
             for k in range(lo, b**a):
@@ -203,7 +254,10 @@ def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int
 
     Enumerates candidate pairs in increasing total weight and stops at the
     first dual hit, so the reported weight is exact whenever it is at most
-    cap (default and maximum: 2n).
+    cap (default and maximum: 2n).  Each mu2 class is imaged in one
+    product, and each class pair (w1, w2) of a total weight is a join:
+    the first k1 in class order whose cancelling row is among the keys of
+    class w2, with the first such k2.
     """
     if net.s != 2:
         raise ValueError("weight search is implemented for two coordinates")
@@ -220,24 +274,24 @@ def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int
                 pair_count += len(l1) * len(l2)
     if pair_count > max_candidates:
         raise ValueError(f"guard exceeded: {pair_count} candidate pairs over cap {max_candidates}")
-    img = []
-    for j in (0, 1):
-        img.append({w: np.array([_k_image(net, j, k) for k in ks], dtype=np.int64) for w, ks in by_w.items()})
-    for W in range(1, cap + 1):
+    # candidates are below b^d, so only the first d digit rows matter
+    d = min(cap, n)
+    powers = np.array([b**i for i in range(d)], dtype=np.int64 if b**d <= 1 << 62 else object)
+    neg_keys, sides = {}, {}
+    for w, ks in by_w.items():
+        digits = (np.array(ks, dtype=powers.dtype)[:, None] // powers % b).astype(np.int64)
+        neg_keys[w] = _row_keys(-(digits @ net.matrices[0][:d]) % b, b)
+        sides[w] = _sorted_keys(_row_keys(digits @ net.matrices[1][:d] % b, b))
+    for W in range(1, cap + 1):  # W >= 1, so the origin is never a candidate pair
         for w1 in range(0, W + 1):
             w2 = W - w1
             if w1 not in by_w or w2 not in by_w:
                 continue
-            arr2 = img[1][w2]
-            for i1, k1 in enumerate(by_w[w1]):
-                if k1 == 0 and w2 == 0:
-                    continue
-                row = img[0][w1][i1]
-                hits = np.nonzero(np.all((row + arr2) % b == 0, axis=1))[0]
-                for h in hits:
-                    k2 = by_w[w2][int(h)]
-                    if k1 or k2:
-                        return Rho2Result(W, cap, (k1, k2))
+            lo, counts = _matches(sides[w2], neg_keys[w1])
+            hit = np.flatnonzero(counts)
+            if len(hit):
+                i1 = hit[0]
+                return Rho2Result(W, cap, (by_w[w1][i1], by_w[w2][sides[w2][0][lo[i1]]]))
     return Rho2Result(None, cap)
 
 

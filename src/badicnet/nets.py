@@ -24,6 +24,7 @@ import numpy as np
 from .badic import GElement, GVector, g_add
 
 _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
+_CSV_BLOCK = 1024  # point rows formatted per write: larger blocks raised the peak RSS
 
 
 def _as_matrix(mat, base: int) -> np.ndarray:
@@ -400,6 +401,16 @@ def net_to_json(net: DigitalNet) -> str:
     return dumps_compact(doc)
 
 
+def _check_integer_entries(value, key: str) -> None:
+    """Reject any entry of the nested lists that is not a JSON integer:
+    an int64 cast would truncate 1.5 to 1 and read true as 1."""
+    if isinstance(value, list):
+        for item in value:
+            _check_integer_entries(item, key)
+    elif type(value) is not int:
+        raise ValueError(f"net JSON matrices and tail_rows must hold integer rows: {key!r} holds {json.dumps(value)}")
+
+
 def net_from_json(text: str) -> DigitalNet:
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -407,6 +418,9 @@ def net_from_json(text: str) -> DigitalNet:
     for key in ("base", "s", "m", "n", "matrices"):
         if type(doc.get(key)) is not (list if key == "matrices" else int):
             raise ValueError(f"net JSON field {key!r} is missing or of the wrong type")
+    for key in ("matrices", "tail_rows"):
+        if key in doc:
+            _check_integer_entries(doc[key], key)
     try:
         mats = tuple(np.array(m, dtype=np.int64) for m in doc["matrices"])
         tails = tuple(np.array(t, dtype=np.int64) for t in doc["tail_rows"]) if "tail_rows" in doc else None
@@ -423,8 +437,11 @@ def net_from_json(text: str) -> DigitalNet:
 def points_to_csv(points: Sequence[GVector], stream) -> None:
     """Exact p/q columns next to decimal columns, one row per point.
 
-    Rows are written from the digit arrays, so net points are printed
-    without building a digit-vector object per point.
+    Rows are written from the digit arrays, column-wise in blocks of
+    _CSV_BLOCK rows.  Each value num/den is reduced by gcd(num, den), and
+    its decimal is the correctly rounded quotient: int64 numerators and
+    den <= 2^40 are exact in float64, and Python ints divide exactly
+    rounded too.
     """
     stream.write("# schema=1\n")
     if not points:
@@ -435,9 +452,11 @@ def points_to_csv(points: Sequence[GVector], stream) -> None:
     for j in range(1, nums.shape[1] + 1):
         head += [f"x{j}_frac", f"x{j}"]
     stream.write(",".join(head) + "\n")
-    for row in nums.tolist():
-        cells = []
-        for num in row:
-            v = Fraction(num, den)
-            cells += [f"{v.numerator}/{v.denominator}", repr(float(v))]
-        stream.write(",".join(cells) + "\n")
+    row = ",".join(["%d/%d,%r"] * nums.shape[1]) + "\n"
+    for lo in range(0, nums.shape[0], _CSV_BLOCK):
+        block = nums[lo : lo + _CSV_BLOCK]
+        g = np.gcd(block, den)
+        cols = []
+        for p, q, x in zip((block // g).T, (den // g).T, (block / den).T):
+            cols += [p.tolist(), q.tolist(), x.tolist()]
+        stream.write("".join(row % cells for cells in zip(*cols)))

@@ -26,9 +26,10 @@ So on any NetPoints, shifted or not, the direct route is
 in O(N s n) from the unshifted digit arrays (J. Dick and
 F. Pillichshammer, Digital Nets and Sequences, Cambridge University
 Press, 2010).  An arbitrary multiset takes the O(N^2 s n) sum over
-ordered point pairs.  The spectral route scans the dual
-candidates coordinate by coordinate, testing the last coordinate's
-whole block at once (dual.dual_scan).
+ordered point pairs.  The spectral route takes the dual frequencies
+from dual.dual_scan, which joins the image tables of the last two
+coordinates on integer row keys and hands the hits back in
+lexicographic order, so the compensated sum adds them in a fixed order.
 """
 
 from __future__ import annotations

@@ -277,6 +277,24 @@ def test_malformed_net_json_exits_two(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"base": 2, "s": 1, "m": 1, "n": 1, "matrices": [[[1.5]]]}', "'matrices' holds 1.5"),
+        ('{"base": 2, "s": 1, "m": 1, "n": 1, "matrices": [[[1]]], "tail_rows": [[true]]}', "'tail_rows' holds true"),
+    ],
+    ids=["float-entry", "bool-tail-entry"],
+)
+def test_non_integer_net_json_entries_exit_two(tmp_path, capsys, text, message):
+    # an int64 cast would read 1.5 as 1 and true as 1
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "net", "points", "--in", str(path))
+    assert code == 2
+    assert err == f"error: net JSON matrices and tail_rows must hold integer rows: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("verify", "rho2", "--kind", "sym-hammersley-truncated", "--base", "2", "--m", "2", "--n", "5", "--cap", "0"), "cap must lie in 1..2n"),

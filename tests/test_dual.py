@@ -20,7 +20,7 @@ from badicnet import (
     truncated_sym_hammersley,
 )
 from badicnet.badic import in_E
-from badicnet.dual import _k_image, dual_scan, image_table, rank_mod_p
+from badicnet.dual import _candidates_by_weight, _k_image, _row_keys, dual_scan, image_table, rank_mod_p
 from badicnet.nets import DigitalNet
 
 
@@ -259,3 +259,175 @@ def test_image_table_rows_for_a_base_past_one_byte():
     assert table.shape == (b * b, 2)
     for k in [0, 1, b - 1, b, b * b - 1, *rng.integers(0, b * b, size=200)]:
         assert np.array_equal(table[k], _k_image(net, 0, int(k)))
+
+
+def walk_dual_scan(net, k_digits, weighted=False):
+    """dual_scan as it was: the first s-1 coordinates walked one value at
+    a time, the last one's admissible block compared row by row."""
+    b, s = net.base, net.s
+    tables = [image_table(net, j, k_digits) for j in range(s)]
+    out = []
+
+    def rec(j, budget, need, prefix):
+        block = tables[j][: b**budget]
+        if j == s - 1:
+            hits = np.flatnonzero(np.all(block == need, axis=1))
+            out.extend(prefix + (int(k),) for k in hits)
+            return
+        lo = 0
+        for a in range(budget + 1):
+            for k in range(lo, b**a):
+                rec(j + 1, budget - a if weighted else budget, (need - block[k]) % b, prefix + (k,))
+            lo = b**a
+
+    rec(0, k_digits, np.zeros(net.m, dtype=np.int64), ())
+    return out
+
+
+def per_k_rho2(net, cap):
+    """rho2_min_weight as it was: one _k_image call per candidate, then
+    one row of the first coordinate at a time against a whole class."""
+    b = net.base
+    by_w = _candidates_by_weight(b, net.n, cap, 1 << 26)
+    img = [{w: np.array([_k_image(net, j, k) for k in ks], dtype=np.int64) for w, ks in by_w.items()} for j in (0, 1)]
+    for W in range(1, cap + 1):
+        for w1 in range(0, W + 1):
+            w2 = W - w1
+            if w1 not in by_w or w2 not in by_w:
+                continue
+            for i1, k1 in enumerate(by_w[w1]):
+                hits = np.nonzero(np.all((img[0][w1][i1] + img[1][w2]) % b == 0, axis=1))[0]
+                for h in hits:
+                    k2 = by_w[w2][int(h)]
+                    if k1 or k2:
+                        return W, (k1, k2)
+    return None, None
+
+
+@st.composite
+def scan_cases(draw):
+    """Random generating matrices, b in {2, 3, 5}, s in {1, 2, 3}, and a
+    digit count whose walked prefixes number at most 1000."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 6))
+    digit = st.integers(0, b - 1)
+    mats = tuple(np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(s))
+    k_digits = draw(st.integers(1, n).filter(lambda k: b ** (k * (s - 1)) <= 1000))
+    return DigitalNet(b, mats), k_digits, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_join_scan_matches_the_walk(case):
+    # list-equal, order included: the spectral sum adds hits in this order
+    net, k_digits, weighted = case
+    assert dual_scan(net, k_digits, weighted) == walk_dual_scan(net, k_digits, weighted)
+
+
+def _low_rank_net(b, s, n, m, rank, seed):
+    """Matrices whose rows share a rank-`rank` row space, so that many
+    image rows collide and the join sees long runs of equal keys."""
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, b, size=(rank, m))
+    return DigitalNet(b, tuple(rng.integers(0, b, size=(n, rank)) @ basis % b for _ in range(s)))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize(
+    "net, k_digits",
+    [
+        (_low_rank_net(2, 2, 10, 6, 2, 1), 10),
+        (_low_rank_net(3, 2, 6, 5, 2, 2), 6),
+        (_low_rank_net(3, 3, 3, 4, 1, 3), 3),
+        (_low_rank_net(5, 3, 2, 3, 2, 4), 2),
+    ],
+    ids=["b2-s2", "b3-s2", "b3-s3", "b5-s3"],
+)
+def test_join_keeps_index_order_within_equal_keys(net, k_digits, weighted):
+    assert dual_scan(net, k_digits, weighted) == walk_dual_scan(net, k_digits, weighted)
+
+
+def test_row_keys_switch_to_python_ints_past_2_62():
+    for b, m, dtype in [(2, 62, np.int64), (2, 63, object), (3, 39, np.int64), (3, 40, object)]:
+        rows = np.zeros((2, m), dtype=np.uint8)
+        rows[1, -1] = b - 1
+        keys = _row_keys(rows, b)
+        assert keys.dtype == dtype
+        assert keys.tolist() == [0, (b - 1) * b ** (m - 1)]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize(
+    "net, k_digits, origin_only",
+    [
+        # images touch the columns past 2^62 and cancel only at the origin
+        (truncated_sym_hammersley(2, 68, 70), 5, True),
+        (truncated_sym_hammersley(3, 43, 45), 3, True),
+        (_low_rank_net(2, 2, 8, 70, 3, 5), 8, False),
+        (_low_rank_net(3, 3, 3, 45, 2, 6), 3, False),
+    ],
+    ids=["sym-b2-m70", "sym-b3-m45", "low-rank-b2-m70", "low-rank-b3-m45"],
+)
+def test_join_on_object_keys(net, k_digits, origin_only, weighted):
+    # b^m > 2^62: the keys are Python ints, and the scan must not change
+    assert net.base**net.m > 1 << 62
+    got = dual_scan(net, k_digits, weighted)
+    assert got == walk_dual_scan(net, k_digits, weighted)
+    assert (got == [(0,) * net.s]) == origin_only
+    assert all(dual_contains(net, ks) for ks in got)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_join_for_a_base_past_one_byte(weighted):
+    # b = 257 builds uint16 image tables
+    b = 257
+    rng = np.random.default_rng(8)
+    net = DigitalNet(b, tuple(rng.integers(0, b, size=(2, 1)) for _ in range(2)))
+    assert image_table(net, 0, 1).dtype == np.uint16
+    got = dual_scan(net, 1, weighted)
+    assert got == walk_dual_scan(net, 1, weighted)
+    # the box pairs every k1 with one k2; a budget of one digit leaves the origin
+    assert len(got) == b if not weighted else got == [(0, 0)]
+
+
+@st.composite
+def planar_nets_and_caps(draw):
+    """Random two-coordinate matrices, b in {2, 3, 5}, and a weight cap."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5 if b == 2 else 3))
+    digit = st.integers(0, b - 1)
+    mats = tuple(np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(2))
+    return DigitalNet(b, mats), draw(st.integers(1, 2 * n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(planar_nets_and_caps())
+def test_rho2_join_matches_per_k_search(case):
+    net, cap = case
+    res = rho2_min_weight(net, cap)
+    assert (res.weight, res.witness) == per_k_rho2(net, cap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rho2_join_on_low_rank_nets(seed):
+    # collisions inside every weight class: the witness is the first hit in class order
+    net = _low_rank_net(2, 2, 9, 6, 2, seed)
+    for cap in (4, 9, 18):
+        res = rho2_min_weight(net, cap)
+        assert (res.weight, res.witness) == per_k_rho2(net, cap)
+
+
+@pytest.mark.parametrize(
+    "b, m, witness",
+    [(2, 3, (3, 6)), (2, 4, (3, 12)), (2, 5, (3, 24)), (2, 6, (3, 48)), (3, 2, (5, 5)), (3, 3, (5, 15)), (3, 4, (5, 45))],
+)
+def test_rho2_of_truncated_family_is_2m_plus_2(b, m, witness):
+    # A measured regression value, not the paper's bound: PAPER.md holds only
+    # the abstract, and C3 certifies no more than rho2 > 2m+1.
+    res = rho2_min_weight(truncated_sym_hammersley(b, m, 2 * m + 1), cap=2 * m + 2)
+    assert res.weight == 2 * m + 2
+    assert res.witness == witness
+    assert mu2_total(witness, b) == 2 * m + 2

@@ -376,6 +376,21 @@ def test_batched_spectral_matches_candidate_scan(data):
     assert got.terms_used == terms
 
 
+@pytest.mark.parametrize("b, n, m, cap", [(2, 8, 68, 8), (3, 4, 43, 4)])
+def test_spectral_on_object_keys_matches_candidate_scan(b, n, m, cap):
+    # the symmetrized net has b^(m+2) > 2^62, so the dual join keys rows
+    # by Python ints; inner rows share a rank-2 row space so the dual is
+    # not just the origin
+    rng = np.random.default_rng(4)
+    basis = rng.integers(0, b, size=(2, m))
+    net = symmetrize_matrices(DigitalNet(b, tuple(rng.integers(0, b, size=(n, 2)) @ basis % b for _ in range(2))))
+    assert b**net.m > 1 << 62
+    kern = SpectralDiagonalKernel(b, 2, 1.3, (0.7, 0.4))
+    got = wce_spectral(net, kern, cap=cap)
+    assert got.terms_used > 0
+    assert (got.value, got.terms_used) == spectral_by_candidates(net, kern, cap)
+
+
 def test_weighted_box_count_matches_generator():
     for b, s, cap in [(2, 1, 5), (2, 3, 4), (3, 2, 3), (5, 3, 2)]:
         assert len(list(weighted_box(b, s, cap))) == _weighted_box_count(b, s, cap)

@@ -61,13 +61,14 @@ def _out_stream(path: str | None):
 
 
 def _load_net(args) -> DigitalNet:
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile) as fh:
             return net_from_json(fh.read())
-    kind = getattr(args, "kind", "hammersley")
+    if args.kind == "custom-json":
+        raise ValueError("custom-json needs --in")
     if args.base is None or args.m is None:
         raise ValueError("need --base and --m (or --in)")
-    return _net_by_kind(kind, args.base, args.m, getattr(args, "n", None))
+    return _net_by_kind(args.kind, args.base, args.m, args.n)
 
 
 def _net_by_kind(kind: str, base: int, m: int, n: int | None) -> DigitalNet:
@@ -119,14 +120,7 @@ def _parse_kernel(spec: str, base: int, s: int, seed: int):
 
 
 def cmd_net_gen(args) -> int:
-    if args.kind == "custom-json":
-        if not args.infile:
-            raise ValueError("custom-json needs --in")
-        net = _load_net(args)
-    else:
-        if args.base is None or args.m is None:
-            raise ValueError("need --base and --m")
-        net = _net_by_kind(args.kind, args.base, args.m, args.n)
+    net = _load_net(args)
     with _out_stream(args.out) as fh:
         fh.write(net_to_json(net) + "\n")
     if args.points_csv:
@@ -214,7 +208,7 @@ def cmd_verify_rho2(args) -> int:
     net = _load_net(args)
     res = rho2_min_weight(net, args.cap, args.max_candidates)
     certified = res.certified_by
-    if res.exceeded and net.s == 2 and res.cap <= 2 * net.m:
+    if res.exceeded:
         try:
             if certify_rho2_via_independence(net, res.cap):
                 certified = "enumeration+independence"
@@ -357,10 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="badicnet", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_net_args(sp, with_kind=True):
-        if with_kind:
-            sp.add_argument("--kind", default="hammersley",
-                            choices=["hammersley", "sym-hammersley", "sym-hammersley-truncated", "custom-json"])
+    def add_net_args(sp):
+        sp.add_argument("--kind", default="hammersley",
+                        choices=["hammersley", "sym-hammersley", "sym-hammersley-truncated", "custom-json"])
         sp.add_argument("--base", type=int)
         sp.add_argument("--m", type=int)
         sp.add_argument("--n", type=int)

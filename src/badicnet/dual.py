@@ -217,36 +217,32 @@ class Rho2Result:
         }
 
 
-def _candidates_by_weight(base: int, n: int, cap: int, budget: int) -> dict[int, list[int]]:
-    """Frequencies k < b^n grouped by mu2(k) <= cap.
+def _profiles(cap: int):
+    """The mu2 classes of weight <= cap as (weight, positions).
 
-    Digits at the two highest positions are pinned nonzero; anything below
-    the second position is free and cannot change the weight.
+    positions holds the one or two highest nonzero digit positions,
+    descending: () for k = 0, (a,) for a single digit, (a1, a2) with
+    a1 > a2 otherwise.  A class has (b-1)^len(positions) members, times
+    b^(a2-1) for the free digits below a2.
     """
-    b = base
-    by_w: dict[int, list[int]] = {0: [0]}
-    made = 1
-    for a in range(1, min(cap, n) + 1):
-        lst = by_w.setdefault(a, [])
-        for kappa in range(1, b):
-            lst.append(kappa * b ** (a - 1))
-            made += 1
-            if made > budget:
-                raise ValueError(f"guard exceeded: candidate count over cap {budget}")
-    for a1 in range(2, min(cap - 1, n) + 1):
+    yield 0, ()
+    for a in range(1, cap + 1):
+        yield a, (a,)
+    for a1 in range(2, cap):
         for a2 in range(1, min(a1 - 1, cap - a1) + 1):
-            lst = by_w.setdefault(a1 + a2, [])
-            high = b ** (a1 - 1)
-            mid = b ** (a2 - 1)
-            for k1 in range(1, b):
-                for k2 in range(1, b):
-                    head = k1 * high + k2 * mid
-                    for low in range(mid):
-                        lst.append(head + low)
-                        made += 1
-                        if made > budget:
-                            raise ValueError(f"guard exceeded: candidate count over cap {budget}")
-    return by_w
+            yield a1 + a2, (a1, a2)
+
+
+def _class_members(base: int, positions: tuple[int, ...]) -> list[int]:
+    """The k of one mu2 class in (top digit, second digit, low digits) order."""
+    b = base
+    if not positions:
+        return [0]
+    high = b ** (positions[0] - 1)
+    if len(positions) == 1:
+        return [k1 * high for k1 in range(1, b)]
+    mid = b ** (positions[1] - 1)
+    return [k1 * high + k2 * mid + low for k1 in range(1, b) for k2 in range(1, b) for low in range(mid)]
 
 
 def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int = GUARD_DEFAULT) -> Rho2Result:
@@ -254,7 +250,8 @@ def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int
 
     Enumerates candidate pairs in increasing total weight and stops at the
     first dual hit, so the reported weight is exact whenever it is at most
-    cap (default and maximum: 2n).  Each mu2 class is imaged in one
+    cap (default and maximum: 2n).  Both guards are counted from the class
+    sizes before any class is built.  Each mu2 class is imaged in one
     product, and each class pair (w1, w2) of a total weight is a join:
     the first k1 in class order whose cancelling row is among the keys of
     class w2, with the first such k2.
@@ -266,14 +263,19 @@ def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int
         cap = 2 * n
     if not 1 <= cap <= 2 * n:
         raise ValueError("cap must lie in 1..2n")
-    by_w = _candidates_by_weight(b, n, cap, max_candidates)
-    pair_count = 0
-    for w1, l1 in by_w.items():
-        for w2, l2 in by_w.items():
-            if w1 + w2 <= cap:
-                pair_count += len(l1) * len(l2)
+    classes = [(w, pos) for w, pos in _profiles(cap) if not pos or pos[0] <= n]
+    sizes: dict[int, int] = {}
+    for w, pos in classes:
+        sizes[w] = sizes.get(w, 0) + (b - 1) ** len(pos) * (b ** (pos[1] - 1) if len(pos) == 2 else 1)
+    count = sum(sizes.values())
+    if count > max_candidates:
+        raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
+    pair_count = sum(c1 * c2 for w1, c1 in sizes.items() for w2, c2 in sizes.items() if w1 + w2 <= cap)
     if pair_count > max_candidates:
         raise ValueError(f"guard exceeded: {pair_count} candidate pairs over cap {max_candidates}")
+    by_w: dict[int, list[int]] = {w: [] for w in sizes}
+    for w, pos in classes:  # within a weight, single digits come first
+        by_w[w] += _class_members(b, pos)
     # candidates are below b^d, so only the first d digit rows matter
     d = min(cap, n)
     powers = np.array([b**i for i in range(d)], dtype=np.int64 if b**d <= 1 << 62 else object)
@@ -335,6 +337,18 @@ def _row(net: DigitalNet, j: int, l: int) -> np.ndarray:
     return np.zeros(net.m, dtype=np.int64)
 
 
+def _selection(j: int, positions: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The rows (j, l) a mu2 class pins in coordinate j: {1..a2} + {a1}
+    for two positions, the one position, or none."""
+    low = range(1, positions[1] + 1) if len(positions) == 2 else ()
+    return [(j, l) for l in (*low, *positions[:1])]
+
+
+def _independent(net: DigitalNet, rows: list[tuple[int, int]]) -> bool:
+    """True when the selected rows (j, l) are linearly independent mod b."""
+    return rank_mod_p(np.array([_row(net, j, l) for j, l in rows]), net.base) == len(rows)
+
+
 @dataclass(frozen=True)
 class FamilyReport:
     name: str
@@ -389,69 +403,25 @@ def check_independence_sets(net: DigitalNet) -> IndependenceReport:
     if n <= 2 * m:
         raise ValueError("need n > 2m digit rows")
 
-    def indep(rows: list[np.ndarray]) -> bool:
-        return rank_mod_p(np.array(rows), b) == len(rows)
+    def family(name: str, selections: list[tuple[str, list[tuple[int, int]]]]) -> FamilyReport:
+        fails = tuple(label for label, rows in selections if not _independent(net, rows))
+        return FamilyReport(name, len(selections), len(selections) - len(fails), fails)
 
-    reports = []
+    def head(j: int, r: int) -> list[tuple[int, int]]:
+        return [(j, l) for l in range(1, r + 1)]
 
-    checked = passed = 0
-    fails: list[str] = []
-    for r in range(0, m + 2):
-        rows = [_row(net, 0, l) for l in range(1, r + 1)]
-        rows += [_row(net, 1, l) for l in range(1, m + 2 - r)]
-        checked += 1
-        if indep(rows):
-            passed += 1
-        else:
-            fails.append(f"r={r}")
-    reports.append(FamilyReport("head-head", checked, passed, tuple(fails)))
-
-    checked = passed = 0
-    fails = []
-    for j, other in ((0, 1), (1, 0)):
-        for r in range(1, m + 1):
-            rows = [_row(net, j, l) for l in range(1, m + 2)]
-            rows.append(_row(net, other, r))
-            checked += 1
-            if indep(rows):
-                passed += 1
-            else:
-                fails.append(f"j={j + 1},r={r}")
-    reports.append(FamilyReport("full-single", checked, passed, tuple(fails)))
-
-    checked = passed = 0
-    fails = []
-    for j in (0, 1):
-        for r in range(0, m + 1):
-            for t in range(m + 1, n + 1):
-                rows = [_row(net, 0, l) for l in range(1, r + 1)]
-                rows += [_row(net, 1, l) for l in range(1, m - r + 1)]
-                rows.append(_row(net, j, t))
-                checked += 1
-                if indep(rows):
-                    passed += 1
-                else:
-                    fails.append(f"j={j + 1},r={r},t={t}")
-    reports.append(FamilyReport("deep-row", checked, passed, tuple(fails)))
-
-    checked = passed = 0
-    fails = []
-    for r11 in range(2, m + 1):
-        for r12 in range(1, r11):
-            for r21 in range(2, m + 1):
-                for r22 in range(1, r21):
-                    if r11 + r12 + r21 + r22 > 2 * m + 1:
-                        continue
-                    rows = [_row(net, 0, l) for l in range(1, r12 + 1)] + [_row(net, 0, r11)]
-                    rows += [_row(net, 1, l) for l in range(1, r22 + 1)] + [_row(net, 1, r21)]
-                    checked += 1
-                    if indep(rows):
-                        passed += 1
-                    else:
-                        fails.append(f"{(r11, r12, r21, r22)}")
-    reports.append(FamilyReport("two-block", checked, passed, tuple(fails)))
-
-    return IndependenceReport(tuple(reports))
+    twos = [pos for _, pos in _profiles(2 * m) if len(pos) == 2 and pos[0] <= m]
+    return IndependenceReport((
+        family("head-head", [(f"r={r}", head(0, r) + head(1, m + 1 - r)) for r in range(m + 2)]),
+        family("full-single", [(f"j={j + 1},r={r}", head(j, m + 1) + [(1 - j, r)]) for j in (0, 1) for r in range(1, m + 1)]),
+        family("deep-row", [
+            (f"j={j + 1},r={r},t={t}", head(0, r) + head(1, m - r) + [(j, t)])
+            for j in (0, 1) for r in range(m + 1) for t in range(m + 1, n + 1)
+        ]),
+        family("two-block", [
+            (f"{p + q}", _selection(0, p) + _selection(1, q)) for p in twos for q in twos if sum(p + q) <= 2 * m + 1
+        ]),
+    ))
 
 
 def certify_rho2_via_independence(net: DigitalNet, rho: int) -> bool:
@@ -471,18 +441,10 @@ def certify_rho2_via_independence(net: DigitalNet, rho: int) -> bool:
     if not 1 <= rho <= 2 * net.m:
         raise ValueError("rho must lie in 1..2m for the row bound to apply")
 
-    profiles = [(0, [])]
-    for a in range(1, rho + 1):
-        profiles.append((a, [a]))
-    for a1 in range(2, rho):
-        for a2 in range(1, min(a1 - 1, rho - a1) + 1):
-            profiles.append((a1 + a2, list(range(1, a2 + 1)) + [a1]))
-
-    for w1, s1 in profiles:
-        for w2, s2 in profiles:
-            if w1 + w2 > rho or (not s1 and not s2):
-                continue
-            rows = [_row(net, 0, l) for l in s1] + [_row(net, 1, l) for l in s2]
-            if rank_mod_p(np.array(rows), net.base) != len(rows):
-                return False
-    return True
+    profiles = list(_profiles(rho))
+    return all(
+        _independent(net, _selection(0, p1) + _selection(1, p2))
+        for w1, p1 in profiles
+        for w2, p2 in profiles
+        if w1 + w2 <= rho and p1 + p2
+    )

@@ -56,6 +56,8 @@ class DigitalNet:
     def __post_init__(self):
         if self.base < 2:
             raise ValueError("base must be >= 2")
+        if self.sym_columns < 0:
+            raise ValueError("sym_columns must be nonnegative")
         if not self.matrices:
             raise ValueError("net needs at least one coordinate")
         mats = tuple(_as_matrix(m, self.base) for m in self.matrices)
@@ -98,19 +100,20 @@ class DigitalNet:
         return self.base**self.m
 
 
-def _index_digits(base: int, m: int) -> np.ndarray:
-    """(b^m, m) array of index digit expansions, least significant first."""
-    count = base**m
-    idx = np.arange(count, dtype=np.int64)
-    out = np.empty((count, m), dtype=np.int64)
+def _index_digits(base: int, m: int, rows: slice = slice(None)) -> np.ndarray:
+    """(b^m, m) array of index digit expansions, least significant first,
+    or its rows for the indices in the slice rows."""
+    idx = np.arange(*rows.indices(base**m), dtype=np.int64)
+    out = np.empty((len(idx), m), dtype=np.int64)
     for c in range(m):
         out[:, c] = (idx // base**c) % base
     return out
 
 
-def point_digit_arrays(net: DigitalNet) -> tuple[np.ndarray, np.ndarray]:
-    """All net points as digit arrays: (N, s, n) digits and (N, s) tails."""
-    nu = _index_digits(net.base, net.m)
+def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Net points as digit arrays: (N, s, n) digits and (N, s) tails, all
+    of them or those whose indices are in the slice rows."""
+    nu = _index_digits(net.base, net.m, rows)
     N = nu.shape[0]
     digits = np.empty((N, net.s, net.n), dtype=np.int64)
     tails = np.zeros((N, net.s), dtype=np.int64)
@@ -144,9 +147,9 @@ class NetPoints(Sequence[GVector]):
     def __iter__(self):
         return iter(self._objects())
 
-    def digit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def digit_arrays(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(N, s, n) digits and (N, s) tails, as point_digit_arrays, shift added."""
-        digits, tails = point_digit_arrays(self.net)
+        digits, tails = point_digit_arrays(self.net, rows)
         return (digits if self.shift is None else (digits + self.shift) % self.net.base), tails
 
     def _objects(self) -> list[GVector]:
@@ -169,15 +172,17 @@ def enumerate_points(net: DigitalNet) -> NetPoints:
     return NetPoints(net)
 
 
-def digit_arrays(points: Sequence[GVector]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, s, n) digits and (N, s) tails of a point sequence.
+def digit_arrays(points: Sequence[GVector], rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(N, s, n) digits and (N, s) tails of a point sequence, or of the
+    points in the slice rows.
 
     Net points come from their net without building any object.  Other
     digit vectors are packed one by one, each padded with its tail digit
     to the largest precision among them.
     """
     if isinstance(points, NetPoints):
-        return points.digit_arrays()
+        return points.digit_arrays(rows)
+    points = points[rows]
     s, n = points[0].s, max(z.precision for z in points)
     digits = np.empty((len(points), s, n), dtype=np.int64)
     tails = np.empty((len(points), s), dtype=np.int64)
@@ -421,6 +426,9 @@ def net_from_json(text: str) -> DigitalNet:
     for key in ("matrices", "tail_rows"):
         if key in doc:
             _check_integer_entries(doc[key], key)
+    sym_columns = doc.get("sym_columns", 0)
+    if type(sym_columns) is not int or sym_columns < 0:
+        raise ValueError(f"net JSON field 'sym_columns' must be a nonnegative integer, not {json.dumps(sym_columns)}")
     try:
         mats = tuple(np.array(m, dtype=np.int64) for m in doc["matrices"])
         tails = tuple(np.array(t, dtype=np.int64) for t in doc["tail_rows"]) if "tail_rows" in doc else None
@@ -431,30 +439,30 @@ def net_from_json(text: str) -> DigitalNet:
     for m in mats:
         if m.shape != (doc["n"], doc["m"]):
             raise ValueError("matrix shape does not match declared n, m")
-    return DigitalNet(doc["base"], mats, tails, sym_columns=doc.get("sym_columns", 0))
+    return DigitalNet(doc["base"], mats, tails, sym_columns=sym_columns)
 
 
 def points_to_csv(points: Sequence[GVector], stream) -> None:
     """Exact p/q columns next to decimal columns, one row per point.
 
-    Rows are written from the digit arrays, column-wise in blocks of
-    _CSV_BLOCK rows.  Each value num/den is reduced by gcd(num, den), and
-    its decimal is the correctly rounded quotient: int64 numerators and
-    den <= 2^40 are exact in float64, and Python ints divide exactly
-    rounded too.
+    Rows are written column-wise in blocks of _CSV_BLOCK rows, each from
+    the digit arrays of its own points, so no array of all N points is
+    held.  Each value num/den is reduced by gcd(num, den), so the cells do
+    not depend on the precision a block is padded to, and its decimal is
+    the correctly rounded quotient: int64 numerators and den <= 2^40 are
+    exact in float64, and Python ints divide exactly rounded too.
     """
     stream.write("# schema=1\n")
     if not points:
         return
-    base = points.net.base if isinstance(points, NetPoints) else points[0].base
-    nums, den = _numerators(*digit_arrays(points), base)
+    first = points.net if isinstance(points, NetPoints) else points[0]
     head = []
-    for j in range(1, nums.shape[1] + 1):
+    for j in range(1, first.s + 1):
         head += [f"x{j}_frac", f"x{j}"]
     stream.write(",".join(head) + "\n")
-    row = ",".join(["%d/%d,%r"] * nums.shape[1]) + "\n"
-    for lo in range(0, nums.shape[0], _CSV_BLOCK):
-        block = nums[lo : lo + _CSV_BLOCK]
+    row = ",".join(["%d/%d,%r"] * first.s) + "\n"
+    for lo in range(0, len(points), _CSV_BLOCK):
+        block, den = _numerators(*digit_arrays(points, slice(lo, lo + _CSV_BLOCK)), first.base)
         g = np.gcd(block, den)
         cols = []
         for p, q, x in zip((block // g).T, (den // g).T, (block / den).T):

@@ -147,6 +147,8 @@ class BandLimitedKernel:
         the conjugate of coeffs[k, l] (neg = digitwise negation), so the
         raw Gram product is symmetrized across that involution.
         """
+        if k_digits < 0:
+            raise ValueError("k_digits must be nonnegative")
         box = base**k_digits
         T = box**s
         W = rng.normal(size=(T, rank)) + 1j * rng.normal(size=(T, rank))
@@ -178,11 +180,11 @@ class SpectralDiagonalKernel:
     gammas: tuple[float, ...]
 
     def __post_init__(self):
-        if self.alpha <= 0.5:
+        if not self.alpha > 0.5:
             raise ValueError("alpha must exceed 1/2 for a summable kernel")
         if len(self.gammas) != self.s:
             raise ValueError("one weight per coordinate required")
-        if any(g < 0 for g in self.gammas):
+        if not all(g >= 0 for g in self.gammas):
             raise ValueError("weights must be nonnegative")
 
     @property

@@ -62,6 +62,12 @@ def test_custom_json_requires_input(capsys):
     code, _, err = run(capsys, "net", "gen", "--kind", "custom-json")
     assert code == 2
     assert "error:" in err
+    # every command that reads a net says so, with or without --base/--m
+    for sub in ("gen", "points"):
+        code, out, err = run(capsys, "net", sub, "--kind", "custom-json", "--base", "2", "--m", "1")
+        assert code == 2
+        assert err == "error: custom-json needs --in\n"
+        assert out == ""
 
 
 def test_verify_dual_passes(capsys):
@@ -264,8 +270,10 @@ def test_unknown_kernel_keys_exit_two(capsys):
         ("[1, 2]", "net JSON must be an object"),
         ('{"base": 2, "s": 1, "m": 1, "n": 1, "matrices": 5}', "net JSON field 'matrices' is missing or of the wrong type"),
         ('{"base": 2, "s": 1, "m": 1, "n": 1, "matrices": [[[1]]], "tail_rows": [null]}', "net JSON matrices and tail_rows"),
+        ('{"base": 2, "s": 1, "m": 1, "n": 1, "matrices": [[[1]]], "sym_columns": 1.5}', "net JSON field 'sym_columns' must be a nonnegative integer, not 1.5"),
+        ('{"base": 2, "s": 1, "m": 1, "n": 1, "matrices": [[[1]]], "sym_columns": -3}', "net JSON field 'sym_columns' must be a nonnegative integer, not -3"),
     ],
-    ids=["missing-key", "not-an-object", "matrices-not-a-list", "null-tail-row"],
+    ids=["missing-key", "not-an-object", "matrices-not-a-list", "null-tail-row", "float-sym-columns", "negative-sym-columns"],
 )
 def test_malformed_net_json_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
@@ -274,6 +282,31 @@ def test_malformed_net_json_exits_two(tmp_path, capsys, text, message):
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["diagonal:alpha=nan", "diagonal:gamma=nan", "bandlimited:k=-1"])
+def test_nan_and_negative_kernel_specs_exit_two(capsys, spec):
+    # NaN fails every comparison, so the checks must be written to reject it
+    code, out, err = run(capsys, "study", "wce", "--base", "2", "--m-range", "1:1", "--kernel", spec)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_net_gen_and_points_load_the_same_net(tmp_path, capsys):
+    # --in takes precedence over --kind/--base/--m in both commands
+    path = tmp_path / "net.json"
+    code, text, _ = run(capsys, "net", "gen", "--kind", "sym-hammersley", "--base", "3", "--m", "1")
+    assert code == 0
+    path.write_text(text)
+    for sub in ("gen", "points"):
+        code, out, _ = run(capsys, "net", sub, "--kind", "hammersley", "--base", "2", "--m", "1", "--in", str(path))
+        assert code == 0
+        code, want, _ = run(capsys, "net", sub, "--kind", "custom-json", "--in", str(path))
+        assert code == 0
+        assert out == want
+    code, out, _ = run(capsys, "net", "gen", "--kind", "hammersley", "--base", "2", "--m", "1", "--in", str(path))
+    assert out == text
 
 
 @pytest.mark.parametrize(

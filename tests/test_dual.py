@@ -20,7 +20,7 @@ from badicnet import (
     truncated_sym_hammersley,
 )
 from badicnet.badic import in_E
-from badicnet.dual import _candidates_by_weight, _k_image, _row_keys, dual_scan, image_table, rank_mod_p
+from badicnet.dual import _class_members, _k_image, _profiles, _row, _row_keys, dual_scan, image_table, rank_mod_p
 from badicnet.nets import DigitalNet
 
 
@@ -284,6 +284,39 @@ def walk_dual_scan(net, k_digits, weighted=False):
     return out
 
 
+def _candidates_by_weight(base: int, n: int, cap: int, budget: int) -> dict[int, list[int]]:
+    """Frequencies k < b^n grouped by mu2(k) <= cap, built one at a time
+    as rho2_min_weight did before it counted its classes.
+
+    Digits at the two highest positions are pinned nonzero; anything below
+    the second position is free and cannot change the weight.
+    """
+    b = base
+    by_w: dict[int, list[int]] = {0: [0]}
+    made = 1
+    for a in range(1, min(cap, n) + 1):
+        lst = by_w.setdefault(a, [])
+        for kappa in range(1, b):
+            lst.append(kappa * b ** (a - 1))
+            made += 1
+            if made > budget:
+                raise ValueError(f"guard exceeded: candidate count over cap {budget}")
+    for a1 in range(2, min(cap - 1, n) + 1):
+        for a2 in range(1, min(a1 - 1, cap - a1) + 1):
+            lst = by_w.setdefault(a1 + a2, [])
+            high = b ** (a1 - 1)
+            mid = b ** (a2 - 1)
+            for k1 in range(1, b):
+                for k2 in range(1, b):
+                    head = k1 * high + k2 * mid
+                    for low in range(mid):
+                        lst.append(head + low)
+                        made += 1
+                        if made > budget:
+                            raise ValueError(f"guard exceeded: candidate count over cap {budget}")
+    return by_w
+
+
 def per_k_rho2(net, cap):
     """rho2_min_weight as it was: one _k_image call per candidate, then
     one row of the first coordinate at a time against a whole class."""
@@ -431,3 +464,181 @@ def test_rho2_of_truncated_family_is_2m_plus_2(b, m, witness):
     assert res.weight == 2 * m + 2
     assert res.witness == witness
     assert mu2_total(witness, b) == 2 * m + 2
+
+
+def classes_by_weight(b, n, cap):
+    """The members of every mu2 class of weight <= cap whose top digit fits
+    in n rows, concatenated per weight in profile order."""
+    by_w = {}
+    for w, pos in _profiles(cap):
+        if not pos or pos[0] <= n:
+            by_w.setdefault(w, []).extend(_class_members(b, pos))
+    return by_w
+
+
+def closed_form_count(b, n, cap):
+    """Number of k < b^n with mu2(k) <= cap: the origin, (b-1) single
+    digits per position, and (b-1)^2 b^(a2-1) per two-digit profile."""
+    singles = (b - 1) * min(cap, n)
+    pairs = sum((b - 1) ** 2 * b ** (a2 - 1) for a1 in range(2, min(cap - 1, n) + 1) for a2 in range(1, min(a1 - 1, cap - a1) + 1))
+    return 1 + singles + pairs
+
+
+@pytest.mark.parametrize("b", [2, 3, 5])
+def test_class_members_are_the_enumerated_candidates(b):
+    for n in range(1, 7):
+        for cap in range(1, 2 * n + 1):
+            old = _candidates_by_weight(b, n, cap, 1 << 26)
+            new = classes_by_weight(b, n, cap)
+            assert list(new.items()) == list(old.items())
+            assert sum(map(len, old.values())) == closed_form_count(b, n, cap)
+            for w, ks in new.items():
+                assert all(mu2(k, b).mu2 == w for k in ks)
+
+
+@pytest.mark.parametrize("b, m, n", [(2, 2, 6), (2, 3, 7), (3, 2, 5), (5, 1, 3)])
+def test_rho2_guards_count_what_the_lists_hold(b, m, n):
+    net = truncated_sym_hammersley(b, m, n)
+    cap = 2 * n
+    by_w = _candidates_by_weight(b, n, cap, 1 << 26)
+    count = sum(map(len, by_w.values()))
+    pairs = sum(len(l1) * len(l2) for w1, l1 in by_w.items() for w2, l2 in by_w.items() if w1 + w2 <= cap)
+    assert pairs > count
+    with pytest.raises(ValueError, match=rf"^guard exceeded: {count} candidates over cap {count - 1}$"):
+        rho2_min_weight(net, cap, max_candidates=count - 1)
+    with pytest.raises(ValueError, match=rf"^guard exceeded: {pairs} candidate pairs over cap {pairs - 1}$"):
+        rho2_min_weight(net, cap, max_candidates=pairs - 1)
+    res = rho2_min_weight(net, cap, max_candidates=pairs)
+    assert (res.weight, res.witness) == per_k_rho2(net, cap)
+
+
+def test_rho2_guard_trips_before_any_class_is_built(monkeypatch):
+    # 2^40 candidates: the guard must come from the class sizes alone
+    def refuse(*_):
+        raise AssertionError("a class was built")
+
+    monkeypatch.setattr("badicnet.dual._class_members", refuse)
+    net = truncated_sym_hammersley(2, 10, 40)
+    count = closed_form_count(2, 40, 80)
+    assert count == 2**40
+    with pytest.raises(ValueError, match=rf"^guard exceeded: {count} candidates over cap 1000$"):
+        rho2_min_weight(net, max_candidates=1000)
+
+
+def loop_independence_families(net, rank):
+    """check_independence_sets' four families as they were written: one
+    loop nest each, with its own checked/passed/failures count.  `rank`
+    is the rank function, so the labels of failing selections can be
+    compared too."""
+    b, m, n = net.base, net.m - 2, net.n
+
+    def indep(rows):
+        return rank(np.array(rows), b) == len(rows)
+
+    families = []
+
+    def record(name, cases):
+        fails = [label for label, rows in cases if not indep(rows)]
+        families.append({"name": name, "checked": len(cases), "passed": len(cases) - len(fails), "failures": fails})
+
+    cases = []
+    for r in range(0, m + 2):
+        rows = [_row(net, 0, l) for l in range(1, r + 1)]
+        rows += [_row(net, 1, l) for l in range(1, m + 2 - r)]
+        cases.append((f"r={r}", rows))
+    record("head-head", cases)
+    cases = []
+    for j, other in ((0, 1), (1, 0)):
+        for r in range(1, m + 1):
+            rows = [_row(net, j, l) for l in range(1, m + 2)]
+            rows.append(_row(net, other, r))
+            cases.append((f"j={j + 1},r={r}", rows))
+    record("full-single", cases)
+    cases = []
+    for j in (0, 1):
+        for r in range(0, m + 1):
+            for t in range(m + 1, n + 1):
+                rows = [_row(net, 0, l) for l in range(1, r + 1)]
+                rows += [_row(net, 1, l) for l in range(1, m - r + 1)]
+                rows.append(_row(net, j, t))
+                cases.append((f"j={j + 1},r={r},t={t}", rows))
+    record("deep-row", cases)
+    cases = []
+    for r11 in range(2, m + 1):
+        for r12 in range(1, r11):
+            for r21 in range(2, m + 1):
+                for r22 in range(1, r21):
+                    if r11 + r12 + r21 + r22 > 2 * m + 1:
+                        continue
+                    rows = [_row(net, 0, l) for l in range(1, r12 + 1)] + [_row(net, 0, r11)]
+                    rows += [_row(net, 1, l) for l in range(1, r22 + 1)] + [_row(net, 1, r21)]
+                    cases.append((f"{(r11, r12, r21, r22)}", rows))
+    record("two-block", cases)
+    return {"all_passed": all(f["checked"] == f["passed"] for f in families), "families": families}
+
+
+def _weighted_sum_rank(rows, p):
+    """A stand-in rank that calls a selection dependent when the entries,
+    weighted by their column, sum to a multiple of 3.  The sum does not
+    depend on the row order, but it tells the two matrices' rows apart."""
+    return len(rows) - 1 if int(np.sum(rows @ np.arange(1, rows.shape[1] + 1))) % 3 == 0 else len(rows)
+
+
+@pytest.mark.parametrize("b, m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1)])
+def test_independence_selections_match_the_family_loops(monkeypatch, b, m):
+    for n in (m + 2, 2 * m + 1, 2 * m + 3):
+        net = truncated_sym_hammersley(b, m, n)
+        if n <= 2 * m:
+            with pytest.raises(ValueError, match="need n > 2m digit rows"):
+                check_independence_sets(net)
+            continue
+        assert check_independence_sets(net).to_json_dict() == loop_independence_families(net, rank_mod_p)
+    # with some selections failing, the failure labels and counts must agree too
+    net = truncated_sym_hammersley(b, m, 2 * m + 3)
+    want = loop_independence_families(net, _weighted_sum_rank)
+    monkeypatch.setattr("badicnet.dual.rank_mod_p", _weighted_sum_rank)
+    got = check_independence_sets(net).to_json_dict()
+    assert got == want
+    assert not got["all_passed"]
+
+
+def listed_profiles_certificate(net, rho):
+    """certify_rho2_via_independence with its hand-built profile list."""
+    profiles = [(0, [])]
+    for a in range(1, rho + 1):
+        profiles.append((a, [a]))
+    for a1 in range(2, rho):
+        for a2 in range(1, min(a1 - 1, rho - a1) + 1):
+            profiles.append((a1 + a2, list(range(1, a2 + 1)) + [a1]))
+    for w1, s1 in profiles:
+        for w2, s2 in profiles:
+            if w1 + w2 > rho or (not s1 and not s2):
+                continue
+            rows = [_row(net, 0, l) for l in s1] + [_row(net, 1, l) for l in s2]
+            if rank_mod_p(np.array(rows), net.base) != len(rows):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("b, m, n", [(2, 1, 3), (2, 2, 5), (2, 3, 7), (3, 1, 3), (3, 2, 5), (5, 1, 3), (2, 3, 5)])
+def test_certificate_matches_the_listed_profiles_on_the_family(b, m, n):
+    net = truncated_sym_hammersley(b, m, n)
+    for rho in range(1, 2 * net.m + 1):
+        assert certify_rho2_via_independence(net, rho) == listed_profiles_certificate(net, rho)
+
+
+@st.composite
+def planar_prime_nets(draw):
+    """Random two-coordinate matrices over a prime base with m >= 1."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    digit = st.integers(0, b - 1)
+    return DigitalNet(b, tuple(np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planar_prime_nets())
+def test_certificate_matches_the_listed_profiles_on_random_nets(net):
+    for rho in range(1, 2 * net.m + 1):
+        assert certify_rho2_via_independence(net, rho) == listed_profiles_certificate(net, rho)

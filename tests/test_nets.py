@@ -55,6 +55,8 @@ def test_net_validation():
         DigitalNet(2, (np.array([[2]]),))  # digit out of range
     with pytest.raises(ValueError):
         DigitalNet(2, (np.zeros((2, 1), dtype=np.int64), np.zeros((3, 1), dtype=np.int64)))
+    with pytest.raises(ValueError, match="sym_columns must be nonnegative"):
+        DigitalNet(2, (np.eye(2, dtype=np.int64),), sym_columns=-1)
 
 
 def test_enumerate_matches_point_set():
@@ -261,6 +263,28 @@ def test_points_csv_from_digit_arrays_matches_per_point_writer():
     ]
     assert csv_text(mixed) == per_point_csv(mixed)
     assert csv_text([]) == per_point_csv([]) == "# schema=1\n"
+
+
+def test_points_csv_over_several_blocks_matches_per_point_writer():
+    # each block of rows comes from its own digit arrays: the cells must not
+    # change where a block starts or to what precision it is padded
+    from badicnet.nets import _CSV_BLOCK
+    from badicnet.rkhs import random_digital_shift
+
+    net = symmetrize_matrices(hammersley_matrices(2, 9, 11))  # 2048 points, two blocks
+    tailed = DigitalNet(3, (np.array([[1, 2, 0, 1, 2, 0, 1], [0, 1, 1, 2, 0, 1, 2]]),), (np.array([2, 1, 0, 2, 1, 0, 2]),))
+    shifted = random_digital_shift(enumerate_points(net), 5)
+    for pts in (enumerate_points(net), enumerate_points(tailed), shifted):
+        assert len(pts) > _CSV_BLOCK
+        digits, tails = pts.digit_arrays()
+        for rows in (slice(0, _CSV_BLOCK), slice(_CSV_BLOCK, 2 * _CSV_BLOCK), slice(len(pts) - 3, None)):
+            got = pts.digit_arrays(rows)
+            assert np.array_equal(got[0], digits[rows]) and np.array_equal(got[1], tails[rows])
+        assert csv_text(pts) == per_point_csv(list(pts))
+    # the second block needs more digits than the first
+    short = [GVector((GElement(3, (i % 3,), 1),)) for i in range(_CSV_BLOCK)]
+    long = [GVector((GElement(3, (i % 3, 2, 0, 1), i % 3),)) for i in range(5)]
+    assert csv_text(short + long) == per_point_csv(short + long)
 
 
 def test_point_set_past_int64_matches_projection():

@@ -6,8 +6,6 @@ worst-case integration error in Walsh-based kernel spaces.
 """
 
 from .badic import (
-    Base,
-    DigitVec,
     GElement,
     GVector,
     delta_digit_sum,
@@ -16,6 +14,7 @@ from .badic import (
     gv_add,
     gv_sub,
     in_E,
+    int_digits,
     is_prime,
     minimal_precision,
     project_pi,
@@ -23,7 +22,6 @@ from .badic import (
 )
 from .walsh import (
     CharacterSum,
-    KVector,
     UnityExponent,
     character,
     character_sum_over,

@@ -14,7 +14,8 @@ expansion becomes constant after the stored precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -39,68 +40,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Base:
-    """A digit base b >= 2 together with its primality."""
+def int_digits(k: int, base: int) -> tuple[int, ...]:
+    """Base-b digits of an integer k >= 0, least significant first.
 
-    b: int
-    is_prime: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.b < 2:
-            raise ValueError("base must be >= 2")
-        object.__setattr__(self, "is_prime", is_prime(self.b))
-
-
-@dataclass(frozen=True)
-class DigitVec:
-    """Finite digit expansion of a nonnegative integer, least significant first.
-
-    The digit list carries no trailing zeros, so len(digits) equals the
-    position of the most significant nonzero digit (0 for the integer 0).
+    There is no trailing zero, so the length is the position of the most
+    significant nonzero digit (0 for k = 0).
     """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        for d in self.digits:
-            _check_digit(d, self.base)
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("digit vector has a trailing zero")
-
-    @classmethod
-    def from_int(cls, k: int, base: int) -> "DigitVec":
-        if k < 0:
-            raise ValueError("negative integer has no digit expansion here")
-        digits = []
-        while k:
-            k, d = divmod(k, base)
-            digits.append(d)
-        return cls(base, tuple(digits))
-
-    def to_int(self) -> int:
-        k = 0
-        for d in reversed(self.digits):
-            k = k * self.base + d
-        return k
-
-    def digit(self, i: int) -> int:
-        """Digit at position i (1-based), zero beyond the stored length."""
-        if i < 1:
-            raise ValueError("digit positions are 1-based")
-        return self.digits[i - 1] if i <= len(self.digits) else 0
-
-
-def as_digit_vec(k, base: int) -> DigitVec:
-    """Coerce an int or DigitVec to a DigitVec in the given base."""
-    if isinstance(k, DigitVec):
-        if k.base != base:
-            raise ValueError("incompatible elements: digit vector base mismatch")
-        return k
-    return DigitVec.from_int(int(k), base)
+    k = operator.index(k)
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    if k < 0:
+        raise ValueError("negative integer has no digit expansion here")
+    digits = []
+    while k:
+        k, d = divmod(k, base)
+        digits.append(d)
+    return tuple(digits)
 
 
 @dataclass(frozen=True)
@@ -249,13 +204,12 @@ def minimal_precision(x, base: int, limit: int = 4096) -> int:
     raise ValueError(f"unsupported expansion: {x} has no eventually constant base-{base} expansion")
 
 
-def delta_digit_sum(k, base: int) -> int:
+def delta_digit_sum(k: int, base: int) -> int:
     """Sum of the base-b digits of k."""
-    kd = as_digit_vec(k, base)
-    return sum(kd.digits)
+    return sum(int_digits(k, base))
 
 
-def in_E(k, base: int) -> bool:
+def in_E(k: int, base: int) -> bool:
     """True when the digit sum of k vanishes mod b."""
     return delta_digit_sum(k, base) % base == 0
 

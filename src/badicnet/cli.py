@@ -44,7 +44,7 @@ from .rkhs import (
     wce_direct,
     wce_spectral,
 )
-from .walsh import KVector, character_sum_over
+from .walsh import character_sum_over
 
 
 def _dump_json(doc, fh) -> None:
@@ -93,7 +93,11 @@ def _parse_m_range(text: str) -> range:
 _KERNEL_KEYS = {"diagonal": {"alpha", "gamma"}, "bandlimited": {"k", "rank"}}
 
 
-def _parse_kernel(spec: str, base: int, s: int, seed: int):
+def _parse_kernel(args, s: int):
+    """The kernel of --kernel over s coordinates in base --base.  A
+    band-limited kernel holds b^(k s) x b^(k s) coefficients, a count
+    held to --max-candidates before anything is built."""
+    spec, base = args.kernel, args.base
     name, _, rest = spec.partition(":")
     if name not in _KERNEL_KEYS:
         raise ValueError(f"unknown kernel spec {spec!r}")
@@ -111,7 +115,11 @@ def _parse_kernel(spec: str, base: int, s: int, seed: int):
         return SpectralDiagonalKernel(base, s, alpha, (gamma,) * s)
     kd = int(kv.get("k", 2))
     rank = int(kv.get("rank", 4))
-    rng = np.random.default_rng(seed)
+    e, cap = 2 * kd * s, args.max_candidates
+    # b^e is never formed past the cap's bit length: a huge k costs nothing
+    if kd >= 0 and base ** min(e, cap.bit_length() + 1) > cap:
+        raise ValueError(f"guard exceeded: {base}^{e} kernel coefficients over cap {cap}")
+    rng = np.random.default_rng(args.seed)
     return BandLimitedKernel.random(base, s, kd, rank, rng)
 
 
@@ -181,7 +189,7 @@ def cmd_verify_orthogonality(args) -> int:
     full = zero = bad = 0
     for _ in range(args.samples):
         ks = tuple(int(v) for v in rng.integers(0, b**n, size=s))
-        cs = character_sum_over(points, KVector.of(b, *ks))
+        cs = character_sum_over(points, ks)
         if dual_contains(net, ks):
             ok = cs.equals_int(N)
             full += 1
@@ -289,7 +297,7 @@ def cmd_study_discrepancy(args) -> int:
 
 def cmd_study_wce(args) -> int:
     # the study nets are planar: symmetrized two dimensional Hammersley
-    kernel = _parse_kernel(args.kernel, args.base, 2, args.seed)
+    kernel = _parse_kernel(args, 2)
 
     def worker(m):
         n = m + args.n_extra

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .badic import as_digit_vec, is_prime
+from .badic import int_digits, is_prime
 from .nets import DigitalNet, truncated_sym_hammersley
 
 GUARD_DEFAULT = 1 << 26
@@ -31,7 +31,7 @@ def _k_image(net: DigitalNet, j: int, k: int) -> np.ndarray:
     b, n = net.base, net.n
     if not 0 <= k < b**n:
         raise ValueError("digits exceed matrix rows")
-    kd = as_digit_vec(k, b).digits
+    kd = int_digits(k, b)
     vec = np.zeros(n, dtype=np.int64)
     vec[: len(kd)] = kd
     return (vec @ net.matrices[j]) % b
@@ -180,7 +180,7 @@ class WeightProfile:
 def mu2(k: int, base: int) -> WeightProfile:
     if k < 0:
         raise ValueError("frequencies are nonnegative")
-    digits = as_digit_vec(k, base).digits
+    digits = int_digits(k, base)
     pos = tuple(i for i in range(len(digits), 0, -1) if digits[i - 1])
     if not pos:
         w = 0

@@ -41,9 +41,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import GElement, GVector, first_nonzero_position, g_sub
+from .badic import GElement, GVector, first_nonzero_position, g_sub, int_digits
 from .nets import DigitalNet, NetPoints, PointSet2, _numerators, digit_arrays, point_digit_arrays
-from .walsh import KVector, character_exponent_table, compensated_sum, walsh_eval
+from .walsh import character_exponent_table, compensated_sum, point_base, walsh_eval
 from . import dual as dualmod
 
 
@@ -68,14 +68,6 @@ class WceResult:
 # kernels
 
 
-def _flat_to_tuple(t: int, box: int, s: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(s):
-        t, r = divmod(t, box)
-        out.append(r)
-    return tuple(out)
-
-
 def _tuple_to_flat(ks: Sequence[int], box: int) -> int:
     t = 0
     for k in reversed(ks):
@@ -84,13 +76,8 @@ def _tuple_to_flat(ks: Sequence[int], box: int) -> int:
 
 
 def _digit_negate(k: int, base: int) -> int:
-    out = 0
-    mult = 1
-    while k:
-        k, d = divmod(k, base)
-        out += ((base - d) % base) * mult
-        mult *= base
-    return out
+    """Digitwise negation mod b of k >= 0."""
+    return sum((-d % base) * base**i for i, d in enumerate(int_digits(k, base)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +116,7 @@ class BandLimitedKernel:
         return self.box**self.s
 
     def frequency(self, t: int) -> tuple[int, ...]:
-        return _flat_to_tuple(t, self.box, self.s)
-
-    def kvectors(self) -> list[KVector]:
-        return [KVector.of(self.base, *self.frequency(t)) for t in range(self.size)]
+        return tuple((t // self.box**j) % self.box for j in range(self.s))
 
     @classmethod
     def from_gram(cls, base: int, s: int, k_digits: int, gram: np.ndarray) -> "BandLimitedKernel":
@@ -145,7 +129,10 @@ class BandLimitedKernel:
 
         Realness of the pointwise kernel needs coeffs[neg k, neg l] to be
         the conjugate of coeffs[k, l] (neg = digitwise negation), so the
-        raw Gram product is symmetrized across that involution.
+        raw Gram product is symmetrized across that involution.  Each
+        component of a flat index fills exactly k_digits base-b digits
+        (box = b^k_digits), so negating the index digitwise negates every
+        component.
         """
         if k_digits < 0:
             raise ValueError("k_digits must be nonnegative")
@@ -154,12 +141,7 @@ class BandLimitedKernel:
         W = rng.normal(size=(T, rank)) + 1j * rng.normal(size=(T, rank))
         W /= math.sqrt(2.0 * T)
         A = W @ W.conj().T
-        perm = np.array(
-            [
-                _tuple_to_flat([_digit_negate(k, base) for k in _flat_to_tuple(t, box, s)], box)
-                for t in range(T)
-            ]
-        )
+        perm = np.array([_digit_negate(t, base) for t in range(T)])
         sym = A + A[np.ix_(perm, perm)].conj()
         return cls(base, s, k_digits, sym)
 
@@ -195,7 +177,7 @@ class SpectralDiagonalKernel:
     def r1(self, k: int, j: int) -> float:
         if k == 0:
             return 1.0
-        a1 = _top_position(k, self.base)
+        a1 = len(int_digits(k, self.base))
         return self.gammas[j] * float(self.base) ** (-2.0 * self.alpha * a1)
 
     def r(self, ks: Sequence[int]) -> float:
@@ -214,18 +196,14 @@ class SpectralDiagonalKernel:
         return head - (q**i0) / b
 
 
-def _top_position(k: int, base: int) -> int:
-    a = 0
-    while k:
-        k //= base
-        a += 1
-    return a
-
-
 def khat(kernel, k: Sequence[int], l: Sequence[int]) -> complex:
     """Walsh coefficient of the kernel at a frequency pair."""
     ks = tuple(int(v) for v in k)
     ls = tuple(int(v) for v in l)
+    if len(ks) != kernel.s or len(ls) != kernel.s:
+        raise ValueError("incompatible elements: dimension mismatch")
+    if min(ks + ls) < 0:
+        raise ValueError("frequencies are nonnegative")
     if isinstance(kernel, BandLimitedKernel):
         if any(v >= kernel.box for v in ks + ls):
             return 0j
@@ -250,9 +228,12 @@ def ds_invariant_coeffs(kernel):
 # pointwise evaluation
 
 
-def _walsh_row(kernel: BandLimitedKernel, z: GVector) -> np.ndarray:
-    E = character_exponent_table([z], kernel.kvectors())
-    return np.exp(2j * math.pi * E[0] / kernel.base)
+def _walsh_table(points: Sequence[GVector], kernel: BandLimitedKernel) -> np.ndarray:
+    """W[i, t] = W_k(points[i]) for the t-th flat frequency k, complex."""
+    if point_base(points) != kernel.base:
+        raise ValueError("incompatible elements: base mismatch")
+    E = character_exponent_table(points, [kernel.frequency(t) for t in range(kernel.size)])
+    return np.exp(2j * math.pi * E / kernel.base)
 
 
 def kernel_eval(kernel, x: GVector, y: GVector):
@@ -263,8 +244,7 @@ def kernel_eval(kernel, x: GVector, y: GVector):
     return a float through the closed form of phi.
     """
     if isinstance(kernel, BandLimitedKernel):
-        wx = _walsh_row(kernel, x)
-        wy = _walsh_row(kernel, y)
+        wx, wy = (_walsh_table([z], kernel)[0] for z in (x, y))
         return complex(wx @ kernel.coeffs @ wy.conj())
     if isinstance(kernel, SpectralDiagonalKernel):
         out = 1.0
@@ -293,9 +273,7 @@ def wce_direct(points: Sequence[GVector], kernel) -> WceResult:
     if N == 0:
         raise ValueError("empty point set")
     if isinstance(kernel, BandLimitedKernel):
-        E = character_exponent_table(points, kernel.kvectors())
-        W = np.exp(2j * math.pi * E / kernel.base)
-        u = W.sum(axis=0)
+        u = _walsh_table(points, kernel).sum(axis=0)
         term1 = complex(kernel.coeffs[0, 0])
         col = kernel.coeffs[:, 0]
         row = kernel.coeffs[0, :]
@@ -442,10 +420,10 @@ def ms_wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candida
 
 
 def draw_shift(base: int, s: int, precision: int, rng) -> GVector:
-    digits = rng.integers(0, base, size=(s, precision))
-    return GVector(
-        tuple(GElement(base, tuple(int(d) for d in digits[j]), 0) for j in range(s))
-    )
+    """The shift random_digital_shift draws from the same rng state, as a
+    digit vector with a zero tail."""
+    digits = rng.integers(0, base, size=(s, precision)).tolist()
+    return GVector(tuple(GElement(base, tuple(row), 0) for row in digits))
 
 
 def random_digital_shift(points: NetPoints, seed_or_rng) -> NetPoints:
@@ -457,7 +435,7 @@ def random_digital_shift(points: NetPoints, seed_or_rng) -> NetPoints:
     if not isinstance(points, NetPoints):
         raise TypeError("random_digital_shift needs the net points of enumerate_points")
     net, rng = points.net, np.random.default_rng(seed_or_rng)  # a Generator passes through unchanged
-    shift = np.array([c.digits for c in draw_shift(net.base, net.s, net.n, rng).coords], dtype=np.int64)
+    shift = rng.integers(0, net.base, size=(net.s, net.n))
     return NetPoints(net, shift if points.shift is None else (shift + points.shift) % net.base)
 
 
@@ -487,8 +465,7 @@ def qmc_integrate(points, integrand: str, **params) -> IntegrationResult:
     if isinstance(points, PointSet2):
         nums, den = points.nums, points.den
     else:
-        base = points.net.base if isinstance(points, NetPoints) else points[0].base
-        nums, den = _numerators(*digit_arrays(points), base)
+        nums, den = _numerators(*digit_arrays(points), point_base(points))
     rows = nums.tolist()
     s = nums.shape[1]
     if integrand == "prod-quadratic":

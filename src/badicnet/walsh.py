@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .badic import DigitVec, GElement, GVector, as_digit_vec, minimal_precision, section_sigma
+from .badic import GElement, GVector, int_digits, minimal_precision, section_sigma
 from .nets import NetPoints, digit_arrays
 
 
@@ -52,48 +52,21 @@ class UnityExponent:
         return UnityExponent(self.base, -self.e)
 
 
-@dataclass(frozen=True)
-class KVector:
-    """Frequency vector: one digit expansion per coordinate."""
-
-    base: int
-    components: tuple[DigitVec, ...]
-
-    def __post_init__(self):
-        for c in self.components:
-            if c.base != self.base:
-                raise ValueError("incompatible elements: component base mismatch")
-
-    @classmethod
-    def of(cls, base: int, *ks) -> "KVector":
-        return cls(base, tuple(as_digit_vec(k, base) for k in ks))
-
-    @property
-    def s(self) -> int:
-        return len(self.components)
-
-    def is_zero(self) -> bool:
-        return all(not c.digits for c in self.components)
-
-
-def character(k, z: GElement) -> UnityExponent:
+def character(k: int, z: GElement) -> UnityExponent:
     """W_k evaluated at a digit sequence, as an exact exponent mod b."""
-    kd = as_digit_vec(k, z.base)
     e = 0
-    for i, kappa in enumerate(kd.digits, start=1):
+    for i, kappa in enumerate(int_digits(k, z.base), start=1):
         if kappa:
             e += kappa * z.digit(i)
     return UnityExponent(z.base, e)
 
 
-def character_vec(k: KVector, z: GVector) -> UnityExponent:
+def character_vec(k: Sequence[int], z: GVector) -> UnityExponent:
     """Product character over coordinates (exponents add mod b)."""
-    if k.base != z.base:
-        raise ValueError("incompatible elements: base mismatch")
-    if k.s != z.s:
+    if len(k) != z.s:
         raise ValueError("incompatible elements: dimension mismatch")
     e = 0
-    for kj, zj in zip(k.components, z.coords):
+    for kj, zj in zip(k, z.coords):
         e += character(kj, zj).e
     return UnityExponent(z.base, e)
 
@@ -187,12 +160,16 @@ class CharacterSum:
         return self.equals_int(self.total)
 
 
-def character_sum_over(points: Iterable[GVector], k: KVector) -> CharacterSum:
-    """Sum of W_k over a finite multiset of digit vectors, exactly."""
+def character_sum_over(points: Iterable[GVector], k: Sequence[int]) -> CharacterSum:
+    """Sum of W_k over a finite nonempty multiset of digit vectors, exactly;
+    k holds one frequency per coordinate."""
     if not isinstance(points, Sequence):
         points = list(points)
+    if not points:
+        raise ValueError("empty point set")
+    b = point_base(points)
     E = character_exponent_table(points, [k])
-    return CharacterSum(k.base, tuple(int(c) for c in np.bincount(E[:, 0], minlength=k.base)))
+    return CharacterSum(b, tuple(int(c) for c in np.bincount(E[:, 0], minlength=b)))
 
 
 def compensated_sum(values: Iterable[complex]) -> complex:
@@ -222,25 +199,32 @@ def compensated_sum(values: Iterable[complex]) -> complex:
     return complex(sr + cr, si + ci)
 
 
-def character_exponent_table(points: Sequence[GVector], ks: Sequence[KVector]) -> np.ndarray:
+def point_base(points: Sequence[GVector]) -> int:
+    """Base of a nonempty point sequence, read without building net points."""
+    return points.net.base if isinstance(points, NetPoints) else points[0].base
+
+
+def character_exponent_table(points: Sequence[GVector], ks: Sequence[Sequence[int]]) -> np.ndarray:
     """Integer exponent matrix E with E[i, j] = exponent of W_{ks[j]}(points[i]).
 
-    Vectorized over numpy; digits past each point's stored precision are
-    filled from its tail digit.
+    Each frequency holds one nonnegative int per coordinate, in the
+    points' base.  Vectorized over numpy; digits past each point's
+    stored precision are filled from its tail digit.
     """
     if not points or not ks:
         return np.zeros((len(points), len(ks)), dtype=np.int64)
-    b = points.net.base if isinstance(points, NetPoints) else points[0].base
+    b = point_base(points)
     digits, tails = digit_arrays(points)
     _, s, n = digits.shape
-    depth = max([n] + [len(c.digits) for k in ks for c in k.components])
+    if any(len(k) != s for k in ks):
+        raise ValueError("incompatible elements: dimension mismatch")
+    kd = [[int_digits(kj, b) for kj in k] for k in ks]
+    depth = max([n] + [len(c) for k in kd for c in k])
     Z = np.empty((len(points), s, depth), dtype=np.int64)
     Z[:, :, :n] = digits
     Z[:, :, n:] = tails[:, :, None]
     K = np.zeros((len(ks), s, depth), dtype=np.int64)
-    for t, k in enumerate(ks):
-        if k.base != b or k.s != s:
-            raise ValueError("incompatible elements: frequency vector mismatch")
-        for j, c in enumerate(k.components):
-            K[t, j, : len(c.digits)] = c.digits
+    for t, k in enumerate(kd):
+        for j, c in enumerate(k):
+            K[t, j, : len(c)] = c
     return np.einsum("psd,tsd->pt", Z, K) % b

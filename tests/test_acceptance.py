@@ -14,7 +14,6 @@ import pytest
 
 from badicnet import (
     BandLimitedKernel,
-    KVector,
     PointSet2,
     SpectralDiagonalKernel,
     certify_rho2_via_independence,
@@ -90,7 +89,7 @@ def test_c2_character_sum_dichotomy():
                 n = net.n
                 for _ in range(100):
                     ks = tuple(int(v) for v in rng.integers(0, b**n, size=2))
-                    cs = character_sum_over(pts, KVector.of(b, *ks))
+                    cs = character_sum_over(pts, ks)
                     if dual_contains(net, ks):
                         assert cs.equals_int(N), (b, m, ks)
                     else:
@@ -253,7 +252,7 @@ def test_c9_finite_character_identities():
                 counts = [0] * b
                 for k1 in range(b**n):
                     for k2 in range(b**n):
-                        counts[character_vec(KVector.of(b, k1, k2), z).e] += 1
+                        counts[character_vec((k1, k2), z).e] += 1
                 cs = CharacterSum(b, tuple(counts))
                 if all(not any(d) for d in zdig):
                     assert cs.equals_int(b ** (s * n))

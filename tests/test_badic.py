@@ -14,12 +14,13 @@ from badicnet import (
     gv_add,
     gv_sub,
     in_E,
+    int_digits,
     is_prime,
     minimal_precision,
     project_pi,
     section_sigma,
 )
-from badicnet.badic import Base, DigitVec, first_nonzero_position, g_neg
+from badicnet.badic import first_nonzero_position, g_neg
 
 
 def test_is_prime_small_values():
@@ -30,24 +31,27 @@ def test_is_prime_small_values():
     assert not is_prime(91)  # 7 * 13
 
 
-def test_base_carries_primality():
-    assert Base(3).is_prime
-    assert not Base(6).is_prime
-    with pytest.raises(ValueError):
-        Base(1)
+def test_int_digits_examples():
+    assert int_digits(11, 2) == (1, 1, 0, 1)
+    assert int_digits(0, 5) == ()
+    assert int_digits(2**64, 2) == (0,) * 64 + (1,)
+    with pytest.raises(ValueError, match="base"):
+        int_digits(3, 1)
+    with pytest.raises(TypeError):
+        int_digits(1.0, 2)
 
 
-def test_digit_vec_round_trip():
-    v = DigitVec.from_int(11, 2)
-    assert v.digits == (1, 1, 0, 1)
-    assert v.to_int() == 11
-    assert v.digit(1) == 1 and v.digit(3) == 0 and v.digit(99) == 0
-    assert DigitVec.from_int(0, 5).digits == ()
-
-
-def test_digit_vec_rejects_trailing_zero():
-    with pytest.raises(ValueError):
-        DigitVec(2, (1, 0))
+@given(st.integers(-(2**200), 2**200), st.integers(2, 40))
+def test_int_digits_rebuild_k(k, b):
+    if k < 0:
+        with pytest.raises(ValueError, match="negative"):
+            int_digits(k, b)
+        return
+    digits = int_digits(k, b)
+    assert sum(d * b**i for i, d in enumerate(digits)) == k
+    assert all(type(d) is int and 0 <= d < b for d in digits)
+    assert not digits or digits[-1] != 0
+    assert k == 0 or b ** (len(digits) - 1) <= k < b ** len(digits)
 
 
 def test_element_digit_reads_tail_beyond_precision():
@@ -203,7 +207,6 @@ def test_section_inverts_projection(num, b, extra):
 @given(st.integers(2, 7), st.integers(0, 5000), st.integers(0, 5000))
 def test_digit_sum_additive_without_carries(b, k1, k2):
     # digitwise sum mod b of disjoint-support numbers adds digit sums mod b
-    d1 = DigitVec.from_int(k1, b)
-    shifted = k2 * b ** len(d1.digits)
+    shifted = k2 * b ** len(int_digits(k1, b))
     total = k1 + shifted
     assert delta_digit_sum(total, b) == delta_digit_sum(k1, b) + delta_digit_sum(shifted, b)

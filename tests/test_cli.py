@@ -293,6 +293,27 @@ def test_nan_and_negative_kernel_specs_exit_two(capsys, spec):
     assert out == ""
 
 
+def test_band_limited_kernel_size_guard(capsys, monkeypatch):
+    # b^(2 k s) coefficients are counted before the kernel is built
+    import badicnet.cli as cli
+
+    def build_nothing(*args):
+        raise AssertionError("kernel built past the guard")
+
+    monkeypatch.setattr(cli.BandLimitedKernel, "random", build_nothing)
+    for k, cap, power in [("8", None, "2^32"), ("2", "255", "2^8"), ("1000000000", None, "2^4000000000")]:
+        argv = ["study", "wce", "--base", "2", "--m-range", "1:1", "--kernel", f"bandlimited:k={k}"]
+        code, out, err = run(capsys, *argv, *(["--max-candidates", cap] if cap else []))
+        assert code == 3
+        assert err == f"error: guard exceeded: {power} kernel coefficients over cap {cap or 1 << 26}\n"
+        assert out == ""
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "study", "wce", "--base", "2", "--m-range", "1:1", "--kernel", "bandlimited:k=2",
+                       "--max-candidates", "256")
+    assert code == 0
+    assert out.count("\n") == 3
+
+
 def test_net_gen_and_points_load_the_same_net(tmp_path, capsys):
     # --in takes precedence over --kind/--base/--m in both commands
     path = tmp_path / "net.json"

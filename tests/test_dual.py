@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from badicnet import (
-    KVector,
     certify_rho2_via_independence,
     check_independence_sets,
     character_sum_over,
@@ -58,7 +57,7 @@ def test_membership_agrees_with_character_sums():
         N = len(pts)
         for k1 in range(b**net.n):
             for k2 in range(b**net.n):
-                cs = character_sum_over(pts, KVector.of(b, k1, k2))
+                cs = character_sum_over(pts, (k1, k2))
                 if dual_contains(net, (k1, k2)):
                     assert cs.equals_int(N)
                 else:

@@ -51,6 +51,39 @@ def test_digit_negate():
     assert _digit_negate(1, 2) == 1
 
 
+@pytest.mark.parametrize("b, s, k_digits", [(2, 1, 3), (2, 2, 2), (3, 2, 1), (3, 3, 1), (5, 2, 1), (2, 3, 0)])
+def test_flat_negation_negates_each_component(b, s, k_digits):
+    # each component fills k_digits digits of the flat index (box = b^k_digits)
+    kern = BandLimitedKernel.random(b, s, k_digits, 1, np.random.default_rng(0))
+    flat = {kern.frequency(t): t for t in range(kern.size)}
+    for t in range(kern.size):
+        neg = tuple(_digit_negate(k, b) for k in kern.frequency(t))
+        assert _digit_negate(t, b) == flat[neg]
+
+
+def test_negative_frequencies_raise():
+    diag = SpectralDiagonalKernel(2, 1, 1.0, (1.0,))
+    band = BandLimitedKernel.random(2, 2, 1, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="negative"):
+        diag.r((-1,))
+    with pytest.raises(ValueError, match="negative"):
+        diag.r1(-3, 0)
+    for kern, k, l in [(diag, (-1,), (0,)), (diag, (-1,), (-1,)), (diag, (0,), (-2,)), (band, (-1, 0), (0, 0)), (band, (0, 0), (0, -1))]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            khat(kern, k, l)
+    with pytest.raises(ValueError, match="dimension"):
+        khat(band, (1,), (0, 0))
+
+
+def test_band_limited_kernel_needs_points_of_its_base():
+    band = BandLimitedKernel.random(2, 2, 1, 2, np.random.default_rng(3))
+    pts = enumerate_points(hammersley_matrices(3, 1))
+    with pytest.raises(ValueError, match="incompatible elements"):
+        wce_direct(pts, band)
+    with pytest.raises(ValueError, match="incompatible elements"):
+        kernel_eval(band, pts[0], pts[1])
+
+
 def test_diagonal_kernel_weights():
     k = SpectralDiagonalKernel(2, 1, 1.0, (1.0,))
     assert k.q == 0.5
@@ -116,6 +149,7 @@ def test_khat_reads_coefficients():
     t2 = 0 + 1 * 2
     assert got == kern.coeffs[t1, t2]
     assert khat(kern, (5, 0), (0, 0)) == 0  # outside the band
+    assert khat(kern, (2**70, 0), (0, 0)) == 0
 
 
 def test_band_limited_eval_matches_expansion():

@@ -11,7 +11,6 @@ from badicnet import (
     CharacterSum,
     GElement,
     GVector,
-    KVector,
     UnityExponent,
     character,
     character_sum_over,
@@ -107,7 +106,7 @@ def test_character_sum_integer_identity():
 
 def test_character_sum_over_points_counts_residues():
     pts = [GVector((GElement.constant(2, 3, l),)) for l in (0, 1)]
-    cs = character_sum_over(pts, KVector.of(2, 1))
+    cs = character_sum_over(pts, (1,))
     assert cs.counts == (1, 1)
     assert cs.is_zero()
 
@@ -127,7 +126,7 @@ def test_exponent_table_matches_scalar_characters():
         GVector((GElement(b, (1, 2), 0), GElement(b, (0, 1), 2))),
         GVector((GElement(b, (2, 0), 1), GElement(b, (1, 1), 0))),
     ]
-    ks = [KVector.of(b, 4, 7), KVector.of(b, 0, 1), KVector.of(b, 26, 2)]
+    ks = [(4, 7), (0, 1), (26, 2)]
     table = character_exponent_table(pts, ks)
     assert table.shape == (2, 3)
     for i, z in enumerate(pts):
@@ -138,9 +137,13 @@ def test_exponent_table_matches_scalar_characters():
 def test_vector_character_dimension_checks():
     z = GVector((GElement(2, (1,)),))
     with pytest.raises(ValueError, match="incompatible elements"):
-        character_vec(KVector.of(2, 1, 1), z)
+        character_vec((1, 1), z)
     with pytest.raises(ValueError, match="incompatible elements"):
-        character_vec(KVector.of(3, 1), z)
+        character_exponent_table([z], [(1,), (1, 1)])
+    with pytest.raises(ValueError, match="negative"):
+        character_vec((-1,), z)
+    with pytest.raises(ValueError, match="empty point set"):
+        character_sum_over([], (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def test_walsh_pulls_back_group_translation(b, data):
 
 def character_loop(points, k):
     """Residue counts of W_k over the points, one character_vec at a time."""
-    counts = [0] * k.base
+    counts = [0] * points[0].base
     for z in points:
         counts[character_vec(k, z).e] += 1
     return tuple(counts)
@@ -224,16 +227,28 @@ def test_character_sums_match_the_character_loop(shape, data):
     net = symmetrize_matrices(hammersley_matrices(b, m, n))
     # frequencies reach past the stored digits, into the tails
     ks = data.draw(st.tuples(st.integers(0, b ** (n + 2)), st.integers(0, b ** (n + 2))))
-    k = KVector.of(b, *ks)
     pts = enumerate_points(net)
-    want = character_loop(list(pts), k)
-    assert character_sum_over(pts, k).counts == want
-    assert character_sum_over(list(pts), k).counts == want
-    assert character_sum_over(iter(pts), k).counts == want
+    want = character_loop(list(pts), ks)
+    assert character_sum_over(pts, ks).counts == want
+    assert character_sum_over(list(pts), ks).counts == want
+    assert character_sum_over(iter(pts), ks).counts == want
 
 
 def test_character_sum_over_mixed_precisions():
     pts = [GVector((GElement(3, (1, 2), 1),)), GVector((GElement(3, (2,), 2),)), GVector((GElement(3, (0,), 0),))]
     for kk in (0, 1, 5, 7, 26, 80):
-        k = KVector.of(3, kk)
-        assert character_sum_over(pts, k).counts == character_loop(pts, k)
+        assert character_sum_over(pts, (kk,)).counts == character_loop(pts, (kk,))
+
+
+def test_character_sum_over_frequencies_past_int64():
+    # frequencies are Python ints: digits past 2^63 read the points' tails
+    net = symmetrize_matrices(hammersley_matrices(3, 2, 4))
+    pts = enumerate_points(net)
+    for ks in [(2**64 + 5, 3), (0, 3**45 - 1), (2**70, 2**63), (3**50, 3**41 + 2)]:
+        counts = [0] * 3
+        for z in pts:
+            counts[character_vec(ks, z).e] += 1
+        assert character_sum_over(pts, ks).counts == tuple(counts)
+    # a single 3-adic digit far past the stored precision reads the tail digit
+    z = GVector((GElement(3, (1, 2), 2),))
+    assert character_vec((2 * 3**60,), z).e == (2 * 2) % 3

@@ -15,8 +15,11 @@ expansion becomes constant after the stored precision.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 def _check_digit(d: int, b: int) -> None:
@@ -56,6 +59,21 @@ def int_digits(k: int, base: int) -> tuple[int, ...]:
         k, d = divmod(k, base)
         digits.append(d)
     return tuple(digits)
+
+
+def frequency_digits(ks: Sequence[Sequence[int]], base: int, s: int, depth: int) -> np.ndarray:
+    """(T, s, d) int64 array of the int_digits of every component of T
+    frequency vectors with s components each, zero padded to d digits:
+    depth, or more when a component needs them."""
+    if any(len(k) != s for k in ks):
+        raise ValueError("incompatible elements: dimension mismatch")
+    expansions = [[int_digits(kj, base) for kj in k] for k in ks]
+    d = max([depth] + [len(e) for k in expansions for e in k])
+    out = np.zeros((len(ks), s, d), dtype=np.int64)
+    for t, k in enumerate(expansions):
+        for j, e in enumerate(k):
+            out[t, j, : len(e)] = e
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from .dual import (
     GUARD_DEFAULT,
     certify_rho2_via_independence,
     check_independence_sets,
-    dual_contains,
     dual_enumerate_below,
+    dual_members,
     rho2_min_weight,
 )
 from .discrepancy import l2_star, lp_star
@@ -44,7 +44,7 @@ from .rkhs import (
     wce_direct,
     wce_spectral,
 )
-from .walsh import character_sum_over
+from .walsh import character_sums
 
 
 def _dump_json(doc, fh) -> None:
@@ -182,23 +182,23 @@ def cmd_verify_dual(args) -> int:
 
 def cmd_verify_orthogonality(args) -> int:
     net = _load_net(args)
-    points = enumerate_points(net)
-    N = len(points)
     b, n, s = net.base, net.n, net.s
     rng = np.random.default_rng(args.seed)
-    full = zero = bad = 0
-    for _ in range(args.samples):
-        ks = tuple(int(v) for v in rng.integers(0, b**n, size=s))
-        cs = character_sum_over(points, ks)
-        if dual_contains(net, ks):
-            ok = cs.equals_int(N)
-            full += 1
-        else:
-            ok = cs.is_zero()
-            zero += 1
-        if not ok:
-            bad += 1
-    report = {"passed": bad == 0, "samples": args.samples, "dual_hits": full, "nondual": zero, "failures": bad}
+    if b**n <= 1 << 63:
+        ks = [tuple(rng.integers(0, b**n, size=s).tolist()) for _ in range(args.samples)]
+    else:
+        # rng.integers cannot draw past int64: draw each component's n digits
+        weights = [b**i for i in range(n)]
+        ks = [
+            tuple(sum(d * w for d, w in zip(row, weights)) for row in rng.integers(0, b, size=(s, n)).tolist())
+            for _ in range(args.samples)
+        ]
+    sums = character_sums(enumerate_points(net), ks)
+    members = dual_members(net, ks).tolist()
+    N = net.n_points
+    bad = sum(not (cs.equals_int(N) if hit else cs.is_zero()) for cs, hit in zip(sums, members))
+    full = sum(members)
+    report = {"passed": bad == 0, "samples": args.samples, "dual_hits": full, "nondual": args.samples - full, "failures": bad}
     with _out_stream(args.out) as fh:
         _dump_json(report, fh)
     return 0 if bad == 0 else 1

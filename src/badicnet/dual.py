@@ -20,32 +20,32 @@ from typing import Sequence
 
 import numpy as np
 
-from .badic import int_digits, is_prime
+from .badic import frequency_digits, int_digits, is_prime
 from .nets import DigitalNet, truncated_sym_hammersley
 
 GUARD_DEFAULT = 1 << 26
 
 
-def _k_image(net: DigitalNet, j: int, k: int) -> np.ndarray:
-    """vec(k) C_j mod b for one coordinate; k must fit in the digit rows."""
-    b, n = net.base, net.n
-    if not 0 <= k < b**n:
-        raise ValueError("digits exceed matrix rows")
-    kd = int_digits(k, b)
-    vec = np.zeros(n, dtype=np.int64)
-    vec[: len(kd)] = kd
-    return (vec @ net.matrices[j]) % b
-
-
 def dual_contains(net: DigitalNet, k: Sequence[int]) -> bool:
     """Exact dual membership of a frequency vector (one int per coordinate)."""
-    ks = tuple(int(x) for x in k)
-    if len(ks) != net.s:
-        raise ValueError("incompatible elements: dimension mismatch")
-    acc = np.zeros(net.m, dtype=np.int64)
-    for j, kj in enumerate(ks):
-        acc += _k_image(net, j, kj)
-    return not np.any(acc % net.base)
+    return bool(dual_members(net, [k])[0])
+
+
+def dual_members(net: DigitalNet, ks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Exact dual membership of each frequency vector in ks, as a bool array.
+
+    Every component must fit in the digit rows (k < b^n).  The images
+    sum_j vec(k_j) C_j mod b of all vectors come from one (T, n) @ (n, m)
+    product per coordinate.
+    """
+    b, n = net.base, net.n
+    K = frequency_digits(ks, b, net.s, n)
+    if K.shape[-1] > n:
+        raise ValueError("digits exceed matrix rows")
+    acc = np.zeros((len(ks), net.m), dtype=np.int64)
+    for j, C in enumerate(net.matrices):
+        acc += (K[:, j] @ C) % b
+    return ~np.any(acc % b, axis=1)
 
 
 def image_table(net: DigitalNet, j: int, k_digits: int) -> np.ndarray:

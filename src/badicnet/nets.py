@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,10 @@ import numpy as np
 from .badic import GElement, GVector, g_add
 
 _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
-_CSV_BLOCK = 1024  # point rows formatted per write: larger blocks raised the peak RSS
+_FLOAT64_EXACT = 1 << 53  # integers below this are exact in float64
+# net point rows per block of digit arrays, of GVectors when iterating and
+# of CSV rows per write: larger blocks raised the peak RSS
+_CSV_BLOCK = 1024
 
 
 def _as_matrix(mat, base: int) -> np.ndarray:
@@ -112,15 +116,23 @@ def _index_digits(base: int, m: int, rows: slice = slice(None)) -> np.ndarray:
 
 def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Net points as digit arrays: (N, s, n) digits and (N, s) tails, all
-    of them or those whose indices are in the slice rows."""
-    nu = _index_digits(net.base, net.m, rows)
-    N = nu.shape[0]
-    digits = np.empty((N, net.s, net.n), dtype=np.int64)
-    tails = np.zeros((N, net.s), dtype=np.int64)
-    for j, C in enumerate(net.matrices):
-        digits[:, j, :] = (nu @ C.T) % net.base
-        if net.tail_rows is not None:
-            tails[:, j] = (nu @ net.tail_rows[j]) % net.base
+    of them or those whose indices are in the slice rows.
+
+    Every digit and tail comes from one float64 product of the index
+    digits with all matrices and tail rows.  It is exact because each
+    entry is an integer of at most m (b - 1)^2, which must stay below
+    2^53; a net past that bound is a ValueError.
+    """
+    b, s, n, m = net.base, net.s, net.n, net.m
+    if m * (b - 1) ** 2 >= _FLOAT64_EXACT:
+        raise ValueError(f"net too large for exact float64 digits: m (b-1)^2 = {m * (b - 1) ** 2} >= 2^53")
+    cols = [C.T for C in net.matrices]
+    if net.tail_rows is not None:
+        cols.append(np.stack(net.tail_rows, axis=1))
+    prod = (_index_digits(b, m, rows).astype(np.float64) @ np.hstack(cols).astype(np.float64)).astype(np.int64)
+    prod %= b
+    digits = prod[:, : s * n].reshape(-1, s, n)
+    tails = prod[:, s * n :] if net.tail_rows is not None else np.zeros((len(prod), s), dtype=np.int64)
     return digits, tails
 
 
@@ -128,43 +140,43 @@ class NetPoints(Sequence[GVector]):
     """Read-only sequence of a net's points in index order.
 
     It holds the net and an optional digital shift ((s, n) digits, zero
-    tail).  Indexing or iterating builds the GVector objects once, on
-    first use, and keeps them; digit_arrays() gives the same points as
-    arrays without building any object.
+    tail).  digit_arrays() gives the points as arrays.  Indexing and
+    iteration build GVector objects from the digit arrays of the rows
+    asked for, _CSV_BLOCK rows at a time when iterating, and keep none.
     """
 
     def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
         self.net = net
         self.shift = shift
-        self._points: list[GVector] | None = None
 
     def __len__(self) -> int:
         return self.net.n_points
 
     def __getitem__(self, i):
-        return self._objects()[i]
+        if isinstance(i, slice):
+            return self._vectors(i)
+        N = len(self)
+        i = operator.index(i)
+        if not -N <= i < N:
+            raise IndexError("net point index out of range")
+        return self._vectors(slice(i % N, i % N + 1))[0]
 
     def __iter__(self):
-        return iter(self._objects())
+        for lo in range(0, len(self), _CSV_BLOCK):
+            yield from self._vectors(slice(lo, lo + _CSV_BLOCK))
 
     def digit_arrays(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(N, s, n) digits and (N, s) tails, as point_digit_arrays, shift added."""
         digits, tails = point_digit_arrays(self.net, rows)
         return (digits if self.shift is None else (digits + self.shift) % self.net.base), tails
 
-    def _objects(self) -> list[GVector]:
-        if self._points is None:
-            digits, tails = self.digit_arrays()
-            b = self.net.base
-            out = []
-            for i in range(digits.shape[0]):
-                coords = tuple(
-                    GElement(b, tuple(int(d) for d in digits[i, j]), int(tails[i, j]))
-                    for j in range(self.net.s)
-                )
-                out.append(GVector(coords))
-            self._points = out
-        return self._points
+    def _vectors(self, rows: slice) -> list[GVector]:
+        digits, tails = self.digit_arrays(rows)
+        b = self.net.base
+        return [
+            GVector(tuple(GElement(b, tuple(d), t) for d, t in zip(point, tail)))
+            for point, tail in zip(digits.tolist(), tails.tolist())
+        ]
 
 
 def enumerate_points(net: DigitalNet) -> NetPoints:
@@ -172,17 +184,15 @@ def enumerate_points(net: DigitalNet) -> NetPoints:
     return NetPoints(net)
 
 
-def digit_arrays(points: Sequence[GVector], rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """(N, s, n) digits and (N, s) tails of a point sequence, or of the
-    points in the slice rows.
+def digit_arrays(points: Sequence[GVector]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, s, n) digits and (N, s) tails of a point sequence.
 
     Net points come from their net without building any object.  Other
     digit vectors are packed one by one, each padded with its tail digit
     to the largest precision among them.
     """
     if isinstance(points, NetPoints):
-        return points.digit_arrays(rows)
-    points = points[rows]
+        return points.digit_arrays()
     s, n = points[0].s, max(z.precision for z in points)
     digits = np.empty((len(points), s, n), dtype=np.int64)
     tails = np.empty((len(points), s), dtype=np.int64)
@@ -254,11 +264,23 @@ def _numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.nd
     return nums, den
 
 
+def point_numerators(points: Sequence[GVector]) -> tuple[np.ndarray, int]:
+    """(N, s) numerators of a nonempty point sequence over one den, as
+    _numerators.  Net points are read _CSV_BLOCK rows of digit arrays at
+    a time, so no (N, s, n) array is held; other digit vectors are packed
+    at once, padded to their largest precision."""
+    if not isinstance(points, NetPoints):
+        return _numerators(*digit_arrays(points), points[0].base)
+    b = points.net.base
+    blocks = [_numerators(*points.digit_arrays(slice(lo, lo + _CSV_BLOCK)), b) for lo in range(0, len(points), _CSV_BLOCK)]
+    return np.concatenate([nums for nums, _ in blocks]), blocks[0][1]
+
+
 def to_point_set(net: DigitalNet) -> PointSet2:
     """Exact rational image of a two dimensional net."""
     if net.s != 2:
         raise ValueError("planar point set needs two coordinates")
-    return PointSet2(*_numerators(*point_digit_arrays(net), net.base))
+    return PointSet2(*point_numerators(NetPoints(net)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,26 +467,28 @@ def net_from_json(text: str) -> DigitalNet:
 def points_to_csv(points: Sequence[GVector], stream) -> None:
     """Exact p/q columns next to decimal columns, one row per point.
 
-    Rows are written column-wise in blocks of _CSV_BLOCK rows, each from
-    the digit arrays of its own points, so no array of all N points is
-    held.  Each value num/den is reduced by gcd(num, den), so the cells do
-    not depend on the precision a block is padded to, and its decimal is
-    the correctly rounded quotient: int64 numerators and den <= 2^40 are
-    exact in float64, and Python ints divide exactly rounded too.
+    The cells come from the (N, s) numerators of point_numerators.  Each
+    coordinate's distinct values are formatted once (a symmetrized net
+    repeats each value at least b^(s-1) times) and the rows are assembled from
+    them by lookup, _CSV_BLOCK rows per write.  Each value num/den is
+    reduced by gcd(num, den), so the cells do not depend on the
+    precision the points are padded to, and its decimal is the correctly
+    rounded quotient: int64 numerators and den <= 2^40 are exact in
+    float64, and Python ints divide exactly rounded too.
     """
     stream.write("# schema=1\n")
     if not points:
         return
-    first = points.net if isinstance(points, NetPoints) else points[0]
-    head = []
-    for j in range(1, first.s + 1):
-        head += [f"x{j}_frac", f"x{j}"]
-    stream.write(",".join(head) + "\n")
-    row = ",".join(["%d/%d,%r"] * first.s) + "\n"
-    for lo in range(0, len(points), _CSV_BLOCK):
-        block, den = _numerators(*digit_arrays(points, slice(lo, lo + _CSV_BLOCK)), first.base)
-        g = np.gcd(block, den)
-        cols = []
-        for p, q, x in zip((block // g).T, (den // g).T, (block / den).T):
-            cols += [p.tolist(), q.tolist(), x.tolist()]
-        stream.write("".join(row % cells for cells in zip(*cols)))
+    nums, den = point_numerators(points)
+    s = nums.shape[1]
+    stream.write(",".join(f"x{j}_frac,x{j}" for j in range(1, s + 1)) + "\n")
+    columns = []
+    for j in range(s):
+        values, inverse = np.unique(nums[:, j], return_inverse=True)
+        g = np.gcd(values, den)
+        end = "," if j < s - 1 else "\n"
+        cells = [f"{p}/{q},{x!r}{end}" for p, q, x in zip((values // g).tolist(), (den // g).tolist(), (values / den).tolist())]
+        columns.append((np.array(cells, dtype=object), inverse))
+    for lo in range(0, len(nums), _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        stream.write("".join(map("".join, zip(*(cells[inverse[rows]].tolist() for cells, inverse in columns)))))

@@ -42,7 +42,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .badic import GElement, GVector, first_nonzero_position, g_sub, int_digits
-from .nets import DigitalNet, NetPoints, PointSet2, _numerators, digit_arrays, point_digit_arrays
+from .nets import DigitalNet, NetPoints, PointSet2, digit_arrays, point_digit_arrays, point_numerators
 from .walsh import character_exponent_table, compensated_sum, point_base, walsh_eval
 from . import dual as dualmod
 
@@ -465,7 +465,7 @@ def qmc_integrate(points, integrand: str, **params) -> IntegrationResult:
     if isinstance(points, PointSet2):
         nums, den = points.nums, points.den
     else:
-        nums, den = _numerators(*digit_arrays(points), point_base(points))
+        nums, den = point_numerators(points)
     rows = nums.tolist()
     s = nums.shape[1]
     if integrand == "prod-quadratic":

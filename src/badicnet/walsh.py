@@ -21,8 +21,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .badic import GElement, GVector, int_digits, minimal_precision, section_sigma
+from .badic import GElement, GVector, frequency_digits, int_digits, minimal_precision, section_sigma
 from .nets import NetPoints, digit_arrays
+
+_TABLE_ENTRIES = 1 << 20  # exponent-table entries per chunk of frequencies in character_sums
 
 
 @dataclass(frozen=True)
@@ -163,13 +165,32 @@ class CharacterSum:
 def character_sum_over(points: Iterable[GVector], k: Sequence[int]) -> CharacterSum:
     """Sum of W_k over a finite nonempty multiset of digit vectors, exactly;
     k holds one frequency per coordinate."""
+    return character_sums(points, [k])[0]
+
+
+def character_sums(points: Iterable[GVector], ks: Sequence[Sequence[int]]) -> list[CharacterSum]:
+    """Exact sums of W_k over a finite nonempty multiset of digit vectors,
+    one per frequency vector in ks.
+
+    The digit arrays are built once.  The exponent table is built over
+    chunks of frequencies of about _TABLE_ENTRIES entries, so memory stays
+    bounded for any number of frequencies, and each chunk's residue
+    counts take one vectorized compare per residue.
+    """
     if not isinstance(points, Sequence):
         points = list(points)
     if not points:
         raise ValueError("empty point set")
     b = point_base(points)
-    E = character_exponent_table(points, [k])
-    return CharacterSum(b, tuple(int(c) for c in np.bincount(E[:, 0], minlength=b)))
+    digits, tails = digit_arrays(points)
+    K = frequency_digits(ks, b, *digits.shape[1:])
+    counts = np.empty((len(ks), b), dtype=np.int64)
+    step = max(1, _TABLE_ENTRIES // len(digits))
+    for lo in range(0, len(ks), step):
+        E = _exponents(digits, tails, K[lo : lo + step], b)
+        for r in range(b):
+            counts[lo : lo + step, r] = (E == r).sum(axis=0)
+    return [CharacterSum(b, tuple(c)) for c in counts.tolist()]
 
 
 def compensated_sum(values: Iterable[complex]) -> complex:
@@ -215,16 +236,16 @@ def character_exponent_table(points: Sequence[GVector], ks: Sequence[Sequence[in
         return np.zeros((len(points), len(ks)), dtype=np.int64)
     b = point_base(points)
     digits, tails = digit_arrays(points)
-    _, s, n = digits.shape
-    if any(len(k) != s for k in ks):
-        raise ValueError("incompatible elements: dimension mismatch")
-    kd = [[int_digits(kj, b) for kj in k] for k in ks]
-    depth = max([n] + [len(c) for k in kd for c in k])
-    Z = np.empty((len(points), s, depth), dtype=np.int64)
-    Z[:, :, :n] = digits
-    Z[:, :, n:] = tails[:, :, None]
-    K = np.zeros((len(ks), s, depth), dtype=np.int64)
-    for t, k in enumerate(kd):
-        for j, c in enumerate(k):
-            K[t, j, : len(c)] = c
-    return np.einsum("psd,tsd->pt", Z, K) % b
+    return _exponents(digits, tails, frequency_digits(ks, b, *digits.shape[1:]), b)
+
+
+def _exponents(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: int) -> np.ndarray:
+    """(N, T) exponents mod b of the frequencies with (T, s, d) digits K,
+    d >= n, at the points with (N, s, n) digits and (N, s) tails; each
+    position past n reads the point's tail digit."""
+    n = digits.shape[-1]
+    E = np.einsum("psd,tsd->pt", digits, K[:, :, :n])
+    if K.shape[-1] > n:
+        E += tails @ K[:, :, n:].sum(axis=2).T
+    E %= base
+    return E

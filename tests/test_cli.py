@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from badicnet.cli import main
+from badicnet import character_sum_over, dual_contains, enumerate_points
+from badicnet.cli import _net_by_kind, main
+from badicnet.nets import dumps_compact
 
 
 def run(capsys, *argv):
@@ -94,6 +98,66 @@ def test_verify_orthogonality_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["failures"] == 0
+
+
+def orthogonality_by_samples(net, samples, seed):
+    """verify orthogonality's report as it was: one frequency draw, one
+    character_sum_over and one dual_contains per sample."""
+    b, n, s, N = net.base, net.n, net.s, net.n_points
+    rng = np.random.default_rng(seed)
+    points = enumerate_points(net)
+    full = bad = 0
+    for _ in range(samples):
+        ks = tuple(int(v) for v in rng.integers(0, b**n, size=s))
+        cs = character_sum_over(points, ks)
+        hit = dual_contains(net, ks)
+        full += hit
+        bad += not (cs.equals_int(N) if hit else cs.is_zero())
+    return {"passed": bad == 0, "samples": samples, "dual_hits": full, "nondual": samples - full, "failures": bad}
+
+
+@pytest.mark.parametrize(
+    "kind, base, m, n, samples, seed",
+    [
+        ("sym-hammersley", 3, 3, 8, 60, 3),
+        ("hammersley", 2, 2, 4, 40, 7),
+        ("sym-hammersley-truncated", 5, 1, 3, 50, 11),
+        ("hammersley", 2, 3, 63, 30, 5),  # b^n = 2^63, the largest one-integer draw
+    ],
+)
+def test_verify_orthogonality_matches_the_per_sample_report(capsys, kind, base, m, n, samples, seed):
+    argv = ["--kind", kind, "--base", str(base), "--m", str(m), "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
+    code, out, _ = run(capsys, "verify", "orthogonality", *argv)
+    net = _net_by_kind(kind, base, m, n)
+    assert code == 0
+    assert out == dumps_compact(orthogonality_by_samples(net, samples, seed)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "sym-hammersley", "--base", "5", "--m", "2", "--n", "30"),
+    ("--kind", "hammersley", "--base", "3", "--m", "2", "--n", "45"),
+])
+def test_verify_orthogonality_draws_digits_past_int64(capsys, argv):
+    code, out, err = run(capsys, "verify", "orthogonality", *argv, "--samples", "50", "--seed", "2")
+    doc = json.loads(out)
+    assert code == 0, err
+    assert doc["passed"] is True and doc["failures"] == 0
+    assert doc["samples"] == doc["dual_hits"] + doc["nondual"] == 50
+
+
+def test_verify_orthogonality_memory_is_bounded(capsys):
+    # one unchunked 32768 x 400 int64 exponent table would take 105 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(
+            capsys, "verify", "orthogonality", "--kind", "sym-hammersley",
+            "--base", "2", "--m", "13", "--n", "16", "--samples", "400",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert peak < 40 * 2**20
 
 
 def test_verify_independence(capsys):

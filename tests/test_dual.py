@@ -8,6 +8,7 @@ from badicnet import (
     certify_rho2_via_independence,
     check_independence_sets,
     character_sum_over,
+    character_vec,
     dual_contains,
     dual_enumerate_below,
     enumerate_points,
@@ -18,9 +19,22 @@ from badicnet import (
     symmetrize_matrices,
     truncated_sym_hammersley,
 )
-from badicnet.badic import in_E
-from badicnet.dual import _class_members, _k_image, _profiles, _row, _row_keys, dual_scan, image_table, rank_mod_p
+from badicnet.badic import in_E, int_digits
+from badicnet.dual import _class_members, _profiles, _row, _row_keys, dual_scan, image_table, rank_mod_p
+from badicnet import walsh
+from badicnet.dual import dual_members
 from badicnet.nets import DigitalNet
+from badicnet.walsh import character_sums
+from test_rkhs import digital_nets
+
+
+def _k_image(net, j, k):
+    """vec(k) C_j mod b for one coordinate, from int_digits: the oracle of
+    image_table and dual_members."""
+    vec = np.zeros(net.n, dtype=np.int64)
+    kd = int_digits(k, net.base)
+    vec[: len(kd)] = kd
+    return (vec @ net.matrices[j]) % net.base
 
 
 def test_membership_on_hammersley():
@@ -62,6 +76,53 @@ def test_membership_agrees_with_character_sums():
                     assert cs.equals_int(N)
                 else:
                     assert cs.is_zero()
+
+
+def per_sample_orthogonality(net, ks):
+    """Residue counts and dual membership one frequency at a time: W_k by
+    character_vec on every point object, membership by summing the
+    per-coordinate images vec(k_j) C_j."""
+    points = list(enumerate_points(net))
+    out = []
+    for k in ks:
+        counts = [0] * net.base
+        for z in points:
+            counts[character_vec(k, z).e] += 1
+        image = sum(_k_image(net, j, kj) for j, kj in enumerate(k)) % net.base
+        out.append((tuple(counts), not np.any(image)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(digital_nets(), st.data())
+def test_batched_orthogonality_matches_the_per_sample_loop(net, data):
+    b, n, s = net.base, net.n, net.s
+    ks = data.draw(st.lists(st.tuples(*[st.integers(0, b**n - 1)] * s), max_size=12), label="ks")
+    # table chunks of one frequency, of several, or of all of them
+    entries = data.draw(st.integers(1, 4 * net.n_points), label="entries")
+    pts = enumerate_points(net)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walsh, "_TABLE_ENTRIES", entries)
+        sums = character_sums(pts, ks)
+    members = dual_members(net, ks)
+    assert members.dtype == bool and members.shape == (len(ks),)
+    got = [(cs.counts, hit) for cs, hit in zip(sums, members.tolist())]
+    assert got == per_sample_orthogonality(net, ks)
+    for k, cs, hit in zip(ks, sums, members.tolist()):
+        assert character_sum_over(pts, k) == cs and dual_contains(net, k) == hit
+        assert cs.equals_int(len(pts)) if hit else cs.is_zero()
+
+
+def test_dual_members_checks_every_frequency():
+    net = hammersley_matrices(2, 2)
+    assert dual_members(net, []).shape == (0,)
+    assert dual_members(net, [(1, 2), (1, 1), (0, 0)]).tolist() == [True, False, True]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dual_members(net, [(1, 2), (1,)])
+    with pytest.raises(ValueError, match="digits exceed matrix rows"):
+        dual_members(net, [(0, 0), (1, 4)])
+    with pytest.raises(ValueError, match="negative integer"):
+        dual_members(net, [(0, 0), (-1, 0)])
 
 
 def test_symmetrized_dual_is_filtered_inner_dual():

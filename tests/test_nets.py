@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badicnet import (
     DigitalNet,
@@ -27,6 +28,7 @@ from badicnet import (
 )
 from badicnet.badic import GElement, GVector, gv_pi
 from badicnet.nets import NetPoints, digit_arrays, point_digit_arrays
+from test_rkhs import digital_nets
 
 
 def frac_pairs(points):
@@ -194,7 +196,18 @@ def eager_points(net):
     ]
 
 
-def test_net_points_agree_with_the_eager_list():
+def refuse_point_objects(monkeypatch):
+    """Make indexing and iterating NetPoints raise, so a call that builds
+    a GVector from net points fails."""
+
+    def refuse(*args):
+        raise AssertionError("a GVector was built from net points")
+
+    monkeypatch.setattr(NetPoints, "__iter__", refuse)
+    monkeypatch.setattr(NetPoints, "__getitem__", refuse)
+
+
+def test_net_points_agree_with_the_eager_list(monkeypatch):
     tailed = DigitalNet(3, (np.array([[1, 2], [0, 1], [2, 2]]),), (np.array([2, 1]),))
     for net in (hammersley_matrices(2, 3), symmetrize_matrices(hammersley_matrices(3, 2, 4)), truncated_sym_hammersley(2, 2, 5), tailed):
         pts = enumerate_points(net)
@@ -202,15 +215,64 @@ def test_net_points_agree_with_the_eager_list():
         assert isinstance(pts, NetPoints)
         assert len(pts) == len(want) == net.n_points
         # digit arrays come straight from the net, no objects are built
-        for got, ref in zip(pts.digit_arrays(), point_digit_arrays(net)):
-            assert np.array_equal(got, ref)
-        assert pts._points is None
+        with monkeypatch.context() as mp:
+            refuse_point_objects(mp)
+            for got, ref in zip(pts.digit_arrays(), point_digit_arrays(net)):
+                assert np.array_equal(got, ref)
         assert [pts[i] for i in range(len(pts))] == want
-        assert pts[-1] == want[-1] and pts[1:3] == want[1:3]
+        assert pts[-1] == want[-1] and pts[-len(want)] == want[0]
+        assert pts[1:3] == want[1:3] and pts[::-2] == want[::-2]
         assert list(pts) == want and list(pts) == want  # iteration repeats
-        assert pts._points is not None
-        with pytest.raises(IndexError):
-            pts[len(want)]
+        assert vars(pts).keys() == {"net", "shift"}  # and keeps no objects
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                pts[i]
+
+
+def test_net_points_iterate_block_by_block():
+    from badicnet.nets import _CSV_BLOCK
+
+    net = symmetrize_matrices(hammersley_matrices(2, 9, 11))  # 2048 points, two blocks
+    pts = enumerate_points(net)
+    it = iter(pts)
+    head = [next(it) for _ in range(_CSV_BLOCK + 1)]
+    assert head == eager_points(net)[: _CSV_BLOCK + 1]
+    assert len(list(it)) == len(pts) - _CSV_BLOCK - 1
+
+
+def int64_digit_arrays(net):
+    """point_digit_arrays as it was: an int64 product per coordinate."""
+    nu = (np.arange(net.n_points)[:, None] // net.base ** np.arange(net.m)) % net.base
+    digits = np.stack([(nu @ C.T) % net.base for C in net.matrices], axis=1)
+    tails = np.zeros((net.n_points, net.s), dtype=np.int64)
+    if net.tail_rows is not None:
+        tails = np.stack([(nu @ t) % net.base for t in net.tail_rows], axis=1)
+    return digits, tails
+
+
+@settings(max_examples=80, deadline=None)
+@given(digital_nets(), st.data())
+def test_float64_digit_arrays_match_the_int64_product(net, data):
+    digits, tails = point_digit_arrays(net)
+    want_digits, want_tails = int64_digit_arrays(net)
+    assert digits.dtype == tails.dtype == np.int64
+    assert np.array_equal(digits, want_digits) and np.array_equal(tails, want_tails)
+    lo = data.draw(st.integers(0, net.n_points - 1), label="lo")
+    rows = slice(lo, data.draw(st.integers(lo, net.n_points), label="hi"))
+    got = point_digit_arrays(net, rows)
+    assert np.array_equal(got[0], want_digits[rows]) and np.array_equal(got[1], want_tails[rows])
+
+
+def test_float64_digit_arrays_bound():
+    # m (b - 1)^2 < 2^53 keeps every entry of the product exact
+    b = (1 << 26) + 1  # (b - 1)^2 = 2^52
+    below = DigitalNet(b, (np.array([[b - 1], [b - 2]]),), (np.array([b - 1]),))
+    digits, tails = point_digit_arrays(below, slice(b - 3, None))
+    assert digits[:, 0].tolist() == [[(k * (b - 1)) % b, (k * (b - 2)) % b] for k in range(b - 3, b)]
+    assert tails[:, 0].tolist() == [(k * (b - 1)) % b for k in range(b - 3, b)]
+    past = DigitalNet(b, (np.array([[b - 1, 1]]),))  # m (b - 1)^2 = 2^53
+    with pytest.raises(ValueError, match="2\\^53"):
+        point_digit_arrays(past, slice(0, 2))
 
 
 def test_digit_arrays_pad_mixed_precision_with_tails():
@@ -240,7 +302,7 @@ def csv_text(points) -> str:
     return buf.getvalue()
 
 
-def test_points_csv_from_digit_arrays_matches_per_point_writer():
+def test_points_csv_from_digit_arrays_matches_per_point_writer(monkeypatch):
     tailed = DigitalNet(3, (np.array([[1, 2], [0, 1], [2, 2]]),), (np.array([2, 1]),))
     nets = [
         symmetrize_matrices(hammersley_matrices(2, 3, 6)),
@@ -252,8 +314,9 @@ def test_points_csv_from_digit_arrays_matches_per_point_writer():
     ]
     for net in nets:
         pts = enumerate_points(net)
-        text = csv_text(pts)
-        assert pts._points is None  # written without building a GVector
+        with monkeypatch.context() as mp:
+            refuse_point_objects(mp)  # written without building a GVector
+            text = csv_text(pts)
         assert text == per_point_csv(eager_points(net))
     # one precision per vector, a different one per point
     mixed = [
@@ -285,6 +348,33 @@ def test_points_csv_over_several_blocks_matches_per_point_writer():
     short = [GVector((GElement(3, (i % 3,), 1),)) for i in range(_CSV_BLOCK)]
     long = [GVector((GElement(3, (i % 3, 2, 0, 1), i % 3),)) for i in range(5)]
     assert csv_text(short + long) == per_point_csv(short + long)
+
+
+@pytest.mark.parametrize(
+    "net, distinct",  # at most this many distinct values per coordinate
+    [
+        # each value repeats 3 times per coordinate, 3^6 or 3^5 rows apart, across blocks
+        (symmetrize_matrices(hammersley_matrices(3, 5, 7)), 3**6),
+        (hammersley_matrices(2, 11, 13), 2**11),  # every value distinct
+        (truncated_sym_hammersley(2, 2, 45), 2**3),  # den 2^45: numerators in python ints
+    ],
+)
+def test_deduplicated_csv_matches_per_point_writer(net, distinct, monkeypatch):
+    from badicnet.nets import _CSV_BLOCK, point_numerators
+
+    pts = enumerate_points(net)
+    nums, _ = point_numerators(pts)
+    counts = [len(set(col)) for col in nums.T.tolist()]
+    assert max(counts) <= distinct and (min(counts) == len(pts)) == (distinct == len(pts))
+    with monkeypatch.context() as mp:
+        refuse_point_objects(mp)
+        text = csv_text(pts)
+    assert text == per_point_csv(eager_points(net))
+    blocks = {}
+    for i, v in enumerate(nums[:, 0].tolist()):
+        blocks.setdefault(v, set()).add(i // _CSV_BLOCK)
+    crosses = any(len(seen) > 1 for seen in blocks.values())  # a value repeats in another block
+    assert crosses == (distinct < len(pts) > _CSV_BLOCK)
 
 
 def test_point_set_past_int64_matches_projection():

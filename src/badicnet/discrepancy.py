@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -136,6 +137,11 @@ def l2_star(ps: PointSet2) -> DiscrepancyResult:
 # grid decomposition shared by L_p and L_inf
 
 
+# grid cells counted, or integrand values evaluated, at once: this bounds
+# the temporaries (~128 kB each) and keeps them in cache
+_BLOCK = 1 << 14
+
+
 def _grids(ps: PointSet2):
     D = ps.den
     gx = np.unique(np.concatenate([np.array([0, D], dtype=ps.nums.dtype), ps.nums[:, 0]]))
@@ -143,13 +149,32 @@ def _grids(ps: PointSet2):
     return gx, gy
 
 
-def _cell_counts(ps: PointSet2, gx, gy) -> np.ndarray:
-    """C[i, j] = number of points with x <= gx[i] and y <= gy[j]."""
+def _count_blocks(ps: PointSet2, gx, gy):
+    """Yield (i0, C) over consecutive blocks of grid rows, about _BLOCK cells each.
+
+    C[r, j] = number of points with x <= gx[i0 + r] and y <= gy[j], for the
+    cells j < len(gy) - 1: the count on cell (i0 + r, j).  The blocks come
+    from a running column histogram, so no G x G matrix is ever held.
+    """
+    n_rows, n_cols = len(gx) - 1, len(gy) - 1
     ix = np.searchsorted(gx, ps.nums[:, 0])
     iy = np.searchsorted(gy, ps.nums[:, 1])
-    cnt = np.zeros((len(gx), len(gy)), dtype=np.int64)
-    np.add.at(cnt, (ix, iy), 1)
-    return cnt.cumsum(axis=0).cumsum(axis=1)
+    order = np.argsort(ix, kind="stable")
+    ix, iy = ix[order], iy[order]
+    hist = np.zeros(n_cols, dtype=np.int64)
+    step = max(1, _BLOCK // n_cols)
+    for i0 in range(0, n_rows, step):
+        i1 = min(i0 + step, n_rows)
+        lo, hi = np.searchsorted(ix, [i0, i1])
+        on = iy[lo:hi] < n_cols  # points on y = 1 count in no cell
+        inc = np.zeros((i1 - i0, n_cols), dtype=np.int64)
+        np.add.at(inc, (ix[lo:hi][on] - i0, iy[lo:hi][on]), 1)
+        inc[0] += hist
+        # row by row: numpy's cumsum down the columns is strided and several times slower
+        for r in range(1, len(inc)):
+            inc[r] += inc[r - 1]
+        hist = inc[-1].copy()
+        yield i0, np.cumsum(inc, axis=1, out=inc)
 
 
 def lp_star(ps: PointSet2, p) -> DiscrepancyResult:
@@ -158,10 +183,12 @@ def lp_star(ps: PointSet2, p) -> DiscrepancyResult:
     The counting function is constant on every half-open grid cell, so
     even integer p reduces to exact rational integrals of polynomials.
     Every other finite p >= 1 integrates the one remaining outer variable
-    numerically (the inner integral has a closed form), by QUADPACK's
-    21-point Gauss–Kronrod rule batched over all pieces of the grid rows;
-    the combined absolute error on the p-th power is kept below 1e-10 (see
-    _lp_quadrature for the cost).
+    numerically (the inner integral has a closed form over every run of
+    equal counts in a grid row), by QUADPACK's 21-point Gauss–Kronrod rule
+    batched over the pieces of a block of rows; a round costs O(G^2)
+    integrand terms for G grid lines per axis, and the combined error
+    estimate on the p-th power stays below 1e-10 + 1e-12 L_p^p (see
+    _lp_quadrature).
     """
     if p == math.inf:
         return linf_star(ps)
@@ -183,20 +210,25 @@ def _lp_even_exact(ps: PointSet2, p: int) -> DiscrepancyResult:
     power leaves per-axis integrals of t^q, whose integer parts are
     dx_q[i] = gx[i+1]^(q+1) - gx[i]^(q+1) (dy_q alike), and C^(p-q) is the
     elementwise power of the cell counts.  Each q is then one integer
-    bilinear form, taken as object-dtype matrix products.
+    bilinear form, taken as object-dtype matrix products over one block of
+    grid rows at a time.
     """
     N, D = ps.n_points, ps.den
     gx, gy = _grids(ps)
-    counts = _cell_counts(ps, gx, gy)[:-1, :-1].astype(object)
-    gx, gy = gx.astype(object), gy.astype(object)
+    gxo, gyo = gx.astype(object), gy.astype(object)
+    dx = [gxo[1:] ** (q + 1) - gxo[:-1] ** (q + 1) for q in range(p + 1)]
+    dy = [gyo[1:] ** (q + 1) - gyo[:-1] ** (q + 1) for q in range(p + 1)]
+    forms = [0] * (p + 1)
+    for i0, C in _count_blocks(ps, gx, gy):
+        counts = C.astype(object)
+        rows = slice(i0, i0 + len(C))
+        power = np.ones_like(counts)  # counts^(p-q), built up as q falls
+        for q in range(p, -1, -1):
+            forms[q] += int(dx[q][rows] @ (power @ dy[q]))
+            power = power * counts
     total = Fraction(0)
-    power = np.ones_like(counts)  # counts^(p-q), built up as q falls
-    for q in range(p, -1, -1):
-        dx = gx[1:] ** (q + 1) - gx[:-1] ** (q + 1)
-        dy = gy[1:] ** (q + 1) - gy[:-1] ** (q + 1)
-        form = int(dx @ (power @ dy))
+    for q, form in enumerate(forms):
         total += Fraction((-1) ** q * comb(p, q) * form, N ** (p - q) * (q + 1) ** 2 * D ** (2 * q + 2))
-        power = power * counts
     value = float(total) ** (1.0 / p)
     return DiscrepancyResult(float(p), value, "piecewise_exact", 1e-14 * max(value, 1.0), total)
 
@@ -233,114 +265,162 @@ _GK_GAUSS = np.zeros(21)
 _GK_GAUSS[1:10:2] = _WG
 _GK_GAUSS[11::2] = _WG[::-1]
 
-# integrand values evaluated at once, bounding the temporaries (~0.5 MB each)
-_BLOCK = 1 << 16
 # intervals one piece may be split into, as QUADPACK's limit = 200
 # subintervals; past it the piece's intervals are taken as they stand, their
 # error estimates added to the bound
 _MAX_INTERVALS = 200
 
 
-def _gk21(A, v_lo, v_hi, p, row, a, b):
-    """qk21 on every interval [a_k, b_k] of the outer integrand of row row_k.
+def _gk21(A, v_lo, v_hi, p, start, stop, a, b):
+    """qk21 on every interval [a_k, b_k] of the sum of terms start_k .. stop_k - 1.
 
-    The outer integrand at t1 is the sum over cells j of
-    int_{v_lo_j}^{v_hi_j} |A_j - t1 t2|^p dt2, A being the row's counts over
-    N; each term is (w_lo |w_lo|^p - w_hi |w_hi|^p) / (t1 (p+1)) with
-    w = A_j - t1 v.  It is evaluated _BLOCK values at a time.  Returns the
-    Kronrod values and QUADPACK's error estimates.
+    Term n is the inner integral over one count run of a grid row,
+    int_{v_lo_n}^{v_hi_n} |A_n - t1 t2|^p dt2 with A_n the run's count over
+    N, which is (w_lo |w_lo|^p - w_hi |w_hi|^p) / (t1 (p+1)) with
+    w = A_n - t1 v at v = v_lo_n and v_hi_n.  The (interval, term) pairs
+    are evaluated about _BLOCK values at a time.  Returns the Kronrod
+    values and QUADPACK's error estimates.
     """
     hl = 0.5 * (b - a)
-    t = (0.5 * (a + b))[:, None] + hl[:, None] * _GK_NODES
-    f = np.empty_like(t)
-    step = max(1, _BLOCK // (21 * len(v_lo)))
-    for s in range(0, len(a), step):
-        ts = t[s : s + step, :, None]
-        Ar = A[row[s : s + step]][:, None, :]
-        w_lo = Ar - ts * v_lo
-        w_hi = Ar - ts * v_hi
-        inner = w_lo * np.abs(w_lo) ** p - w_hi * np.abs(w_hi) ** p
-        f[s : s + step] = inner.sum(axis=-1) / (t[s : s + step] * (p + 1.0))
-    resk = f @ _GK_KRONROD
-    resabs = np.abs(f) @ _GK_KRONROD * hl
-    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_KRONROD * hl
-    err = np.abs((resk - f @ _GK_GAUSS) * hl)
+    size = stop - start
+    ends = np.cumsum(size)
+    # per interval: Kronrod and Gauss sums, and the Kronrod sums of |f| and |f - mean|
+    sums = np.empty((4, len(a)))
+    s = 0
+    while s < len(a):
+        # intervals s .. e-1 with at most _BLOCK / 21 terms between them, or s alone
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - size[s] + _BLOCK // 21, side="right")))
+        n = size[s:e]
+        first = np.cumsum(n) - n  # each interval's first pair in the chunk
+        term = np.arange(first[-1] + n[-1]) + np.repeat(start[s:e] - first, n)
+        # nodes down, pairs across, so that every per-pair factor broadcasts
+        # along contiguous rows
+        t = 0.5 * (a[s:e] + b[s:e]) + hl[s:e] * _GK_NODES[:, None]
+        ts = np.repeat(t, n, axis=1)
+        A_n = A[term]
+        w = A_n - ts * v_lo[term]
+        aw = np.abs(w)  # named: on a temporary, numpy takes the power in place, several times slower
+        inner = w * aw**p
+        w = A_n - ts * v_hi[term]
+        aw = np.abs(w)
+        inner -= w * aw**p
+        f = np.add.reduceat(inner, first, axis=1) / (t * (p + 1.0))
+        resk = _GK_KRONROD @ f
+        sums[:, s:e] = resk, _GK_GAUSS @ f, _GK_KRONROD @ np.abs(f), _GK_KRONROD @ np.abs(f - 0.5 * resk)
+        s = e
+    resk, resg, resabs, resasc = sums * hl
+    err = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        ratio = 200.0 * err / resasc
+        scaled = resasc * np.minimum(1.0, ratio**1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
-    return resk * hl, np.maximum(err, 50 * np.finfo(float).eps * resabs)
+    return resk, np.maximum(err, 50 * np.finfo(float).eps * resabs)
+
+
+def _row_pieces(C, N, t_lo, t_hi, gyf):
+    """The count runs of a block of grid rows and the pieces that integrate them.
+
+    A run is a maximal stretch of cells in one row with the same count.  Its
+    inner integral telescopes to the run's outer edges, so its only kinks
+    are t1 = A / v at its two ends.  Runs with neither kink strictly inside
+    their row share one piece per row; each other run gets its own pieces,
+    cut at its kinks, which carry only its term.  Returns the terms
+    (A, v_lo, v_hi), and per piece its terms start .. stop - 1, its
+    interval [a, b) and the height its terms cover in t2.
+    """
+    flat = np.flatnonzero(np.diff(C, axis=1, prepend=-1))  # every row starts a run
+    r, j = np.divmod(flat, C.shape[1])
+    size = np.diff(flat, append=C.size)
+    A = C.ravel()[flat] / N
+    v_lo, v_hi = gyf[j], gyf[j + size]
+    lo, hi = t_lo[r], t_hi[r]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A / 0 and 0 / v never pass lo < t1, since counts and edges are >= 0
+        k_lo, k_hi = A / v_lo, A / v_hi
+    in_lo = (lo < k_lo) & (k_lo < hi)
+    in_hi = (lo < k_hi) & (k_hi < hi)
+    kinked = in_lo | in_hi
+    smooth = ~kinked
+    n_smooth = int(smooth.sum())
+
+    # one piece per row over its smooth runs, which come in row order
+    rows, first, count = np.unique(r[smooth], return_index=True, return_counts=True)
+    height = v_hi[smooth] - v_lo[smooth]
+    row_height = np.add.reduceat(height, first) if n_smooth else height
+
+    # up to three pieces per kinked run, cut at k_hi < k_lo
+    kin = np.flatnonzero(kinked)
+    lo_k, hi_k = lo[kin], hi[kin]
+    cuts = np.stack((lo_k, np.where(in_hi[kin], k_hi[kin], lo_k), np.where(in_lo[kin], k_lo[kin], hi_k), hi_k))
+    a, b = cuts[:-1].ravel(), cuts[1:].ravel()
+    run = np.tile(np.arange(n_smooth, n_smooth + len(kin)), 3)
+    wide = a < b
+    a, b, run = a[wide], b[wide], run[wide]
+
+    terms = tuple(np.concatenate((x[smooth], x[kin])) for x in (A, v_lo, v_hi))
+    start = np.concatenate((first, run))
+    stop = np.concatenate((first + count, run + 1))
+    a = np.concatenate((t_lo[rows], a))
+    b = np.concatenate((t_hi[rows], b))
+    height = np.concatenate((row_height, (v_hi - v_lo)[kin][run - n_smooth]))
+    return terms, start, stop, a, b, height
 
 
 def _lp_quadrature(ps: PointSet2, p: float) -> DiscrepancyResult:
     """Integral of |local discrepancy|^p by batched adaptive Gauss–Kronrod.
 
-    The inner variable t2 is integrated in closed form cell by cell; the
-    outer t1 runs over pieces of each grid row, cut where A - t1 v changes
-    sign for some cell count A and cell edge v, so the integrand is smooth
-    on every piece.  All pieces go through QUADPACK's 21-point rule at once,
-    and only the intervals whose error estimate is over their share of the
-    1e-10 budget are bisected: a piece is allowed
-    max(1e-10 / pieces, 1e-12 |piece|) on the p-th power, shared among its
-    intervals by width.  A piece is split into at most _MAX_INTERVALS
-    intervals; those still over their share then are kept, and their
-    estimates go into the error bound.
+    The inner variable t2 is integrated in closed form over every count run
+    of a grid row, and the outer t1 over the pieces _row_pieces cuts at the
+    runs' kinks, so the integrand is smooth on every piece.  All pieces of
+    a block of rows go through QUADPACK's 21-point rule at once, and only
+    the intervals whose error estimate is over their share of the 1e-10
+    budget are bisected: a piece of width w whose terms cover height h in
+    t2 is allowed max(1e-10 w h, 1e-12 |piece|) on the p-th power, shared
+    among its intervals by width.  The areas w h sum to 1 over the square.
+    A piece is split into at most _MAX_INTERVALS intervals; those still
+    over their share then are kept, and their estimates go into the error
+    bound.
 
-    A round costs O(intervals * G * 21) for G grid columns.  On symmetrized
-    Hammersley sets (G = N/4 + 1 lines per axis) there are about 0.57 G^2
-    pieces and every one passes in the first round, so the cost grows like
-    N^3: on a 2-vCPU Xeon VM,
-    sym_hammersley_points(2, m) takes 0.06 / 0.07 s at N = 256, 0.25 /
-    0.44 s at N = 512 and 2.2 / 3.8 s at N = 1024 for p = 1 / 1.5.
+    A round costs O(runs + kinks) * 21 integrand terms.  On symmetrized
+    Hammersley sets (G = N/4 + 1 lines per axis) the first round takes
+    about 1.5 G^2 terms and later rounds few more, so the cost grows like
+    N^2 (on plain Hammersley sets, about G^2 / 2 terms): on a 2-vCPU Xeon
+    VM, sym_hammersley_points(2, m) takes about 0.05 s at N = 512,
+    0.12 / 0.13 s at N = 1024 and 1.2-1.9 s at N = 4096 for p = 1 / 1.5.
+    Counts, runs and pieces are built one block of rows at a time, and
+    each block is integrated and summed before the next is built.
     """
     N, D = ps.n_points, ps.den
     gx, gy = _grids(ps)
-    A = _cell_counts(ps, gx, gy)[:-1, :-1] / N
     gxf = gx.astype(float) / D
     gyf = gy.astype(float) / D
-    v_lo, v_hi = gyf[:-1], gyf[1:]
-
-    # kinks: t1 = A / v strictly inside its row's [t_lo, t_hi); A / 0 and
-    # 0 / v never pass t_lo < t1, since counts and edges are >= 0
-    valid = np.flatnonzero(gxf[1:] > gxf[:-1])
-    rows, cuts = [valid, valid], [gxf[valid], gxf[valid + 1]]
-    step = max(1, _BLOCK // len(v_lo))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(0, len(A), step):
-            As = A[s : s + step]
-            t_lo, t_hi = gxf[s : s + len(As), None], gxf[s + 1 : s + 1 + len(As), None]
-            for v in (v_lo, v_hi):
-                t = As / v
-                r, j = np.nonzero((t_lo < t) & (t < t_hi))
-                rows.append(r + s)
-                cuts.append(t[r, j])
-    row = np.concatenate(rows)
-    cut = np.concatenate(cuts)
-    order = np.lexsort((cut, row))
-    row, cut = row[order], cut[order]
-    keep = np.concatenate(([True], (row[1:] != row[:-1]) | (cut[1:] != cut[:-1])))
-    row, cut = row[keep], cut[keep]
-    same = row[1:] == row[:-1]
-    row, a, b = row[:-1][same], cut[:-1][same], cut[1:][same]
-
-    n_pieces = len(a)
-    piece = np.arange(n_pieces)
-    held = np.ones(n_pieces, dtype=np.int64)  # intervals per piece
-    vals, errs = [], []
-    while len(a):
-        val, err = _gk21(A, v_lo, v_hi, p, row, a, b)
-        if not vals:
-            # the piece's allowance per unit of width
-            allow = np.maximum(1e-10 / n_pieces, 1e-12 * np.abs(val)) / (b - a)
-        mid = 0.5 * (a + b)
-        split = (err > allow[piece] * (b - a)) & (a < mid) & (mid < b)
-        held += np.bincount(piece[split], minlength=n_pieces)
-        split &= held[piece] <= _MAX_INTERVALS
-        vals.append(val[~split])
-        errs.append(err[~split])
-        row, piece = np.tile(row[split], 2), np.tile(piece[split], 2)
-        a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
-    total = math.fsum(np.concatenate(vals))
-    err = max(math.fsum(np.concatenate(errs)), 1e-15)
+    vals, errs = [], []  # per block of rows, so that no whole-grid table is held
+    for i0, C in _count_blocks(ps, gx, gy):
+        t_lo, t_hi = gxf[i0 : i0 + len(C)], gxf[i0 + 1 : i0 + 1 + len(C)]
+        wide = t_lo < t_hi
+        terms, start, stop, a, b, height = _row_pieces(C[wide], N, t_lo[wide], t_hi[wide], gyf)
+        n_pieces = len(a)
+        piece = np.arange(n_pieces)
+        held = np.ones(n_pieces, dtype=np.int64)  # intervals per piece
+        allow = None
+        block_vals, block_errs = [], []
+        while len(a):
+            val, err = _gk21(*terms, p, start, stop, a, b)
+            if allow is None:
+                # the piece's allowance per unit of width
+                allow = np.maximum(1e-10 * height, 1e-12 * np.abs(val) / (b - a))
+            mid = 0.5 * (a + b)
+            split = (err > allow[piece] * (b - a)) & (a < mid) & (mid < b)
+            held += np.bincount(piece[split], minlength=n_pieces)
+            split &= held[piece] <= _MAX_INTERVALS
+            block_vals.append(val[~split])
+            block_errs.append(err[~split])
+            start, stop, piece = (np.tile(x[split], 2) for x in (start, stop, piece))
+            a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
+        vals.append(math.fsum(chain.from_iterable(block_vals)))
+        errs.append(math.fsum(chain.from_iterable(block_errs)))
+    total = math.fsum(vals)
+    err = max(math.fsum(errs), 1e-15)
     value = total ** (1.0 / p)
     bound = (total + err) ** (1.0 / p) - value
     return DiscrepancyResult(p, value, "quadrature", bound + 1e-15, None)
@@ -351,30 +431,23 @@ def linf_star(ps: PointSet2) -> DiscrepancyResult:
 
     On each grid cell the sup is attained in the limit at the lower
     corner (count held, box shrunk) or at the closed upper corner, so a
-    sweep over both corner families suffices.  One grid row at a time,
-    the scaled corner values count * D^2 - N u v are integers bounded by
-    N D^2: int64 while that stays below 2^61, python ints past it.
+    sweep over both corner families suffices.  One block of grid rows at a
+    time, the scaled corner values count * D^2 - N u v are integers bounded
+    by N D^2: int64 while that stays below 2^61, python ints past it.
     """
     N, D = ps.n_points, ps.den
     if N == 0:
         raise ValueError("empty point set")
     gx, gy = _grids(ps)
     dtype = np.int64 if ps.nums.dtype != object and N * D * D < (1 << 61) else object
-    iy = np.searchsorted(gy, ps.nums[:, 1])
-    ix = np.searchsorted(gx, ps.nums[:, 0])
-    hist = np.zeros(len(gy), dtype=np.int64)
-    gx, gy = gx.astype(dtype), gy.astype(dtype)
+    nu, v = N * gx.astype(dtype), gy.astype(dtype)
     best_num = 0
-    order = np.argsort(ix, kind="stable")
-    pos = 0
-    for i in range(len(gx) - 1):
-        while pos < len(order) and ix[order[pos]] == i:
-            hist[iy[order[pos]]] += 1
-            pos += 1
-        row = np.cumsum(hist)[: len(gy) - 1].astype(dtype)
-        v1 = row * (D * D) - N * gx[i] * gy[:-1]
-        v2 = row * (D * D) - N * gx[i + 1] * gy[1:]
-        best_num = max(best_num, int(np.abs(v1).max()), int(np.abs(v2).max()))
+    for i0, C in _count_blocks(ps, gx, gy):
+        scaled = C.astype(dtype) * (D * D)
+        # lower corners (gx[i], gy[j]), then upper corners (gx[i+1], gy[j+1])
+        for corner in (nu[i0 : i0 + len(C), None] * v[:-1], nu[i0 + 1 : i0 + 1 + len(C), None] * v[1:]):
+            np.subtract(scaled, corner, out=corner)
+            best_num = max(best_num, int(np.abs(corner, out=corner).max()))
     best = Fraction(best_num, N * D * D)
     return DiscrepancyResult(math.inf, float(best), "corner_sweep", 0.0, best)
 

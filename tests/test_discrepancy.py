@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from badicnet import (
     PointSet2,
@@ -342,6 +341,7 @@ def test_l2_dominance_sweep_on_larger_sets():
 
 def per_piece_quad_lp(ps: PointSet2, p: float):
     """(value, error_bound) of L_p by a per-piece loop of scipy quad calls."""
+    quad = pytest.importorskip("scipy.integrate").quad
     N, D = ps.n_points, ps.den
     gx = sorted({0, D, *(int(x) for x in ps.nums[:, 0])})
     gy = sorted({0, D, *(int(y) for y in ps.nums[:, 1])})
@@ -391,8 +391,27 @@ def _assert_quadrature_matches_oracle(ps, p):
     assert abs(res.value - value) <= res.error_bound + bound
 
 
-@settings(max_examples=80, deadline=None)
-@given(point_sets(max_points=6), st.sampled_from([1.0, 1.5, 2.5, 3.0]))
+@st.composite
+def run_point_sets(draw):
+    """Sets whose grid rows hold long runs of equal counts.
+
+    A column of points far right draws many horizontal grid lines, while a
+    few stacked points low in x, on a small pool of repeated values, keep
+    the counts of the left rows constant across many cells.  Small
+    denominators make kinks A / v land on grid lines and run ends.
+    """
+    den = draw(st.integers(2, 16))
+    xs = draw(st.lists(st.integers(0, den), min_size=1, max_size=3))
+    ys = draw(st.lists(st.integers(0, den), min_size=1, max_size=3))
+    low = draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(ys)), min_size=1, max_size=3))
+    right = draw(st.integers(0, den))
+    column = [(right, y) for y in draw(st.lists(st.integers(0, den), min_size=3, max_size=10))]
+    nums = low * draw(st.integers(1, 3)) + column
+    return PointSet2(np.array(nums, dtype=np.int64), den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(point_sets(max_points=6), run_point_sets()), st.sampled_from([1.0, 1.5, 2.5, 3.0]))
 def test_batched_quadrature_matches_per_piece_quad(ps, p):
     _assert_quadrature_matches_oracle(ps, p)
 
@@ -416,12 +435,72 @@ def test_batched_quadrature_on_faces_ties_and_wide_denominators():
 
 def test_quadrature_matches_exact_even_p():
     # on the p-th power: |value^p - exact| <= (value + bound)^p - value^p
-    sets = _random_sets(8, 7, 9, seed=31) + [sym_hammersley_points(2, m) for m in range(1, 7)]
+    sets = (
+        _random_sets(8, 7, 9, seed=31)
+        + [sym_hammersley_points(2, m) for m in range(1, 9)]
+        + [hammersley_point_set(2, m) for m in range(1, 9)]
+    )
     for ps in sets:
         for p, exact in ((2, l2_star(ps).exact), (4, _lp_even_exact(ps, 4).exact)):
             res = _lp_quadrature(ps, float(p))
             value = Fraction(res.value)
             assert abs(value**p - exact) <= (value + Fraction(res.error_bound)) ** p - value**p
+
+
+def test_quadrature_cost_grows_like_the_cell_count(monkeypatch):
+    # one term is one count run of a row evaluated over one interval at 21
+    # nodes.  Each run takes part in at most three pieces, so the first
+    # round stays within a small multiple of the cell count, and the total
+    # grows like G^2 (4x per doubling of G), not like the G^3 (8x) of
+    # summing every piece over all G cells of its row
+    real_gk21, real_blocks = discrepancy._gk21, discrepancy._count_blocks
+    tally = {}
+
+    def count_blocks(*args):
+        for block in real_blocks(*args):
+            tally["fresh"] = True
+            yield block
+
+    def gk21(A, v_lo, v_hi, p, start, stop, a, b):
+        terms = int((stop - start).sum())
+        tally["total"] += terms
+        if tally.pop("fresh", False):
+            tally["first"] += terms
+        return real_gk21(A, v_lo, v_hi, p, start, stop, a, b)
+
+    monkeypatch.setattr(discrepancy, "_count_blocks", count_blocks)
+    monkeypatch.setattr(discrepancy, "_gk21", gk21)
+    for p in (1.0, 1.5):
+        totals = []
+        for m in (5, 6, 7):
+            ps = sym_hammersley_points(2, m)
+            gx, gy = discrepancy._grids(ps)
+            cells = (len(gx) - 1) * (len(gy) - 1)
+            tally.update(first=0, total=0)
+            _lp_quadrature(ps, p)
+            assert 0 < tally["first"] <= 2 * cells
+            totals.append(tally["total"])
+        assert all(hi <= 4.5 * lo for lo, hi in zip(totals, totals[1:])), totals
+
+
+def test_row_blocks_give_the_one_block_results(monkeypatch):
+    # blocks of a few rows carry the running column histogram across block
+    # edges, and chunks of at most three terms split the pieces; the exact
+    # kernels must not move, the quadrature only within its bounds (its
+    # pieces are the same, its sums over chunks are not)
+    big = (1 << 45) + 7
+    sets = _random_sets(6, 9, 9, seed=41) + [
+        sym_hammersley_points(2, 4),
+        hammersley_point_set(3, 3),
+        PointSet2(np.array([[1, big], [big // 3, 17], [big // 3, big], [0, 17], [big - 1, 0]], dtype=object), big),
+    ]
+    whole = [(linf_star(ps), _lp_even_exact(ps, 4), _lp_quadrature(ps, 1.5)) for ps in sets]
+    monkeypatch.setattr(discrepancy, "_BLOCK", 3 * 21)
+    for ps, (linf, even, quad) in zip(sets, whole):
+        assert linf_star(ps).exact == linf.exact
+        assert _lp_even_exact(ps, 4).exact == even.exact
+        blocked = _lp_quadrature(ps, 1.5)
+        assert abs(blocked.value - quad.value) <= blocked.error_bound + quad.error_bound
 
 
 def test_interval_limit_keeps_the_estimates(monkeypatch):

@@ -11,8 +11,6 @@ from .badic import (
     delta_digit_sum,
     g_add,
     g_sub,
-    gv_add,
-    gv_sub,
     in_E,
     int_digits,
     is_prime,
@@ -25,7 +23,6 @@ from .walsh import (
     UnityExponent,
     character,
     character_sum_over,
-    character_vec,
     walsh_eval,
     walsh_exponent,
 )
@@ -40,7 +37,6 @@ from .nets import (
     points_to_csv,
     sym_hammersley_points,
     symmetrize_matrices,
-    symmetrize_points,
     to_point_set,
     truncated_sym_hammersley,
 )
@@ -69,9 +65,7 @@ from .rkhs import (
     IntegrationResult,
     SpectralDiagonalKernel,
     WceResult,
-    draw_shift,
     ds_invariant_coeffs,
-    kernel_eval,
     khat,
     ms_wce_spectral,
     qmc_integrate,

@@ -138,11 +138,6 @@ def g_sub(z: GElement, w: GElement) -> GElement:
     return GElement(b, digits, (z.tail - w.tail) % b)
 
 
-def g_neg(z: GElement) -> GElement:
-    b = z.base
-    return GElement(b, tuple((-d) % b for d in z.digits), (-z.tail) % b)
-
-
 def project_pi(z: GElement) -> Fraction:
     """Value sum(z_i * b^-i) in [0, 1], exact.
 
@@ -258,18 +253,3 @@ class GVector:
     def precision(self) -> int:
         return self.coords[0].precision
 
-
-def gv_add(z: GVector, w: GVector) -> GVector:
-    if z.s != w.s:
-        raise ValueError("incompatible elements: dimension mismatch")
-    return GVector(tuple(g_add(a, c) for a, c in zip(z.coords, w.coords)))
-
-
-def gv_sub(z: GVector, w: GVector) -> GVector:
-    if z.s != w.s:
-        raise ValueError("incompatible elements: dimension mismatch")
-    return GVector(tuple(g_sub(a, c) for a, c in zip(z.coords, w.coords)))
-
-
-def gv_pi(z: GVector) -> tuple[Fraction, ...]:
-    return tuple(project_pi(c) for c in z.coords)

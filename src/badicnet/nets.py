@@ -17,18 +17,18 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .badic import GElement, GVector, g_add
+from .badic import GElement, GVector
 
 _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
 _FLOAT64_EXACT = 1 << 53  # integers below this are exact in float64
-# net point rows per block of digit arrays, of GVectors when iterating and
-# of CSV rows per write: larger blocks raised the peak RSS
-_CSV_BLOCK = 1024
+# net point rows per block of digit arrays (numerators, the diagonal-kernel
+# group sum), of GVectors when iterating and of CSV rows per write: larger
+# blocks raised the peak RSS
+_ROW_BLOCK = 1024
 
 
 def _as_matrix(mat, base: int) -> np.ndarray:
@@ -137,12 +137,15 @@ def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.n
 
 
 class NetPoints(Sequence[GVector]):
-    """Read-only sequence of a net's points in index order.
+    """Read-only sequence of a net's points in index order: the one point
+    input of point_numerators, points_to_csv, the character sums and
+    exponent tables of walsh, and wce_direct and qmc_integrate in rkhs.
 
     It holds the net and an optional digital shift ((s, n) digits, zero
-    tail).  digit_arrays() gives the points as arrays.  Indexing and
-    iteration build GVector objects from the digit arrays of the rows
-    asked for, _CSV_BLOCK rows at a time when iterating, and keep none.
+    tail), and is never empty.  digit_arrays() gives the points as
+    arrays.  Indexing and iteration build GVector objects from the digit
+    arrays of the rows asked for, _ROW_BLOCK rows at a time when
+    iterating, and keep none.
     """
 
     def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
@@ -162,8 +165,8 @@ class NetPoints(Sequence[GVector]):
         return self._vectors(slice(i % N, i % N + 1))[0]
 
     def __iter__(self):
-        for lo in range(0, len(self), _CSV_BLOCK):
-            yield from self._vectors(slice(lo, lo + _CSV_BLOCK))
+        for lo in range(0, len(self), _ROW_BLOCK):
+            yield from self._vectors(slice(lo, lo + _ROW_BLOCK))
 
     def digit_arrays(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(N, s, n) digits and (N, s) tails, as point_digit_arrays, shift added."""
@@ -184,23 +187,12 @@ def enumerate_points(net: DigitalNet) -> NetPoints:
     return NetPoints(net)
 
 
-def digit_arrays(points: Sequence[GVector]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, s, n) digits and (N, s) tails of a point sequence.
-
-    Net points come from their net without building any object.  Other
-    digit vectors are packed one by one, each padded with its tail digit
-    to the largest precision among them.
-    """
-    if isinstance(points, NetPoints):
-        return points.digit_arrays()
-    s, n = points[0].s, max(z.precision for z in points)
-    digits = np.empty((len(points), s, n), dtype=np.int64)
-    tails = np.empty((len(points), s), dtype=np.int64)
-    for i, z in enumerate(points):
-        for j, zj in enumerate(z.coords):
-            digits[i, j] = zj.digits + (zj.tail,) * (n - len(zj.digits))
-            tails[i, j] = zj.tail
-    return digits, tails
+def require_net_points(points, entry: str) -> NetPoints:
+    """points itself when it is a NetPoints; any other input to entry is a
+    TypeError."""
+    if not isinstance(points, NetPoints):
+        raise TypeError(f"{entry} needs the net points of enumerate_points, not {type(points).__name__}")
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +256,12 @@ def _numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.nd
     return nums, den
 
 
-def point_numerators(points: Sequence[GVector]) -> tuple[np.ndarray, int]:
-    """(N, s) numerators of a nonempty point sequence over one den, as
-    _numerators.  Net points are read _CSV_BLOCK rows of digit arrays at
-    a time, so no (N, s, n) array is held; other digit vectors are packed
-    at once, padded to their largest precision."""
-    if not isinstance(points, NetPoints):
-        return _numerators(*digit_arrays(points), points[0].base)
-    b = points.net.base
-    blocks = [_numerators(*points.digit_arrays(slice(lo, lo + _CSV_BLOCK)), b) for lo in range(0, len(points), _CSV_BLOCK)]
+def point_numerators(points: NetPoints) -> tuple[np.ndarray, int]:
+    """(N, s) numerators of net points over one den, as _numerators.  The
+    digit arrays are read _ROW_BLOCK rows at a time, so no (N, s, n)
+    array is held."""
+    b = require_net_points(points, "point_numerators").net.base
+    blocks = [_numerators(*points.digit_arrays(slice(lo, lo + _ROW_BLOCK)), b) for lo in range(0, len(points), _ROW_BLOCK)]
     return np.concatenate([nums for nums, _ in blocks]), blocks[0][1]
 
 
@@ -327,21 +316,6 @@ def symmetrize_matrices(net: DigitalNet) -> DigitalNet:
         tnew[j] = 1
         tails.append(np.concatenate([told, tnew]))
     return DigitalNet(b, tuple(mats), tuple(tails), sym_columns=net.sym_columns + s)
-
-
-def symmetrize_points(points: Sequence[GVector]) -> list[GVector]:
-    """All shifts z + e_l, outer loop over l in lexicographic order."""
-    if not points:
-        return []
-    b = points[0].base
-    s = points[0].s
-    n = points[0].precision
-    out = []
-    for l in product(range(b), repeat=s):
-        shift = GVector(tuple(GElement.constant(b, n, lj) for lj in l))
-        for z in points:
-            out.append(GVector(tuple(g_add(zj, sj) for zj, sj in zip(z.coords, shift.coords))))
-    return out
 
 
 def truncated_sym_hammersley(base: int, m: int, n: int) -> DigitalNet:
@@ -464,22 +438,20 @@ def net_from_json(text: str) -> DigitalNet:
     return DigitalNet(doc["base"], mats, tails, sym_columns=sym_columns)
 
 
-def points_to_csv(points: Sequence[GVector], stream) -> None:
-    """Exact p/q columns next to decimal columns, one row per point.
+def points_to_csv(points: NetPoints, stream) -> None:
+    """Exact p/q columns next to decimal columns, one row per net point.
 
     The cells come from the (N, s) numerators of point_numerators.  Each
     coordinate's distinct values are formatted once (a symmetrized net
     repeats each value at least b^(s-1) times) and the rows are assembled from
-    them by lookup, _CSV_BLOCK rows per write.  Each value num/den is
-    reduced by gcd(num, den), so the cells do not depend on the
-    precision the points are padded to, and its decimal is the correctly
-    rounded quotient: int64 numerators and den <= 2^40 are exact in
-    float64, and Python ints divide exactly rounded too.
+    them by lookup, _ROW_BLOCK rows per write.  Each value num/den is
+    reduced by gcd(num, den), so the cells do not depend on the number n
+    of the net's digit rows, and its decimal is the correctly rounded
+    quotient: int64 numerators and den <= 2^40 are exact in float64, and
+    Python ints divide exactly rounded too.
     """
+    nums, den = point_numerators(require_net_points(points, "points_to_csv"))
     stream.write("# schema=1\n")
-    if not points:
-        return
-    nums, den = point_numerators(points)
     s = nums.shape[1]
     stream.write(",".join(f"x{j}_frac,x{j}" for j in range(1, s + 1)) + "\n")
     columns = []
@@ -489,6 +461,6 @@ def points_to_csv(points: Sequence[GVector], stream) -> None:
         end = "," if j < s - 1 else "\n"
         cells = [f"{p}/{q},{x!r}{end}" for p, q, x in zip((values // g).tolist(), (den // g).tolist(), (values / den).tolist())]
         columns.append((np.array(cells, dtype=object), inverse))
-    for lo in range(0, len(nums), _CSV_BLOCK):
-        rows = slice(lo, lo + _CSV_BLOCK)
+    for lo in range(0, len(nums), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
         stream.write("".join(map("".join, zip(*(cells[inverse[rows]].tolist() for cells, inverse in columns)))))

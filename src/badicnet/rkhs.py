@@ -15,18 +15,20 @@ The squared worst-case error of a point multiset P is
 frequencies of the generating net (spectral route); both are computed
 independently so they can be checked against each other.
 
-A diagonal kernel depends on x and y only through the digitwise
-difference x - y, and the points of a digital net form a group under
-that subtraction, tails included: each y sees the same multiset x - y.
-A shifted net P + sigma is a coset, and (x + sigma) - (y + sigma) = x - y.
-So on any NetPoints, shifted or not, the direct route is
+The direct route takes the points as NetPoints, shifted or not, and
+nothing else.  A diagonal kernel depends on x and y only through the
+digitwise difference x - y, and the points of a digital net form a group
+under that subtraction, tails included: each y sees the same multiset
+x - y.  A shifted net P + sigma is a coset, and
+(x + sigma) - (y + sigma) = x - y.  So the direct route of a diagonal
+kernel is
 
     e^2 = -1 + (1/N) sum_{x in P} K(x, 0),
 
-in O(N s n) from the unshifted digit arrays (J. Dick and
-F. Pillichshammer, Digital Nets and Sequences, Cambridge University
-Press, 2010).  An arbitrary multiset takes the O(N^2 s n) sum over
-ordered point pairs.  The spectral route takes the dual frequencies
+in O(N s n) from the unshifted digit arrays, read a block of rows at a
+time (J. Dick and F. Pillichshammer, Digital Nets and Sequences,
+Cambridge University Press, 2010).  A band-limited kernel takes the
+Walsh table of the points.  The spectral route takes the dual frequencies
 from dual.dual_scan, which joins the image tables of the last two
 coordinates on integer row keys and hands the hits back in
 lexicographic order, so the compensated sum adds them in a fixed order.
@@ -41,9 +43,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import GElement, GVector, first_nonzero_position, g_sub, int_digits
-from .nets import DigitalNet, NetPoints, PointSet2, digit_arrays, point_digit_arrays, point_numerators
-from .walsh import character_exponent_table, compensated_sum, point_base, walsh_eval
+from .badic import int_digits
+from .nets import _ROW_BLOCK, DigitalNet, NetPoints, PointSet2, point_digit_arrays, point_numerators, require_net_points
+from .walsh import character_exponent_table, compensated_sum, walsh_eval
 from . import dual as dualmod
 
 
@@ -228,31 +230,12 @@ def ds_invariant_coeffs(kernel):
 # pointwise evaluation
 
 
-def _walsh_table(points: Sequence[GVector], kernel: BandLimitedKernel) -> np.ndarray:
+def _walsh_table(points: NetPoints, kernel: BandLimitedKernel) -> np.ndarray:
     """W[i, t] = W_k(points[i]) for the t-th flat frequency k, complex."""
-    if point_base(points) != kernel.base:
+    if points.net.base != kernel.base:
         raise ValueError("incompatible elements: base mismatch")
     E = character_exponent_table(points, [kernel.frequency(t) for t in range(kernel.size)])
     return np.exp(2j * math.pi * E / kernel.base)
-
-
-def kernel_eval(kernel, x: GVector, y: GVector):
-    """K(x, y) from exact digit vectors.
-
-    Band-limited kernels return complex (real up to rounding when the
-    coefficient matrix has the negation symmetry); diagonal kernels
-    return a float through the closed form of phi.
-    """
-    if isinstance(kernel, BandLimitedKernel):
-        wx, wy = (_walsh_table([z], kernel)[0] for z in (x, y))
-        return complex(wx @ kernel.coeffs @ wy.conj())
-    if isinstance(kernel, SpectralDiagonalKernel):
-        out = 1.0
-        for j in range(kernel.s):
-            z = g_sub(x.coords[j], y.coords[j])
-            out *= 1.0 + kernel.gammas[j] * kernel.phi(first_nonzero_position(z))
-        return out
-    raise TypeError("unknown kernel type")
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +246,14 @@ def _clamped(e2: float) -> tuple[float, bool]:
     return (0.0, True) if e2 < 0 else (e2, False)
 
 
-def wce_direct(points: Sequence[GVector], kernel) -> WceResult:
-    """Three-term squared worst-case error from the points themselves.
+def wce_direct(points: NetPoints, kernel) -> WceResult:
+    """Three-term squared worst-case error from the net points, shifted
+    or not.
 
-    A diagonal kernel on NetPoints (shifted or not) takes the group
-    identity, N terms; any other sequence sums all N^2 ordered pairs.
+    A diagonal kernel takes the group identity, N terms; a band-limited
+    kernel takes the Walsh table of the points, N^2 terms_used.
     """
-    N = len(points)
-    if N == 0:
-        raise ValueError("empty point set")
+    N = len(require_net_points(points, "wce_direct"))
     if isinstance(kernel, BandLimitedKernel):
         u = _walsh_table(points, kernel).sum(axis=0)
         term1 = complex(kernel.coeffs[0, 0])
@@ -285,12 +267,8 @@ def wce_direct(points: Sequence[GVector], kernel) -> WceResult:
         val, cl = _clamped(e2c.real)
         return WceResult(val, "direct", 0.0, N * N, cl)
     if isinstance(kernel, SpectralDiagonalKernel):
-        if isinstance(points, NetPoints):
-            e2, terms = -1.0 + _diag_group_sum(points.net, kernel) / N, N
-        else:
-            e2, terms = -1.0 + _diag_pair_sum(points, kernel) / (N * N), N * N
-        val, cl = _clamped(e2)
-        return WceResult(val, "direct", 0.0, terms, cl)
+        val, cl = _clamped(-1.0 + _diag_group_sum(points.net, kernel) / N)
+        return WceResult(val, "direct", 0.0, N, cl)
     raise TypeError("unknown kernel type")
 
 
@@ -308,29 +286,24 @@ def _first_positions(nonzero: np.ndarray, tail_nonzero: np.ndarray) -> np.ndarra
 
 
 def _diag_group_sum(net: DigitalNet, kernel: SpectralDiagonalKernel) -> float:
-    """sum over the unshifted net points x of the diagonal kernel K(x, 0)."""
-    digits, tails = point_digit_arrays(net)
-    table = _phi_table(kernel, digits.shape[2])
-    prod = np.ones(net.n_points)
-    for j in range(digits.shape[1]):
-        pos = _first_positions(digits[:, j, :] != 0, tails[:, j] != 0)
-        prod *= 1.0 + kernel.gammas[j] * table[pos]
-    return math.fsum(prod)
+    """sum over the unshifted net points x of the diagonal kernel K(x, 0).
 
+    The digit arrays are read _ROW_BLOCK rows at a time and the products
+    of every block go into one math.fsum, which is correctly rounded, so
+    the sum does not depend on the blocks.
+    """
+    table = _phi_table(kernel, net.n)
 
-def _diag_pair_sum(points: Sequence[GVector], kernel: SpectralDiagonalKernel) -> float:
-    """sum over ordered point pairs of the diagonal kernel, vectorized on
-    the first-nonzero-difference position."""
-    digits, tails = digit_arrays(points)
-    table = _phi_table(kernel, digits.shape[2])
-    total = 0.0
-    for i in range(len(points)):
-        prod = np.ones(len(points))
-        for j in range(digits.shape[1]):
-            pos = _first_positions(digits[:, j, :] != digits[i, j, :][None, :], tails[:, j] != tails[i, j])
-            prod *= 1.0 + kernel.gammas[j] * table[pos]
-        total += float(prod.sum())
-    return total
+    def products():
+        for lo in range(0, net.n_points, _ROW_BLOCK):
+            digits, tails = point_digit_arrays(net, slice(lo, lo + _ROW_BLOCK))
+            prod = np.ones(len(digits))
+            for j in range(net.s):
+                pos = _first_positions(digits[:, j, :] != 0, tails[:, j] != 0)
+                prod *= 1.0 + kernel.gammas[j] * table[pos]
+            yield from prod.tolist()
+
+    return math.fsum(products())
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +392,14 @@ def ms_wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candida
 # random digital shifts and plain QMC integration
 
 
-def draw_shift(base: int, s: int, precision: int, rng) -> GVector:
-    """The shift random_digital_shift draws from the same rng state, as a
-    digit vector with a zero tail."""
-    digits = rng.integers(0, base, size=(s, precision)).tolist()
-    return GVector(tuple(GElement(base, tuple(row), 0) for row in digits))
-
-
 def random_digital_shift(points: NetPoints, seed_or_rng) -> NetPoints:
     """Shift every net point by one shared uniform digit vector.
 
     The shift has the net's precision and a zero tail, and shifts add
     mod b; pairwise digitwise differences between points are untouched.
     """
-    if not isinstance(points, NetPoints):
-        raise TypeError("random_digital_shift needs the net points of enumerate_points")
-    net, rng = points.net, np.random.default_rng(seed_or_rng)  # a Generator passes through unchanged
+    net = require_net_points(points, "random_digital_shift").net
+    rng = np.random.default_rng(seed_or_rng)  # a Generator passes through unchanged
     shift = rng.integers(0, net.base, size=(net.s, net.n))
     return NetPoints(net, shift if points.shift is None else (shift + points.shift) % net.base)
 
@@ -451,21 +416,22 @@ class IntegrationResult:
         return abs(self.value - self.exact)
 
 
-def qmc_integrate(points, integrand: str, **params) -> IntegrationResult:
-    """Equal-weight cubature of a few built-in integrands with known value.
+def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> IntegrationResult:
+    """Equal-weight cubature of a few built-in integrands with known value,
+    over a PointSet2 or net points, shifted or not.
 
     integrand is one of:
       prod-quadratic   prod_j (x_j^2 + c), exact (1/3 + c)^s   (param c, default 0)
       prod-exp         prod_j exp(x_j),    exact (e - 1)^s
       walsh            wal_k(x),           exact 1 if k = 0 else 0 (param k: tuple)
     """
-    N = points.n_points if isinstance(points, PointSet2) else len(points)
-    if N == 0:
-        raise ValueError("empty point set")
     if isinstance(points, PointSet2):
         nums, den = points.nums, points.den
     else:
-        nums, den = point_numerators(points)
+        nums, den = point_numerators(require_net_points(points, "qmc_integrate"))
+    N = len(nums)
+    if N == 0:
+        raise ValueError("empty point set")
     rows = nums.tolist()
     s = nums.shape[1]
     if integrand == "prod-quadratic":

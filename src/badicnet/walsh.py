@@ -21,8 +21,8 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .badic import GElement, GVector, frequency_digits, int_digits, minimal_precision, section_sigma
-from .nets import NetPoints, digit_arrays
+from .badic import GElement, frequency_digits, int_digits, minimal_precision, section_sigma
+from .nets import NetPoints, require_net_points
 
 _TABLE_ENTRIES = 1 << 20  # exponent-table entries per chunk of frequencies in character_sums
 
@@ -60,16 +60,6 @@ def character(k: int, z: GElement) -> UnityExponent:
     for i, kappa in enumerate(int_digits(k, z.base), start=1):
         if kappa:
             e += kappa * z.digit(i)
-    return UnityExponent(z.base, e)
-
-
-def character_vec(k: Sequence[int], z: GVector) -> UnityExponent:
-    """Product character over coordinates (exponents add mod b)."""
-    if len(k) != z.s:
-        raise ValueError("incompatible elements: dimension mismatch")
-    e = 0
-    for kj, zj in zip(k, z.coords):
-        e += character(kj, zj).e
     return UnityExponent(z.base, e)
 
 
@@ -162,27 +152,23 @@ class CharacterSum:
         return self.equals_int(self.total)
 
 
-def character_sum_over(points: Iterable[GVector], k: Sequence[int]) -> CharacterSum:
-    """Sum of W_k over a finite nonempty multiset of digit vectors, exactly;
-    k holds one frequency per coordinate."""
+def character_sum_over(points: NetPoints, k: Sequence[int]) -> CharacterSum:
+    """Sum of W_k over the net points, exactly; k holds one frequency per
+    coordinate."""
     return character_sums(points, [k])[0]
 
 
-def character_sums(points: Iterable[GVector], ks: Sequence[Sequence[int]]) -> list[CharacterSum]:
-    """Exact sums of W_k over a finite nonempty multiset of digit vectors,
-    one per frequency vector in ks.
+def character_sums(points: NetPoints, ks: Sequence[Sequence[int]]) -> list[CharacterSum]:
+    """Exact sums of W_k over the net points, shifted or not, one per
+    frequency vector in ks.
 
     The digit arrays are built once.  The exponent table is built over
     chunks of frequencies of about _TABLE_ENTRIES entries, so memory stays
     bounded for any number of frequencies, and each chunk's residue
     counts take one vectorized compare per residue.
     """
-    if not isinstance(points, Sequence):
-        points = list(points)
-    if not points:
-        raise ValueError("empty point set")
-    b = point_base(points)
-    digits, tails = digit_arrays(points)
+    b = require_net_points(points, "character_sums").net.base
+    digits, tails = points.digit_arrays()
     K = frequency_digits(ks, b, *digits.shape[1:])
     counts = np.empty((len(ks), b), dtype=np.int64)
     step = max(1, _TABLE_ENTRIES // len(digits))
@@ -220,22 +206,16 @@ def compensated_sum(values: Iterable[complex]) -> complex:
     return complex(sr + cr, si + ci)
 
 
-def point_base(points: Sequence[GVector]) -> int:
-    """Base of a nonempty point sequence, read without building net points."""
-    return points.net.base if isinstance(points, NetPoints) else points[0].base
-
-
-def character_exponent_table(points: Sequence[GVector], ks: Sequence[Sequence[int]]) -> np.ndarray:
-    """Integer exponent matrix E with E[i, j] = exponent of W_{ks[j]}(points[i]).
+def character_exponent_table(points: NetPoints, ks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Integer exponent matrix E with E[i, j] = exponent of W_{ks[j]}(points[i])
+    at the net points, shifted or not.
 
     Each frequency holds one nonnegative int per coordinate, in the
-    points' base.  Vectorized over numpy; digits past each point's
-    stored precision are filled from its tail digit.
+    points' base.  Vectorized over numpy; digits past the net's n digit
+    rows are filled from each point's tail digit.
     """
-    if not points or not ks:
-        return np.zeros((len(points), len(ks)), dtype=np.int64)
-    b = point_base(points)
-    digits, tails = digit_arrays(points)
+    b = require_net_points(points, "character_exponent_table").net.base
+    digits, tails = points.digit_arrays()
     return _exponents(digits, tails, frequency_digits(ks, b, *digits.shape[1:]), b)
 
 

@@ -225,8 +225,9 @@ def test_c9_finite_character_identities():
     with _Budget(9, "finite character identities hold digit for digit", 60):
         from itertools import product as iproduct
 
-        from badicnet.walsh import CharacterSum, character_vec
         from badicnet import GVector
+        from badicnet.walsh import CharacterSum
+        from oracles import character_vec
 
         for b in (2, 3):
             for n in (2, 3):

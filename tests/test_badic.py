@@ -11,8 +11,6 @@ from badicnet import (
     delta_digit_sum,
     g_add,
     g_sub,
-    gv_add,
-    gv_sub,
     in_E,
     int_digits,
     is_prime,
@@ -20,7 +18,8 @@ from badicnet import (
     project_pi,
     section_sigma,
 )
-from badicnet.badic import first_nonzero_position, g_neg
+from badicnet.badic import first_nonzero_position
+from oracles import g_neg, gv_add, gv_sub
 
 
 def test_is_prime_small_values():

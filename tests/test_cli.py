@@ -9,9 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from badicnet import character_sum_over, dual_contains, enumerate_points
+from badicnet import (
+    character_sum_over,
+    dual_contains,
+    enumerate_points,
+    hammersley_matrices,
+    qmc_integrate,
+    random_digital_shift,
+    symmetrize_matrices,
+)
 from badicnet.cli import _net_by_kind, main
 from badicnet.nets import dumps_compact
+from oracles import no_point_objects
 
 
 def run(capsys, *argv):
@@ -427,3 +436,30 @@ def test_zero_flags_are_values_not_defaults(capsys, argv, message):
     assert code == 2
     assert err == f"error: {message}\n"
     assert out == ""
+
+
+def test_no_point_object_on_any_cli_path(tmp_path, capsys):
+    # every command computes on digit arrays: under a guard that refuses
+    # each GElement and GVector, each one still runs, and so does QMC on a
+    # digitally shifted net
+    inner, sym = tmp_path / "inner.json", tmp_path / "sym.json"
+    commands = [
+        ["net", "gen", "--kind", "hammersley", "--base", "3", "--m", "2", "--out", str(inner), "--points-csv", str(tmp_path / "inner.csv")],
+        ["net", "symmetrize", "--in", str(inner), "--out", str(sym), "--points-csv", str(tmp_path / "sym.csv")],
+        ["net", "points", "--in", str(sym), "--out", str(tmp_path / "points.csv")],
+        ["verify", "dual", "--kind", "sym-hammersley", "--base", "2", "--m", "2", "--n", "4", "--kbound", "2"],
+        ["verify", "orthogonality", "--kind", "sym-hammersley", "--base", "3", "--m", "1", "--n", "3", "--samples", "20", "--seed", "1"],
+        ["verify", "independence", "--base", "2", "--m", "2", "--n", "5"],
+        ["verify", "rho2", "--kind", "sym-hammersley-truncated", "--base", "2", "--m", "2", "--n", "5", "--cap", "5"],
+        ["study", "discrepancy", "--base", "2", "--m-range", "1:2", "--p", "1,2,4,inf"],
+        ["study", "wce", "--base", "2", "--m-range", "1:2", "--n-extra", "2"],
+        ["study", "wce", "--base", "2", "--m-range", "1:2", "--n-extra", "2", "--kernel", "bandlimited:k=1,rank=2", "--seed", "3"],
+        ["study", "convergence", "--base", "2", "--m-range", "2:3"],
+    ]
+    with no_point_objects():
+        codes = [main(argv) for argv in commands]
+        shifted = random_digital_shift(enumerate_points(symmetrize_matrices(hammersley_matrices(2, 3, 5))), 7)
+        results = [qmc_integrate(shifted, integrand) for integrand in ("prod-quadratic", "prod-exp")]
+    _, err = capsys.readouterr()
+    assert codes == [0] * len(commands), err
+    assert [r.n_points for r in results] == [32, 32]

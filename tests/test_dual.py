@@ -8,7 +8,6 @@ from badicnet import (
     certify_rho2_via_independence,
     check_independence_sets,
     character_sum_over,
-    character_vec,
     dual_contains,
     dual_enumerate_below,
     enumerate_points,
@@ -25,7 +24,7 @@ from badicnet import walsh
 from badicnet.dual import dual_members
 from badicnet.nets import DigitalNet
 from badicnet.walsh import character_sums
-from test_rkhs import digital_nets
+from oracles import character_vec, digital_nets
 
 
 def _k_image(net, j, k):

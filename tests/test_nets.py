@@ -12,8 +12,6 @@ from badicnet import (
     DigitalNet,
     PointSet2,
     enumerate_points,
-    g_add,
-    gv_add,
     hammersley_matrices,
     hammersley_point_set,
     net_from_json,
@@ -22,13 +20,12 @@ from badicnet import (
     project_pi,
     sym_hammersley_points,
     symmetrize_matrices,
-    symmetrize_points,
     to_point_set,
     truncated_sym_hammersley,
 )
-from badicnet.badic import GElement, GVector, gv_pi
-from badicnet.nets import NetPoints, digit_arrays, point_digit_arrays
-from test_rkhs import digital_nets
+from badicnet.badic import GElement, GVector
+from badicnet.nets import NetPoints, point_digit_arrays
+from oracles import csv_text, digital_nets, gv_add, gv_pi, no_point_objects, per_point_csv, symmetrize_points
 
 
 def frac_pairs(points):
@@ -196,18 +193,7 @@ def eager_points(net):
     ]
 
 
-def refuse_point_objects(monkeypatch):
-    """Make indexing and iterating NetPoints raise, so a call that builds
-    a GVector from net points fails."""
-
-    def refuse(*args):
-        raise AssertionError("a GVector was built from net points")
-
-    monkeypatch.setattr(NetPoints, "__iter__", refuse)
-    monkeypatch.setattr(NetPoints, "__getitem__", refuse)
-
-
-def test_net_points_agree_with_the_eager_list(monkeypatch):
+def test_net_points_agree_with_the_eager_list():
     tailed = DigitalNet(3, (np.array([[1, 2], [0, 1], [2, 2]]),), (np.array([2, 1]),))
     for net in (hammersley_matrices(2, 3), symmetrize_matrices(hammersley_matrices(3, 2, 4)), truncated_sym_hammersley(2, 2, 5), tailed):
         pts = enumerate_points(net)
@@ -215,8 +201,7 @@ def test_net_points_agree_with_the_eager_list(monkeypatch):
         assert isinstance(pts, NetPoints)
         assert len(pts) == len(want) == net.n_points
         # digit arrays come straight from the net, no objects are built
-        with monkeypatch.context() as mp:
-            refuse_point_objects(mp)
+        with no_point_objects():
             for got, ref in zip(pts.digit_arrays(), point_digit_arrays(net)):
                 assert np.array_equal(got, ref)
         assert [pts[i] for i in range(len(pts))] == want
@@ -230,14 +215,14 @@ def test_net_points_agree_with_the_eager_list(monkeypatch):
 
 
 def test_net_points_iterate_block_by_block():
-    from badicnet.nets import _CSV_BLOCK
+    from badicnet.nets import _ROW_BLOCK
 
     net = symmetrize_matrices(hammersley_matrices(2, 9, 11))  # 2048 points, two blocks
     pts = enumerate_points(net)
     it = iter(pts)
-    head = [next(it) for _ in range(_CSV_BLOCK + 1)]
-    assert head == eager_points(net)[: _CSV_BLOCK + 1]
-    assert len(list(it)) == len(pts) - _CSV_BLOCK - 1
+    head = [next(it) for _ in range(_ROW_BLOCK + 1)]
+    assert head == eager_points(net)[: _ROW_BLOCK + 1]
+    assert len(list(it)) == len(pts) - _ROW_BLOCK - 1
 
 
 def int64_digit_arrays(net):
@@ -275,34 +260,7 @@ def test_float64_digit_arrays_bound():
         point_digit_arrays(past, slice(0, 2))
 
 
-def test_digit_arrays_pad_mixed_precision_with_tails():
-    pts = [GVector((GElement(3, (1, 2), 1),)), GVector((GElement(3, (2,), 2),))]
-    digits, tails = digit_arrays(pts)
-    assert digits.tolist() == [[[1, 2]], [[2, 2]]]
-    assert tails.tolist() == [[1], [2]]
-
-
-def per_point_csv(points) -> str:
-    """points_to_csv as it was: project_pi on every coordinate of every GVector."""
-    lines = ["# schema=1"]
-    if points:
-        lines.append(",".join(f"x{j}_frac,x{j}" for j in range(1, points[0].s + 1)))
-        for z in points:
-            cells = []
-            for c in z.coords:
-                v = project_pi(c)
-                cells += [f"{v.numerator}/{v.denominator}", repr(float(v))]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def csv_text(points) -> str:
-    buf = io.StringIO()
-    points_to_csv(points, buf)
-    return buf.getvalue()
-
-
-def test_points_csv_from_digit_arrays_matches_per_point_writer(monkeypatch):
+def test_points_csv_from_digit_arrays_matches_per_point_writer():
     tailed = DigitalNet(3, (np.array([[1, 2], [0, 1], [2, 2]]),), (np.array([2, 1]),))
     nets = [
         symmetrize_matrices(hammersley_matrices(2, 3, 6)),
@@ -314,40 +272,27 @@ def test_points_csv_from_digit_arrays_matches_per_point_writer(monkeypatch):
     ]
     for net in nets:
         pts = enumerate_points(net)
-        with monkeypatch.context() as mp:
-            refuse_point_objects(mp)  # written without building a GVector
+        with no_point_objects():  # written without building a point object
             text = csv_text(pts)
         assert text == per_point_csv(eager_points(net))
-    # one precision per vector, a different one per point
-    mixed = [
-        GVector((GElement(3, (1, 2), 1), GElement(3, (2, 0), 2))),
-        GVector((GElement(3, (2,), 0), GElement(3, (1,), 1))),
-        GVector((GElement(3, (2, 2, 2), 2), GElement(3, (0, 1, 2), 0))),
-    ]
-    assert csv_text(mixed) == per_point_csv(mixed)
-    assert csv_text([]) == per_point_csv([]) == "# schema=1\n"
 
 
 def test_points_csv_over_several_blocks_matches_per_point_writer():
     # each block of rows comes from its own digit arrays: the cells must not
-    # change where a block starts or to what precision it is padded
-    from badicnet.nets import _CSV_BLOCK
+    # change where a block starts
+    from badicnet.nets import _ROW_BLOCK
     from badicnet.rkhs import random_digital_shift
 
     net = symmetrize_matrices(hammersley_matrices(2, 9, 11))  # 2048 points, two blocks
     tailed = DigitalNet(3, (np.array([[1, 2, 0, 1, 2, 0, 1], [0, 1, 1, 2, 0, 1, 2]]),), (np.array([2, 1, 0, 2, 1, 0, 2]),))
     shifted = random_digital_shift(enumerate_points(net), 5)
     for pts in (enumerate_points(net), enumerate_points(tailed), shifted):
-        assert len(pts) > _CSV_BLOCK
+        assert len(pts) > _ROW_BLOCK
         digits, tails = pts.digit_arrays()
-        for rows in (slice(0, _CSV_BLOCK), slice(_CSV_BLOCK, 2 * _CSV_BLOCK), slice(len(pts) - 3, None)):
+        for rows in (slice(0, _ROW_BLOCK), slice(_ROW_BLOCK, 2 * _ROW_BLOCK), slice(len(pts) - 3, None)):
             got = pts.digit_arrays(rows)
             assert np.array_equal(got[0], digits[rows]) and np.array_equal(got[1], tails[rows])
         assert csv_text(pts) == per_point_csv(list(pts))
-    # the second block needs more digits than the first
-    short = [GVector((GElement(3, (i % 3,), 1),)) for i in range(_CSV_BLOCK)]
-    long = [GVector((GElement(3, (i % 3, 2, 0, 1), i % 3),)) for i in range(5)]
-    assert csv_text(short + long) == per_point_csv(short + long)
 
 
 @pytest.mark.parametrize(
@@ -359,22 +304,21 @@ def test_points_csv_over_several_blocks_matches_per_point_writer():
         (truncated_sym_hammersley(2, 2, 45), 2**3),  # den 2^45: numerators in python ints
     ],
 )
-def test_deduplicated_csv_matches_per_point_writer(net, distinct, monkeypatch):
-    from badicnet.nets import _CSV_BLOCK, point_numerators
+def test_deduplicated_csv_matches_per_point_writer(net, distinct):
+    from badicnet.nets import _ROW_BLOCK, point_numerators
 
     pts = enumerate_points(net)
     nums, _ = point_numerators(pts)
     counts = [len(set(col)) for col in nums.T.tolist()]
     assert max(counts) <= distinct and (min(counts) == len(pts)) == (distinct == len(pts))
-    with monkeypatch.context() as mp:
-        refuse_point_objects(mp)
+    with no_point_objects():
         text = csv_text(pts)
     assert text == per_point_csv(eager_points(net))
     blocks = {}
     for i, v in enumerate(nums[:, 0].tolist()):
-        blocks.setdefault(v, set()).add(i // _CSV_BLOCK)
+        blocks.setdefault(v, set()).add(i // _ROW_BLOCK)
     crosses = any(len(seen) > 1 for seen in blocks.values())  # a value repeats in another block
-    assert crosses == (distinct < len(pts) > _CSV_BLOCK)
+    assert crosses == (distinct < len(pts) > _ROW_BLOCK)
 
 
 def test_point_set_past_int64_matches_projection():

@@ -1,8 +1,7 @@
 """Kernel machinery and worst-case integration error, two routes."""
 
-import io
 import math
-from contextlib import contextmanager
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,17 +15,15 @@ from badicnet import (
     PointSet2,
     SpectralDiagonalKernel,
     DigitalNet,
-    draw_shift,
+    character_sum_over,
     ds_invariant_coeffs,
     dual_contains,
     dual_enumerate_below,
     enumerate_points,
     g_sub,
     hammersley_matrices,
-    kernel_eval,
     khat,
     ms_wce_spectral,
-    points_to_csv,
     qmc_integrate,
     random_digital_shift,
     sym_hammersley_points,
@@ -36,11 +33,23 @@ from badicnet import (
     wce_direct,
     wce_spectral,
 )
-from badicnet.badic import g_add, gv_pi, project_pi
+from badicnet.badic import g_add, project_pi
 from badicnet.dual import dual_scan
-from badicnet.nets import NetPoints
-from badicnet.rkhs import _diag_pair_sum, _digit_negate, _weighted_box_count
-from badicnet.walsh import compensated_sum
+from badicnet.nets import point_numerators
+from badicnet.rkhs import _digit_negate, _weighted_box_count
+from badicnet.walsh import character_exponent_table, character_sums, compensated_sum
+from oracles import (
+    csv_text,
+    diag_pair_sum,
+    digital_nets,
+    draw_shift,
+    gv_pi,
+    kernel_eval,
+    no_point_objects,
+    pack_digit_arrays,
+    per_point_csv,
+    walsh_row,
+)
 
 
 def _sym_net(b, m, n=None):
@@ -82,8 +91,6 @@ def test_band_limited_kernel_needs_points_of_its_base():
     pts = enumerate_points(hammersley_matrices(3, 1))
     with pytest.raises(ValueError, match="incompatible elements"):
         wce_direct(pts, band)
-    with pytest.raises(ValueError, match="incompatible elements"):
-        kernel_eval(band, pts[0], pts[1])
 
 
 def test_diagonal_kernel_weights():
@@ -253,13 +260,6 @@ def test_shift_preserves_differences_and_errors():
     )
 
 
-def test_draw_shift_is_deterministic():
-    a = draw_shift(3, 2, 4, np.random.default_rng(9))
-    b = draw_shift(3, 2, 4, np.random.default_rng(9))
-    assert a == b
-    assert a.precision == 4 and a.s == 2
-
-
 def test_mean_direct_over_shifts_approaches_invariant_value():
     net = _sym_net(2, 1, 3)
     pts = enumerate_points(net)
@@ -337,42 +337,6 @@ def spectral_by_candidates(net, kernel, cap=None):
     return compensated_sum(parts).real, len(parts)
 
 
-@contextmanager
-def no_point_objects():
-    """Inside, indexing or iterating NetPoints raises, so code that builds
-    a GVector from net points fails."""
-
-    def refuse(*args):
-        raise AssertionError("a GVector was built from net points")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(NetPoints, "__iter__", refuse)
-        mp.setattr(NetPoints, "__getitem__", refuse)
-        yield
-
-
-@st.composite
-def digital_nets(draw, max_points=243):
-    """Random generating matrices over b in {2, 3, 5}, s in {1, 2, 3},
-    optionally with random tail rows and optionally symmetrized, with at
-    most max_points points."""
-    b = draw(st.sampled_from([2, 3, 5]))
-    s = draw(st.integers(1, 3))
-    sym = draw(st.booleans())
-    m_max = 0
-    while b ** (m_max + 1 + (s if sym else 0)) <= max_points:
-        m_max += 1
-    m = draw(st.integers(0, m_max))
-    n = draw(st.integers(1, m + 3))
-    digit = st.integers(0, b - 1)
-    mats = [np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(s)]
-    tails = None
-    if draw(st.booleans()):
-        tails = [draw(st.lists(digit, min_size=m, max_size=m)) for _ in range(s)]
-    net = DigitalNet(b, tuple(mats), tails)
-    return symmetrize_matrices(net) if sym else net
-
-
 def diagonal_kernels(b, s):
     return st.builds(
         SpectralDiagonalKernel,
@@ -393,13 +357,25 @@ def test_direct_group_identity_matches_pair_sum(data):
     with no_point_objects():  # the group route builds no point objects
         fast = wce_direct(pts, kern)
     assert fast.terms_used == N
-    e2 = -1.0 + _diag_pair_sum(list(pts), kern) / (N * N)
+    e2 = -1.0 + diag_pair_sum(list(pts), kern) / (N * N)
     # both sums hold terms up to K(0, 0); scale the tolerance by it
     scale = math.prod(1.0 + g * kern.phi(None) for g in kern.gammas)
     assert fast.value == pytest.approx(max(e2, 0.0), abs=1e-12 * scale)
-    slow = wce_direct(list(pts), kern)
-    assert slow.terms_used == N * N
-    assert fast.value == pytest.approx(slow.value, abs=1e-12 * scale)
+
+
+def test_direct_group_identity_memory_is_bounded():
+    # the whole (N, s, n) digit array and its float64 product took a 34 MB
+    # traced peak here; blocks of rows hold a few hundred kB
+    net = symmetrize_matrices(hammersley_matrices(2, 14, 16))  # N = 65536
+    kern = SpectralDiagonalKernel(2, 2, 1.0, (1.0, 1.0))
+    tracemalloc.start()
+    try:
+        res = wce_direct(enumerate_points(net), kern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.terms_used == net.n_points and res.value > 0
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=80, deadline=None)
@@ -489,12 +465,6 @@ def qmc_by_fraction_rows(points, integrand, **params):
     return compensated_sum(vals) / len(rows), exact
 
 
-def csv_text(points):
-    out = io.StringIO()
-    points_to_csv(points, out)
-    return out.getvalue()
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_shifted_net_points_match_the_object_path(data):
@@ -505,11 +475,19 @@ def test_shifted_net_points_match_the_object_path(data):
     shifted = random_digital_shift(pts, seed)
     oracle = shift_by_objects(list(pts), draw_shift(b, s, n, np.random.default_rng(seed)))
     N = len(oracle)
+    # the digit arrays every route reads are those of the object oracle
+    for got, want in zip(shifted.digit_arrays(), pack_digit_arrays(oracle)):
+        assert np.array_equal(got, want)
     # QMC: bit for bit, every integrand, without building point objects
+    # (the walsh integrand reads each coordinate through a GElement)
     c = data.draw(st.one_of(st.floats(-2, 2), st.fractions(-2, 2, max_denominator=60)).filter(bool), label="c")
     k = data.draw(st.tuples(*[st.integers(0, b ** (n + 1) - 1)] * s), label="k")
-    for integrand, params in (("prod-quadratic", {"c": c}), ("prod-exp", {}), ("walsh", {"k": k, "base": b})):
-        with no_point_objects():
+    for integrand, params, refused in (
+        ("prod-quadratic", {"c": c}, (GElement, GVector)),
+        ("prod-exp", {}, (GElement, GVector)),
+        ("walsh", {"k": k, "base": b}, (GVector,)),
+    ):
+        with no_point_objects(refused):
             got = qmc_integrate(shifted, integrand, **params)
         value, exact = qmc_by_fraction_rows(oracle, integrand, **params)
         assert (got.value, got.exact, got.n_points) == (value, exact, N)
@@ -518,15 +496,22 @@ def test_shifted_net_points_match_the_object_path(data):
     with no_point_objects():
         fast = wce_direct(shifted, kern)
     assert fast.terms_used == N
-    e2 = -1.0 + _diag_pair_sum(oracle, kern) / (N * N)
+    e2 = -1.0 + diag_pair_sum(oracle, kern) / (N * N)
     scale = math.prod(1.0 + g * kern.phi(None) for g in kern.gammas)
     assert fast.value == pytest.approx(max(e2, 0.0), abs=1e-12 * scale)
-    # band-limited kernels see the shift through the exponent table
+    # band-limited kernels see the shift through the exponent table; the
+    # oracle forms K(x, y) for every ordered pair from character_vec
     k_digits = data.draw(st.integers(1, n).filter(lambda kd: b ** (kd * s) <= 125), label="k_digits")
     band = BandLimitedKernel.random(b, s, k_digits, 3, np.random.default_rng(seed))
-    assert wce_direct(shifted, band) == wce_direct(oracle, band)
+    with no_point_objects():
+        got = wce_direct(shifted, band)
+    W = np.array([walsh_row(band, z) for z in oracle])
+    pairs = W @ band.coeffs @ W.conj().T
+    e2 = band.coeffs[0, 0] - 2 * (W @ band.coeffs[:, 0]).sum().real / N + pairs.sum() / (N * N)
+    assert got.terms_used == N * N
+    assert got.value == pytest.approx(max(e2.real, 0.0), abs=1e-10)
     # the points themselves and their CSV
-    assert csv_text(shifted) == csv_text(oracle)
+    assert csv_text(shifted) == per_point_csv(oracle)
     assert list(shifted) == oracle
     # two shifts are one shift by their sum
     seed2 = data.draw(st.integers(0, 2**32 - 1), label="seed2")
@@ -540,6 +525,28 @@ def test_digital_shift_needs_net_points():
         random_digital_shift(list(pts), 0)
     with pytest.raises(TypeError, match="enumerate_points"):
         random_digital_shift([], 0)
+
+
+@pytest.mark.parametrize(
+    "entry, call",
+    [
+        ("wce_direct", lambda p: wce_direct(p, SpectralDiagonalKernel(2, 2, 1.0, (1.0, 1.0)))),
+        ("wce_direct", lambda p: wce_direct(p, BandLimitedKernel.random(2, 2, 1, 2, np.random.default_rng(0)))),
+        ("character_sums", lambda p: character_sums(p, [(1, 0)])),
+        ("character_sums", lambda p: character_sum_over(p, (1, 0))),
+        ("character_exponent_table", lambda p: character_exponent_table(p, [(1, 0)])),
+        ("point_numerators", point_numerators),
+        ("points_to_csv", csv_text),
+        ("qmc_integrate", lambda p: qmc_integrate(p, "prod-exp")),
+    ],
+)
+def test_point_entries_need_net_points(entry, call):
+    # a list or iterator of the same points, an empty list or bare digit
+    # arrays: every point input but NetPoints is refused by name
+    pts = enumerate_points(_sym_net(2, 1))
+    for other in (list(pts), iter(pts), [], pts.digit_arrays()):
+        with pytest.raises(TypeError, match=f"^{entry} needs the net points of enumerate_points"):
+            call(other)
 
 
 def test_qmc_on_point_sets_matches_the_symmetrized_net():

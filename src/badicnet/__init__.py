@@ -49,14 +49,12 @@ from .dual import (
     dual_contains,
     dual_enumerate_below,
     mu2,
-    mu2_total,
     rho2_min_weight,
 )
 from .discrepancy import (
     DiscrepancyResult,
     l2_star,
     linf_star,
-    local_discrepancy,
     lp_star,
     truncation_bound,
 )

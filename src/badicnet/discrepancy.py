@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
 from .nets import PointSet2
+
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
@@ -37,22 +37,6 @@ class DiscrepancyResult:
     method: str
     error_bound: float
     exact: Fraction | None = None
-
-
-def local_discrepancy(ps: PointSet2, t: Sequence) -> Fraction:
-    """count([0,t) cap P)/N - t1*t2, exact."""
-    t1, t2 = Fraction(t[0]), Fraction(t[1])
-    if not (0 <= t1 <= 1 and 0 <= t2 <= 1):
-        raise ValueError("box corner outside the unit square")
-    N = ps.n_points
-    if N == 0:
-        raise ValueError("empty point set")
-    D = ps.den
-    cnt = 0
-    for a, c in ps.nums:
-        if int(a) * t1.denominator < t1.numerator * D and int(c) * t2.denominator < t2.numerator * D:
-            cnt += 1
-    return Fraction(cnt, N) - t1 * t2
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,6 @@ def mu2(k: int, base: int) -> WeightProfile:
     return WeightProfile(k, pos, w)
 
 
-def mu2_total(ks: Sequence[int], base: int) -> int:
-    return sum(mu2(int(k), base).mu2 for k in ks)
-
-
 @dataclass(frozen=True)
 class Rho2Result:
     """Outcome of the bounded minimum-weight search over the dual."""

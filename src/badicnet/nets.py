@@ -108,10 +108,7 @@ def _index_digits(base: int, m: int, rows: slice = slice(None)) -> np.ndarray:
     """(b^m, m) array of index digit expansions, least significant first,
     or its rows for the indices in the slice rows."""
     idx = np.arange(*rows.indices(base**m), dtype=np.int64)
-    out = np.empty((len(idx), m), dtype=np.int64)
-    for c in range(m):
-        out[:, c] = (idx // base**c) % base
-    return out
+    return idx[:, None] // base ** np.arange(m, dtype=np.int64) % base
 
 
 def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +127,7 @@ def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.n
     if net.tail_rows is not None:
         cols.append(np.stack(net.tail_rows, axis=1))
     prod = (_index_digits(b, m, rows).astype(np.float64) @ np.hstack(cols).astype(np.float64)).astype(np.int64)
-    prod %= b
+    prod -= prod // b * b  # prod %= b, but numpy divides int64 by a scalar much faster than it takes the remainder
     digits = prod[:, : s * n].reshape(-1, s, n)
     tails = prod[:, s * n :] if net.tail_rows is not None else np.zeros((len(prod), s), dtype=np.int64)
     return digits, tails
@@ -288,12 +285,8 @@ def hammersley_matrices(base: int, m: int, n: int | None = None) -> DigitalNet:
         n = m
     if n < m:
         raise ValueError("need n >= m to keep all index digits")
-    C1 = np.zeros((n, m), dtype=np.int64)
-    C2 = np.zeros((n, m), dtype=np.int64)
-    for i in range(m):
-        C1[i, i] = 1
-        C2[i, m - 1 - i] = 1
-    return DigitalNet(base, (C1, C2))
+    C = np.eye(n, m, dtype=np.int64)
+    return DigitalNet(base, (C, C[:, ::-1]))
 
 
 def symmetrize_matrices(net: DigitalNet) -> DigitalNet:
@@ -304,77 +297,36 @@ def symmetrize_matrices(net: DigitalNet) -> DigitalNet:
     columns, so the enlarged net enumerates z + e_l for every original
     point z and every l in Z_b^s.
     """
-    b, s, n, m = net.base, net.s, net.n, net.m
-    mats = []
-    tails = []
-    for j, C in enumerate(net.matrices):
-        E = np.zeros((n, s), dtype=np.int64)
-        E[:, j] = 1
-        mats.append(np.hstack([C, E]))
-        told = net.tail_rows[j] if net.tail_rows is not None else np.zeros(m, dtype=np.int64)
-        tnew = np.zeros(s, dtype=np.int64)
-        tnew[j] = 1
-        tails.append(np.concatenate([told, tnew]))
-    return DigitalNet(b, tuple(mats), tuple(tails), sym_columns=net.sym_columns + s)
+    s, n = net.s, net.n
+    E = np.eye(s, dtype=np.int64)
+    mats = np.concatenate([np.stack(net.matrices), np.broadcast_to(E[:, None], (s, n, s))], axis=2)
+    told = np.stack(net.tail_rows) if net.tail_rows is not None else np.zeros((s, net.m), dtype=np.int64)
+    return DigitalNet(net.base, tuple(mats), tuple(np.hstack([told, E])), sym_columns=net.sym_columns + s)
 
 
 def truncated_sym_hammersley(base: int, m: int, n: int) -> DigitalNet:
     """Symmetrized Hammersley net cut off after n digit rows.
 
-    Matrices are n x (m+2); the two appended columns are all ones in
-    rows 1..n for their own coordinate and nothing is carried past row n
-    (genuine truncation, unlike symmetrize_matrices).
+    The n x (m+2) matrices of symmetrize_matrices(hammersley_matrices(base,
+    m, n)) without its tail rows: the two appended columns are all ones
+    in rows 1..n for their own coordinate and nothing is carried past
+    row n (genuine truncation).
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
     if n < m + 2:
         raise ValueError("truncation too short: need n >= m + 2")
-    C1 = np.zeros((n, m + 2), dtype=np.int64)
-    C2 = np.zeros((n, m + 2), dtype=np.int64)
-    for i in range(m):
-        C1[i, i] = 1
-        C2[i, m - 1 - i] = 1
-    C1[:, m] = 1
-    C2[:, m + 1] = 1
-    return DigitalNet(base, (C1, C2))
-
-
-def _check_family(base: int, m: int) -> None:
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if m < 1:
-        raise ValueError("need m >= 1")
+    return DigitalNet(base, symmetrize_matrices(hammersley_matrices(base, m, n)).matrices)
 
 
 def sym_hammersley_points(base: int, m: int) -> PointSet2:
-    """Exact closed form of the symmetrized Hammersley point set.
-
-    For index digits (a_1, ..., a_{m+2}):
-      x = sum_{i<=m} ((a_i + a_{m+1}) mod b) b^-i  +  a_{m+1} / (b^m (b-1))
-      y = same with reversed digits and a_{m+2}.
-    The trailing term is the value of the constant digit tail.
-    """
-    b = base
-    _check_family(b, m)
-    a = _index_digits(b, m + 2)
-    powers = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    xs = ((a[:, :m] + a[:, [m]]) % b) @ powers
-    ys = ((a[:, m - 1 :: -1] + a[:, [m + 1]]) % b) @ powers
-    den = b**m * (b - 1)
-    nums = np.stack([xs * (b - 1) + a[:, m], ys * (b - 1) + a[:, m + 1]], axis=1)
-    if den > _INT64_SAFE_DEN:
-        nums = nums.astype(object)
-    return PointSet2(nums, den)
+    """Symmetrized Hammersley point set: to_point_set of the symmetrized
+    Hammersley matrices, b^(m+2) points over den b^m (b - 1)."""
+    return to_point_set(symmetrize_matrices(hammersley_matrices(base, m)))
 
 
 def hammersley_point_set(base: int, m: int) -> PointSet2:
-    """Exact closed form of the plain Hammersley point set."""
-    b = base
-    _check_family(b, m)
-    a = _index_digits(b, m)
-    powers = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    nums = np.stack([a @ powers, a[:, ::-1] @ powers], axis=1)
-    return PointSet2(nums, b**m)
+    """Plain Hammersley point set: to_point_set of hammersley_matrices,
+    b^m points over den b^m (b - 1)."""
+    return to_point_set(hammersley_matrices(base, m))
 
 
 # ---------------------------------------------------------------------------

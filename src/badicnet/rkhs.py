@@ -43,9 +43,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import int_digits
+from .badic import frequency_digits, int_digits, minimal_precision
 from .nets import _ROW_BLOCK, DigitalNet, NetPoints, PointSet2, point_digit_arrays, point_numerators, require_net_points
-from .walsh import character_exponent_table, compensated_sum, walsh_eval
+from .walsh import UnityExponent, _exponents, character_exponent_table, compensated_sum
 from . import dual as dualmod
 
 
@@ -316,19 +316,16 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
     The point multiset meant here is the image of the net's points; for
     a net built by symmetrize_matrices the dual membership test already
     encodes the digit-sum constraint of the symmetrization, so no extra
-    filtering is needed.  Band-limited kernels are summed exactly
-    (tail_bound 0).  Diagonal kernels are summed over dual frequencies
-    of weight sum(a1(k_j)) at most cap (default n); everything heavier,
-    dual or not, is absorbed into tail_bound via geometric series, so
-    |direct - spectral| <= tail_bound always holds.
+    filtering is needed.  Band-limited kernels are summed exactly over
+    the dual_scan of their frequency box (tail_bound 0).  Diagonal
+    kernels are summed over dual frequencies of weight sum(a1(k_j)) at
+    most cap (default n); everything heavier, dual or not, is absorbed
+    into tail_bound via geometric series, so |direct - spectral| <=
+    tail_bound always holds.
     """
     if isinstance(kernel, BandLimitedKernel):
-        box = kernel.box
-        t = np.arange(kernel.size)
-        image = np.zeros((kernel.size, net.m), dtype=np.int64)
-        for j in range(net.s):
-            image += dualmod.image_table(net, j, kernel.k_digits)[(t // box**j) % box]
-        idx = np.flatnonzero(np.all(image % net.base == 0, axis=1))[1:]  # t = 0 is the origin
+        flat = sorted(_tuple_to_flat(ks, kernel.box) for ks in dualmod.dual_scan(net, kernel.k_digits))
+        idx = np.array(flat[1:], dtype=np.int64)  # flat index 0 is the origin
         val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if len(idx) else 0j
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ArithmeticError("squared error came out non-real")
@@ -416,6 +413,29 @@ class IntegrationResult:
         return abs(self.value - self.exact)
 
 
+def _canonical_digits(rows: list[list[int]], den: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, s, n) digits and (N, s) tails of the canonical base-b
+    expansions of the values num/den at one precision n, the
+    minimal_precision of g/den with g the gcd of den and every numerator.
+    Over b^n (b - 1), a numerator's tail is num mod (b - 1) and its digits
+    are those of num div (b - 1); the value 1 is all digits b - 1 with
+    tail b - 1, as in section_sigma.
+    """
+    b = base
+    flat = [x for row in rows for x in row]
+    if min(flat) < 0 or max(flat) > den:
+        raise ValueError("unsupported expansion: x outside [0, 1]")
+    g = math.gcd(den, *flat)
+    n = minimal_precision(Fraction(g, den), b)
+    top = b**n * (b - 1)
+    nums = np.array(rows, dtype=object) // g * (top // (den // g))
+    digits = nums[..., None] // (b - 1) // np.array([b**e for e in range(n - 1, -1, -1)], dtype=object) % b
+    tails = nums % (b - 1)
+    one = nums == top
+    digits[one], tails[one] = b - 1, b - 1
+    return digits.astype(np.int64), tails.astype(np.int64)
+
+
 def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> IntegrationResult:
     """Equal-weight cubature of a few built-in integrands with known value,
     over a PointSet2 or net points, shifted or not.
@@ -424,6 +444,9 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
       prod-quadratic   prod_j (x_j^2 + c), exact (1/3 + c)^s   (param c, default 0)
       prod-exp         prod_j exp(x_j),    exact (e - 1)^s
       walsh            wal_k(x),           exact 1 if k = 0 else 0 (param k: tuple)
+
+    The walsh integrand reads the canonical digits of every coordinate
+    from the numerators, as arrays.
     """
     if isinstance(points, PointSet2):
         nums, den = points.nums, points.den
@@ -451,8 +474,14 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
         base = params.get("base")
         if base is None:
             raise ValueError("walsh integrand needs the base")
-        vals = [math.prod((walsh_eval(kj, Fraction(x, den), base) for kj, x in zip(k, row)), start=complex(1.0))
-                for row in rows]
+        if base < 2:
+            raise ValueError("base must be >= 2")
+        digits, tails = _canonical_digits(rows, den, base)
+        # one frequency per coordinate, so that E[:, j] is coordinate j's exponent
+        ks = [tuple(kj if i == j else 0 for i in range(s)) for j, kj in enumerate(k)]
+        roots = [UnityExponent(base, r).value for r in range(base)]
+        E = _exponents(digits, tails, frequency_digits(ks, base, s, digits.shape[-1]), base)
+        vals = [math.prod((roots[e] for e in row), start=complex(1.0)) for row in E.tolist()]
         exact = complex(1.0) if all(int(v) == 0 for v in k) else complex(0.0)
     else:
         raise ValueError(f"unknown integrand {integrand!r}")

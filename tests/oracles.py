@@ -3,9 +3,10 @@
 The library takes points only as NetPoints and computes on their digit
 arrays.  The functions here work on GElement and GVector digit vectors,
 one point, coordinate or pair at a time, as the definitions read; the
-tests compare the array paths against them.  Also here: the random nets
-the property tests draw, the guard that fails a call building point
-objects, and the CSV helpers.
+tests compare the array paths against them.  Also here: the closed forms
+of the two Hammersley point sets, the local discrepancy and the mu2 sum
+of a frequency vector, the random nets the property tests draw, the
+guard that fails a call building point objects, and the CSV helpers.
 """
 
 import io
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from badicnet import DigitalNet, points_to_csv, symmetrize_matrices
+from badicnet import DigitalNet, PointSet2, mu2, points_to_csv, symmetrize_matrices
 from badicnet.badic import GElement, GVector, first_nonzero_position, g_add, g_sub, project_pi
 from badicnet.rkhs import BandLimitedKernel, SpectralDiagonalKernel, _first_positions, _phi_table
 from badicnet.walsh import UnityExponent, character
@@ -75,6 +76,52 @@ def draw_shift(base: int, s: int, precision: int, rng) -> GVector:
     digit vector with a zero tail."""
     digits = rng.integers(0, base, size=(s, precision)).tolist()
     return GVector(tuple(GElement(base, tuple(row), 0) for row in digits))
+
+
+# ---------------------------------------------------------------------------
+# Hammersley closed forms, local discrepancy and weights
+
+
+def _index_digit_rows(base: int, m: int) -> np.ndarray:
+    """(b^m, m) index digits, least significant first, in index order."""
+    idx = np.arange(base**m, dtype=np.int64)
+    return np.stack([(idx // base**c) % base for c in range(m)], axis=1)
+
+
+def hammersley_closed_form(base: int, m: int) -> PointSet2:
+    """Plain Hammersley point set from its closed form: index digits
+    (a_1, ..., a_m) give x = sum a_i b^-i and y the same digits reversed,
+    over b^m."""
+    a = _index_digit_rows(base, m)
+    powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return PointSet2(np.stack([a @ powers, a[:, ::-1] @ powers], axis=1), base**m)
+
+
+def sym_hammersley_closed_form(base: int, m: int) -> PointSet2:
+    """Symmetrized Hammersley point set from its closed form, over
+    b^m (b - 1).  For index digits (a_1, ..., a_{m+2}):
+      x = sum_{i<=m} ((a_i + a_{m+1}) mod b) b^-i  +  a_{m+1} / (b^m (b-1))
+      y = same with reversed digits and a_{m+2}.
+    """
+    b = base
+    a = _index_digit_rows(b, m + 2)
+    powers = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    xs = ((a[:, :m] + a[:, [m]]) % b) @ powers
+    ys = ((a[:, m - 1 :: -1] + a[:, [m + 1]]) % b) @ powers
+    return PointSet2(np.stack([xs * (b - 1) + a[:, m], ys * (b - 1) + a[:, m + 1]], axis=1), b**m * (b - 1))
+
+
+def local_discrepancy(ps: PointSet2, t) -> Fraction:
+    """count([0,t) cap P)/N - t1*t2, exact, one point at a time."""
+    t1, t2 = Fraction(t[0]), Fraction(t[1])
+    x1, x2 = t1 * ps.den, t2 * ps.den
+    count = sum(1 for a, c in ps.nums.tolist() if a < x1 and c < x2)
+    return Fraction(count, ps.n_points) - t1 * t2
+
+
+def mu2_total(ks, base: int) -> int:
+    """Sum of mu2 over the components of a frequency vector."""
+    return sum(mu2(int(k), base).mu2 for k in ks)
 
 
 # ---------------------------------------------------------------------------

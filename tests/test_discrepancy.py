@@ -17,7 +17,6 @@ from badicnet import (
     hammersley_point_set,
     l2_star,
     linf_star,
-    local_discrepancy,
     lp_star,
     sym_hammersley_points,
     to_point_set,
@@ -26,6 +25,7 @@ from badicnet import (
 )
 from badicnet import discrepancy
 from badicnet.discrepancy import _lp_even_exact, _lp_quadrature
+from oracles import local_discrepancy
 
 
 def _grid(vals):

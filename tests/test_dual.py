@@ -13,7 +13,6 @@ from badicnet import (
     enumerate_points,
     hammersley_matrices,
     mu2,
-    mu2_total,
     rho2_min_weight,
     symmetrize_matrices,
     truncated_sym_hammersley,
@@ -24,7 +23,7 @@ from badicnet import walsh
 from badicnet.dual import dual_members
 from badicnet.nets import DigitalNet
 from badicnet.walsh import character_sums
-from oracles import character_vec, digital_nets
+from oracles import character_vec, digital_nets, mu2_total
 
 
 def _k_image(net, j, k):

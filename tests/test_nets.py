@@ -25,7 +25,17 @@ from badicnet import (
 )
 from badicnet.badic import GElement, GVector
 from badicnet.nets import NetPoints, point_digit_arrays
-from oracles import csv_text, digital_nets, gv_add, gv_pi, no_point_objects, per_point_csv, symmetrize_points
+from oracles import (
+    csv_text,
+    digital_nets,
+    gv_add,
+    gv_pi,
+    hammersley_closed_form,
+    no_point_objects,
+    per_point_csv,
+    sym_hammersley_closed_form,
+    symmetrize_points,
+)
 
 
 def frac_pairs(points):
@@ -127,10 +137,19 @@ def test_truncated_points_approximate_exact_symmetrization():
 
 
 def test_closed_form_matches_matrix_symmetrization():
-    for b, m in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
-        closed = Counter(sym_hammersley_points(b, m).fractions())
-        generated = frac_pairs(enumerate_points(symmetrize_matrices(hammersley_matrices(b, m))))
-        assert closed == generated
+    # the closed forms of the two families against the generating matrices,
+    # as exact multisets, for every m with N <= 2^12
+    for b in (2, 3, 5, 7):
+        for family, closed_form, extra in (
+            (hammersley_point_set, hammersley_closed_form, 0),
+            (sym_hammersley_points, sym_hammersley_closed_form, 2),
+        ):
+            m = 1
+            while b ** (m + extra) <= 1 << 12:
+                got = family(b, m)
+                assert got.den == b**m * (b - 1)
+                assert Counter(got.fractions()) == Counter(closed_form(b, m).fractions()), (family.__name__, b, m)
+                m += 1
 
 
 def test_symmetrized_set_touches_the_right_endpoint():
@@ -140,9 +159,11 @@ def test_symmetrized_set_touches_the_right_endpoint():
 
 
 def test_hammersley_point_set_closed_form():
-    assert sorted(hammersley_point_set(2, 2).fractions()) == sorted(
-        to_point_set(hammersley_matrices(2, 2)).fractions()
-    )
+    F = Fraction
+    assert sorted(hammersley_point_set(2, 2).fractions()) == [(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)), (F(3, 4), F(3, 4))]
+    ps = hammersley_point_set(3, 2)
+    assert ps.den == 18
+    assert ps.fractions()[1:4] == [(F(1, 3), F(1, 9)), (F(2, 3), F(2, 9)), (F(1, 9), F(1, 3))]
 
 
 def test_net_closed_under_digit_addition():

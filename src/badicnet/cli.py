@@ -29,11 +29,9 @@ from .nets import (
     dumps_compact,
     enumerate_points,
     hammersley_matrices,
-    hammersley_point_set,
     net_from_json,
     net_to_json,
     points_to_csv,
-    sym_hammersley_points,
     symmetrize_matrices,
     to_point_set,
     truncated_sym_hammersley,
@@ -248,13 +246,12 @@ class _Skipped:
     ops: int
 
 
-def _write_study(args, header: str, rows, worker, label="m={}".format) -> list:
-    """Compute every row, then write the CSV; return the rows written.
+def _write_study(args, header: str, rows, results, label="m={}".format) -> list:
+    """Write the CSV of the computed rows; return the results written.
 
     Rows that come back _Skipped are left out of the CSV with a warning
     on stderr that states the estimate and the cap.
     """
-    results = [worker(r) for r in rows]
     written = []
     with _out_stream(args.out) as fh:
         fh.write("# schema=1\n")
@@ -269,29 +266,33 @@ def _write_study(args, header: str, rows, worker, label="m={}".format) -> list:
 
 
 def cmd_study_discrepancy(args) -> int:
+    """One row per (kind, m, p).  The guard reads N from the matrices, so a
+    skipped (kind, m) builds no point set, and the others build theirs
+    once for all p."""
     kinds = args.kinds.split(",")
     ps = [int(p) if p.lstrip("+-").isdigit() else float(p) for p in args.p.split(",")]
-    rows = [(kind, m, p) for kind in kinds for m in _parse_m_range(args.m_range) for p in ps]
-
-    def worker(row):
-        kind, m, p = row
-        if kind == "hammersley":
-            pts = hammersley_point_set(args.base, m)
-        elif kind == "sym-hammersley":
-            pts = sym_hammersley_points(args.base, m)
-        else:
+    ms = _parse_m_range(args.m_range)
+    rows, results = [], []
+    for kind in kinds:
+        if kind not in ("hammersley", "sym-hammersley"):
             raise ValueError(f"unknown study kind {kind!r}")
-        N = pts.n_points
-        if N * N > args.max_ops:
-            return _Skipped(N * N)
-        res = l2_star(pts) if p == 2 else lp_star(pts, p)
-        # log_b N: m digits for Hammersley, m+2 after symmetrization
-        logn = m if kind == "hammersley" else m + 2
-        scaled = res.value * N / math.sqrt(logn)
-        return (kind, args.base, m, N, p, res.method, res.value, res.error_bound, scaled)
+        for m in ms:
+            net = _net_by_kind(kind, args.base, m, None)
+            N = net.n_points
+            rows += [(kind, m, p) for p in ps]
+            if N * N > args.max_ops:
+                results += [_Skipped(N * N)] * len(ps)
+                continue
+            pts = to_point_set(net)
+            # log_b N: m digits for Hammersley, m+2 after symmetrization
+            logn = m if kind == "hammersley" else m + 2
+            for p in ps:
+                res = l2_star(pts) if p == 2 else lp_star(pts, p)
+                scaled = res.value * N / math.sqrt(logn)
+                results.append((kind, args.base, m, N, p, res.method, res.value, res.error_bound, scaled))
 
     header = "kind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn"
-    _write_study(args, header, rows, worker, str)
+    _write_study(args, header, rows, results, str)
     return 0
 
 
@@ -322,17 +323,20 @@ def cmd_study_wce(args) -> int:
         )
 
     header = "base,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail"
-    written = _write_study(args, header, _parse_m_range(args.m_range), worker)
+    ms = _parse_m_range(args.m_range)
+    written = _write_study(args, header, ms, [worker(m) for m in ms])
     return 0 if all(row[-1] for row in written) else 1
 
 
 def cmd_study_convergence(args) -> int:
     def worker(m):
-        ham = hammersley_point_set(args.base, m)
-        sym = sym_hammersley_points(args.base, m)
-        N = max(ham.n_points, sym.n_points)
+        # the guard reads N from the matrices, before any point set is built
+        ham_net = hammersley_matrices(args.base, m)
+        sym_net = symmetrize_matrices(ham_net)
+        N = max(ham_net.n_points, sym_net.n_points)
         if N * N > args.max_ops:
             return _Skipped(N * N)
+        ham, sym = to_point_set(ham_net), to_point_set(sym_net)
         l2h = l2_star(ham).value
         l2s = l2_star(sym).value
         return (
@@ -347,7 +351,8 @@ def cmd_study_convergence(args) -> int:
         )
 
     header = "base,m,N_ham,l2_ham,ham_n_over_logn,N_sym,l2_sym,sym_n_over_sqrt_logn"
-    _write_study(args, header, _parse_m_range(args.m_range), worker)
+    ms = _parse_m_range(args.m_range)
+    _write_study(args, header, ms, [worker(m) for m in ms])
     return 0
 
 

@@ -27,11 +27,12 @@ kernel is
 
 in O(N s n) from the unshifted digit arrays, read a block of rows at a
 time (J. Dick and F. Pillichshammer, Digital Nets and Sequences,
-Cambridge University Press, 2010).  A band-limited kernel takes the
-Walsh table of the points.  The spectral route takes the dual frequencies
-from dual.dual_scan, which joins the image tables of the last two
-coordinates on integer row keys and hands the hits back in
-lexicographic order, so the compensated sum adds them in a fixed order.
+Cambridge University Press, 2010).  A band-limited kernel only needs
+u_k = sum_{x in P} W_k(x) for the k in its box, which are the exact
+character sums of walsh.character_sums.  The spectral route takes the
+dual frequencies from dual.dual_scan.  Sums over the points and over
+the dual hits of a diagonal kernel are math.fsum, which is correctly
+rounded, so they do not depend on the order of their terms.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .badic import frequency_digits, int_digits, minimal_precision
 from .nets import _ROW_BLOCK, DigitalNet, NetPoints, PointSet2, point_digit_arrays, point_numerators, require_net_points
-from .walsh import UnityExponent, _exponents, character_exponent_table, compensated_sum
+from .walsh import UnityExponent, _exponents, character_sums
 from . import dual as dualmod
 
 
@@ -89,7 +90,7 @@ class BandLimitedKernel:
     coeffs[t, u] is the coefficient at the frequency pair indexed by
     t and u; component j of index t is (t // box^j) % box with
     box = base^k_digits.  The matrix must be Hermitian positive
-    semidefinite, which holds for anything built by from_gram.
+    semidefinite, which holds for anything built by random.
     """
 
     base: int
@@ -119,11 +120,6 @@ class BandLimitedKernel:
 
     def frequency(self, t: int) -> tuple[int, ...]:
         return tuple((t // self.box**j) % self.box for j in range(self.s))
-
-    @classmethod
-    def from_gram(cls, base: int, s: int, k_digits: int, gram: np.ndarray) -> "BandLimitedKernel":
-        V = np.asarray(gram, dtype=complex)
-        return cls(base, s, k_digits, V @ V.conj().T)
 
     @classmethod
     def random(cls, base: int, s: int, k_digits: int, rank: int, rng) -> "BandLimitedKernel":
@@ -227,18 +223,6 @@ def ds_invariant_coeffs(kernel):
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
-
-
-def _walsh_table(points: NetPoints, kernel: BandLimitedKernel) -> np.ndarray:
-    """W[i, t] = W_k(points[i]) for the t-th flat frequency k, complex."""
-    if points.net.base != kernel.base:
-        raise ValueError("incompatible elements: base mismatch")
-    E = character_exponent_table(points, [kernel.frequency(t) for t in range(kernel.size)])
-    return np.exp(2j * math.pi * E / kernel.base)
-
-
-# ---------------------------------------------------------------------------
 # worst-case error, direct route
 
 
@@ -250,12 +234,16 @@ def wce_direct(points: NetPoints, kernel) -> WceResult:
     """Three-term squared worst-case error from the net points, shifted
     or not.
 
-    A diagonal kernel takes the group identity, N terms; a band-limited
-    kernel takes the Walsh table of the points, N^2 terms_used.
+    A diagonal kernel takes the group identity, N terms.  A band-limited
+    kernel takes u_k = sum_x W_k(x) for every k in its box, the values of
+    the exact character sums, and reports N^2 terms_used.
     """
     N = len(require_net_points(points, "wce_direct"))
     if isinstance(kernel, BandLimitedKernel):
-        u = _walsh_table(points, kernel).sum(axis=0)
+        if points.net.base != kernel.base:
+            raise ValueError("incompatible elements: base mismatch")
+        sums = character_sums(points, [kernel.frequency(t) for t in range(kernel.size)])
+        u = np.array([cs.value for cs in sums])
         term1 = complex(kernel.coeffs[0, 0])
         col = kernel.coeffs[:, 0]
         row = kernel.coeffs[0, :]
@@ -340,7 +328,7 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
         if count > max_candidates:
             raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
         hits = [ks for ks in dualmod.dual_scan(net, cap, weighted=True) if any(ks)]
-        value = compensated_sum(complex(kernel.r(ks)) for ks in hits).real
+        value = math.fsum(kernel.r(ks) for ks in hits)
         return WceResult(value, "spectral", _diag_tail(kernel, cap), len(hits))
     raise TypeError("unknown kernel type")
 
@@ -446,7 +434,8 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
       walsh            wal_k(x),           exact 1 if k = 0 else 0 (param k: tuple)
 
     The walsh integrand reads the canonical digits of every coordinate
-    from the numerators, as arrays.
+    from the numerators, as arrays.  The estimate is the mean of the row
+    values, real and imaginary parts each summed by math.fsum.
     """
     if isinstance(points, PointSet2):
         nums, den = points.nums, points.den
@@ -485,5 +474,5 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
         exact = complex(1.0) if all(int(v) == 0 for v in k) else complex(0.0)
     else:
         raise ValueError(f"unknown integrand {integrand!r}")
-    est = compensated_sum(vals) / N
+    est = complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)) / N
     return IntegrationResult(integrand, est, exact, N)

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -137,8 +137,10 @@ class CharacterSum:
 
     @property
     def value(self) -> complex:
+        """sum(counts[r] * omega^r), real and imaginary parts each one
+        math.fsum, correctly rounded."""
         vals = [UnityExponent(self.base, r).value * c for r, c in enumerate(self.counts) if c]
-        return compensated_sum(vals)
+        return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
     def equals_int(self, t: int) -> bool:
         c = list(self.counts)
@@ -177,33 +179,6 @@ def character_sums(points: NetPoints, ks: Sequence[Sequence[int]]) -> list[Chara
         for r in range(b):
             counts[lo : lo + step, r] = (E == r).sum(axis=0)
     return [CharacterSum(b, tuple(c)) for c in counts.tolist()]
-
-
-def compensated_sum(values: Iterable[complex]) -> complex:
-    """Neumaier summation on real and imaginary parts.
-
-    Reordering the input moves the result by at most about 1e-12 relative
-    to the magnitude sum, which is the reproducibility contract callers
-    rely on.
-    """
-    sr = si = 0.0
-    cr = ci = 0.0
-    for v in values:
-        x = float(v.real)
-        t = sr + x
-        if abs(sr) >= abs(x):
-            cr += (sr - t) + x
-        else:
-            cr += (x - t) + sr
-        sr = t
-        y = float(v.imag)
-        t = si + y
-        if abs(si) >= abs(y):
-            ci += (si - t) + y
-        else:
-            ci += (y - t) + si
-        si = t
-    return complex(sr + cr, si + ci)
 
 
 def character_exponent_table(points: NetPoints, ks: Sequence[Sequence[int]]) -> np.ndarray:

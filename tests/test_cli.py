@@ -277,6 +277,55 @@ def test_study_skip_warnings_state_cost_and_cap(capsys):
         assert [l for l in out.splitlines() if not l.startswith("#")][1:] == []
 
 
+def _patch_point_sets(monkeypatch, to_point_set):
+    # the library builds a study's point sets through to_point_set, from the
+    # cli module or from nets.hammersley_point_set and nets.sym_hammersley_points
+    import badicnet.cli
+    import badicnet.nets
+
+    monkeypatch.setattr(badicnet.cli, "to_point_set", to_point_set)
+    monkeypatch.setattr(badicnet.nets, "to_point_set", to_point_set)
+
+
+def test_skipped_study_rows_build_no_point_set(capsys, monkeypatch):
+    def refuse(net):
+        raise AssertionError("a skipped row built a point set")
+
+    _patch_point_sets(monkeypatch, refuse)
+    code, out, err = run(
+        capsys, "study", "discrepancy", "--base", "2", "--m-range", "19:19", "--p", "1,2,4",
+        "--kinds", "sym-hammersley",
+    )
+    assert code == 0
+    assert err == "".join(
+        f"warning: skipped ('sym-hammersley', 19, {p}): N^2 = {2**42} over --max-ops {1 << 28}\n" for p in (1, 2, 4)
+    )
+    assert out == "# schema=1\nkind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn\n"
+    code, out, err = run(capsys, "study", "convergence", "--base", "2", "--m-range", "20:20")
+    assert code == 0
+    assert err == f"warning: skipped m=20: N^2 = {2**44} over --max-ops {1 << 28}\n"
+
+
+def test_study_builds_each_point_set_once(capsys, monkeypatch):
+    from badicnet.nets import to_point_set
+
+    built = []
+
+    def counted(net):
+        built.append((net.n, net.m, tuple(C.tobytes() for C in net.matrices)))
+        return to_point_set(net)
+
+    _patch_point_sets(monkeypatch, counted)
+    code, out, _ = run(
+        capsys, "study", "discrepancy", "--base", "2", "--m-range", "1:3", "--p", "1,2,inf",
+    )
+    assert code == 0 and len(out.splitlines()) == 2 + 2 * 3 * 3
+    assert len(built) == len(set(built)) == 2 * 3  # one per (kind, m)
+    built.clear()
+    code, _, _ = run(capsys, "study", "convergence", "--base", "3", "--m-range", "1:2")
+    assert code == 0 and len(built) == 2 * 2
+
+
 def test_degenerate_families_exit_two(capsys):
     # m = 0 and base 1 are parameter errors, not failed verifications
     for base, m_range, message in (("2", "0:1", "need m >= 1"), ("1", "1:1", "base must be >= 2")):

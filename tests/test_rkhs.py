@@ -37,7 +37,7 @@ from badicnet.badic import g_add, project_pi
 from badicnet.dual import dual_scan
 from badicnet.nets import point_numerators
 from badicnet.rkhs import _digit_negate, _weighted_box_count
-from badicnet.walsh import character_exponent_table, character_sums, compensated_sum
+from badicnet.walsh import character_exponent_table, character_sums
 from oracles import (
     csv_text,
     diag_pair_sum,
@@ -219,6 +219,39 @@ def test_direct_within_tail_of_spectral_for_diagonal():
     assert t8 < t4
 
 
+def test_diagonal_spectral_is_the_fsum_of_its_hits_in_any_order():
+    net = _sym_net(3, 2, 5)
+    kern = SpectralDiagonalKernel(3, 2, 0.9, (1.0, 0.7))
+    hits = [ks for ks in dual_scan(net, 4, weighted=True) if any(ks)]
+    np.random.default_rng(0).shuffle(hits)
+    res = wce_spectral(net, kern, cap=4)
+    assert res.terms_used == len(hits) > 0
+    assert res.value == math.fsum(kern.r(ks) for ks in hits)
+
+
+def test_band_limited_direct_memory_is_bounded():
+    # a complex N x T table of the Walsh values took a 160 MB traced peak
+    # here (N = 4096, T = 1024); the character sums count residues in chunks
+    net = _sym_net(2, 10)
+    kern = BandLimitedKernel.random(2, 2, 5, 2, np.random.default_rng(1))
+    pts = enumerate_points(net)
+    tracemalloc.start()
+    try:
+        res = wce_direct(pts, kern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.terms_used == net.n_points**2
+    assert abs(res.value - wce_spectral(net, kern).value) < 1e-10
+    assert peak < 40 * 2**20
+
+
+def test_band_limited_direct_rejects_a_base_mismatch():
+    kern = BandLimitedKernel.random(2, 2, 1, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="incompatible elements: base mismatch"):
+        wce_direct(enumerate_points(_sym_net(3, 1)), kern)
+
+
 def test_spectral_validates_inputs():
     net = _sym_net(2, 1, 4)
     kern = SpectralDiagonalKernel(2, 2, 1.0, (1.0, 1.0))
@@ -330,11 +363,11 @@ def spectral_by_candidates(net, kernel, cap=None):
         return (0.0 if val.real < 0 else val.real), len(members) ** 2
     cap = net.n if cap is None else cap
     parts = [
-        complex(kernel.r(ks))
+        kernel.r(ks)
         for ks in weighted_box(kernel.base, net.s, cap)
         if any(ks) and dual_contains(net, ks)
     ]
-    return compensated_sum(parts).real, len(parts)
+    return math.fsum(parts), len(parts)
 
 
 def diagonal_kernels(b, s):
@@ -462,7 +495,7 @@ def qmc_by_fraction_rows(points, integrand, **params):
                 v *= walsh_eval(kj, x, params["base"])
             vals.append(v)
         exact = complex(1.0) if not any(params["k"]) else complex(0.0)
-    return compensated_sum(vals) / len(rows), exact
+    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)) / len(rows), exact
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Character values, Walsh functions, and exact character sums."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,6 @@ from badicnet import (
 )
 from badicnet.walsh import (
     character_exponent_table,
-    compensated_sum,
     cyclotomic_coeffs,
 )
 from oracles import character_vec
@@ -115,13 +115,15 @@ def test_character_sum_over_points_counts_residues():
     assert cs.is_zero()
 
 
-def test_compensated_sum_matches_fsum():
-    import math
-
-    vals = [complex(1e16, 1.0), complex(1.0, -1e16), complex(-1e16, 1e16), complex(3.0, 7.0)]
-    out = compensated_sum(vals)
-    assert out.real == math.fsum(v.real for v in vals)
-    assert out.imag == math.fsum(v.imag for v in vals)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda b: st.lists(st.integers(0, 10**12), min_size=b, max_size=b)))
+def test_character_sum_value_is_the_fsum_of_its_terms(counts):
+    b = len(counts)
+    terms = [UnityExponent(b, r).value * c for r, c in enumerate(counts)]
+    terms.reverse()  # a correctly rounded sum does not depend on the order
+    value = CharacterSum(b, tuple(counts)).value
+    assert value.real == math.fsum(t.real for t in terms)
+    assert value.imag == math.fsum(t.imag for t in terms)
 
 
 def test_exponent_table_matches_scalar_characters():

@@ -7,6 +7,7 @@ Exit codes: 0 success / checks passed, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -360,7 +361,11 @@ def cmd_study_convergence(args) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and kept: parsing
+    leaves it unchanged, so repeated main(argv) calls in one process share
+    it."""
     p = argparse.ArgumentParser(prog="badicnet", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 

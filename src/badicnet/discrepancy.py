@@ -43,9 +43,24 @@ class DiscrepancyResult:
 # L2 by the closed pair formula, summed by a dominance sweep
 
 
+def _peak(a: np.ndarray) -> int:
+    """max |a_i|, as a Python int (0 for an empty array)."""
+    return max(-int(a.min()), int(a.max())) if len(a) else 0
+
+
 def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
-    """sum_i x_i y_i in Python ints, whatever the dtypes."""
+    """sum_i x_i y_i, exact: in int64 when neither array is object dtype
+    and max|x| max|y| N < 2^63, which bounds every partial sum; in Python
+    ints past that."""
+    if x.dtype != object and y.dtype != object and _peak(x) * _peak(y) * len(x) < 1 << 63:
+        return int(np.dot(x, y))
     return int(np.dot(x.astype(object), y.astype(object)))
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """Integers >= 0 in the narrowest unsigned dtype that holds them
+    (object past 2^64): numpy's stable sort is a radix sort up to 16 bits."""
+    return a.astype(np.min_scalar_type(int(a.max())))
 
 
 def _dominance_sums(r: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,29 +68,29 @@ def _dominance_sums(r: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     r holds integer ranks >= 0.  A pair with r_i < r_k is counted at the
     highest bit where the ranks differ, where r_i has a 0 and r_k a 1 under
-    a common prefix.  So each bit costs one stable sort by prefix plus
-    prefix sums inside every prefix group: O(N log N) per bit, no Python
-    loop over points.  The sums keep the dtype of w.
+    a common prefix.  So each bit costs one stable sort by prefix, a radix
+    sort while the ranks fit in 16 bits; in that order a point with a 1
+    counts the 0s before it in its prefix group, which are the 0s before it
+    less the 0s of all lower prefixes, and sums their weights from one
+    running sum over the 0s.  O(N) per bit besides the sort, no Python loop
+    over points.  The sums keep the dtype of w.
     """
     N = r.shape[0]
+    r = _narrow(r)
     cnt = np.zeros(N, dtype=np.int64)
     tot = np.zeros(N, dtype=w.dtype)
     for bit in reversed(range(int(r.max()).bit_length())):
-        prefix = r >> (bit + 1)
-        order = np.argsort(prefix, kind="stable")  # index order inside a group
-        keys = prefix[order]
-        starts = np.concatenate(([True], keys[1:] != keys[:-1]))
-        group = np.cumsum(starts) - 1
-        low = ((r[order] >> bit) & 1) == 0
-        wl = np.where(low, w[order], 0)
-        c = np.cumsum(low)
-        s = np.cumsum(wl)
-        # inclusive sums minus the sums just before the group's first point
-        c -= (c - low)[starts][group]
-        s -= (s - wl)[starts][group]
-        high = ~low
-        cnt[order[high]] += c[high]
-        tot[order[high]] += s[high]
+        key = r >> bit  # prefix, then the bit
+        order = np.argsort(key >> 1, kind="stable")  # index order inside a group
+        ones = (key[order] & 1) == 1
+        high = np.flatnonzero(ones)
+        zeros_before = high - np.arange(len(high))
+        per_key = np.bincount(key)
+        lower = np.cumsum(per_key[0::2]) - per_key[0::2]  # 0s under each lower prefix
+        group_zeros = lower[key[order[high]] >> 1]
+        running = np.concatenate(([0], np.cumsum(w[order[~ones]])))
+        cnt[order[high]] += zeros_before - group_zeros
+        tot[order[high]] += running[zeros_before] - running[group_zeros]
     return cnt, tot
 
 
@@ -84,9 +99,13 @@ def _pair_min_sum(u: np.ndarray, v: np.ndarray) -> int:
 
     Sorted by u descending, an earlier point i has min(u_i, u_k) = u_k, and
     sum_{i<k} min(v_i, v_k) splits into the v_i below v_k plus v_k times
-    the count of the rest; the dominance sweep gives both.
+    the count of the rest; the dominance sweep gives both.  Its sums, and
+    the sums of v before the dots, are at most N max|v| in absolute value:
+    they run in int64 while that is below 2^63 and in Python ints past it.
     """
-    order = np.argsort(-u, kind="stable")
+    if v.dtype != object and len(v) * _peak(v) >= 1 << 63:
+        v = v.astype(object)
+    order = np.argsort(_narrow(u.max() - u), kind="stable")
     u, v = u[order], v[order]
     ranks = np.unique(v, return_inverse=True)[1]
     below, below_sum = _dominance_sums(ranks, v)
@@ -101,17 +120,26 @@ def l2_star(ps: PointSet2) -> DiscrepancyResult:
     L2^2 = 1/9 - 2/N sum_x prod_j (1-x_j^2)/2 + 1/N^2 sum_{x,y} prod_j (1 - max(x_j, y_j))
     evaluated in integer arithmetic over the common denominator.  The pair
     sum runs as a dominance sweep in O(N log^2 N) (the planar case of
-    S. Heinrich, Math. Comp. 65 (1996)); its partial sums stay in int64
-    while N D <= 2^62 and move to Python ints past that.
+    S. Heinrich, Math. Comp. 65 (1996)), whose per-bit sorts are radix
+    sorts while at most 2^16 distinct y values occur.  Each step stays in
+    int64 while its own bound holds, and only a step past it moves to
+    Python ints: a dot over N terms while max|x| max|y| N < 2^63, which
+    for numerators in [0, D] is N D^4 < 2^63 for the first sum and
+    N^2 D^2 < 2^63 for the pair sum; the sweep's sums while N D < 2^63.
+    Object numerators take Python ints throughout.
     """
     N = ps.n_points
     if N == 0:
         raise ValueError("empty point set")
     D = ps.den
-    x, y = ps.nums[:, 0].astype(object), ps.nums[:, 1].astype(object)
+    top = max(D, _peak(ps.nums))
+    # D - x, and the sort key made from it, stay in int64 while top < 2^61
+    wide = ps.nums.dtype == object or top >= 1 << 61
+    x, y = ps.nums.astype(object if wide else np.int64, copy=False).T
+    s3 = _pair_min_sum(D - x, D - y)
+    if top >= 1 << 31:  # D^2 - x^2 would leave int64
+        x, y = x.astype(object), y.astype(object)
     s2 = _exact_dot(D * D - x * x, D * D - y * y)
-    dtype = np.int64 if ps.nums.dtype != object and N * D <= (1 << 62) else object
-    s3 = _pair_min_sum((D - x).astype(dtype), (D - y).astype(dtype))
     l2sq = Fraction(1, 9) - Fraction(s2, 2 * N * D**4) + Fraction(s3, N * N * D * D)
     value = math.sqrt(l2sq)
     return DiscrepancyResult(2.0, value, "warnock", 1e-14 * max(value, 1.0), l2sq)

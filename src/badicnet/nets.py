@@ -27,7 +27,9 @@ _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
 _FLOAT64_EXACT = 1 << 53  # integers below this are exact in float64
 # net point rows per block of digit arrays (numerators, the diagonal-kernel
 # group sum), of GVectors when iterating and of CSV rows per write: larger
-# blocks raised the peak RSS
+# blocks raised the peak RSS.  point_digit_arrays builds its two half-index
+# tables anew for each block: min(b^h, block) low rows and about
+# block / b^h + 1 high rows, h = ceil(m/2)
 _ROW_BLOCK = 1024
 
 
@@ -104,21 +106,38 @@ class DigitalNet:
         return self.base**self.m
 
 
-def _index_digits(base: int, m: int, rows: slice = slice(None)) -> np.ndarray:
-    """(b^m, m) array of index digit expansions, least significant first,
-    or its rows for the indices in the slice rows."""
-    idx = np.arange(*rows.indices(base**m), dtype=np.int64)
-    return idx[:, None] // base ** np.arange(m, dtype=np.int64) % base
+def _half_rows(base: int, part: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
+    """Rows (digits of v) @ weights mod b for the half indices v of part.
+
+    They are read from a table over min(part) .. max(part) when that range
+    is no longer than part, else computed for part itself.  Each entry of
+    the float64 product is an integer of at most len(weights) (b - 1)^2,
+    exact below 2^53.
+    """
+    first, last = (int(part.min()), int(part.max())) if len(part) else (0, -1)
+    table = last - first < len(part)
+    values = np.arange(first, last + 1) if table else part
+    digits = values[:, None] // base ** np.arange(len(weights), dtype=np.int64) % base
+    prod = (digits.astype(np.float64) @ weights.astype(np.float64)).astype(np.int64)
+    prod -= prod // base * base  # prod %= b, but numpy divides int64 by a scalar much faster than it takes the remainder
+    prod = prod.astype(dtype)
+    return np.take(prod, part - first, axis=0) if table else prod
 
 
 def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Net points as digit arrays: (N, s, n) digits and (N, s) tails, all
     of them or those whose indices are in the slice rows.
 
-    Every digit and tail comes from one float64 product of the index
-    digits with all matrices and tail rows.  It is exact because each
-    entry is an integer of at most m (b - 1)^2, which must stay below
-    2^53; a net past that bound is a ValueError.
+    Every digit and tail is linear in the index digits, so the row of
+    index nu = nu_hi b^h + nu_lo, h = ceil(m/2), is the sum mod b of a row
+    read for the high digits nu_hi and one for the low digits nu_lo.  Two
+    tables of these rows, each over the half indices the slice reads (at
+    most about 2 b^(m/2) rows for a slice of the whole net), come from a
+    float64 product with the matrices and tail rows; the slice's rows are
+    then one gather-add and one conditional subtract in the narrowest
+    unsigned type that holds 2b - 2.  The product is exact because each of
+    its entries is an integer of at most m (b - 1)^2, which must stay
+    below 2^53; a net past that bound is a ValueError.
     """
     b, s, n, m = net.base, net.s, net.n, net.m
     if m * (b - 1) ** 2 >= _FLOAT64_EXACT:
@@ -126,8 +145,14 @@ def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.n
     cols = [C.T for C in net.matrices]
     if net.tail_rows is not None:
         cols.append(np.stack(net.tail_rows, axis=1))
-    prod = (_index_digits(b, m, rows).astype(np.float64) @ np.hstack(cols).astype(np.float64)).astype(np.int64)
-    prod -= prod // b * b  # prod %= b, but numpy divides int64 by a scalar much faster than it takes the remainder
+    weights = np.hstack(cols)  # (m, s n [+ s]): the row of index digit c is weights[c]
+    h = (m + 1) // 2
+    dtype = np.min_scalar_type(2 * b - 2)
+    hi, lo = np.divmod(np.arange(*rows.indices(b**m), dtype=np.int64), b**h)
+    prod = _half_rows(b, hi, weights[h:], dtype)
+    prod += _half_rows(b, lo, weights[:h], dtype)
+    prod -= (prod >= b) * dtype.type(b)
+    prod = prod.astype(np.int64)
     digits = prod[:, : s * n].reshape(-1, s, n)
     tails = prod[:, s * n :] if net.tail_rows is not None else np.zeros((len(prod), s), dtype=np.int64)
     return digits, tails
@@ -249,7 +274,7 @@ def _numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.nd
     den = b**n * (b - 1)
     dtype = np.int64 if den <= _INT64_SAFE_DEN else object
     weights = np.array([b**e for e in range(n - 1, -1, -1)], dtype=dtype)
-    nums = (digits.astype(dtype) @ weights) * (b - 1) + tails.astype(dtype)
+    nums = (digits.astype(dtype, copy=False) @ weights) * (b - 1) + tails.astype(dtype, copy=False)
     return nums, den
 
 

@@ -82,10 +82,11 @@ def draw_shift(base: int, s: int, precision: int, rng) -> GVector:
 # Hammersley closed forms, local discrepancy and weights
 
 
-def _index_digit_rows(base: int, m: int) -> np.ndarray:
-    """(b^m, m) index digits, least significant first, in index order."""
-    idx = np.arange(base**m, dtype=np.int64)
-    return np.stack([(idx // base**c) % base for c in range(m)], axis=1)
+def _index_digit_rows(base: int, m: int, idx=None) -> np.ndarray:
+    """(b^m, m) index digits, least significant first, in index order; or
+    the rows of the indices idx."""
+    idx = np.arange(base**m, dtype=np.int64) if idx is None else np.asarray(idx, dtype=np.int64)
+    return idx[:, None] // base ** np.arange(m, dtype=np.int64) % base
 
 
 def hammersley_closed_form(base: int, m: int) -> PointSet2:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -512,3 +513,46 @@ def test_no_point_object_on_any_cli_path(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert codes == [0] * len(commands), err
     assert [r.n_points for r in results] == [32, 32]
+
+
+def _fresh_run(argv, env):
+    """main(argv) in a new interpreter: exit code, stdout, stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = f"import sys; sys.path.insert(0, {src!r}); from badicnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_many_main_calls(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a run of calls through it,
+    # an argparse error and a default --out after an explicit one among
+    # them, gives what a new process gives for each call
+    from badicnet.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both processes
+    calls = [
+        ["net", "gen", "--kind", "hammersley", "--base", "2", "--m", "2", "--out", "{dir}/net.json"],
+        ["net", "gen", "--kind", "hammersley", "--base", "2", "--m", "2"],
+        ["study", "convergence", "--base", "3", "--m-range", "1:2"],
+        ["net", "gen", "--kind", "not-a-kind"],
+        ["verify", "dual", "--kind", "sym-hammersley", "--base", "2", "--m", "2", "--n", "4", "--kbound", "2"],
+        ["study", "discrepancy", "--base", "2", "--m-range", "2:2", "--kinds", "bogus"],
+        ["net", "points", "--kind", "sym-hammersley-truncated", "--base", "3", "--m", "1", "--out", "{dir}/points.csv"],
+        ["net", "points", "--kind", "sym-hammersley-truncated", "--base", "3", "--m", "1"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    got, want = [], []
+    for argv in calls:
+        try:
+            code = main([a.format(dir=here) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, *capsys.readouterr()))
+        want.append(_fresh_run([a.format(dir=fresh) for a in argv], dict(os.environ)))
+    assert [c for c, _, _ in got] == [0, 0, 0, 2, 0, 2, 0, 0]
+    assert got == want
+    for name in ("net.json", "points.csv"):
+        assert (here / name).read_text() == (fresh / name).read_text() != ""
+    assert build_parser() is build_parser()

@@ -5,6 +5,7 @@ in exact rational arithmetic, independently of the production formulas.
 """
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -332,6 +333,131 @@ def test_l2_dominance_sweep_on_larger_sets():
     for ps in (hammersley_point_set(3, 4), sym_hammersley_points(2, 5)):
         assert l2_star(ps).exact == pair_sum_l2sq(ps)
         assert lp_star(ps, 4).exact == cell_loop_lp_even(ps, 4)
+
+
+@st.composite
+def tied_point_sets(draw, max_points=300):
+    """Up to max_points points over a denominator drawn on both sides of
+    each int64 bound of l2_star: N D^4 < 2^63 (first sum), N^2 D^2 < 2^63
+    (pair sum), D < 2^31 and 2^61 (numerators), N D < 2^63 (sweep), and
+    past int64.  Coordinates come from a small pool that holds 0 and D
+    (ties, points on the upper faces) or at random, some points repeat
+    earlier ones, and the numerators are sometimes object dtype."""
+    den = draw(
+        st.one_of(
+            st.integers(1, 64),
+            st.integers(1 << 10, 1 << 16),
+            st.integers(1 << 20, 1 << 26),
+            st.integers(1 << 29, 1 << 33),
+            st.integers(1 << 52, (1 << 63) - 1),
+            st.integers(1 << 63, 1 << 70),
+        ),
+        label="den",
+    )
+    pool = draw(st.lists(st.integers(0, den), min_size=1, max_size=4), label="pool") + [0, den]
+    n = draw(st.integers(1, max_points), label="n")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    tie = draw(st.floats(0, 1), label="tie")
+    nums = []
+    for _ in range(n):
+        if nums and rng.random() < 0.1:
+            nums.append(rng.choice(nums))
+        else:
+            nums.append([rng.choice(pool) if rng.random() < tie else rng.randint(0, den) for _ in range(2)])
+    dtype = object if den >= 1 << 63 or draw(st.booleans(), label="object") else np.int64
+    return PointSet2(np.array(nums, dtype=dtype).reshape(n, 2), den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_point_sets())
+def test_l2_int64_sweep_matches_pair_sum_on_tied_sets(ps):
+    assert l2_star(ps).exact == pair_sum_l2sq(ps)
+
+
+class NumpySpy:
+    """Stands in for numpy in the discrepancy module: records the key
+    dtype of every argsort and the name of every numpy function that takes
+    or returns an object-dtype array."""
+
+    def __init__(self):
+        self.keys, self.object_calls = [], []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if not callable(fn) or isinstance(fn, (type, np.ufunc)):
+            return fn
+
+        def spied(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if name == "argsort":
+                self.keys.append(np.asarray(args[0]).dtype)
+            seen = (*args, *kwargs.values(), *(out if isinstance(out, tuple) else (out,)))
+            if any(isinstance(a, np.ndarray) and a.dtype == object for a in seen):
+                self.object_calls.append(name)
+            return out
+
+        return spied
+
+
+class SpiedArray(np.ndarray):
+    """Numerators that record every astype target and every object-dtype
+    array derived from them."""
+
+    casts: list = []
+    objects: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        SpiedArray.casts.append(np.dtype(dtype))
+        return super().astype(dtype, *args, **kwargs)
+
+    def __array_finalize__(self, obj):
+        if self.dtype == object:
+            SpiedArray.objects.append(self.shape)
+
+
+def _spied_l2(ps):
+    spy = NumpySpy()
+    SpiedArray.casts, SpiedArray.objects = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrepancy, "np", spy)
+        res = l2_star(PointSet2(ps.nums.view(SpiedArray), ps.den))
+    return res, spy
+
+
+def test_l2_fast_path_stays_in_int64_with_narrow_keys():
+    # pinned without timing: on the study sets no array leaves int64 and
+    # every sort is a radix sort on a key of at most 16 bits
+    for ps in (sym_hammersley_points(2, 10), hammersley_point_set(3, 6)):
+        res, spy = _spied_l2(ps)
+        assert res.exact == l2_star(ps).exact
+        assert spy.object_calls == [] and SpiedArray.objects == []
+        assert np.dtype(object) not in SpiedArray.casts
+        assert spy.keys and all(key.kind == "u" and key.itemsize <= 2 for key in spy.keys)
+    # past the int64 bound of the dots (D = 2^28, N = 1024) only the three
+    # dots move to Python ints, not the work per rank bit
+    _, spy = _spied_l2(to_point_set(truncated_sym_hammersley(2, 8, 28)))
+    assert spy.object_calls == ["dot"] * 3
+    # the spies see object arrays where there are some
+    den = (1 << 45) + 7
+    _, spy = _spied_l2(PointSet2(np.array([[1, den], [den // 3, 17]], dtype=object), den))
+    assert "dot" in spy.object_calls and SpiedArray.objects
+
+
+def test_l2_sweep_widens_its_key_past_2_16_ranks():
+    # 2^17 distinct y values need a 32-bit key; the Hammersley set's L_2
+    # is known exactly (Halton & Zaremba, Monatsh. Math. 73 (1969))
+    m = 17
+    res, spy = _spied_l2(hammersley_point_set(2, m))
+    assert np.dtype(np.uint32) in spy.keys
+    want = (
+        Fraction(m * m, 64)
+        + Fraction(29 * m, 192)
+        + Fraction(3, 8)
+        - Fraction(m, 2 ** (m + 4))
+        + Fraction(1, 2 ** (m + 2))
+        - Fraction(1, 72 * 4**m)
+    )
+    assert res.exact * 4**m == want
 
 
 # ---------------------------------------------------------------------------

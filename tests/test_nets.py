@@ -26,6 +26,7 @@ from badicnet import (
 from badicnet.badic import GElement, GVector
 from badicnet.nets import NetPoints, point_digit_arrays
 from oracles import (
+    _index_digit_rows,
     csv_text,
     digital_nets,
     gv_add,
@@ -246,14 +247,58 @@ def test_net_points_iterate_block_by_block():
     assert len(list(it)) == len(pts) - _ROW_BLOCK - 1
 
 
-def int64_digit_arrays(net):
-    """point_digit_arrays as it was: an int64 product per coordinate."""
-    nu = (np.arange(net.n_points)[:, None] // net.base ** np.arange(net.m)) % net.base
+def int64_digit_arrays(net, idx=None):
+    """point_digit_arrays as it was: an int64 product per coordinate of the
+    index digits, of every point or of the indices idx."""
+    nu = _index_digit_rows(net.base, net.m, idx)
     digits = np.stack([(nu @ C.T) % net.base for C in net.matrices], axis=1)
-    tails = np.zeros((net.n_points, net.s), dtype=np.int64)
+    tails = np.zeros((len(nu), net.s), dtype=np.int64)
     if net.tail_rows is not None:
         tails = np.stack([(nu @ t) % net.base for t in net.tail_rows], axis=1)
     return digits, tails
+
+
+@st.composite
+def nets_and_row_slices(draw):
+    """A random net over b in 2..7 with m in 0..9 index digits, with or
+    without tail rows, and a slice of its indices.  The slice starts near a
+    multiple of b^ceil(m/2), where point_digit_arrays changes the row of its
+    high table, and is short enough for the oracle at any N."""
+    b, m = draw(st.integers(2, 7), label="b"), draw(st.integers(0, 9), label="m")
+    s, n = draw(st.integers(1, 3), label="s"), draw(st.integers(1, 4), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    tails = list(rng.integers(0, b, size=(s, m))) if draw(st.booleans(), label="tails") else None
+    net = DigitalNet(b, tuple(rng.integers(0, b, size=(s, n, m))), tails)
+    N, half = b**m, b ** ((m + 1) // 2)
+    edge = half * draw(st.integers(0, N // half), label="edge")
+    lo = min(max(edge + draw(st.integers(-half - 2, half + 2), label="offset"), 0), N)
+    hi = min(lo + draw(st.integers(0, 3 * half + 5), label="length"), N)
+    step = draw(st.sampled_from([1, 1, 2, 3, -1]), label="step")
+    if step > 0:
+        rows = slice(lo, hi, step)
+    elif hi > lo:
+        rows = slice(hi - 1, lo - 1 if lo else None, -1)
+    else:
+        rows = slice(lo, lo)
+    if N <= 4096 and draw(st.booleans(), label="whole"):
+        rows = slice(None)
+    return net, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(nets_and_row_slices(), st.data())
+def test_half_index_tables_match_the_direct_product(net_rows, data):
+    net, rows = net_rows
+    idx = np.arange(*rows.indices(net.n_points))
+    want_digits, want_tails = int64_digit_arrays(net, idx)
+    digits, tails = point_digit_arrays(net, rows)
+    assert digits.dtype == tails.dtype == np.int64
+    assert digits.shape == (len(idx), net.s, net.n) and tails.shape == (len(idx), net.s)
+    assert np.array_equal(digits, want_digits) and np.array_equal(tails, want_tails)
+    shift = np.array(data.draw(st.lists(st.integers(0, net.base - 1), min_size=net.s * net.n, max_size=net.s * net.n), label="shift"))
+    shift = shift.reshape(net.s, net.n)
+    digits, tails = NetPoints(net, shift).digit_arrays(rows)
+    assert np.array_equal(digits, (want_digits + shift) % net.base) and np.array_equal(tails, want_tails)
 
 
 @settings(max_examples=80, deadline=None)

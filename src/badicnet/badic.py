@@ -64,15 +64,26 @@ def int_digits(k: int, base: int) -> tuple[int, ...]:
 def frequency_digits(ks: Sequence[Sequence[int]], base: int, s: int, depth: int) -> np.ndarray:
     """(T, s, d) int64 array of the int_digits of every component of T
     frequency vectors with s components each, zero padded to d digits:
-    depth, or more when a component needs them."""
+    depth, or more when a component needs them.
+
+    Digit i of every component is one floor division by b^i and one
+    remainder, over the whole (T, s) array at once: in int64 while every
+    component is below 2^63, in Python ints past that.  Components are
+    read with operator.index, as int_digits reads them.
+    """
+    if base < 2:
+        raise ValueError("base must be >= 2")
     if any(len(k) != s for k in ks):
         raise ValueError("incompatible elements: dimension mismatch")
-    expansions = [[int_digits(kj, base) for kj in k] for k in ks]
-    d = max([depth] + [len(e) for k in expansions for e in k])
-    out = np.zeros((len(ks), s, d), dtype=np.int64)
-    for t, k in enumerate(expansions):
-        for j, e in enumerate(k):
-            out[t, j, : len(e)] = e
+    flat = [operator.index(kj) for k in ks for kj in k]
+    if flat and min(flat) < 0:
+        raise ValueError("negative integer has no digit expansion here")
+    largest = max(flat, default=0)
+    top = len(int_digits(largest, base))
+    dtype = np.int64 if largest < 1 << 63 else object
+    powers = np.array([base**i for i in range(top)], dtype=dtype)  # each at most the largest component
+    out = np.zeros((len(ks), s, max(depth, top)), dtype=np.int64)
+    out[..., :top] = (np.array(flat, dtype=dtype).reshape(len(ks), s, 1) // powers % base).astype(np.int64)
     return out
 
 

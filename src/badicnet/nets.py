@@ -17,7 +17,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +27,8 @@ _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
 _FLOAT64_EXACT = 1 << 53  # integers below this are exact in float64
 # net point rows per block of digit arrays (numerators, the diagonal-kernel
 # group sum), of GVectors when iterating and of CSV rows per write: larger
-# blocks raised the peak RSS.  point_digit_arrays builds its two half-index
-# tables anew for each block: min(b^h, block) low rows and about
-# block / b^h + 1 high rows, h = ceil(m/2)
+# blocks raised the peak RSS.  The blocks of one point_digit_blocks call
+# share its two half-index tables
 _ROW_BLOCK = 1024
 
 
@@ -106,38 +105,47 @@ class DigitalNet:
         return self.base**self.m
 
 
-def _half_rows(base: int, part: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
-    """Rows (digits of v) @ weights mod b for the half indices v of part.
+def _half_rows(base: int, values: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
+    """Rows (digits of v) @ weights mod b for the half indices v in values.
 
-    They are read from a table over min(part) .. max(part) when that range
-    is no longer than part, else computed for part itself.  Each entry of
-    the float64 product is an integer of at most len(weights) (b - 1)^2,
-    exact below 2^53.
+    Each entry of the float64 product is an integer of at most
+    len(weights) (b - 1)^2, exact below 2^53.
     """
-    first, last = (int(part.min()), int(part.max())) if len(part) else (0, -1)
-    table = last - first < len(part)
-    values = np.arange(first, last + 1) if table else part
     digits = values[:, None] // base ** np.arange(len(weights), dtype=np.int64) % base
     prod = (digits.astype(np.float64) @ weights.astype(np.float64)).astype(np.int64)
     prod -= prod // base * base  # prod %= b, but numpy divides int64 by a scalar much faster than it takes the remainder
-    prod = prod.astype(dtype)
-    return np.take(prod, part - first, axis=0) if table else prod
+    return prod.astype(dtype)
 
 
-def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Net points as digit arrays: (N, s, n) digits and (N, s) tails, all
-    of them or those whose indices are in the slice rows.
+def _half_reader(base: int, first: int, last: int, reads: int, weights: np.ndarray, dtype):
+    """Function from an array of half indices in first..last to their
+    _half_rows.  When that range holds no more values than the reads to
+    come, the rows of the whole range are built once as a table and read
+    by gather; past that, each call computes the rows it is given."""
+    if last - first >= reads:
+        return lambda part: _half_rows(base, part, weights, dtype)
+    table = _half_rows(base, np.arange(first, last + 1), weights, dtype)
+    return lambda part: np.take(table, part - first, axis=0)
+
+
+def point_digit_blocks(net: DigitalNet, rows: slice = slice(None), block: int = _ROW_BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Net points as digit arrays, block rows at a time: (B, s, n) digits
+    and (B, s) tails of the points whose indices are in the slice rows, in
+    slice order, in at least one block (an empty one for an empty slice).
 
     Every digit and tail is linear in the index digits, so the row of
     index nu = nu_hi b^h + nu_lo, h = ceil(m/2), is the sum mod b of a row
-    read for the high digits nu_hi and one for the low digits nu_lo.  Two
-    tables of these rows, each over the half indices the slice reads (at
-    most about 2 b^(m/2) rows for a slice of the whole net), come from a
-    float64 product with the matrices and tail rows; the slice's rows are
-    then one gather-add and one conditional subtract in the narrowest
-    unsigned type that holds 2b - 2.  The product is exact because each of
-    its entries is an integer of at most m (b - 1)^2, which must stay
-    below 2^53; a net past that bound is a ValueError.
+    read for the high digits nu_hi and one for the low digits nu_lo.  The
+    two tables of these rows, each over the half indices the slice reads
+    (at most about 2 b^(m/2) rows for a slice of the whole net), are built
+    once, before the first block, from a float64 product with the matrices
+    and tail rows; a half whose index range is wider than the slice is
+    long computes its rows per block instead.  A block is then one
+    gather-add and one conditional subtract in the narrowest unsigned type
+    that holds 2b - 2.  The product is exact because each of its entries
+    is an integer of at most m (b - 1)^2, which must stay below 2^53; a
+    net past that bound is a ValueError, raised when the first block is
+    asked for.
     """
     b, s, n, m = net.base, net.s, net.n, net.m
     if m * (b - 1) ** 2 >= _FLOAT64_EXACT:
@@ -147,15 +155,31 @@ def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.n
         cols.append(np.stack(net.tail_rows, axis=1))
     weights = np.hstack(cols)  # (m, s n [+ s]): the row of index digit c is weights[c]
     h = (m + 1) // 2
+    half = b**h
     dtype = np.min_scalar_type(2 * b - 2)
-    hi, lo = np.divmod(np.arange(*rows.indices(b**m), dtype=np.int64), b**h)
-    prod = _half_rows(b, hi, weights[h:], dtype)
-    prod += _half_rows(b, lo, weights[:h], dtype)
-    prod -= (prod >= b) * dtype.type(b)
-    prod = prod.astype(np.int64)
-    digits = prod[:, : s * n].reshape(-1, s, n)
-    tails = prod[:, s * n :] if net.tail_rows is not None else np.zeros((len(prod), s), dtype=np.int64)
-    return digits, tails
+    index = range(*rows.indices(b**m))
+    ends = sorted((index[0], index[-1])) if index else (0, 0)
+    hi_first, hi_last = ends[0] // half, ends[1] // half
+    lo_first, lo_last = (ends[0] % half, ends[1] % half) if hi_first == hi_last else (0, half - 1)
+    hi_rows = _half_reader(b, hi_first, hi_last, len(index), weights[h:], dtype)
+    lo_rows = _half_reader(b, lo_first, lo_last, len(index), weights[:h], dtype)
+    for start in range(0, max(len(index), 1), block):
+        part = index[start : start + block]
+        hi, lo = np.divmod(np.arange(part.start, part.stop, part.step, dtype=np.int64), half)
+        prod = hi_rows(hi)
+        prod += lo_rows(lo)
+        prod -= (prod >= b) * dtype.type(b)
+        prod = prod.astype(np.int64)
+        digits = prod[:, : s * n].reshape(-1, s, n)
+        tails = prod[:, s * n :] if net.tail_rows is not None else np.zeros((len(prod), s), dtype=np.int64)
+        yield digits, tails
+
+
+def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Net points as digit arrays: (N, s, n) digits and (N, s) tails, all
+    of them or those whose indices are in the slice rows.  They are the
+    one block of point_digit_blocks over the slice."""
+    return next(point_digit_blocks(net, rows, max(len(range(*rows.indices(net.n_points))), 1)))
 
 
 class NetPoints(Sequence[GVector]):
@@ -165,9 +189,9 @@ class NetPoints(Sequence[GVector]):
 
     It holds the net and an optional digital shift ((s, n) digits, zero
     tail), and is never empty.  digit_arrays() gives the points as
-    arrays.  Indexing and iteration build GVector objects from the digit
-    arrays of the rows asked for, _ROW_BLOCK rows at a time when
-    iterating, and keep none.
+    arrays, digit_blocks() the same _ROW_BLOCK rows at a time.  Indexing
+    and iteration build GVector objects from the digit arrays of the rows
+    asked for, a block at a time when iterating, and keep none.
     """
 
     def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
@@ -179,24 +203,32 @@ class NetPoints(Sequence[GVector]):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self._vectors(i)
+            return self._vectors(*self.digit_arrays(i))
         N = len(self)
         i = operator.index(i)
         if not -N <= i < N:
             raise IndexError("net point index out of range")
-        return self._vectors(slice(i % N, i % N + 1))[0]
+        return self._vectors(*self.digit_arrays(slice(i % N, i % N + 1)))[0]
 
     def __iter__(self):
-        for lo in range(0, len(self), _ROW_BLOCK):
-            yield from self._vectors(slice(lo, lo + _ROW_BLOCK))
+        for digits, tails in self.digit_blocks():
+            yield from self._vectors(digits, tails)
+
+    def _shifted(self, digits: np.ndarray) -> np.ndarray:
+        return digits if self.shift is None else (digits + self.shift) % self.net.base
 
     def digit_arrays(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(N, s, n) digits and (N, s) tails, as point_digit_arrays, shift added."""
         digits, tails = point_digit_arrays(self.net, rows)
-        return (digits if self.shift is None else (digits + self.shift) % self.net.base), tails
+        return self._shifted(digits), tails
 
-    def _vectors(self, rows: slice) -> list[GVector]:
-        digits, tails = self.digit_arrays(rows)
+    def digit_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The digit arrays of every point, _ROW_BLOCK rows at a time, as
+        point_digit_blocks, shift added."""
+        for digits, tails in point_digit_blocks(self.net):
+            yield self._shifted(digits), tails
+
+    def _vectors(self, digits: np.ndarray, tails: np.ndarray) -> list[GVector]:
         b = self.net.base
         return [
             GVector(tuple(GElement(b, tuple(d), t) for d, t in zip(point, tail)))
@@ -280,10 +312,10 @@ def _numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.nd
 
 def point_numerators(points: NetPoints) -> tuple[np.ndarray, int]:
     """(N, s) numerators of net points over one den, as _numerators.  The
-    digit arrays are read _ROW_BLOCK rows at a time, so no (N, s, n)
-    array is held."""
+    digit arrays are read from digit_blocks, so no (N, s, n) array is
+    held."""
     b = require_net_points(points, "point_numerators").net.base
-    blocks = [_numerators(*points.digit_arrays(slice(lo, lo + _ROW_BLOCK)), b) for lo in range(0, len(points), _ROW_BLOCK)]
+    blocks = [_numerators(digits, tails, b) for digits, tails in points.digit_blocks()]
     return np.concatenate([nums for nums, _ in blocks]), blocks[0][1]
 
 
@@ -418,26 +450,27 @@ def net_from_json(text: str) -> DigitalNet:
 def points_to_csv(points: NetPoints, stream) -> None:
     """Exact p/q columns next to decimal columns, one row per net point.
 
-    The cells come from the (N, s) numerators of point_numerators.  Each
-    coordinate's distinct values are formatted once (a symmetrized net
-    repeats each value at least b^(s-1) times) and the rows are assembled from
-    them by lookup, _ROW_BLOCK rows per write.  Each value num/den is
-    reduced by gcd(num, den), so the cells do not depend on the number n
-    of the net's digit rows, and its decimal is the correctly rounded
-    quotient: int64 numerators and den <= 2^40 are exact in float64, and
-    Python ints divide exactly rounded too.
+    The cells come from the (N, s) numerators of point_numerators.  One
+    np.unique over all N s numerators finds the distinct values, and each
+    is formatted once and shared by every coordinate that holds it (a
+    symmetrized net repeats each value at least b^(s-1) times within a
+    coordinate, and its coordinates share their values).  The rows are
+    assembled from the cells by lookup, _ROW_BLOCK rows per write.  Each
+    value num/den is reduced by gcd(num, den), so the cells do not depend
+    on the number n of the net's digit rows, and its decimal is the
+    correctly rounded quotient: int64 numerators and den <= 2^40 are
+    exact in float64, and Python ints divide exactly rounded too.
     """
     nums, den = point_numerators(require_net_points(points, "points_to_csv"))
     stream.write("# schema=1\n")
     s = nums.shape[1]
     stream.write(",".join(f"x{j}_frac,x{j}" for j in range(1, s + 1)) + "\n")
-    columns = []
-    for j in range(s):
-        values, inverse = np.unique(nums[:, j], return_inverse=True)
-        g = np.gcd(values, den)
-        end = "," if j < s - 1 else "\n"
-        cells = [f"{p}/{q},{x!r}{end}" for p, q, x in zip((values // g).tolist(), (den // g).tolist(), (values / den).tolist())]
-        columns.append((np.array(cells, dtype=object), inverse))
+    values, inverse = np.unique(nums, return_inverse=True)
+    g = np.gcd(values, den)
+    cells = [f"{p}/{q},{x!r}" for p, q, x in zip((values // g).tolist(), (den // g).tolist(), (values / den).tolist())]
+    # cell k + U (U distinct values) is cell k closing its row
+    table = np.array([c + "," for c in cells] + [c + "\n" for c in cells], dtype=object)
+    keys = inverse.reshape(nums.shape)
+    keys[:, -1] += len(cells)
     for lo in range(0, len(nums), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        stream.write("".join(map("".join, zip(*(cells[inverse[rows]].tolist() for cells, inverse in columns)))))
+        stream.write("".join(table[keys[lo : lo + _ROW_BLOCK]].ravel().tolist()))

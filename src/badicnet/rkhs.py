@@ -45,7 +45,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .badic import frequency_digits, int_digits, minimal_precision
-from .nets import _ROW_BLOCK, DigitalNet, NetPoints, PointSet2, point_digit_arrays, point_numerators, require_net_points
+from .nets import DigitalNet, NetPoints, PointSet2, point_digit_blocks, point_numerators, require_net_points
 from .walsh import UnityExponent, _exponents, character_sums
 from . import dual as dualmod
 
@@ -184,6 +184,22 @@ class SpectralDiagonalKernel:
             out *= self.r1(int(k), j)
         return out
 
+    def r_rows(self, ks: np.ndarray) -> np.ndarray:
+        """r of every row of a (T, s) int64 or object array of frequencies,
+        bit for bit.  Each coordinate's r1 is gathered from a table over
+        digit levels a1 = 0, 1, ..., built by r1 itself at k = 0 and
+        k = b^(a1 - 1), and the factors are multiplied in coordinate order
+        from 1.0, as r does.  A component's level is the number of powers
+        b^0, b^1, ... at most k."""
+        b = self.base
+        levels = len(int_digits(int(ks.max()), b)) if ks.size else 0
+        powers = np.array([b**a for a in range(levels)], dtype=ks.dtype)  # each at most ks.max()
+        out = np.ones(len(ks))
+        for j in range(ks.shape[1]):
+            table = np.array([self.r1(0, j)] + [self.r1(b ** (a - 1), j) for a in range(1, levels + 1)])
+            out *= table[np.searchsorted(powers, ks[:, j], side="right")]
+        return out
+
     def phi(self, i0: int | None) -> float:
         """Per-coordinate series sum(b^(-2 alpha a1(k)) wal_k) at a point
         whose first nonzero digit sits at position i0 (None for 0)."""
@@ -235,8 +251,9 @@ def wce_direct(points: NetPoints, kernel) -> WceResult:
     or not.
 
     A diagonal kernel takes the group identity, N terms.  A band-limited
-    kernel takes u_k = sum_x W_k(x) for every k in its box, the values of
-    the exact character sums, and reports N^2 terms_used.
+    kernel takes u_k = sum_x W_k(x) for every one of the T frequencies k
+    in its box, the values of the exact character sums, and reports the
+    N T exponent entries counted into them as terms_used.
     """
     N = len(require_net_points(points, "wce_direct"))
     if isinstance(kernel, BandLimitedKernel):
@@ -253,7 +270,7 @@ def wce_direct(points: NetPoints, kernel) -> WceResult:
         if abs(e2c.imag) > 1e-9 * max(1.0, abs(e2c.real)):
             raise ArithmeticError("squared error came out non-real")
         val, cl = _clamped(e2c.real)
-        return WceResult(val, "direct", 0.0, N * N, cl)
+        return WceResult(val, "direct", 0.0, N * kernel.size, cl)
     if isinstance(kernel, SpectralDiagonalKernel):
         val, cl = _clamped(-1.0 + _diag_group_sum(points.net, kernel) / N)
         return WceResult(val, "direct", 0.0, N, cl)
@@ -276,15 +293,14 @@ def _first_positions(nonzero: np.ndarray, tail_nonzero: np.ndarray) -> np.ndarra
 def _diag_group_sum(net: DigitalNet, kernel: SpectralDiagonalKernel) -> float:
     """sum over the unshifted net points x of the diagonal kernel K(x, 0).
 
-    The digit arrays are read _ROW_BLOCK rows at a time and the products
-    of every block go into one math.fsum, which is correctly rounded, so
-    the sum does not depend on the blocks.
+    The digit arrays are read from point_digit_blocks and the products of
+    every block go into one math.fsum, which is correctly rounded, so the
+    sum does not depend on the blocks.
     """
     table = _phi_table(kernel, net.n)
 
     def products():
-        for lo in range(0, net.n_points, _ROW_BLOCK):
-            digits, tails = point_digit_arrays(net, slice(lo, lo + _ROW_BLOCK))
+        for digits, tails in point_digit_blocks(net):
             prod = np.ones(len(digits))
             for j in range(net.s):
                 pos = _first_positions(digits[:, j, :] != 0, tails[:, j] != 0)
@@ -327,9 +343,10 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
         count = _weighted_box_count(kernel.base, net.s, cap)
         if count > max_candidates:
             raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
-        hits = [ks for ks in dualmod.dual_scan(net, cap, weighted=True) if any(ks)]
-        value = math.fsum(kernel.r(ks) for ks in hits)
-        return WceResult(value, "spectral", _diag_tail(kernel, cap), len(hits))
+        # every component is below b^cap
+        scan = np.array(dualmod.dual_scan(net, cap, weighted=True), dtype=np.int64 if net.base**cap <= 1 << 63 else object)
+        hits = scan[(scan != 0).any(axis=1)]
+        return WceResult(math.fsum(kernel.r_rows(hits).tolist()), "spectral", _diag_tail(kernel, cap), len(hits))
     raise TypeError("unknown kernel type")
 
 
@@ -350,21 +367,25 @@ def _weighted_box_count(base: int, s: int, cap: int) -> int:
 
 
 def _diag_tail(kernel: SpectralDiagonalKernel, cap: int) -> float:
+    """Coefficient mass of every frequency of weight sum_j a1(k_j) above cap.
+
+    Coordinate j holds mass c_j q^a at digit level a >= 1, with
+    c_j = gamma_j (1 - 1/b), and so c_j q^a / (1 - q) at all levels from
+    a on.  Adding a coordinate, the mass above cap is the old mass above
+    cap times the coordinate's total, plus the mass at each weight w <= cap
+    times the coordinate's mass from level cap - w + 1 on.  Every term is
+    positive, so no digit is lost to cancellation, as it is in the total
+    less the mass under cap once that mass nears the total.
+    """
     b, q = kernel.base, kernel.q
-    level_mass = [1.0] + [0.0] * cap  # per-weight coefficient mass, truncated
-    total_all = 1.0
-    for j in range(kernel.s):
-        gj = kernel.gammas[j]
-        new = [0.0] * (cap + 1)
-        for w in range(cap + 1):
-            if level_mass[w]:
-                new[w] += level_mass[w]
-                for a in range(1, cap - w + 1):
-                    new[w + a] += level_mass[w] * gj * (1.0 - 1.0 / b) * q**a
-        level_mass = new
-        total_all *= 1.0 + gj * (1.0 - 1.0 / b) * q / (1.0 - q)
-    under = math.fsum(level_mass)
-    return max(total_all - under, 0.0)
+    level_mass = [1.0] + [0.0] * cap  # coefficient mass per weight up to cap
+    tail = 0.0
+    for gj in kernel.gammas:
+        c = gj * (1.0 - 1.0 / b)
+        above = c / (1.0 - q)  # times q^a: the mass at levels a and up
+        tail = tail * (1.0 + above * q) + math.fsum(mass * above * q ** (cap - w + 1) for w, mass in enumerate(level_mass))
+        level_mass = [level_mass[w] + math.fsum(level_mass[w - a] * c * q**a for a in range(1, w + 1)) for w in range(cap + 1)]
+    return tail
 
 
 def ms_wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates: int = dualmod.GUARD_DEFAULT) -> WceResult:

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from badicnet import (
+    DigitalNet,
     GElement,
     GVector,
     delta_digit_sum,
@@ -18,7 +20,8 @@ from badicnet import (
     project_pi,
     section_sigma,
 )
-from badicnet.badic import first_nonzero_position
+from badicnet.badic import first_nonzero_position, frequency_digits
+from badicnet.dual import dual_members
 from oracles import g_neg, gv_add, gv_sub
 
 
@@ -209,3 +212,47 @@ def test_digit_sum_additive_without_carries(b, k1, k2):
     shifted = k2 * b ** len(int_digits(k1, b))
     total = k1 + shifted
     assert delta_digit_sum(total, b) == delta_digit_sum(k1, b) + delta_digit_sum(shifted, b)
+
+
+def frequency_digits_by_int_digits(ks, base, s, depth):
+    """frequency_digits as it was: one int_digits per component, copied
+    into a zero array wide enough for the longest."""
+    expansions = [[int_digits(kj, base) for kj in k] for k in ks]
+    d = max([depth] + [len(e) for k in expansions for e in k])
+    out = np.zeros((len(ks), s, d), dtype=np.int64)
+    for t, k in enumerate(expansions):
+        for j, e in enumerate(k):
+            out[t, j, : len(e)] = e
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 11), st.integers(1, 3), st.integers(0, 12), st.data())
+def test_array_frequency_digits_match_int_digits(b, s, depth, data):
+    # components on both sides of 2^63, where the array switches to Python ints
+    component = st.one_of(st.integers(0, b**6), st.integers(2**63 - 3, 2**63 + 3), st.integers(0, 2**80))
+    ks = data.draw(st.lists(st.tuples(*[component] * s), max_size=6), label="ks")
+    got = frequency_digits(ks, b, s, depth)
+    want = frequency_digits_by_int_digits(ks, b, s, depth)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_frequency_digits_reject_what_int_digits_rejects():
+    with pytest.raises(ValueError, match="incompatible elements"):
+        frequency_digits([(1, 2), (3,)], 2, 2, 4)  # ragged
+    with pytest.raises(ValueError, match="incompatible elements"):
+        frequency_digits([(1, 2, 3)], 2, 2, 4)
+    with pytest.raises(ValueError, match="negative"):
+        frequency_digits([(1, -1)], 2, 2, 4)
+    with pytest.raises(ValueError, match="negative"):
+        frequency_digits([(0, -(2**70))], 3, 2, 4)
+    with pytest.raises(ValueError, match="base"):
+        frequency_digits([(1,)], 1, 1, 4)
+    with pytest.raises(TypeError):
+        frequency_digits([(1.5,)], 2, 1, 4)  # operator.index, as int_digits
+    # too deep for the net's digit rows: n = 3 rows hold k < 2^3
+    net = DigitalNet(2, (np.eye(3, 2, dtype=np.int64),))
+    assert dual_members(net, [(7,)]).shape == (1,)
+    with pytest.raises(ValueError, match="exceed matrix rows"):
+        dual_members(net, [(8,)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from badicnet import (
     DigitalNet,
@@ -23,8 +23,9 @@ from badicnet import (
     to_point_set,
     truncated_sym_hammersley,
 )
+from badicnet import nets as netsmod
 from badicnet.badic import GElement, GVector
-from badicnet.nets import NetPoints, point_digit_arrays
+from badicnet.nets import NetPoints, point_digit_arrays, point_digit_blocks
 from oracles import (
     _index_digit_rows,
     csv_text,
@@ -301,6 +302,37 @@ def test_half_index_tables_match_the_direct_product(net_rows, data):
     assert np.array_equal(digits, (want_digits + shift) % net.base) and np.array_equal(tails, want_tails)
 
 
+@settings(max_examples=150, deadline=None)
+@given(nets_and_row_slices(), st.integers(1, 40))
+def test_once_built_tables_give_point_digit_arrays_for_every_slice(net_rows, block):
+    net, rows = net_rows
+    idx = np.arange(*rows.indices(net.n_points))
+    want_digits, want_tails = int64_digit_arrays(net, idx)
+    blocks = list(point_digit_blocks(net, rows, block))
+    assert len(blocks) == max(-(-len(idx) // block), 1)
+    assert all(len(d) == len(t) == block for d, t in blocks[:-1])
+    digits = np.concatenate([d for d, _ in blocks])
+    tails = np.concatenate([t for _, t in blocks])
+    assert np.array_equal(digits, want_digits) and np.array_equal(tails, want_tails)
+    assert all(np.array_equal(a, b) for a, b in zip((digits, tails), point_digit_arrays(net, rows)))
+
+
+def test_digit_blocks_of_the_whole_net_build_two_tables(monkeypatch):
+    built = []
+    half_rows = netsmod._half_rows
+    monkeypatch.setattr(netsmod, "_half_rows", lambda *args: built.append(len(args[1])) or half_rows(*args))
+    net = symmetrize_matrices(hammersley_matrices(3, 6, 8))  # 3^8 points, 7 blocks
+    pts = enumerate_points(net)
+    blocks = list(pts.digit_blocks())
+    assert len(blocks) == 7 and built == [3**4, 3**4]  # one table per half index, each over every half index
+    digits, tails = int64_digit_arrays(net)
+    assert np.array_equal(np.concatenate([d for d, _ in blocks]), digits)
+    assert np.array_equal(np.concatenate([t for _, t in blocks]), tails)
+    built.clear()
+    point_digit_arrays(net, slice(5, 6))  # one point: two products of one row, no table
+    assert built == [1, 1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(digital_nets(), st.data())
 def test_float64_digit_arrays_match_the_int64_product(net, data):
@@ -385,6 +417,37 @@ def test_deduplicated_csv_matches_per_point_writer(net, distinct):
         blocks.setdefault(v, set()).add(i // _ROW_BLOCK)
     crosses = any(len(seen) > 1 for seen in blocks.values())  # a value repeats in another block
     assert crosses == (distinct < len(pts) > _ROW_BLOCK)
+
+
+@st.composite
+def net_points(draw):
+    """The points of a random net (s = 1..3), shifted or not."""
+    net = draw(digital_nets())
+    shift = draw(st.none() | st.lists(st.integers(0, net.base - 1), min_size=net.s * net.n, max_size=net.s * net.n), label="shift")
+    return NetPoints(net, None if shift is None else np.array(shift).reshape(net.s, net.n))
+
+
+# shifted so that x1 takes 1/2 and 3/4, x2 takes 0 and 1/4
+_DISJOINT = NetPoints(DigitalNet(2, (np.array([[0], [1]]), np.array([[0], [1]]))), np.array([[1, 0], [0, 0]]))
+_FOUR_COORDINATES = NetPoints(symmetrize_matrices(DigitalNet(2, tuple(np.array([[1, 0], [j % 2, 1]]) for j in range(4)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(net_points())
+@example(_DISJOINT)
+@example(_FOUR_COORDINATES)
+def test_points_csv_matches_per_point_writer(pts):
+    # one table of formatted values serves every coordinate, whether the
+    # coordinates share their values or not
+    with no_point_objects():
+        text = csv_text(pts)
+    assert text == per_point_csv(list(pts))
+
+
+def test_points_csv_examples_cover_disjoint_and_wide_nets():
+    nums, _ = netsmod.point_numerators(_DISJOINT)
+    assert not set(nums[:, 0].tolist()) & set(nums[:, 1].tolist())
+    assert _FOUR_COORDINATES.net.s == 4
 
 
 def test_point_set_past_int64_matches_projection():

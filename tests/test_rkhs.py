@@ -36,7 +36,7 @@ from badicnet import (
 from badicnet.badic import g_add, project_pi
 from badicnet.dual import dual_scan
 from badicnet.nets import point_numerators
-from badicnet.rkhs import _digit_negate, _weighted_box_count
+from badicnet.rkhs import _diag_tail, _digit_negate, _weighted_box_count
 from badicnet.walsh import character_exponent_table, character_sums
 from oracles import (
     csv_text,
@@ -229,6 +229,54 @@ def test_diagonal_spectral_is_the_fsum_of_its_hits_in_any_order():
     assert res.value == math.fsum(kern.r(ks) for ks in hits)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 4), st.data())
+def test_table_weights_equal_r_bit_for_bit(b, s, data):
+    kern = data.draw(diagonal_kernels(b, s), label="kernel")
+    # components past 2^63 make the frequency array an object array
+    component = st.one_of(st.integers(0, b**8), st.sampled_from([0, 1, b - 1, b, 2**63 - 1]), st.integers(0, 2**90))
+    ks = data.draw(st.lists(st.tuples(*[component] * s), min_size=1, max_size=20), label="ks")
+    big = max(max(k) for k in ks) >= 2**63
+    rows = np.array(ks, dtype=object if big else np.int64)
+    got = kern.r_rows(rows).tolist()
+    assert got == [kern.r(k) for k in ks]  # float ==: the same bits
+    assert kern.r_rows(rows[:0]).shape == (0,)
+
+
+def exact_diag_tail(kernel, cap):
+    """The mass above cap as the total less the mass under it, in Fractions
+    of the kernel's floats q and gamma_j: exact, whatever cancels."""
+    q = Fraction(kernel.q)
+    level_mass = [Fraction(1)] + [Fraction(0)] * cap
+    total = Fraction(1)
+    for g in kernel.gammas:
+        c = Fraction(g) * (1 - Fraction(1, kernel.base))
+        level_mass = [level_mass[w] + sum(level_mass[w - a] * c * q**a for a in range(1, w + 1)) for w in range(cap + 1)]
+        total *= 1 + c * q / (1 - q)
+    return total - sum(level_mass)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("base, gammas", [(2, (1.0, 1.0)), (3, (1.0, 0.7)), (5, (0.3,)), (2, (1.0, 0.5, 0.25))])
+def test_diag_tail_matches_the_exact_tail(alpha, base, gammas):
+    kern = SpectralDiagonalKernel(base, len(gammas), alpha, gammas)
+    for cap in range(1, 41 if len(gammas) < 3 else 21):
+        exact = exact_diag_tail(kern, cap)
+        assert exact > 0
+        # every term of the recursion is positive: a few roundings, relative
+        assert _diag_tail(kern, cap) == pytest.approx(float(exact), rel=1e-14, abs=0), cap
+
+
+def test_diag_tail_keeps_its_digits_where_the_difference_lost_them():
+    # alpha = 2: total less mass under cap read 2.2e-16 at cap 17 and 0.0 from 18 on
+    kern = SpectralDiagonalKernel(2, 2, 2.0, (1.0, 1.0))
+    assert _diag_tail(kern, 18) == pytest.approx(4.3899124698188584e-17, rel=1e-14)
+    assert _diag_tail(kern, 40) == pytest.approx(float(exact_diag_tail(kern, 40)), rel=1e-14)
+    # at alpha = 1 (q = 1/2) every mass is a short dyadic fraction: no rounding at all
+    kern = SpectralDiagonalKernel(2, 2, 1.0, (1.0, 1.0))
+    assert all(_diag_tail(kern, cap) == float(exact_diag_tail(kern, cap)) for cap in range(1, 41))
+
+
 def test_band_limited_direct_memory_is_bounded():
     # a complex N x T table of the Walsh values took a 160 MB traced peak
     # here (N = 4096, T = 1024); the character sums count residues in chunks
@@ -241,7 +289,7 @@ def test_band_limited_direct_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.terms_used == net.n_points**2
+    assert res.terms_used == net.n_points * kern.size  # N T exponent entries
     assert abs(res.value - wce_spectral(net, kern).value) < 1e-10
     assert peak < 40 * 2**20
 
@@ -536,7 +584,7 @@ def test_shifted_net_points_match_the_object_path(data):
     W = np.array([walsh_row(band, z) for z in oracle])
     pairs = W @ band.coeffs @ W.conj().T
     e2 = band.coeffs[0, 0] - 2 * (W @ band.coeffs[:, 0]).sum().real / N + pairs.sum() / (N * N)
-    assert got.terms_used == N * N
+    assert got.terms_used == N * band.size  # N T exponent entries
     assert got.value == pytest.approx(max(e2.real, 0.0), abs=1e-10)
     # the points themselves and their CSV
     assert csv_text(shifted) == per_point_csv(oracle)

@@ -234,8 +234,20 @@ def delta_digit_sum(k: int, base: int) -> int:
 
 
 def in_E(k: int, base: int) -> bool:
-    """True when the digit sum of k vanishes mod b."""
-    return delta_digit_sum(k, base) % base == 0
+    """True when the digit sum of k vanishes mod b: rows_in_E of the one
+    frequency (k,)."""
+    return bool(rows_in_E([(k,)], base)[0])
+
+
+def rows_in_E(ks: Sequence[Sequence[int]], base: int) -> np.ndarray:
+    """(T,) bool: True for the frequency vectors in ks, s components each,
+    whose every component has a digit sum that vanishes mod b.
+
+    The digit sums are one sum over the frequency_digits array, so
+    components past 2^63 are read exactly, as int_digits reads them.
+    """
+    s = len(ks[0]) if len(ks) else 0
+    return ~np.any(frequency_digits(ks, base, s, 0).sum(axis=2) % base, axis=1)
 
 
 @dataclass(frozen=True)

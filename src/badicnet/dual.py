@@ -297,40 +297,62 @@ def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int
 # linear-algebra certificates
 
 
-def rank_mod_p(rows: np.ndarray, p: int) -> int:
-    """Row rank over the field with p elements, by Gauss elimination."""
+def rank_mod_p(rows: np.ndarray, p: int) -> int | np.ndarray:
+    """Row ranks over the field with p elements, of one (r, c) matrix (an
+    int) or of every matrix of an (S, r, c) stack (an (S,) int64 array).
+
+    One Gauss-Jordan elimination runs over the whole stack, column by
+    column.  In each matrix the pivot is the first nonzero row at or below
+    its current rank; it moves up to that rank, is scaled by the inverse
+    of its entry, and clears its column in every other row.  The work is
+    in int64 while (p-1)^2 + (p-1) < 2^63, which bounds every product and
+    difference, and in Python ints past that, so no entry overflows.
+    """
     if not is_prime(p):
         raise ValueError("requires prime base")
-    a = np.array(rows, dtype=np.int64) % p
-    if a.size == 0:
-        return 0
-    r = 0
-    n_rows, n_cols = a.shape
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for i in range(n_rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        r += 1
-        if r == n_rows:
+    a = np.asarray(rows)
+    if a.ndim not in (2, 3):
+        raise ValueError("expected a matrix or a stack of matrices")
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    if a.dtype.kind not in "iuO":
+        a = a.astype(np.int64)
+    dtype = np.int64 if (p - 1) ** 2 + (p - 1) < 1 << 63 else object
+    a = (a % p).astype(dtype)
+    S, R, C = a.shape
+    rank = np.zeros(S, dtype=np.int64)
+    below = np.ones((S, R), dtype=bool)  # rows at or below each matrix's rank
+    for c in range(C):
+        if not below.any():
             break
-    return r
+        candidates = (a[:, :, c] != 0) & below
+        idx = np.flatnonzero(candidates.any(axis=1))
+        if not len(idx):
+            continue
+        top, piv = rank[idx], candidates[idx].argmax(axis=1)
+        row = a[idx, piv]
+        a[idx, piv] = a[idx, top]
+        row = row * _inverses(row[:, c, None], p) % p
+        a[idx] = (a[idx] - a[idx, :, c, None] * row[:, None, :]) % p
+        a[idx, top] = row
+        rank[idx] += 1
+        below[idx, top] = False
+    return int(rank[0]) if single else rank
 
 
-def _row(net: DigitalNet, j: int, l: int) -> np.ndarray:
-    """l-th digit row of coordinate j (1-based); zero beyond the stored rows."""
-    if l <= net.n:
-        return net.matrices[j][l - 1]
-    return np.zeros(net.m, dtype=np.int64)
+def _inverses(v: np.ndarray, p: int) -> np.ndarray:
+    """v^(p-2) mod p for an array of nonzero residues: their inverses
+    mod the prime p, by square and multiply over the array.  Every
+    product is of two residues, so it stays in v's dtype."""
+    out = np.ones_like(v)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * v % p
+        v = v * v % p
+        e >>= 1
+    return out
 
 
 def _selection(j: int, positions: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -340,9 +362,34 @@ def _selection(j: int, positions: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(j, l) for l in (*low, *positions[:1])]
 
 
-def _independent(net: DigitalNet, rows: list[tuple[int, int]]) -> bool:
-    """True when the selected rows (j, l) are linearly independent mod b."""
-    return rank_mod_p(np.array([_row(net, j, l) for j, l in rows]), net.base) == len(rows)
+_RANK_ENTRIES = 1 << 20  # stack entries per rank_mod_p call
+
+
+def _independent_chunks(net: DigitalNet, selections: list[list[tuple[int, int]]]):
+    """Per chunk of about _RANK_ENTRIES stack entries, a bool array that
+    is True where the selected rows (j, l) are linearly independent mod b.
+
+    Every selection is gathered from one (s, n+2, m) row table, in which
+    index l of coordinate j is digit row l (1-based) and indices 0 and
+    n+1 are zero rows: rows past n read n+1, since a row the matrix does
+    not store is zero, and each selection is padded to the longest with
+    zero rows, which leave its rank unchanged.
+    """
+    b, n = net.base, net.n
+    table = np.zeros((net.s, n + 2, net.m), dtype=np.int64)
+    table[:, 1 : n + 1] = net.matrices
+    width = max(map(len, selections), default=0)
+    step = max(1, _RANK_ENTRIES // max(1, width * net.m))
+    for lo in range(0, len(selections), step):
+        chunk = selections[lo : lo + step]
+        counts = np.array([len(rows) for rows in chunk], dtype=np.int64)
+        which = np.repeat(np.arange(len(chunk)), counts)
+        place = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts)
+        J = np.zeros((len(chunk), width), dtype=np.intp)
+        L = np.zeros((len(chunk), width), dtype=np.intp)
+        jl = np.array([pair for rows in chunk for pair in rows], dtype=np.intp).reshape(-1, 2)
+        J[which, place], L[which, place] = jl[:, 0], np.minimum(jl[:, 1], n + 1)
+        yield rank_mod_p(table[J, L], b) == counts
 
 
 @dataclass(frozen=True)
@@ -384,6 +431,8 @@ def check_independence_sets(net: DigitalNet) -> IndependenceReport:
       full-single  first m+1 rows of one matrix plus any single early row of the other
       deep-row     first r and m-r rows plus one row from the truncated band
       two-block    first r_2 rows plus row r_1 from each matrix, weight <= 2m+1
+
+    The selections of all four families are ranked together, as stacks.
     """
     b = net.base
     if not is_prime(b):
@@ -399,25 +448,28 @@ def check_independence_sets(net: DigitalNet) -> IndependenceReport:
     if n <= 2 * m:
         raise ValueError("need n > 2m digit rows")
 
-    def family(name: str, selections: list[tuple[str, list[tuple[int, int]]]]) -> FamilyReport:
-        fails = tuple(label for label, rows in selections if not _independent(net, rows))
-        return FamilyReport(name, len(selections), len(selections) - len(fails), fails)
-
     def head(j: int, r: int) -> list[tuple[int, int]]:
         return [(j, l) for l in range(1, r + 1)]
 
     twos = [pos for _, pos in _profiles(2 * m) if len(pos) == 2 and pos[0] <= m]
-    return IndependenceReport((
-        family("head-head", [(f"r={r}", head(0, r) + head(1, m + 1 - r)) for r in range(m + 2)]),
-        family("full-single", [(f"j={j + 1},r={r}", head(j, m + 1) + [(1 - j, r)]) for j in (0, 1) for r in range(1, m + 1)]),
-        family("deep-row", [
+    families = {
+        "head-head": [(f"r={r}", head(0, r) + head(1, m + 1 - r)) for r in range(m + 2)],
+        "full-single": [(f"j={j + 1},r={r}", head(j, m + 1) + [(1 - j, r)]) for j in (0, 1) for r in range(1, m + 1)],
+        "deep-row": [
             (f"j={j + 1},r={r},t={t}", head(0, r) + head(1, m - r) + [(j, t)])
             for j in (0, 1) for r in range(m + 1) for t in range(m + 1, n + 1)
-        ]),
-        family("two-block", [
+        ],
+        "two-block": [
             (f"{p + q}", _selection(0, p) + _selection(1, q)) for p in twos for q in twos if sum(p + q) <= 2 * m + 1
-        ]),
-    ))
+        ],
+    }
+    rows = [rows for selections in families.values() for _, rows in selections]
+    passed = iter(np.concatenate([np.ones(0, dtype=bool), *_independent_chunks(net, rows)]).tolist())
+    reports = []
+    for name, selections in families.items():  # each family takes its own run of the results
+        fails = tuple(label for label, _ in selections if not next(passed))
+        reports.append(FamilyReport(name, len(selections), len(selections) - len(fails), fails))
+    return IndependenceReport(tuple(reports))
 
 
 def certify_rho2_via_independence(net: DigitalNet, rho: int) -> bool:
@@ -438,9 +490,7 @@ def certify_rho2_via_independence(net: DigitalNet, rho: int) -> bool:
         raise ValueError("rho must lie in 1..2m for the row bound to apply")
 
     profiles = list(_profiles(rho))
-    return all(
-        _independent(net, _selection(0, p1) + _selection(1, p2))
-        for w1, p1 in profiles
-        for w2, p2 in profiles
-        if w1 + w2 <= rho and p1 + p2
-    )
+    selections = [
+        _selection(0, p1) + _selection(1, p2) for w1, p1 in profiles for w2, p2 in profiles if w1 + w2 <= rho and p1 + p2
+    ]
+    return all(ok.all() for ok in _independent_chunks(net, selections))

@@ -28,8 +28,8 @@ kernel is
 in O(N s n) from the unshifted digit arrays, read a block of rows at a
 time (J. Dick and F. Pillichshammer, Digital Nets and Sequences,
 Cambridge University Press, 2010).  A band-limited kernel only needs
-u_k = sum_{x in P} W_k(x) for the k in its box, which are the exact
-character sums of walsh.character_sums.  The spectral route takes the
+u_k = sum_{x in P} W_k(x) for the k in its box, the values of the exact
+residue counts of walsh.residue_counts.  The spectral route takes the
 dual frequencies from dual.dual_scan.  Sums over the points and over
 the dual hits of a diagonal kernel are math.fsum, which is correctly
 rounded, so they do not depend on the order of their terms.
@@ -46,7 +46,7 @@ import numpy as np
 
 from .badic import frequency_digits, int_digits, minimal_precision
 from .nets import DigitalNet, NetPoints, PointSet2, point_digit_blocks, point_numerators, require_net_points
-from .walsh import UnityExponent, _exponents, character_sums
+from .walsh import UnityExponent, _exponents, residue_counts, sum_values
 from . import dual as dualmod
 
 
@@ -253,14 +253,19 @@ def wce_direct(points: NetPoints, kernel) -> WceResult:
     A diagonal kernel takes the group identity, N terms.  A band-limited
     kernel takes u_k = sum_x W_k(x) for every one of the T frequencies k
     in its box, the values of the exact character sums, and reports the
-    N T exponent entries counted into them as terms_used.
+    N T exponent entries counted into them as terms_used.  Component j of
+    flat index t is digits j K .. (j+1) K - 1 of t (box = b^K), so the
+    frequency digits of all T are one digit pass over arange(T).
     """
     N = len(require_net_points(points, "wce_direct"))
     if isinstance(kernel, BandLimitedKernel):
         if points.net.base != kernel.base:
             raise ValueError("incompatible elements: base mismatch")
-        sums = character_sums(points, [kernel.frequency(t) for t in range(kernel.size)])
-        u = np.array([cs.value for cs in sums])
+        b, s, kd = kernel.base, kernel.s, kernel.k_digits
+        digits, tails = points.digit_arrays()
+        K = np.zeros((kernel.size, s, max(kd, digits.shape[-1])), dtype=np.int64)
+        K[:, :, :kd] = (np.arange(kernel.size)[:, None] // b ** np.arange(s * kd) % b).reshape(kernel.size, s, kd)
+        u = np.array(sum_values(residue_counts(digits, tails, K, b), b))
         term1 = complex(kernel.coeffs[0, 0])
         col = kernel.coeffs[:, 0]
         row = kernel.coeffs[0, :]
@@ -454,9 +459,13 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
       prod-exp         prod_j exp(x_j),    exact (e - 1)^s
       walsh            wal_k(x),           exact 1 if k = 0 else 0 (param k: tuple)
 
+    prod-quadratic takes every row as one exact product of Python ints,
+    (c_d x^2 + c_n) over the coordinates, in one object-array pass, then
+    one true division by the common scale, which is correctly rounded.
     The walsh integrand reads the canonical digits of every coordinate
     from the numerators, as arrays.  The estimate is the mean of the row
-    values, real and imaginary parts each summed by math.fsum.
+    values, real and imaginary parts each summed by math.fsum (a real
+    integrand's imaginary part sums no terms, to 0.0).
     """
     if isinstance(points, PointSet2):
         nums, den = points.nums, points.den
@@ -465,17 +474,16 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
     N = len(nums)
     if N == 0:
         raise ValueError("empty point set")
-    rows = nums.tolist()
     s = nums.shape[1]
     if integrand == "prod-quadratic":
-        # one exact ratio of integers per row; int / int rounds as float(Fraction)
+        # one exact ratio of Python ints per row; int / int rounds as float(Fraction)
         c = Fraction(params.get("c", 0))
         cn, cd = c.numerator * den * den, c.denominator
-        scale = (cd * den * den) ** s
-        vals = [complex(math.prod(cd * x * x + cn for x in row) / scale) for row in rows]
+        x = nums.astype(object)
+        re, im = ((cd * x * x + cn).prod(axis=1) / (cd * den * den) ** s).tolist(), []
         exact = complex(float((Fraction(1, 3) + c) ** s))
     elif integrand == "prod-exp":
-        vals = [complex(math.prod(math.exp(x / den) for x in row)) for row in rows]
+        re, im = [math.prod(math.exp(x / den) for x in row) for row in nums.tolist()], []
         exact = complex((math.e - 1.0) ** s)
     elif integrand == "walsh":
         k = params["k"]
@@ -486,14 +494,15 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
             raise ValueError("walsh integrand needs the base")
         if base < 2:
             raise ValueError("base must be >= 2")
-        digits, tails = _canonical_digits(rows, den, base)
+        digits, tails = _canonical_digits(nums.tolist(), den, base)
         # one frequency per coordinate, so that E[:, j] is coordinate j's exponent
         ks = [tuple(kj if i == j else 0 for i in range(s)) for j, kj in enumerate(k)]
         roots = [UnityExponent(base, r).value for r in range(base)]
         E = _exponents(digits, tails, frequency_digits(ks, base, s, digits.shape[-1]), base)
         vals = [math.prod((roots[e] for e in row), start=complex(1.0)) for row in E.tolist()]
+        re, im = [v.real for v in vals], [v.imag for v in vals]
         exact = complex(1.0) if all(int(v) == 0 for v in k) else complex(0.0)
     else:
         raise ValueError(f"unknown integrand {integrand!r}")
-    est = complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)) / N
+    est = complex(math.fsum(re), math.fsum(im)) / N
     return IntegrationResult(integrand, est, exact, N)

@@ -24,7 +24,7 @@ import numpy as np
 from .badic import GElement, frequency_digits, int_digits, minimal_precision, section_sigma
 from .nets import NetPoints, require_net_points
 
-_TABLE_ENTRIES = 1 << 20  # exponent-table entries per chunk of frequencies in character_sums
+_TABLE_ENTRIES = 1 << 20  # exponent-table entries per chunk of frequencies in residue_counts
 
 
 @dataclass(frozen=True)
@@ -105,27 +105,54 @@ def _exact_poly_div(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
-def _is_multiple_of_cyclotomic(coeffs: Sequence[int], b: int) -> bool:
+def cyclotomic_remainders(b: int) -> list[list[int]]:
+    """The b x phi(b) integer matrix whose row r holds the coefficients
+    (ascending) of x^r mod the b-th cyclotomic polynomial, r = 0..b-1."""
     phi = cyclotomic_coeffs(b)
     g = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, g - 1, -1):
-        c = work[i]
-        if c:
-            work[i] = 0
-            for j in range(g):
-                work[i - g + j] -= c * phi[j]
-    return not any(work[:g])
+    rows, row = [], [1] + [0] * (g - 1)
+    for _ in range(b):
+        rows.append(row)
+        top = row[-1]  # times x, x^g leaves as -top (phi_0 + ... + phi_{g-1} x^{g-1})
+        row = [c - top * pc for c, pc in zip([0] + row[:-1], phi)]
+    return rows
+
+
+def sums_vanish(counts: np.ndarray, base: int) -> np.ndarray:
+    """(T,) bool: True where sum_r counts[t, r] omega^r is exactly 0, for
+    a (T, b) integer array of per-residue counts (entries of any sign).
+
+    Phi_b is the minimal polynomial of omega = exp(2 pi i / b), so a row
+    vanishes exactly when its polynomial sum_r counts[t, r] x^r is a
+    multiple of Phi_b, that is when its remainder counts[t] @ M is zero,
+    M = cyclotomic_remainders(b).  The product is exact in int64 while
+    b max|M| max|counts| < 2^63 and runs in Python ints past that.
+    """
+    M = cyclotomic_remainders(base)
+    largest = int(np.abs(counts).max()) if counts.size else 0
+    dtype = np.int64 if base * max(abs(v) for row in M for v in row) * largest < 1 << 63 else object
+    return ~np.any(np.asarray(counts).astype(dtype) @ np.array(M, dtype=dtype), axis=1)
+
+
+def sum_values(counts: np.ndarray, base: int) -> list[complex]:
+    """sum_r counts[t, r] omega^r of every row of a (T, b) count array:
+    each count times the real and the imaginary part of its root, and
+    one math.fsum per row and part, correctly rounded."""
+    roots = np.array([UnityExponent(base, r).value for r in range(base)])
+    re, im = (counts * roots.real).tolist(), (counts * roots.imag).tolist()
+    return [complex(math.fsum(x), math.fsum(y)) for x, y in zip(re, im)]
 
 
 @dataclass(frozen=True)
 class CharacterSum:
-    """Character sum recorded as exact per-residue counts.
+    """Character sum recorded as exact per-residue counts: one row of a
+    character_counts array.
 
     counts[r] is the number of summands whose exponent is r mod b; the
     complex value of the sum is then sum(counts[r] * omega^r).  Integer
     identities (sum equals 0, or equals the number of points) are decided
-    exactly by reduction mod the b-th cyclotomic polynomial.
+    exactly by reduction mod the b-th cyclotomic polynomial, sums_vanish
+    on this one row.
     """
 
     base: int
@@ -139,13 +166,12 @@ class CharacterSum:
     def value(self) -> complex:
         """sum(counts[r] * omega^r), real and imaginary parts each one
         math.fsum, correctly rounded."""
-        vals = [UnityExponent(self.base, r).value * c for r, c in enumerate(self.counts) if c]
-        return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+        return sum_values(np.array([self.counts]), self.base)[0]
 
     def equals_int(self, t: int) -> bool:
-        c = list(self.counts)
-        c[0] -= t
-        return _is_multiple_of_cyclotomic(c, self.base)
+        c = np.array([self.counts], dtype=object)
+        c[0, 0] -= t
+        return bool(sums_vanish(c, self.base)[0])
 
     def is_zero(self) -> bool:
         return self.equals_int(0)
@@ -162,23 +188,33 @@ def character_sum_over(points: NetPoints, k: Sequence[int]) -> CharacterSum:
 
 def character_sums(points: NetPoints, ks: Sequence[Sequence[int]]) -> list[CharacterSum]:
     """Exact sums of W_k over the net points, shifted or not, one per
-    frequency vector in ks.
-
-    The digit arrays are built once.  The exponent table is built over
-    chunks of frequencies of about _TABLE_ENTRIES entries, so memory stays
-    bounded for any number of frequencies, and each chunk's residue
-    counts take one vectorized compare per residue.
-    """
+    frequency vector in ks: the rows of character_counts."""
     b = require_net_points(points, "character_sums").net.base
+    return [CharacterSum(b, tuple(c)) for c in character_counts(points, ks).tolist()]
+
+
+def character_counts(points: NetPoints, ks: Sequence[Sequence[int]]) -> np.ndarray:
+    """(T, b) int64 array: row t counts the net points, shifted or not,
+    at which W_{ks[t]} has exponent r, for each residue r."""
+    b = require_net_points(points, "character_counts").net.base
     digits, tails = points.digit_arrays()
-    K = frequency_digits(ks, b, *digits.shape[1:])
-    counts = np.empty((len(ks), b), dtype=np.int64)
+    return residue_counts(digits, tails, frequency_digits(ks, b, *digits.shape[1:]), b)
+
+
+def residue_counts(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: int) -> np.ndarray:
+    """(T, b) residue counts of the exponents of the frequencies with
+    (T, s, d) digits K at the points with (N, s, n) digits and (N, s)
+    tails.  The exponent table is built over chunks of frequencies of
+    about _TABLE_ENTRIES entries, so memory stays bounded for any number
+    of frequencies, and each chunk's counts take one compare per residue.
+    """
+    counts = np.empty((len(K), base), dtype=np.int64)
     step = max(1, _TABLE_ENTRIES // len(digits))
-    for lo in range(0, len(ks), step):
-        E = _exponents(digits, tails, K[lo : lo + step], b)
-        for r in range(b):
+    for lo in range(0, len(K), step):
+        E = _exponents(digits, tails, K[lo : lo + step], base)
+        for r in range(base):
             counts[lo : lo + step, r] = (E == r).sum(axis=0)
-    return [CharacterSum(b, tuple(c)) for c in counts.tolist()]
+    return counts
 
 
 def character_exponent_table(points: NetPoints, ks: Sequence[Sequence[int]]) -> np.ndarray:

@@ -6,7 +6,10 @@ one point, coordinate or pair at a time, as the definitions read; the
 tests compare the array paths against them.  Also here: the closed forms
 of the two Hammersley point sets, the local discrepancy and the mu2 sum
 of a frequency vector, the random nets the property tests draw, the
-guard that fails a call building point objects, and the CSV helpers.
+guard that fails a call building point objects, the CSV helpers, and
+the scalar loops behind the stacked ranks over F_p and the cyclotomic
+identities: one Gauss elimination per matrix and one polynomial division
+per character sum.
 """
 
 import io
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from badicnet import DigitalNet, PointSet2, mu2, points_to_csv, symmetrize_matrices
 from badicnet.badic import GElement, GVector, first_nonzero_position, g_add, g_sub, project_pi
 from badicnet.rkhs import BandLimitedKernel, SpectralDiagonalKernel, _first_positions, _phi_table
-from badicnet.walsh import UnityExponent, character
+from badicnet.walsh import UnityExponent, character, cyclotomic_coeffs
 
 # ---------------------------------------------------------------------------
 # digit vectors
@@ -237,3 +240,45 @@ def per_point_csv(points) -> str:
             cells += [f"{v.numerator}/{v.denominator}", repr(float(v))]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# ranks over F_p and cyclotomic identities, one item at a time
+
+
+def loop_rank_mod_p(rows, p: int) -> int:
+    """Row rank of one matrix over the field with p elements: Gauss
+    elimination on Python ints, one row operation at a time."""
+    a = [[int(v) % p for v in row] for row in np.asarray(rows).tolist()]
+    r = 0
+    n_cols = len(a[0]) if a else 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        r += 1
+        if r == len(a):
+            break
+    return r
+
+
+def is_multiple_of_cyclotomic(coeffs, b: int) -> bool:
+    """True when sum coeffs[r] x^r is a multiple of the b-th cyclotomic
+    polynomial: long division by it, one coefficient at a time."""
+    phi = cyclotomic_coeffs(b)
+    g = len(phi) - 1
+    work = [int(c) for c in coeffs]
+    for i in range(len(work) - 1, g - 1, -1):
+        c = work[i]
+        if c:
+            work[i] = 0
+            for j in range(g):
+                work[i - g + j] -= c * phi[j]
+    return not any(work[:g])

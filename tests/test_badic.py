@@ -20,7 +20,7 @@ from badicnet import (
     project_pi,
     section_sigma,
 )
-from badicnet.badic import first_nonzero_position, frequency_digits
+from badicnet.badic import first_nonzero_position, frequency_digits, rows_in_E
 from badicnet.dual import dual_members
 from oracles import g_neg, gv_add, gv_sub
 
@@ -256,3 +256,26 @@ def test_frequency_digits_reject_what_int_digits_rejects():
     assert dual_members(net, [(7,)]).shape == (1,)
     with pytest.raises(ValueError, match="exceed matrix rows"):
         dual_members(net, [(8,)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 11), st.integers(1, 3), st.data())
+def test_rows_in_E_match_the_digit_sums(b, s, data):
+    # components on both sides of 2^63, where the digits switch to Python ints
+    component = st.one_of(st.integers(0, b**6), st.integers(2**63 - 3, 2**63 + 3), st.integers(0, 2**80))
+    ks = data.draw(st.lists(st.tuples(*[component] * s), max_size=8), label="ks")
+    got = rows_in_E(ks, b)
+    assert got.dtype == bool and got.shape == (len(ks),)
+    assert got.tolist() == [all(sum(int_digits(kj, b)) % b == 0 for kj in k) for k in ks]
+    assert [in_E(k[0], b) for k in ks] == [sum(int_digits(k[0], b)) % b == 0 for k in ks]
+
+
+def test_in_E_rejects_what_int_digits_rejects():
+    assert in_E(2**64 + 2**63, 2) and not in_E(2**64 + 1 + 2**70, 2)
+    with pytest.raises(ValueError, match="negative"):
+        in_E(-3, 2)
+    with pytest.raises(ValueError, match="base"):
+        in_E(3, 1)
+    with pytest.raises(TypeError):
+        in_E(1.5, 2)
+    assert rows_in_E([], 3).shape == (0,)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badicnet import (
     character_sum_over,
@@ -153,6 +154,35 @@ def test_verify_orthogonality_draws_digits_past_int64(capsys, argv):
     assert code == 0, err
     assert doc["passed"] is True and doc["failures"] == 0
     assert doc["samples"] == doc["dual_hits"] + doc["nondual"] == 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5]), st.sampled_from([3**8, 2**40, 2**63]), st.integers(0, 2**32 - 1), st.integers(0, 60))
+def test_one_draw_of_all_samples_is_the_per_sample_stream(s, bound, seed, samples):
+    # verify orthogonality draws all its samples at once; the recorded
+    # benchmark counts hold only while that is the per-sample stream
+    rng = np.random.default_rng(seed)
+    per_sample = [rng.integers(0, bound, size=s).tolist() for _ in range(samples)]
+    assert np.random.default_rng(seed).integers(0, bound, size=(samples, s)).tolist() == per_sample
+    # past int64 the draw is each component's digits
+    rng = np.random.default_rng(seed)
+    per_sample = [rng.integers(0, 5, size=(s, 30)).tolist() for _ in range(samples)]
+    assert np.random.default_rng(seed).integers(0, 5, size=(samples, s, 30)).tolist() == per_sample
+
+
+def test_verify_orthogonality_past_int64_matches_the_per_sample_draw(capsys):
+    argv = ("--kind", "sym-hammersley", "--base", "5", "--m", "2", "--n", "30", "--samples", "30", "--seed", "4")
+    code, out, _ = run(capsys, "verify", "orthogonality", *argv)
+    net = _net_by_kind("sym-hammersley", 5, 2, 30)
+    rng = np.random.default_rng(4)
+    weights = [5**i for i in range(30)]
+    ks = [tuple(sum(d * w for d, w in zip(row, weights)) for row in rng.integers(0, 5, size=(2, 30)).tolist()) for _ in range(30)]
+    points, N = enumerate_points(net), net.n_points
+    hits = [dual_contains(net, k) for k in ks]
+    sums = [character_sum_over(points, k) for k in ks]
+    bad = sum(not (cs.equals_int(N) if hit else cs.is_zero()) for cs, hit in zip(sums, hits))
+    assert code == 0
+    assert json.loads(out) == {"passed": bad == 0, "samples": 30, "dual_hits": sum(hits), "nondual": 30 - sum(hits), "failures": bad}
 
 
 def test_verify_orthogonality_memory_is_bounded(capsys):

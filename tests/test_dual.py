@@ -18,12 +18,12 @@ from badicnet import (
     truncated_sym_hammersley,
 )
 from badicnet.badic import in_E, int_digits
-from badicnet.dual import _class_members, _profiles, _row, _row_keys, dual_scan, image_table, rank_mod_p
-from badicnet import walsh
+from badicnet.dual import _class_members, _profiles, _row_keys, dual_scan, image_table, rank_mod_p
+from badicnet import dual, walsh
 from badicnet.dual import dual_members
 from badicnet.nets import DigitalNet
 from badicnet.walsh import character_sums
-from oracles import character_vec, digital_nets, mu2_total
+from oracles import character_vec, digital_nets, loop_rank_mod_p, mu2_total
 
 
 def _k_image(net, j, k):
@@ -203,6 +203,59 @@ def test_rank_mod_p():
     assert rank_mod_p(np.array([[1, 2], [2, 2]], dtype=np.int64), 3) == 2
     with pytest.raises(ValueError, match="prime"):
         rank_mod_p(np.eye(2, dtype=np.int64), 4)
+
+
+def test_rank_mod_p_past_int64_products():
+    # p^2 > 2^63: int64 products of two residues wrapped and found rank 2
+    p = 4294967311
+    r1 = [p - 1, p - 2, p - 7]
+    rows = np.array([r1, [3 * x % p for x in r1]], dtype=object)
+    assert rank_mod_p(rows, p) == 1
+    assert rank_mod_p(np.stack([rows, rows[::-1], np.array([r1, [1, 0, 0]], dtype=object)]), p).tolist() == [1, 1, 2]
+    # the int64 bound is (p-1)^2 + (p-1) < 2^63: 3037000493 is the largest prime inside it
+    assert rank_mod_p(np.array([[3037000492, 1], [1, 3037000492]], dtype=np.int64), 3037000493) == 1
+
+
+def test_rank_mod_p_takes_a_stack():
+    stack = np.array([np.eye(3, dtype=np.int64), np.ones((3, 3), dtype=np.int64), [[0, 0, 1], [0, 2, 0], [0, 4, 1]]])
+    got = rank_mod_p(stack, 7)
+    assert got.dtype == np.int64 and got.tolist() == [3, 1, 2]
+    assert rank_mod_p(np.zeros((0, 4, 3), dtype=np.int64), 3).shape == (0,)
+    assert rank_mod_p(np.zeros((2, 0, 3), dtype=np.int64), 3).tolist() == [0, 0]
+    assert rank_mod_p(np.zeros((0, 3), dtype=np.int64), 3) == 0
+    with pytest.raises(ValueError, match="stack of matrices"):
+        rank_mod_p(np.ones(3, dtype=np.int64), 3)
+
+
+@st.composite
+def rank_stacks(draw):
+    """A stack of 0-40 matrices mod p with 0-9 rows and columns; a matrix
+    may hold zero rows, rows that repeat an earlier row or a multiple of
+    it, and trailing zero rows as padding."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 4294967311]))
+    S, R, C = draw(st.integers(0, 40)), draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entry = st.integers(0, p - 1) | st.sampled_from([0, 1, p - 1])
+    stack = np.zeros((S, R, C), dtype=object)
+    for i in range(S):
+        pad = draw(st.integers(0, R))
+        for r in range(R - pad):
+            kind = draw(st.sampled_from(["new", "zero", "repeat"])) if r else "new"
+            if kind == "new":
+                stack[i, r] = draw(st.lists(entry, min_size=C, max_size=C))
+            elif kind == "repeat":
+                stack[i, r] = stack[i, draw(st.integers(0, r - 1))] * draw(st.integers(1, p - 1)) % p
+    return p, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_stacks(), st.booleans())
+def test_stacked_ranks_match_the_loop(case, as_int64):
+    p, stack = case
+    want = [loop_rank_mod_p(a, p) for a in stack]
+    if as_int64 and p < 1 << 31:
+        stack = stack.astype(np.int64)
+    assert rank_mod_p(stack, p).tolist() == want
+    assert [rank_mod_p(a, p) for a in stack] == want
 
 
 def test_independence_families_pass_for_the_family():
@@ -583,6 +636,13 @@ def test_rho2_guard_trips_before_any_class_is_built(monkeypatch):
         rho2_min_weight(net, max_candidates=1000)
 
 
+def _row(net, j, l):
+    """l-th digit row of coordinate j (1-based); zero beyond the stored rows."""
+    if l <= net.n:
+        return net.matrices[j][l - 1]
+    return np.zeros(net.m, dtype=np.int64)
+
+
 def loop_independence_families(net, rank):
     """check_independence_sets' four families as they were written: one
     loop nest each, with its own checked/passed/failures count.  `rank`
@@ -638,8 +698,20 @@ def loop_independence_families(net, rank):
 def _weighted_sum_rank(rows, p):
     """A stand-in rank that calls a selection dependent when the entries,
     weighted by their column, sum to a multiple of 3.  The sum does not
-    depend on the row order, but it tells the two matrices' rows apart."""
-    return len(rows) - 1 if int(np.sum(rows @ np.arange(1, rows.shape[1] + 1))) % 3 == 0 else len(rows)
+    depend on the row order, but it tells the two matrices' rows apart.
+
+    It takes a matrix or a stack, as rank_mod_p does, and applies the rule
+    to each matrix with its unpadded row count: the padding rows are zero
+    and every row of the truncated symmetrized Hammersley matrices is not
+    (see the test), so that count is the number of nonzero rows."""
+    stack = np.asarray(rows)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[None]
+    counts = (stack != 0).any(axis=2).sum(axis=1)
+    dependent = (stack @ np.arange(1, stack.shape[2] + 1)).sum(axis=1) % 3 == 0
+    ranks = counts - dependent
+    return int(ranks[0]) if single else ranks
 
 
 @pytest.mark.parametrize("b, m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1)])
@@ -653,6 +725,7 @@ def test_independence_selections_match_the_family_loops(monkeypatch, b, m):
         assert check_independence_sets(net).to_json_dict() == loop_independence_families(net, rank_mod_p)
     # with some selections failing, the failure labels and counts must agree too
     net = truncated_sym_hammersley(b, m, 2 * m + 3)
+    assert all(np.any(C != 0, axis=1).all() for C in net.matrices)  # what _weighted_sum_rank counts on
     want = loop_independence_families(net, _weighted_sum_rank)
     monkeypatch.setattr("badicnet.dual.rank_mod_p", _weighted_sum_rank)
     got = check_independence_sets(net).to_json_dict()
@@ -673,7 +746,7 @@ def listed_profiles_certificate(net, rho):
             if w1 + w2 > rho or (not s1 and not s2):
                 continue
             rows = [_row(net, 0, l) for l in s1] + [_row(net, 1, l) for l in s2]
-            if rank_mod_p(np.array(rows), net.base) != len(rows):
+            if loop_rank_mod_p(np.array(rows), net.base) != len(rows):
                 return False
     return True
 
@@ -700,3 +773,34 @@ def planar_prime_nets(draw):
 def test_certificate_matches_the_listed_profiles_on_random_nets(net):
     for rho in range(1, 2 * net.m + 1):
         assert certify_rho2_via_independence(net, rho) == listed_profiles_certificate(net, rho)
+
+
+@pytest.mark.parametrize("entries", [1, 40, 1 << 20])
+def test_certificate_ranks_in_bounded_chunks(monkeypatch, entries):
+    # one stacked rank call per chunk of about `entries` stack entries,
+    # and none after the first chunk that holds a dependent selection
+    calls = []
+
+    def spy(rows, p):
+        calls.append(rows.shape)
+        return rank_mod_p(rows, p)
+
+    monkeypatch.setattr(dual, "_RANK_ENTRIES", entries)
+    monkeypatch.setattr(dual, "rank_mod_p", spy)
+    net = truncated_sym_hammersley(2, 3, 7)
+    for rho in range(1, 2 * net.m + 1):
+        calls.clear()
+        assert certify_rho2_via_independence(net, rho) == listed_profiles_certificate(net, rho)
+        assert all(S * R * C <= max(entries, R * C) for S, R, C in calls)
+    # a repeated row: rows 1 and 2 of the first matrix are equal, so the
+    # class of positions (2, 1), weight 3, pins two equal rows
+    c1, c2 = net.matrices
+    c1 = c1.copy()
+    c1[1] = c1[0]
+    net = DigitalNet(2, (c1, c2))
+    for rho in range(3, 2 * net.m + 1):
+        calls.clear()
+        assert certify_rho2_via_independence(net, rho) is listed_profiles_certificate(net, rho) is False
+        if entries == 1 and rho > 3:  # one selection per chunk: ranking stopped before the last one
+            profiles = list(_profiles(rho))
+            assert len(calls) < sum(1 for w1, p1 in profiles for w2, p2 in profiles if w1 + w2 <= rho and p1 + p2)

@@ -644,3 +644,39 @@ def test_qmc_on_point_sets_matches_the_symmetrized_net():
     with pytest.raises(ValueError, match="unsupported expansion"):
         qmc_integrate(PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 7))]), "walsh", k=(1, 1), base=2)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, Fraction(1, 7), 2]), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_quadratic_rows_as_one_product_match_the_fraction_rows(c, s, sym, seed):
+    # base 3: the scale b^n (b - 1) is not a power of two, so every row's
+    # ratio rounds; the one object product keeps each ratio exact
+    rng = np.random.default_rng(seed)
+    m = 1 if sym else 3
+    net = DigitalNet(3, tuple(rng.integers(0, 3, size=(m + 1, m)) for _ in range(s)))
+    pts = enumerate_points(symmetrize_matrices(net) if sym else net)
+    for points in (pts, random_digital_shift(pts, rng)):
+        got = qmc_integrate(points, "prod-quadratic", c=c)
+        value, exact = qmc_by_fraction_rows(list(points), "prod-quadratic", c=c)
+        assert (got.value.real, got.value.imag, got.exact) == (value.real, value.imag, exact)
+
+
+def band_limited_by_character_sums(points, kernel):
+    """wce_direct of a band-limited kernel as it was: the T frequencies as
+    tuples from kernel.frequency, u_k the value of each CharacterSum."""
+    N = len(points)
+    u = np.array([cs.value for cs in character_sums(points, [kernel.frequency(t) for t in range(kernel.size)])])
+    term2 = (complex(kernel.coeffs[:, 0] @ u) + complex(kernel.coeffs[0, :] @ u.conj())) / N
+    e2 = complex(kernel.coeffs[0, 0]) - term2 + complex(u @ kernel.coeffs @ u.conj()) / (N * N)
+    return max(e2.real, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digital_nets(max_points=81), st.data())
+def test_band_limited_frequencies_from_one_digit_pass(net, data):
+    b, s = net.base, net.s
+    k_digits = data.draw(st.integers(0, net.n + 1).filter(lambda kd: b ** (kd * s) <= 243), label="k_digits")
+    kern = BandLimitedKernel.random(b, s, k_digits, 2, np.random.default_rng(data.draw(st.integers(0, 99))))
+    pts = enumerate_points(net)
+    for points in (pts, random_digital_shift(pts, 3)):
+        assert wce_direct(points, kern).value == band_limited_by_character_sums(points, kern)

@@ -25,10 +25,15 @@ from badicnet import (
     walsh_exponent,
 )
 from badicnet.walsh import (
+    character_counts,
     character_exponent_table,
+    character_sums,
     cyclotomic_coeffs,
+    cyclotomic_remainders,
+    sum_values,
+    sums_vanish,
 )
-from oracles import character_vec
+from oracles import character_vec, is_multiple_of_cyclotomic
 
 
 def test_unity_exponent_normalizes_and_multiplies():
@@ -248,3 +253,70 @@ def test_character_sum_over_frequencies_past_int64():
     # a single 3-adic digit far past the stored precision reads the tail digit
     z = GVector((GElement(3, (1, 2), 2),))
     assert character_vec((2 * 3**60,), z).e == (2 * 2) % 3
+
+
+def test_cyclotomic_remainders_reduce_each_power():
+    assert cyclotomic_remainders(2) == [[1], [-1]]
+    assert cyclotomic_remainders(3) == [[1, 0], [0, 1], [-1, -1]]
+    assert cyclotomic_remainders(4) == [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    for b in range(2, 13):
+        M = cyclotomic_remainders(b)
+        g = len(cyclotomic_coeffs(b)) - 1
+        assert len(M) == b and all(len(row) == g for row in M)
+        for r, row in enumerate(M):  # x^r less its remainder is a multiple of Phi_b
+            diff = [(r == i) - (row[i] if i < g else 0) for i in range(b)]
+            assert is_multiple_of_cyclotomic(diff, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda b: st.lists(st.lists(st.integers(-(10**12), 10**12), min_size=b, max_size=b), max_size=8)), st.data())
+def test_identities_match_the_division_loop(rows, data):
+    b = len(rows[0]) if rows else data.draw(st.integers(2, 12))
+    if data.draw(st.booleans()):  # rows that vanish: multiples of Phi_b
+        phi = cyclotomic_coeffs(b)
+        for row in rows:
+            c = data.draw(st.integers(-(10**9), 10**9))
+            shift = data.draw(st.integers(0, b - len(phi)))
+            for i, p in enumerate(phi):
+                row[shift + i] = c * p
+    counts = np.array(rows, dtype=np.int64).reshape(-1, b)
+    want = [is_multiple_of_cyclotomic(row, b) for row in rows]
+    assert sums_vanish(counts, b).tolist() == want
+    t = data.draw(st.integers(0, 10**12))
+    assert [CharacterSum(b, tuple(row)).equals_int(t) for row in rows] == [
+        is_multiple_of_cyclotomic([row[0] - t, *row[1:]], b) for row in rows
+    ]
+
+
+def test_identities_past_int64_run_in_python_ints():
+    # b max|M| max|counts| past 2^63: the product runs in Python ints
+    big = 2**62
+    for b in (2, 3, 6, 12):
+        phi = cyclotomic_coeffs(b)
+        rows = [[big * p for p in phi] + [0] * (b - len(phi)), [big] + [0] * (b - 1), [2**200] * b, [2**200] * (b - 1) + [2**200 + 1]]
+        want = [is_multiple_of_cyclotomic(row, b) for row in rows]
+        assert want[0] and not want[1] and want[2] and not want[3]
+        assert sums_vanish(np.array(rows, dtype=object), b).tolist() == want
+        assert CharacterSum(b, (big,) + (0,) * (b - 1)).equals_int(big)
+        assert not CharacterSum(b, (big,) + (0,) * (b - 1)).equals_int(big + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda b: st.lists(st.lists(st.integers(0, 10**12), min_size=b, max_size=b), min_size=1, max_size=6)))
+def test_row_values_are_the_character_sum_values(rows):
+    b = len(rows[0])
+    got = sum_values(np.array(rows, dtype=np.int64), b)
+    for value, row in zip(got, rows):
+        want = CharacterSum(b, tuple(row)).value
+        assert (value.real, value.imag) == (want.real, want.imag)
+        terms = [UnityExponent(b, r).value * c for r, c in enumerate(row) if c]
+        assert value == complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def test_character_counts_are_the_character_sums():
+    pts = enumerate_points(symmetrize_matrices(hammersley_matrices(3, 2, 4)))
+    ks = [(0, 0), (1, 2), (5, 80), (3**45, 7)]
+    counts = character_counts(pts, ks)
+    assert counts.dtype == np.int64 and counts.shape == (4, 3)
+    assert [tuple(c) for c in counts.tolist()] == [cs.counts for cs in character_sums(pts, ks)]
+    assert character_counts(pts, []).shape == (0, 3)

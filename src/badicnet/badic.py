@@ -87,6 +87,15 @@ def frequency_digits(ks: Sequence[Sequence[int]], base: int, s: int, depth: int)
     return out
 
 
+def digit_values(digits: np.ndarray, base: int) -> np.ndarray:
+    """The inverse of frequency_digits: the integers sum_i digits[..., i] b^i
+    of an (..., d) digit array, least significant digit first, in int64
+    while b^d <= 2^63 and in Python ints (an object array) past that."""
+    d = digits.shape[-1]
+    dtype = np.int64 if base**d <= 1 << 63 else object
+    return digits.astype(dtype) @ np.array([base**i for i in range(d)], dtype=dtype)
+
+
 @dataclass(frozen=True)
 class GElement:
     """Truncated digit sequence: n explicit digits, then a constant tail.
@@ -236,18 +245,14 @@ def delta_digit_sum(k: int, base: int) -> int:
 def in_E(k: int, base: int) -> bool:
     """True when the digit sum of k vanishes mod b: rows_in_E of the one
     frequency (k,)."""
-    return bool(rows_in_E([(k,)], base)[0])
+    return bool(rows_in_E(frequency_digits([(k,)], base, 1, 0), base)[0])
 
 
-def rows_in_E(ks: Sequence[Sequence[int]], base: int) -> np.ndarray:
-    """(T,) bool: True for the frequency vectors in ks, s components each,
-    whose every component has a digit sum that vanishes mod b.
-
-    The digit sums are one sum over the frequency_digits array, so
-    components past 2^63 are read exactly, as int_digits reads them.
-    """
-    s = len(ks[0]) if len(ks) else 0
-    return ~np.any(frequency_digits(ks, base, s, 0).sum(axis=2) % base, axis=1)
+def rows_in_E(digits: np.ndarray, base: int) -> np.ndarray:
+    """(T,) bool: True for the frequency vectors with (T, s, d) digits
+    (frequency_digits) whose every component has a digit sum that
+    vanishes mod b."""
+    return ~np.any(digits.sum(axis=2) % base, axis=1)
 
 
 @dataclass(frozen=True)

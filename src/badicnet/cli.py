@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .badic import rows_in_E
+from .badic import frequency_digits, rows_in_E
 from .dual import (
     GUARD_DEFAULT,
     certify_rho2_via_independence,
@@ -43,7 +43,7 @@ from .rkhs import (
     wce_direct,
     wce_spectral,
 )
-from .walsh import character_counts, sums_vanish
+from .walsh import residue_counts, sums_vanish
 
 
 def _dump_json(doc, fh) -> None:
@@ -165,7 +165,8 @@ def cmd_verify_dual(args) -> int:
     kb = args.kbound
     sym_side = set(dual_enumerate_below(sym, kb, args.max_candidates))
     raw = dual_enumerate_below(inner, kb, args.max_candidates)
-    filtered = {k for k, kept in zip(raw, rows_in_E(raw, inner.base).tolist()) if kept}
+    kept = rows_in_E(frequency_digits(raw, inner.base, inner.s, 0), inner.base).tolist()
+    filtered = {k for k, keep in zip(raw, kept) if keep}
     passed = sym_side == filtered
     report = {
         "passed": passed,
@@ -185,13 +186,13 @@ def cmd_verify_orthogonality(args) -> int:
     rng = np.random.default_rng(args.seed)
     # one draw of all samples: the same stream as one draw per sample
     if b**n <= 1 << 63:
-        ks = rng.integers(0, b**n, size=(args.samples, s)).tolist()
+        K = frequency_digits(rng.integers(0, b**n, size=(args.samples, s)).tolist(), b, s, n)
     else:
         # rng.integers cannot draw past int64: draw each component's n digits
-        weights = np.array([b**i for i in range(n)], dtype=object)
-        ks = (rng.integers(0, b, size=(args.samples, s, n)).astype(object) @ weights).tolist()
-    counts = character_counts(enumerate_points(net), ks)
-    members = dual_members(net, ks)
+        K = rng.integers(0, b, size=(args.samples, s, n))
+    digits, tails = enumerate_points(net).digit_arrays()
+    counts = residue_counts(digits, tails, K, b)
+    members = dual_members(net, K)
     # a dual hit sums to N, any other frequency to 0
     counts[:, 0] -= net.n_points * members
     bad = int(np.count_nonzero(~sums_vanish(counts, b)))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .badic import frequency_digits, int_digits, is_prime
+from .badic import digit_values, frequency_digits, int_digits, is_prime
 from .nets import DigitalNet, truncated_sym_hammersley
 
 GUARD_DEFAULT = 1 << 26
@@ -28,23 +28,26 @@ GUARD_DEFAULT = 1 << 26
 
 def dual_contains(net: DigitalNet, k: Sequence[int]) -> bool:
     """Exact dual membership of a frequency vector (one int per coordinate)."""
-    return bool(dual_members(net, [k])[0])
+    return bool(dual_members(net, frequency_digits([k], net.base, net.s, net.n))[0])
 
 
-def dual_members(net: DigitalNet, ks: Sequence[Sequence[int]]) -> np.ndarray:
-    """Exact dual membership of each frequency vector in ks, as a bool array.
+def dual_members(net: DigitalNet, digits: np.ndarray) -> np.ndarray:
+    """Exact dual membership of the frequency vectors with (T, s, d)
+    digits (frequency_digits), as a (T,) bool array.
 
-    Every component must fit in the digit rows (k < b^n).  The images
-    sum_j vec(k_j) C_j mod b of all vectors come from one (T, n) @ (n, m)
-    product per coordinate.
+    Every component must fit in the digit rows (no nonzero digit past
+    n).  The images sum_j vec(k_j) C_j mod b of all vectors come from one
+    (T, d) @ (d, m) product per coordinate.
     """
+    if digits.shape[1] != net.s:
+        raise ValueError("incompatible elements: dimension mismatch")
     b, n = net.base, net.n
-    K = frequency_digits(ks, b, net.s, n)
-    if K.shape[-1] > n:
+    if digits[..., n:].any():
         raise ValueError("digits exceed matrix rows")
-    acc = np.zeros((len(ks), net.m), dtype=np.int64)
+    d = min(digits.shape[-1], n)
+    acc = np.zeros((len(digits), net.m), dtype=np.int64)
     for j, C in enumerate(net.matrices):
-        acc += (K[:, j] @ C) % b
+        acc += (digits[:, j, :d] @ C[:d]) % b
     return ~np.any(acc % b, axis=1)
 
 
@@ -64,18 +67,6 @@ def image_table(net: DigitalNet, j: int, k_digits: int) -> np.ndarray:
     for row in net.matrices[j][:k_digits]:
         table = np.concatenate([(table + (d * row % b).astype(dtype)) % b for d in range(b)])
     return table
-
-
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """One integer per row, sum_c row[c] b^c.
-
-    Keys are int64 while b^m <= 2^62 and Python ints past that, as in
-    nets._numerators, so no key silently overflows.
-    """
-    m = rows.shape[-1]
-    dtype = np.int64 if base**m <= 1 << 62 else object
-    weights = np.array([base**c for c in range(m)], dtype=dtype)
-    return rows.astype(dtype) @ weights
 
 
 def _sorted_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +106,7 @@ def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False) -> list[tu
     tables = [image_table(net, j, k_digits) for j in range(s)]
     if s == 1:
         return [(int(k),) for k in np.flatnonzero(~tables[0].any(axis=1))]
-    last = _row_keys(tables[-1], b)
+    last = digit_values(tables[-1], b)
     sides: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by admissible prefix length
     out: list[tuple[int, ...]] = []
 
@@ -126,7 +117,7 @@ def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False) -> list[tu
             size = b ** (budget - a if weighted else budget)
             if size not in sides:
                 sides[size] = _sorted_keys(last[:size])
-            i, k2 = _join(sides[size], _row_keys((need - tables[-2][lo : b**a]) % b, b))
+            i, k2 = _join(sides[size], digit_values((need - tables[-2][lo : b**a]) % b, b))
             k1s.append(i + lo)
             k2s.append(k2)
         pairs = zip(np.concatenate(k1s).tolist(), np.concatenate(k2s).tolist())
@@ -274,12 +265,11 @@ def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int
         by_w[w] += _class_members(b, pos)
     # candidates are below b^d, so only the first d digit rows matter
     d = min(cap, n)
-    powers = np.array([b**i for i in range(d)], dtype=np.int64 if b**d <= 1 << 62 else object)
     neg_keys, sides = {}, {}
     for w, ks in by_w.items():
-        digits = (np.array(ks, dtype=powers.dtype)[:, None] // powers % b).astype(np.int64)
-        neg_keys[w] = _row_keys(-(digits @ net.matrices[0][:d]) % b, b)
-        sides[w] = _sorted_keys(_row_keys(digits @ net.matrices[1][:d] % b, b))
+        digits = frequency_digits([(k,) for k in ks], b, 1, d)[:, 0]
+        neg_keys[w] = digit_values(-(digits @ net.matrices[0][:d]) % b, b)
+        sides[w] = _sorted_keys(digit_values(digits @ net.matrices[1][:d] % b, b))
     for W in range(1, cap + 1):  # W >= 1, so the origin is never a candidate pair
         for w1 in range(0, W + 1):
             w2 = W - w1

@@ -109,7 +109,8 @@ def _half_rows(base: int, values: np.ndarray, weights: np.ndarray, dtype) -> np.
     """Rows (digits of v) @ weights mod b for the half indices v in values.
 
     Each entry of the float64 product is an integer of at most
-    len(weights) (b - 1)^2, exact below 2^53.
+    len(weights) (b - 1)^2, exact below 2^53.  The half indices are int64
+    by construction, so this hot path splits them here, not in badic.
     """
     digits = values[:, None] // base ** np.arange(len(weights), dtype=np.int64) % base
     prod = (digits.astype(np.float64) @ weights.astype(np.float64)).astype(np.int64)
@@ -299,8 +300,9 @@ def _numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.nd
 
     A coordinate with digits d_1..d_n and constant tail c has value
     (sum_i d_i b^(n-i) (b - 1) + c) / (b^n (b - 1)).  The (N, s)
-    numerators come from one matrix product, in int64 while den fits
-    comfortably and in python ints past that.
+    numerators come from one matrix product, in int64 while den <= 2^40,
+    where num / den in float64 is the correctly rounded decimal of the
+    point CSV, and in Python ints past that (not badic's 2^63 rule).
     """
     b, n = base, digits.shape[-1]
     den = b**n * (b - 1)

@@ -30,9 +30,12 @@ time (J. Dick and F. Pillichshammer, Digital Nets and Sequences,
 Cambridge University Press, 2010).  A band-limited kernel only needs
 u_k = sum_{x in P} W_k(x) for the k in its box, the values of the exact
 residue counts of walsh.residue_counts.  The spectral route takes the
-dual frequencies from dual.dual_scan.  Sums over the points and over
-the dual hits of a diagonal kernel are math.fsum, which is correctly
-rounded, so they do not depend on the order of their terms.
+dual frequencies of a band-limited kernel from dual.dual_members over
+the same T digit rows the direct route reads, and those of a diagonal
+kernel from dual.dual_scan, read as digits.  Sums over the points and
+over the dual hits of a diagonal kernel are math.fsum, which is
+correctly rounded, so they do not depend on the order of their terms.
+Both routes take only kernels of the net's base and dimension.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import frequency_digits, int_digits, minimal_precision
+from .badic import digit_values, frequency_digits, int_digits, minimal_precision
 from .nets import DigitalNet, NetPoints, PointSet2, point_digit_blocks, point_numerators, require_net_points
 from .walsh import UnityExponent, _exponents, residue_counts, sum_values
 from . import dual as dualmod
@@ -69,18 +72,6 @@ class WceResult:
 
 # ---------------------------------------------------------------------------
 # kernels
-
-
-def _tuple_to_flat(ks: Sequence[int], box: int) -> int:
-    t = 0
-    for k in reversed(ks):
-        t = t * box + int(k)
-    return t
-
-
-def _digit_negate(k: int, base: int) -> int:
-    """Digitwise negation mod b of k >= 0."""
-    return sum((-d % base) * base**i for i, d in enumerate(int_digits(k, base)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +109,13 @@ class BandLimitedKernel:
     def size(self) -> int:
         return self.box**self.s
 
+    @property
+    def digits(self) -> np.ndarray:
+        """(T, s, k_digits) digits of the T frequencies, by flat index:
+        component j of t is digits j k_digits to (j+1) k_digits - 1 of t."""
+        T, s, kd = self.size, self.s, self.k_digits
+        return frequency_digits([(t,) for t in range(T)], self.base, 1, s * kd).reshape(T, s, kd)
+
     def frequency(self, t: int) -> tuple[int, ...]:
         return tuple((t // self.box**j) % self.box for j in range(self.s))
 
@@ -139,7 +137,7 @@ class BandLimitedKernel:
         W = rng.normal(size=(T, rank)) + 1j * rng.normal(size=(T, rank))
         W /= math.sqrt(2.0 * T)
         A = W @ W.conj().T
-        perm = np.array([_digit_negate(t, base) for t in range(T)])
+        perm = digit_values(-frequency_digits([(t,) for t in range(T)], base, 1, s * k_digits)[:, 0] % base, base)
         sym = A + A[np.ix_(perm, perm)].conj()
         return cls(base, s, k_digits, sym)
 
@@ -184,20 +182,19 @@ class SpectralDiagonalKernel:
             out *= self.r1(int(k), j)
         return out
 
-    def r_rows(self, ks: np.ndarray) -> np.ndarray:
-        """r of every row of a (T, s) int64 or object array of frequencies,
-        bit for bit.  Each coordinate's r1 is gathered from a table over
-        digit levels a1 = 0, 1, ..., built by r1 itself at k = 0 and
-        k = b^(a1 - 1), and the factors are multiplied in coordinate order
-        from 1.0, as r does.  A component's level is the number of powers
-        b^0, b^1, ... at most k."""
-        b = self.base
-        levels = len(int_digits(int(ks.max()), b)) if ks.size else 0
-        powers = np.array([b**a for a in range(levels)], dtype=ks.dtype)  # each at most ks.max()
-        out = np.ones(len(ks))
-        for j in range(ks.shape[1]):
-            table = np.array([self.r1(0, j)] + [self.r1(b ** (a - 1), j) for a in range(1, levels + 1)])
-            out *= table[np.searchsorted(powers, ks[:, j], side="right")]
+    def r_rows(self, digits: np.ndarray) -> np.ndarray:
+        """r of every frequency vector with (T, s, d) digits
+        (frequency_digits), bit for bit.  Each coordinate's r1 is gathered
+        from a table over digit levels a1 = 0, 1, ..., d, built by r1
+        itself at k = 0 and k = b^(a1 - 1), and the factors are multiplied
+        in coordinate order from 1.0, as r does.  A component's level is
+        the position of its highest nonzero digit, 0 for k = 0."""
+        b, d = self.base, digits.shape[-1]
+        levels = (np.arange(1, d + 1) * (digits != 0)).max(axis=2, initial=0)
+        out = np.ones(len(digits))
+        for j in range(digits.shape[1]):
+            table = np.array([self.r1(0, j)] + [self.r1(b ** (a - 1), j) for a in range(1, d + 1)])
+            out *= table[levels[:, j]]
         return out
 
     def phi(self, i0: int | None) -> float:
@@ -221,7 +218,10 @@ def khat(kernel, k: Sequence[int], l: Sequence[int]) -> complex:
     if isinstance(kernel, BandLimitedKernel):
         if any(v >= kernel.box for v in ks + ls):
             return 0j
-        return complex(kernel.coeffs[_tuple_to_flat(ks, kernel.box), _tuple_to_flat(ls, kernel.box)])
+        # the flat indices are the frequencies' digits read as one integer
+        digits = frequency_digits([ks, ls], kernel.base, kernel.s, kernel.k_digits)
+        t, u = digit_values(digits.reshape(2, -1), kernel.base).tolist()
+        return complex(kernel.coeffs[t, u])
     if isinstance(kernel, SpectralDiagonalKernel):
         return complex(kernel.r(ks)) if ks == ls else 0j
     raise TypeError("unknown kernel type")
@@ -242,6 +242,17 @@ def ds_invariant_coeffs(kernel):
 # worst-case error, direct route
 
 
+def _check_kernel(net: DigitalNet, kernel) -> None:
+    """Raise unless the kernel is of a known type, in the net's base and
+    dimension."""
+    if not isinstance(kernel, (BandLimitedKernel, SpectralDiagonalKernel)):
+        raise TypeError("unknown kernel type")
+    if kernel.base != net.base:
+        raise ValueError("incompatible elements: base mismatch")
+    if kernel.s != net.s:
+        raise ValueError("incompatible elements: dimension mismatch")
+
+
 def _clamped(e2: float) -> tuple[float, bool]:
     return (0.0, True) if e2 < 0 else (e2, False)
 
@@ -253,19 +264,15 @@ def wce_direct(points: NetPoints, kernel) -> WceResult:
     A diagonal kernel takes the group identity, N terms.  A band-limited
     kernel takes u_k = sum_x W_k(x) for every one of the T frequencies k
     in its box, the values of the exact character sums, and reports the
-    N T exponent entries counted into them as terms_used.  Component j of
-    flat index t is digits j K .. (j+1) K - 1 of t (box = b^K), so the
-    frequency digits of all T are one digit pass over arange(T).
+    N T exponent entries counted into them as terms_used.  The frequency
+    digits are the kernel's T digit rows.  Either route raises ValueError
+    for a kernel of another base or dimension than the net's.
     """
     N = len(require_net_points(points, "wce_direct"))
+    _check_kernel(points.net, kernel)
     if isinstance(kernel, BandLimitedKernel):
-        if points.net.base != kernel.base:
-            raise ValueError("incompatible elements: base mismatch")
-        b, s, kd = kernel.base, kernel.s, kernel.k_digits
         digits, tails = points.digit_arrays()
-        K = np.zeros((kernel.size, s, max(kd, digits.shape[-1])), dtype=np.int64)
-        K[:, :, :kd] = (np.arange(kernel.size)[:, None] // b ** np.arange(s * kd) % b).reshape(kernel.size, s, kd)
-        u = np.array(sum_values(residue_counts(digits, tails, K, b), b))
+        u = np.array(sum_values(residue_counts(digits, tails, kernel.digits, kernel.base), kernel.base))
         term1 = complex(kernel.coeffs[0, 0])
         col = kernel.coeffs[:, 0]
         row = kernel.coeffs[0, :]
@@ -276,10 +283,8 @@ def wce_direct(points: NetPoints, kernel) -> WceResult:
             raise ArithmeticError("squared error came out non-real")
         val, cl = _clamped(e2c.real)
         return WceResult(val, "direct", 0.0, N * kernel.size, cl)
-    if isinstance(kernel, SpectralDiagonalKernel):
-        val, cl = _clamped(-1.0 + _diag_group_sum(points.net, kernel) / N)
-        return WceResult(val, "direct", 0.0, N, cl)
-    raise TypeError("unknown kernel type")
+    val, cl = _clamped(-1.0 + _diag_group_sum(points.net, kernel) / N)
+    return WceResult(val, "direct", 0.0, N, cl)
 
 
 def _phi_table(kernel: SpectralDiagonalKernel, n: int) -> np.ndarray:
@@ -326,33 +331,30 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
     a net built by symmetrize_matrices the dual membership test already
     encodes the digit-sum constraint of the symmetrization, so no extra
     filtering is needed.  Band-limited kernels are summed exactly over
-    the dual_scan of their frequency box (tail_bound 0).  Diagonal
+    the dual_members of their T digit rows (tail_bound 0).  Diagonal
     kernels are summed over dual frequencies of weight sum(a1(k_j)) at
     most cap (default n); everything heavier, dual or not, is absorbed
     into tail_bound via geometric series, so |direct - spectral| <=
     tail_bound always holds.
     """
+    _check_kernel(net, kernel)
     if isinstance(kernel, BandLimitedKernel):
-        flat = sorted(_tuple_to_flat(ks, kernel.box) for ks in dualmod.dual_scan(net, kernel.k_digits))
-        idx = np.array(flat[1:], dtype=np.int64)  # flat index 0 is the origin
+        idx = np.flatnonzero(dualmod.dual_members(net, kernel.digits))[1:]  # flat index 0 is the origin
         val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if len(idx) else 0j
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ArithmeticError("squared error came out non-real")
         v, cl = _clamped(val.real)
         return WceResult(v, "spectral", 0.0, len(idx) ** 2, cl)
-    if isinstance(kernel, SpectralDiagonalKernel):
-        if cap is None:
-            cap = net.n
-        if not 1 <= cap <= net.n:
-            raise ValueError("cap must lie in 1..n")
-        count = _weighted_box_count(kernel.base, net.s, cap)
-        if count > max_candidates:
-            raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
-        # every component is below b^cap
-        scan = np.array(dualmod.dual_scan(net, cap, weighted=True), dtype=np.int64 if net.base**cap <= 1 << 63 else object)
-        hits = scan[(scan != 0).any(axis=1)]
-        return WceResult(math.fsum(kernel.r_rows(hits).tolist()), "spectral", _diag_tail(kernel, cap), len(hits))
-    raise TypeError("unknown kernel type")
+    if cap is None:
+        cap = net.n
+    if not 1 <= cap <= net.n:
+        raise ValueError("cap must lie in 1..n")
+    count = _weighted_box_count(kernel.base, net.s, cap)
+    if count > max_candidates:
+        raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
+    digits = frequency_digits(dualmod.dual_scan(net, cap, weighted=True), net.base, net.s, cap)
+    hits = digits[digits.any(axis=(1, 2))]
+    return WceResult(math.fsum(kernel.r_rows(hits).tolist()), "spectral", _diag_tail(kernel, cap), len(hits))
 
 
 def _weighted_box_count(base: int, s: int, cap: int) -> int:
@@ -443,11 +445,12 @@ def _canonical_digits(rows: list[list[int]], den: int, base: int) -> tuple[np.nd
     n = minimal_precision(Fraction(g, den), b)
     top = b**n * (b - 1)
     nums = np.array(rows, dtype=object) // g * (top // (den // g))
-    digits = nums[..., None] // (b - 1) // np.array([b**e for e in range(n - 1, -1, -1)], dtype=object) % b
-    tails = nums % (b - 1)
-    one = nums == top
+    one = nums == top  # num div (b - 1) = b^n has n + 1 digits
+    heads = np.where(one, 0, nums // (b - 1))
+    digits = frequency_digits(heads.tolist(), b, nums.shape[1], n)[:, :, ::-1]  # position 1 first
+    tails = (nums % (b - 1)).astype(np.int64)
     digits[one], tails[one] = b - 1, b - 1
-    return digits.astype(np.int64), tails.astype(np.int64)
+    return digits, tails
 
 
 def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> IntegrationResult:

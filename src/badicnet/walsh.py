@@ -146,7 +146,7 @@ def sum_values(counts: np.ndarray, base: int) -> list[complex]:
 @dataclass(frozen=True)
 class CharacterSum:
     """Character sum recorded as exact per-residue counts: one row of a
-    character_counts array.
+    residue_counts array.
 
     counts[r] is the number of summands whose exponent is r mod b; the
     complex value of the sum is then sum(counts[r] * omega^r).  Integer
@@ -188,17 +188,11 @@ def character_sum_over(points: NetPoints, k: Sequence[int]) -> CharacterSum:
 
 def character_sums(points: NetPoints, ks: Sequence[Sequence[int]]) -> list[CharacterSum]:
     """Exact sums of W_k over the net points, shifted or not, one per
-    frequency vector in ks: the rows of character_counts."""
+    frequency vector in ks: the rows of their residue_counts."""
     b = require_net_points(points, "character_sums").net.base
-    return [CharacterSum(b, tuple(c)) for c in character_counts(points, ks).tolist()]
-
-
-def character_counts(points: NetPoints, ks: Sequence[Sequence[int]]) -> np.ndarray:
-    """(T, b) int64 array: row t counts the net points, shifted or not,
-    at which W_{ks[t]} has exponent r, for each residue r."""
-    b = require_net_points(points, "character_counts").net.base
     digits, tails = points.digit_arrays()
-    return residue_counts(digits, tails, frequency_digits(ks, b, *digits.shape[1:]), b)
+    counts = residue_counts(digits, tails, frequency_digits(ks, b, *digits.shape[1:]), b)
+    return [CharacterSum(b, tuple(c)) for c in counts.tolist()]
 
 
 def residue_counts(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: int) -> np.ndarray:
@@ -231,11 +225,11 @@ def character_exponent_table(points: NetPoints, ks: Sequence[Sequence[int]]) -> 
 
 
 def _exponents(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: int) -> np.ndarray:
-    """(N, T) exponents mod b of the frequencies with (T, s, d) digits K,
-    d >= n, at the points with (N, s, n) digits and (N, s) tails; each
-    position past n reads the point's tail digit."""
-    n = digits.shape[-1]
-    E = np.einsum("psd,tsd->pt", digits, K[:, :, :n])
+    """(N, T) exponents mod b of the frequencies with (T, s, d) digits K
+    at the points with (N, s, n) digits and (N, s) tails; each position
+    past n reads the point's tail digit."""
+    n, d = digits.shape[-1], K.shape[-1]
+    E = np.einsum("psd,tsd->pt", digits[:, :, :d], K[:, :, :n])
     if K.shape[-1] > n:
         E += tails @ K[:, :, n:].sum(axis=2).T
     E %= base

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import strategies as st
 
 from badicnet import DigitalNet, PointSet2, mu2, points_to_csv, symmetrize_matrices
-from badicnet.badic import GElement, GVector, first_nonzero_position, g_add, g_sub, project_pi
+from badicnet.badic import GElement, GVector, first_nonzero_position, g_add, g_sub, int_digits, project_pi
 from badicnet.rkhs import BandLimitedKernel, SpectralDiagonalKernel, _first_positions, _phi_table
 from badicnet.walsh import UnityExponent, character, cyclotomic_coeffs
 
@@ -140,6 +140,18 @@ def character_vec(k, z: GVector) -> UnityExponent:
     for kj, zj in zip(k, z.coords):
         e += character(kj, zj).e
     return UnityExponent(z.base, e)
+
+
+def digit_negate(k: int, base: int) -> int:
+    """Digitwise negation mod b of k >= 0, from int_digits."""
+    return sum((-d % base) * base**i for i, d in enumerate(int_digits(k, base)))
+
+
+def tuple_to_flat(ks, base: int, k_digits: int) -> int:
+    """Flat index of a frequency vector in a box of b^k_digits per
+    coordinate: component j fills digits j k_digits to (j+1) k_digits - 1,
+    from int_digits."""
+    return sum(d * base ** (j * k_digits + i) for j, k in enumerate(ks) for i, d in enumerate(int_digits(k, base)))
 
 
 def walsh_row(kernel: BandLimitedKernel, z: GVector) -> np.ndarray:

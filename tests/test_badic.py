@@ -20,7 +20,7 @@ from badicnet import (
     project_pi,
     section_sigma,
 )
-from badicnet.badic import first_nonzero_position, frequency_digits, rows_in_E
+from badicnet.badic import digit_values, first_nonzero_position, frequency_digits, rows_in_E
 from badicnet.dual import dual_members
 from oracles import g_neg, gv_add, gv_sub
 
@@ -253,9 +253,33 @@ def test_frequency_digits_reject_what_int_digits_rejects():
         frequency_digits([(1.5,)], 2, 1, 4)  # operator.index, as int_digits
     # too deep for the net's digit rows: n = 3 rows hold k < 2^3
     net = DigitalNet(2, (np.eye(3, 2, dtype=np.int64),))
-    assert dual_members(net, [(7,)]).shape == (1,)
+    assert dual_members(net, frequency_digits([(7,)], 2, 1, 3)).shape == (1,)
     with pytest.raises(ValueError, match="exceed matrix rows"):
-        dual_members(net, [(8,)])
+        dual_members(net, frequency_digits([(8,)], 2, 1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 11), st.integers(1, 3), st.integers(0, 70), st.data())
+def test_digit_values_invert_frequency_digits(b, s, depth, data):
+    # components on both sides of 2^63, and depths on both sides of b^d = 2^63
+    component = st.one_of(st.integers(0, b**6), st.integers(2**63 - 3, 2**63 + 3), st.integers(0, 2**80))
+    ks = data.draw(st.lists(st.tuples(*[component] * s), max_size=6), label="ks")
+    digits = frequency_digits(ks, b, s, depth)
+    got = digit_values(digits, b)
+    assert got.shape == (len(ks), s)
+    assert got.dtype == (np.int64 if b ** digits.shape[-1] <= 2**63 else object)
+    assert got.tolist() == [list(k) for k in ks]
+
+
+def test_digit_values_switch_to_python_ints_past_2_63():
+    # keys of b^d <= 2^63 all fit in int64: the largest is b^d - 1
+    for b, d, dtype in [(2, 63, np.int64), (2, 64, object), (3, 39, np.int64), (3, 40, object)]:
+        rows = np.zeros((3, d), dtype=np.uint8)
+        rows[1, -1] = b - 1
+        rows[2] = b - 1
+        keys = digit_values(rows, b)
+        assert keys.dtype == dtype
+        assert keys.tolist() == [0, (b - 1) * b ** (d - 1), b**d - 1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,7 +288,7 @@ def test_rows_in_E_match_the_digit_sums(b, s, data):
     # components on both sides of 2^63, where the digits switch to Python ints
     component = st.one_of(st.integers(0, b**6), st.integers(2**63 - 3, 2**63 + 3), st.integers(0, 2**80))
     ks = data.draw(st.lists(st.tuples(*[component] * s), max_size=8), label="ks")
-    got = rows_in_E(ks, b)
+    got = rows_in_E(frequency_digits(ks, b, s, 0), b)
     assert got.dtype == bool and got.shape == (len(ks),)
     assert got.tolist() == [all(sum(int_digits(kj, b)) % b == 0 for kj in k) for k in ks]
     assert [in_E(k[0], b) for k in ks] == [sum(int_digits(k[0], b)) % b == 0 for k in ks]
@@ -278,4 +302,4 @@ def test_in_E_rejects_what_int_digits_rejects():
         in_E(3, 1)
     with pytest.raises(TypeError):
         in_E(1.5, 2)
-    assert rows_in_E([], 3).shape == (0,)
+    assert rows_in_E(frequency_digits([], 3, 2, 0), 3).shape == (0,)

@@ -272,6 +272,65 @@ def test_study_wce_band_limited_seeded(capsys):
     assert out1 == out2
 
 
+# Outputs recorded before the digit codec was shared: the diagonal levels
+# read from digit arrays, the band-limited spectral route over the
+# kernel's digit rows, and the dual and rho2 row keys must keep every byte.
+GOLDEN = [
+    ('study wce --base 2 --m-range 1:4', (
+        '# schema=1\n'
+        'base,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail\n'
+        '2,1,9,8,"diagonal:alpha=1,gamma=1",0.072265625,0.0712890625,0.0068359375,415,True\n'
+        '2,2,10,16,"diagonal:alpha=1,gamma=1",0.021728515625,0.0214691162109375,0.003662109375,447,True\n'
+        '2,3,11,32,"diagonal:alpha=1,gamma=1",0.006622314453125,0.00655364990234375,0.001953125,479,True\n'
+        '2,4,12,64,"diagonal:alpha=1,gamma=1",0.001987457275390625,0.0019693374633789062,0.00103759765625,511,True\n'
+    )),
+    ('study wce --base 2 --m-range 1:4 --n-extra 4 --kernel bandlimited:k=2,rank=3 --seed 5', (
+        '# schema=1\n'
+        'base,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail\n'
+        '2,1,5,8,"bandlimited:k=2,rank=3",0.5598917513661019,0.5598917513661019,0.0,1,True\n'
+        '2,2,6,16,"bandlimited:k=2,rank=3",0.5598917513661019,0.5598917513661019,0.0,1,True\n'
+        '2,3,7,32,"bandlimited:k=2,rank=3",0.0,0.0,0.0,0,True\n'
+        '2,4,8,64,"bandlimited:k=2,rank=3",0.0,0.0,0.0,0,True\n'
+    )),
+    ('study wce --base 3 --m-range 1:2 --n-extra 2 --kernel bandlimited:k=2,rank=3 --seed 1', (
+        '# schema=1\n'
+        'base,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail\n'
+        '3,1,3,27,"bandlimited:k=2,rank=3",0.22700771490533295,0.22700771490533292,0.0,4,True\n'
+        '3,2,4,81,"bandlimited:k=2,rank=3",0.12376333156052335,0.12376333156052344,0.0,4,True\n'
+    )),
+    ('verify dual --kind sym-hammersley --base 3 --m 2 --n 5 --kbound 3', (
+        '{\n'
+        ' "passed": true,\n'
+        ' "kbound_digits": 3,\n'
+        ' "dual_sym": 9,\n'
+        ' "dual_inner_in_E": 9,\n'
+        ' "examples": [\n'
+        '  [0, 0],\n'
+        '  [5, 5],\n'
+        '  [7, 7],\n'
+        '  [11, 21],\n'
+        '  [13, 26]\n'
+        ' ]\n'
+        '}\n'
+    )),
+    ('verify rho2 --kind sym-hammersley-truncated --base 2 --m 4 --n 10', (
+        '{\n'
+        ' "rho2": 10,\n'
+        ' "cap": 20,\n'
+        ' "certified_by": "enumeration",\n'
+        ' "witness": [3, 12]\n'
+        '}\n'
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, want", GOLDEN, ids=["wce-diagonal", "wce-band-b2", "wce-band-b3", "dual", "rho2"])
+def test_outputs_are_byte_identical_to_the_recorded_ones(capsys, argv, want):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out == want
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["net", "gen", "--kind", "not-a-kind"])

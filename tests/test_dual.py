@@ -17,8 +17,8 @@ from badicnet import (
     symmetrize_matrices,
     truncated_sym_hammersley,
 )
-from badicnet.badic import in_E, int_digits
-from badicnet.dual import _class_members, _profiles, _row_keys, dual_scan, image_table, rank_mod_p
+from badicnet.badic import frequency_digits, in_E, int_digits
+from badicnet.dual import _class_members, _profiles, dual_scan, image_table, rank_mod_p
 from badicnet import dual, walsh
 from badicnet.dual import dual_members
 from badicnet.nets import DigitalNet
@@ -102,7 +102,7 @@ def test_batched_orthogonality_matches_the_per_sample_loop(net, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walsh, "_TABLE_ENTRIES", entries)
         sums = character_sums(pts, ks)
-    members = dual_members(net, ks)
+    members = dual_members(net, frequency_digits(ks, b, s, n))
     assert members.dtype == bool and members.shape == (len(ks),)
     got = [(cs.counts, hit) for cs, hit in zip(sums, members.tolist())]
     assert got == per_sample_orthogonality(net, ks)
@@ -113,14 +113,20 @@ def test_batched_orthogonality_matches_the_per_sample_loop(net, data):
 
 def test_dual_members_checks_every_frequency():
     net = hammersley_matrices(2, 2)
-    assert dual_members(net, []).shape == (0,)
-    assert dual_members(net, [(1, 2), (1, 1), (0, 0)]).tolist() == [True, False, True]
+
+    def members(ks, depth=0):
+        return dual_members(net, frequency_digits(ks, 2, 2, depth))
+
+    assert members([]).shape == (0,)
+    assert members([(1, 2), (1, 1), (0, 0)]).tolist() == [True, False, True]
+    # zero digits past the n rows are no part of a frequency
+    assert members([(1, 2), (1, 1), (0, 0)], depth=6).tolist() == [True, False, True]
     with pytest.raises(ValueError, match="dimension mismatch"):
-        dual_members(net, [(1, 2), (1,)])
+        dual_members(net, frequency_digits([(1,)], 2, 1, 2))
     with pytest.raises(ValueError, match="digits exceed matrix rows"):
-        dual_members(net, [(0, 0), (1, 4)])
+        members([(0, 0), (1, 4)])
     with pytest.raises(ValueError, match="negative integer"):
-        dual_members(net, [(0, 0), (-1, 0)])
+        dual_contains(net, (-1, 0))
 
 
 def test_symmetrized_dual_is_filtered_inner_dual():
@@ -493,20 +499,11 @@ def test_join_keeps_index_order_within_equal_keys(net, k_digits, weighted):
     assert dual_scan(net, k_digits, weighted) == walk_dual_scan(net, k_digits, weighted)
 
 
-def test_row_keys_switch_to_python_ints_past_2_62():
-    for b, m, dtype in [(2, 62, np.int64), (2, 63, object), (3, 39, np.int64), (3, 40, object)]:
-        rows = np.zeros((2, m), dtype=np.uint8)
-        rows[1, -1] = b - 1
-        keys = _row_keys(rows, b)
-        assert keys.dtype == dtype
-        assert keys.tolist() == [0, (b - 1) * b ** (m - 1)]
-
-
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize(
     "net, k_digits, origin_only",
     [
-        # images touch the columns past 2^62 and cancel only at the origin
+        # images touch the columns past 2^63 and cancel only at the origin
         (truncated_sym_hammersley(2, 68, 70), 5, True),
         (truncated_sym_hammersley(3, 43, 45), 3, True),
         (_low_rank_net(2, 2, 8, 70, 3, 5), 8, False),
@@ -515,8 +512,8 @@ def test_row_keys_switch_to_python_ints_past_2_62():
     ids=["sym-b2-m70", "sym-b3-m45", "low-rank-b2-m70", "low-rank-b3-m45"],
 )
 def test_join_on_object_keys(net, k_digits, origin_only, weighted):
-    # b^m > 2^62: the keys are Python ints, and the scan must not change
-    assert net.base**net.m > 1 << 62
+    # b^m > 2^63: the keys are Python ints, and the scan must not change
+    assert net.base**net.m > 1 << 63
     got = dual_scan(net, k_digits, weighted)
     assert got == walk_dual_scan(net, k_digits, weighted)
     assert (got == [(0,) * net.s]) == origin_only

@@ -33,14 +33,15 @@ from badicnet import (
     wce_direct,
     wce_spectral,
 )
-from badicnet.badic import g_add, project_pi
+from badicnet.badic import frequency_digits, g_add, project_pi
 from badicnet.dual import dual_scan
 from badicnet.nets import point_numerators
-from badicnet.rkhs import _diag_tail, _digit_negate, _weighted_box_count
+from badicnet.rkhs import _diag_tail, _weighted_box_count
 from badicnet.walsh import character_exponent_table, character_sums
 from oracles import (
     csv_text,
     diag_pair_sum,
+    digit_negate,
     digital_nets,
     draw_shift,
     gv_pi,
@@ -48,6 +49,7 @@ from oracles import (
     no_point_objects,
     pack_digit_arrays,
     per_point_csv,
+    tuple_to_flat,
     walsh_row,
 )
 
@@ -57,9 +59,9 @@ def _sym_net(b, m, n=None):
 
 
 def test_digit_negate():
-    assert _digit_negate(0, 3) == 0
-    assert _digit_negate(5, 3) == 7  # digits (2,1) -> (1,2)
-    assert _digit_negate(1, 2) == 1
+    assert digit_negate(0, 3) == 0
+    assert digit_negate(5, 3) == 7  # digits (2,1) -> (1,2)
+    assert digit_negate(1, 2) == 1
 
 
 @pytest.mark.parametrize("b, s, k_digits", [(2, 1, 3), (2, 2, 2), (3, 2, 1), (3, 3, 1), (5, 2, 1), (2, 3, 0)])
@@ -68,8 +70,24 @@ def test_flat_negation_negates_each_component(b, s, k_digits):
     kern = BandLimitedKernel.random(b, s, k_digits, 1, np.random.default_rng(0))
     flat = {kern.frequency(t): t for t in range(kern.size)}
     for t in range(kern.size):
-        neg = tuple(_digit_negate(k, b) for k in kern.frequency(t))
-        assert _digit_negate(t, b) == flat[neg]
+        assert tuple_to_flat(kern.frequency(t), b, k_digits) == t
+        neg = tuple(digit_negate(k, b) for k in kern.frequency(t))
+        assert digit_negate(t, b) == flat[neg] == tuple_to_flat(neg, b, k_digits)
+    # the kernel's digit rows are the frequencies' digits, by flat index
+    want = frequency_digits([kern.frequency(t) for t in range(kern.size)], b, s, k_digits)
+    assert np.array_equal(kern.digits, want)
+
+
+@pytest.mark.parametrize("b, s, k_digits", [(2, 1, 3), (2, 2, 2), (3, 2, 1), (3, 3, 1), (5, 2, 1), (2, 3, 0)])
+def test_random_kernel_has_the_negation_symmetry(b, s, k_digits):
+    # coeffs[neg t, neg u] = conj(coeffs[t, u]), the flat negation read
+    # from the scalar oracle; khat reads the same entries by frequency
+    kern = BandLimitedKernel.random(b, s, k_digits, 2, np.random.default_rng(1))
+    neg = [tuple_to_flat([digit_negate(k, b) for k in kern.frequency(t)], b, k_digits) for t in range(kern.size)]
+    for t in range(kern.size):
+        for u in range(kern.size):
+            assert kern.coeffs[neg[t], neg[u]] == kern.coeffs[t, u].conjugate()
+            assert khat(kern, kern.frequency(t), kern.frequency(u)) == kern.coeffs[t, u]
 
 
 def test_negative_frequencies_raise():
@@ -233,14 +251,14 @@ def test_diagonal_spectral_is_the_fsum_of_its_hits_in_any_order():
 @given(st.integers(2, 7), st.integers(1, 4), st.data())
 def test_table_weights_equal_r_bit_for_bit(b, s, data):
     kern = data.draw(diagonal_kernels(b, s), label="kernel")
-    # components past 2^63 make the frequency array an object array
+    # components past 2^63 are expanded in Python ints, and zero digits
+    # past the highest nonzero one leave the levels unchanged
     component = st.one_of(st.integers(0, b**8), st.sampled_from([0, 1, b - 1, b, 2**63 - 1]), st.integers(0, 2**90))
     ks = data.draw(st.lists(st.tuples(*[component] * s), min_size=1, max_size=20), label="ks")
-    big = max(max(k) for k in ks) >= 2**63
-    rows = np.array(ks, dtype=object if big else np.int64)
-    got = kern.r_rows(rows).tolist()
+    digits = frequency_digits(ks, b, s, data.draw(st.integers(0, 10), label="depth"))
+    got = kern.r_rows(digits).tolist()
     assert got == [kern.r(k) for k in ks]  # float ==: the same bits
-    assert kern.r_rows(rows[:0]).shape == (0,)
+    assert kern.r_rows(digits[:0]).shape == (0,)
 
 
 def exact_diag_tail(kernel, cap):
@@ -298,6 +316,25 @@ def test_band_limited_direct_rejects_a_base_mismatch():
     kern = BandLimitedKernel.random(2, 2, 1, 2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="incompatible elements: base mismatch"):
         wce_direct(enumerate_points(_sym_net(3, 1)), kern)
+
+
+@pytest.mark.parametrize(
+    "kern, message",
+    [
+        (SpectralDiagonalKernel(3, 2, 1.0, (1.0, 1.0)), "base mismatch"),
+        (SpectralDiagonalKernel(2, 3, 1.0, (1.0, 1.0, 1.0)), "dimension mismatch"),
+        (BandLimitedKernel.random(3, 2, 1, 2, np.random.default_rng(0)), "base mismatch"),
+        (BandLimitedKernel.random(2, 3, 1, 2, np.random.default_rng(0)), "dimension mismatch"),
+    ],
+    ids=["diagonal-base", "diagonal-dimension", "band-base", "band-dimension"],
+)
+def test_both_routes_reject_a_kernel_of_another_net(kern, message):
+    # a kernel of another base or dimension used to give silently wrong
+    # values, or a broadcast error in the direct route
+    net = _sym_net(2, 3, 5)
+    for route in (lambda: wce_direct(enumerate_points(net), kern), lambda: wce_spectral(net, kern), lambda: ms_wce_spectral(net, kern)):
+        with pytest.raises(ValueError, match=f"^incompatible elements: {message}$"):
+            route()
 
 
 def test_spectral_validates_inputs():

@@ -24,12 +24,13 @@ from badicnet import (
     walsh_eval,
     walsh_exponent,
 )
+from badicnet.badic import frequency_digits
 from badicnet.walsh import (
-    character_counts,
     character_exponent_table,
     character_sums,
     cyclotomic_coeffs,
     cyclotomic_remainders,
+    residue_counts,
     sum_values,
     sums_vanish,
 )
@@ -313,10 +314,15 @@ def test_row_values_are_the_character_sum_values(rows):
         assert value == complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
-def test_character_counts_are_the_character_sums():
+def test_residue_counts_are_the_character_sums():
     pts = enumerate_points(symmetrize_matrices(hammersley_matrices(3, 2, 4)))
     ks = [(0, 0), (1, 2), (5, 80), (3**45, 7)]
-    counts = character_counts(pts, ks)
-    assert counts.dtype == np.int64 and counts.shape == (4, 3)
-    assert [tuple(c) for c in counts.tolist()] == [cs.counts for cs in character_sums(pts, ks)]
-    assert character_counts(pts, []).shape == (0, 3)
+    digits, tails = pts.digit_arrays()
+    # frequencies of fewer digits than the points hold, and of more
+    for depth in (0, 6, 100):
+        counts = residue_counts(digits, tails, frequency_digits(ks, 3, 2, depth), 3)
+        assert counts.dtype == np.int64 and counts.shape == (4, 3)
+        assert [tuple(c) for c in counts.tolist()] == [cs.counts for cs in character_sums(pts, ks)]
+    per_point = [tuple(sum(character_vec(k, z).e == r for z in pts) for r in range(3)) for k in ks]
+    assert [cs.counts for cs in character_sums(pts, ks)] == per_point
+    assert residue_counts(digits, tails, frequency_digits([], 3, 2, 0), 3).shape == (0, 3)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -27,8 +26,8 @@ _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
 _FLOAT64_EXACT = 1 << 53  # integers below this are exact in float64
 # net point rows per block of digit arrays (numerators, the diagonal-kernel
 # group sum), of GVectors when iterating and of CSV rows per write: larger
-# blocks raised the peak RSS.  The blocks of one point_digit_blocks call
-# share its two half-index tables
+# blocks raised the peak RSS.  The blocks of one NetPoints.digit_blocks
+# call share its two half-index tables
 _ROW_BLOCK = 1024
 
 
@@ -106,11 +105,12 @@ class DigitalNet:
 
 
 def _half_rows(base: int, values: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
-    """Rows (digits of v) @ weights mod b for the half indices v in values.
+    """Rows (digits of v) @ weights mod b for the int64 indices v in
+    values, point indices or half indices.
 
     Each entry of the float64 product is an integer of at most
-    len(weights) (b - 1)^2, exact below 2^53.  The half indices are int64
-    by construction, so this hot path splits them here, not in badic.
+    len(weights) (b - 1)^2, exact below 2^53.  The indices are int64 by
+    construction, so this hot path splits them here, not in badic.
     """
     digits = values[:, None] // base ** np.arange(len(weights), dtype=np.int64) % base
     prod = (digits.astype(np.float64) @ weights.astype(np.float64)).astype(np.int64)
@@ -118,81 +118,27 @@ def _half_rows(base: int, values: np.ndarray, weights: np.ndarray, dtype) -> np.
     return prod.astype(dtype)
 
 
-def _half_reader(base: int, first: int, last: int, reads: int, weights: np.ndarray, dtype):
-    """Function from an array of half indices in first..last to their
-    _half_rows.  When that range holds no more values than the reads to
-    come, the rows of the whole range are built once as a table and read
-    by gather; past that, each call computes the rows it is given."""
-    if last - first >= reads:
-        return lambda part: _half_rows(base, part, weights, dtype)
-    table = _half_rows(base, np.arange(first, last + 1), weights, dtype)
-    return lambda part: np.take(table, part - first, axis=0)
-
-
-def point_digit_blocks(net: DigitalNet, rows: slice = slice(None), block: int = _ROW_BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Net points as digit arrays, block rows at a time: (B, s, n) digits
-    and (B, s) tails of the points whose indices are in the slice rows, in
-    slice order, in at least one block (an empty one for an empty slice).
-
-    Every digit and tail is linear in the index digits, so the row of
-    index nu = nu_hi b^h + nu_lo, h = ceil(m/2), is the sum mod b of a row
-    read for the high digits nu_hi and one for the low digits nu_lo.  The
-    two tables of these rows, each over the half indices the slice reads
-    (at most about 2 b^(m/2) rows for a slice of the whole net), are built
-    once, before the first block, from a float64 product with the matrices
-    and tail rows; a half whose index range is wider than the slice is
-    long computes its rows per block instead.  A block is then one
-    gather-add and one conditional subtract in the narrowest unsigned type
-    that holds 2b - 2.  The product is exact because each of its entries
-    is an integer of at most m (b - 1)^2, which must stay below 2^53; a
-    net past that bound is a ValueError, raised when the first block is
-    asked for.
-    """
-    b, s, n, m = net.base, net.s, net.n, net.m
-    if m * (b - 1) ** 2 >= _FLOAT64_EXACT:
-        raise ValueError(f"net too large for exact float64 digits: m (b-1)^2 = {m * (b - 1) ** 2} >= 2^53")
-    cols = [C.T for C in net.matrices]
-    if net.tail_rows is not None:
-        cols.append(np.stack(net.tail_rows, axis=1))
-    weights = np.hstack(cols)  # (m, s n [+ s]): the row of index digit c is weights[c]
-    h = (m + 1) // 2
-    half = b**h
-    dtype = np.min_scalar_type(2 * b - 2)
-    index = range(*rows.indices(b**m))
-    ends = sorted((index[0], index[-1])) if index else (0, 0)
-    hi_first, hi_last = ends[0] // half, ends[1] // half
-    lo_first, lo_last = (ends[0] % half, ends[1] % half) if hi_first == hi_last else (0, half - 1)
-    hi_rows = _half_reader(b, hi_first, hi_last, len(index), weights[h:], dtype)
-    lo_rows = _half_reader(b, lo_first, lo_last, len(index), weights[:h], dtype)
-    for start in range(0, max(len(index), 1), block):
-        part = index[start : start + block]
-        hi, lo = np.divmod(np.arange(part.start, part.stop, part.step, dtype=np.int64), half)
-        prod = hi_rows(hi)
-        prod += lo_rows(lo)
-        prod -= (prod >= b) * dtype.type(b)
-        prod = prod.astype(np.int64)
-        digits = prod[:, : s * n].reshape(-1, s, n)
-        tails = prod[:, s * n :] if net.tail_rows is not None else np.zeros((len(prod), s), dtype=np.int64)
-        yield digits, tails
-
-
-def point_digit_arrays(net: DigitalNet, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Net points as digit arrays: (N, s, n) digits and (N, s) tails, all
-    of them or those whose indices are in the slice rows.  They are the
-    one block of point_digit_blocks over the slice."""
-    return next(point_digit_blocks(net, rows, max(len(range(*rows.indices(net.n_points))), 1)))
-
-
-class NetPoints(Sequence[GVector]):
+class NetPoints:
     """Read-only sequence of a net's points in index order: the one point
     input of point_numerators, points_to_csv, the character sums and
     exponent tables of walsh, and wce_direct and qmc_integrate in rkhs.
 
     It holds the net and an optional digital shift ((s, n) digits, zero
-    tail), and is never empty.  digit_arrays() gives the points as
-    arrays, digit_blocks() the same _ROW_BLOCK rows at a time.  Indexing
-    and iteration build GVector objects from the digit arrays of the rows
-    asked for, a block at a time when iterating, and keep none.
+    tail), and is never empty.  digit_blocks() gives the digit arrays of
+    every point, _ROW_BLOCK rows at a time, and digit_arrays() the same
+    rows as one block.  Every digit and tail is linear in the index
+    digits, so the row of index nu = nu_hi b^h + nu_lo, h = ceil(m/2), is
+    the sum mod b of a row read for the high digits nu_hi and one for the
+    low digits nu_lo: digit_blocks builds the two tables of these rows
+    over all b^(m-h) and b^h half indices once, before its first block,
+    and a block is then one gather-add and one conditional subtract in
+    the narrowest unsigned type that holds 2b - 2.  Indexing reads the
+    rows asked for with one product of their m index digits, no table.
+    Both products are in float64, exact because each entry is an integer
+    of at most m (b - 1)^2, which must stay below 2^53; a net past that
+    bound is a ValueError.  Indexing and iteration build GVector objects
+    from the digit arrays of the rows asked for, a block at a time when
+    iterating, and keep none.
     """
 
     def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
@@ -203,31 +149,57 @@ class NetPoints(Sequence[GVector]):
         return self.net.n_points
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._vectors(*self.digit_arrays(i))
-        N = len(self)
-        i = operator.index(i)
-        if not -N <= i < N:
-            raise IndexError("net point index out of range")
-        return self._vectors(*self.digit_arrays(slice(i % N, i % N + 1)))[0]
+        index = range(len(self))[i]
+        if isinstance(index, int):
+            return self[index : index + 1][0]
+        rows = np.arange(index.start, index.stop, index.step, dtype=np.int64)
+        return self._vectors(*self._split(_half_rows(self.net.base, rows, self._weights(), np.int64)))
 
     def __iter__(self):
         for digits, tails in self.digit_blocks():
             yield from self._vectors(digits, tails)
 
-    def _shifted(self, digits: np.ndarray) -> np.ndarray:
-        return digits if self.shift is None else (digits + self.shift) % self.net.base
+    def _weights(self) -> np.ndarray:
+        """(m, s n [+ s]) matrix whose row c is the digits and tails that
+        index digit c contributes, once m (b - 1)^2 < 2^53 is checked."""
+        net = self.net
+        if net.m * (net.base - 1) ** 2 >= _FLOAT64_EXACT:
+            raise ValueError(f"net too large for exact float64 digits: m (b-1)^2 = {net.m * (net.base - 1) ** 2} >= 2^53")
+        cols = [C.T for C in net.matrices]
+        if net.tail_rows is not None:
+            cols.append(np.stack(net.tail_rows, axis=1))
+        return np.hstack(cols)
 
-    def digit_arrays(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(N, s, n) digits and (N, s) tails, as point_digit_arrays, shift added."""
-        digits, tails = point_digit_arrays(self.net, rows)
-        return self._shifted(digits), tails
+    def _split(self, prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, s, n) digits, shift added, and (B, s) tails of rows mod b."""
+        net = self.net
+        prod = prod.astype(np.int64, copy=False)
+        digits = prod[:, : net.s * net.n].reshape(-1, net.s, net.n)
+        if self.shift is not None:
+            digits = (digits + self.shift) % net.base
+        tails = prod[:, net.s * net.n :] if net.tail_rows is not None else np.zeros((len(prod), net.s), dtype=np.int64)
+        return digits, tails
 
-    def digit_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The digit arrays of every point, _ROW_BLOCK rows at a time, as
-        point_digit_blocks, shift added."""
-        for digits, tails in point_digit_blocks(self.net):
-            yield self._shifted(digits), tails
+    def digit_blocks(self, block: int = _ROW_BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(B, s, n) digits and (B, s) tails of every point in index
+        order, block rows at a time, from the two half-index tables."""
+        weights = self._weights()
+        b, m, N = self.net.base, self.net.m, len(self)
+        h = (m + 1) // 2
+        half = b**h
+        dtype = np.min_scalar_type(2 * b - 2)
+        hi_rows = _half_rows(b, np.arange(N // half), weights[h:], dtype)
+        lo_rows = _half_rows(b, np.arange(half), weights[:h], dtype)
+        for start in range(0, N, block):
+            hi, lo = np.divmod(np.arange(start, min(start + block, N), dtype=np.int64), half)
+            prod = np.take(hi_rows, hi, axis=0)
+            prod += np.take(lo_rows, lo, axis=0)
+            prod -= (prod >= b) * dtype.type(b)
+            yield self._split(prod)
+
+    def digit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, s, n) digits and (N, s) tails: the one block of digit_blocks."""
+        return next(self.digit_blocks(len(self)))
 
     def _vectors(self, digits: np.ndarray, tails: np.ndarray) -> list[GVector]:
         b = self.net.base
@@ -256,9 +228,10 @@ def require_net_points(points, entry: str) -> NetPoints:
 
 @dataclass(frozen=True, eq=False)
 class PointSet2:
-    """Planar multiset of exact rationals, stored as numerators over one
-    common denominator.  Numerator dtype falls back to python ints when
-    the denominator is large enough to threaten int64 arithmetic."""
+    """Planar multiset of exact rationals in [0, 1]^2, stored as integer
+    numerators in [0, den] over one common positive denominator.
+    Numerator dtype falls back to python ints when the denominator is
+    large enough to threaten int64 arithmetic."""
 
     nums: np.ndarray  # (N, 2)
     den: int
@@ -267,6 +240,12 @@ class PointSet2:
         a = np.asarray(self.nums)
         if a.ndim != 2 or a.shape[1] != 2:
             raise ValueError("expected an (N, 2) numerator array")
+        if not isinstance(self.den, (int, np.integer)) or self.den <= 0:
+            raise ValueError(f"den must be a positive integer, not {self.den!r}")
+        if a.dtype.kind not in "iu" and not (a.dtype == object and all(isinstance(v, (int, np.integer)) for v in a.flat)):
+            raise ValueError(f"numerators must be integers, not {a.dtype}")
+        if a.size and (int(a.min()) < 0 or int(a.max()) > self.den):
+            raise ValueError("numerators must lie in [0, den]: a point outside the unit square")
         object.__setattr__(self, "nums", a)
 
     @property

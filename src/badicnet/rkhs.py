@@ -41,14 +41,14 @@ Both routes take only kernels of the net's base and dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Sequence
 
 import numpy as np
 
 from .badic import digit_values, frequency_digits, int_digits, minimal_precision
-from .nets import DigitalNet, NetPoints, PointSet2, point_digit_blocks, point_numerators, require_net_points
+from .nets import DigitalNet, NetPoints, PointSet2, point_numerators, require_net_points
 from .walsh import UnityExponent, _exponents, residue_counts, sum_values
 from . import dual as dualmod
 
@@ -81,13 +81,16 @@ class BandLimitedKernel:
     coeffs[t, u] is the coefficient at the frequency pair indexed by
     t and u; component j of index t is (t // box^j) % box with
     box = base^k_digits.  The matrix must be Hermitian positive
-    semidefinite, which holds for anything built by random.
+    semidefinite, which holds for anything built by random.  digits are
+    the (T, s, k_digits) digit rows of the T frequencies, by flat index
+    (_box_digits), built once with the kernel.
     """
 
     base: int
     s: int
     k_digits: int
     coeffs: np.ndarray
+    digits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         box = self.base**self.k_digits
@@ -100,6 +103,9 @@ class BandLimitedKernel:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
+        digits = _box_digits(self.base, self.s, self.k_digits)
+        digits.setflags(write=False)
+        object.__setattr__(self, "digits", digits)
 
     @property
     def box(self) -> int:
@@ -108,13 +114,6 @@ class BandLimitedKernel:
     @property
     def size(self) -> int:
         return self.box**self.s
-
-    @property
-    def digits(self) -> np.ndarray:
-        """(T, s, k_digits) digits of the T frequencies, by flat index:
-        component j of t is digits j k_digits to (j+1) k_digits - 1 of t."""
-        T, s, kd = self.size, self.s, self.k_digits
-        return frequency_digits([(t,) for t in range(T)], self.base, 1, s * kd).reshape(T, s, kd)
 
     def frequency(self, t: int) -> tuple[int, ...]:
         return tuple((t // self.box**j) % self.box for j in range(self.s))
@@ -137,9 +136,17 @@ class BandLimitedKernel:
         W = rng.normal(size=(T, rank)) + 1j * rng.normal(size=(T, rank))
         W /= math.sqrt(2.0 * T)
         A = W @ W.conj().T
-        perm = digit_values(-frequency_digits([(t,) for t in range(T)], base, 1, s * k_digits)[:, 0] % base, base)
+        perm = digit_values(-_box_digits(base, s, k_digits).reshape(T, s * k_digits) % base, base)
         sym = A + A[np.ix_(perm, perm)].conj()
         return cls(base, s, k_digits, sym)
+
+
+def _box_digits(base: int, s: int, k_digits: int) -> np.ndarray:
+    """(T, s, k_digits) digits of the T = b^(s k_digits) frequencies of a
+    box, by flat index: component j of t is digits j k_digits to
+    (j+1) k_digits - 1 of t."""
+    T = base ** (s * k_digits)
+    return frequency_digits([(t,) for t in range(T)], base, 1, s * k_digits).reshape(T, s, k_digits)
 
 
 @dataclass(frozen=True)
@@ -162,8 +169,8 @@ class SpectralDiagonalKernel:
             raise ValueError("alpha must exceed 1/2 for a summable kernel")
         if len(self.gammas) != self.s:
             raise ValueError("one weight per coordinate required")
-        if not all(g >= 0 for g in self.gammas):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= g < math.inf for g in self.gammas):
+            raise ValueError("weights must be finite and nonnegative")
 
     @property
     def q(self) -> float:
@@ -303,14 +310,14 @@ def _first_positions(nonzero: np.ndarray, tail_nonzero: np.ndarray) -> np.ndarra
 def _diag_group_sum(net: DigitalNet, kernel: SpectralDiagonalKernel) -> float:
     """sum over the unshifted net points x of the diagonal kernel K(x, 0).
 
-    The digit arrays are read from point_digit_blocks and the products of
-    every block go into one math.fsum, which is correctly rounded, so the
-    sum does not depend on the blocks.
+    The digit arrays are read from NetPoints.digit_blocks and the
+    products of every block go into one math.fsum, which is correctly
+    rounded, so the sum does not depend on the blocks.
     """
     table = _phi_table(kernel, net.n)
 
     def products():
-        for digits, tails in point_digit_blocks(net):
+        for digits, tails in NetPoints(net).digit_blocks():
             prod = np.ones(len(digits))
             for j in range(net.s):
                 pos = _first_positions(digits[:, j, :] != 0, tails[:, j] != 0)

@@ -1,18 +1,27 @@
-"""The benchmark's span tracer names only functions that exist."""
+"""The benchmark's span tracer names only functions that exist, and its
+output check still reads the shifted net points the way the library
+hands them out (iteration and slicing of NetPoints)."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name: str):
+    # the bench scripts are not package modules: load them by path,
+    # registered first, since dataclasses look their module up by name
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    # spans.py is stdlib only and not a package module: load it by path
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench_module("spans")
 
 
 def test_every_traced_function_resolves():
@@ -24,3 +33,15 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"badicnet.{module}"), function, None))
     ]
     assert missing == []
+
+
+def test_qmc_check_reads_the_shifted_points():
+    from badicnet import enumerate_points, hammersley_matrices, qmc_integrate, random_digital_shift, symmetrize_matrices
+
+    verify_qmc = load_bench_module("check")._verify_qmc
+    net = symmetrize_matrices(hammersley_matrices(2, 3, 5))
+    shifted = random_digital_shift(enumerate_points(net), 7)
+    res = qmc_integrate(shifted, "prod-quadratic")
+    assert verify_qmc((net, shifted, res)) == []
+    # one point swapped for a copy of another: no longer one digital shift
+    assert verify_qmc((net, shifted[:-1] + shifted[:1], res))

@@ -505,6 +505,13 @@ def test_nan_and_negative_kernel_specs_exit_two(capsys, spec):
     assert out == ""
 
 
+def test_infinite_kernel_weight_exits_two(capsys):
+    # the weight is refused when the kernel is built, not deep in a sum
+    code, out, err = run(capsys, "study", "wce", "--base", "2", "--m-range", "1:1", "--kernel", "diagonal:gamma=inf")
+    assert (code, out) == (2, "")
+    assert err == "error: weights must be finite and nonnegative\n"
+
+
 def test_band_limited_kernel_size_guard(capsys, monkeypatch):
     # b^(2 k s) coefficients are counted before the kernel is built
     import badicnet.cli as cli

@@ -25,7 +25,7 @@ from badicnet import (
 )
 from badicnet import nets as netsmod
 from badicnet.badic import GElement, GVector
-from badicnet.nets import NetPoints, point_digit_arrays, point_digit_blocks
+from badicnet.nets import NetPoints
 from oracles import (
     _index_digit_rows,
     csv_text,
@@ -83,6 +83,29 @@ def test_point_set_from_fractions_round_trips():
     ps = PointSet2.from_fractions(pairs)
     assert sorted(ps.fractions()) == sorted(pairs)
     assert ps.den % 6 == 0
+
+
+def test_point_set_rejects_points_outside_the_unit_square():
+    # linf_star read 1.5 for the point (3/2, 1/2), past any local discrepancy
+    for nums in ([[3, 1]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="outside the unit square"):
+            PointSet2(np.array(nums), 2)
+    assert PointSet2(np.array([[0, 2]], dtype=np.uint8), 2).n_points == 1  # the faces are in
+
+
+def test_point_set_rejects_numerators_that_are_not_integers():
+    # l2_star cast 0.5 and 0.25 to int64 and gave the value of the point (0, 0)
+    for nums in (np.array([[0.5, 0.25]]), np.array([[Fraction(1, 2), 0]], dtype=object), np.array([[True, False]])):
+        with pytest.raises(ValueError, match="numerators must be integers"):
+            PointSet2(nums, 1)
+    assert PointSet2(np.array([[1, 2**70]], dtype=object), 2**70).n_points == 1
+
+
+def test_point_set_rejects_a_denominator_that_is_not_positive():
+    # den = 0 was a ZeroDivisionError in the first value read
+    for den in (0, -3, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="den must be a positive integer"):
+            PointSet2(np.array([[0, 0]]), den)
 
 
 def test_symmetrized_matrices_shape_and_tail_rows():
@@ -207,13 +230,17 @@ def test_points_csv_layout():
     assert lines[2].split(",")[0] in {"0/1", "1/2"}
 
 
-def eager_points(net):
-    """enumerate_points as it was: the whole list of digit vectors at once."""
-    digits, tails = point_digit_arrays(net)
+def vectors(base, digits, tails):
+    """GVectors of (N, s, n) digits and (N, s) tails, one point at a time."""
     return [
-        GVector(tuple(GElement(net.base, tuple(int(d) for d in digits[i, j]), int(tails[i, j])) for j in range(net.s)))
+        GVector(tuple(GElement(base, tuple(int(d) for d in digits[i, j]), int(tails[i, j])) for j in range(digits.shape[1])))
         for i in range(digits.shape[0])
     ]
+
+
+def eager_points(net):
+    """enumerate_points as it was: the whole list of digit vectors at once."""
+    return vectors(net.base, *int64_digit_arrays(net))
 
 
 def test_net_points_agree_with_the_eager_list():
@@ -225,7 +252,7 @@ def test_net_points_agree_with_the_eager_list():
         assert len(pts) == len(want) == net.n_points
         # digit arrays come straight from the net, no objects are built
         with no_point_objects():
-            for got, ref in zip(pts.digit_arrays(), point_digit_arrays(net)):
+            for got, ref in zip(pts.digit_arrays(), int64_digit_arrays(net)):
                 assert np.array_equal(got, ref)
         assert [pts[i] for i in range(len(pts))] == want
         assert pts[-1] == want[-1] and pts[-len(want)] == want[0]
@@ -249,8 +276,8 @@ def test_net_points_iterate_block_by_block():
 
 
 def int64_digit_arrays(net, idx=None):
-    """point_digit_arrays as it was: an int64 product per coordinate of the
-    index digits, of every point or of the indices idx."""
+    """The digit arrays as they once were read: an int64 product per
+    coordinate of the index digits, of every point or of the indices idx."""
     nu = _index_digit_rows(net.base, net.m, idx)
     digits = np.stack([(nu @ C.T) % net.base for C in net.matrices], axis=1)
     tails = np.zeros((len(nu), net.s), dtype=np.int64)
@@ -263,8 +290,8 @@ def int64_digit_arrays(net, idx=None):
 def nets_and_row_slices(draw):
     """A random net over b in 2..7 with m in 0..9 index digits, with or
     without tail rows, and a slice of its indices.  The slice starts near a
-    multiple of b^ceil(m/2), where point_digit_arrays changes the row of its
-    high table, and is short enough for the oracle at any N."""
+    multiple of b^ceil(m/2), where the high half index of a point changes,
+    and is short enough for the oracle at any N."""
     b, m = draw(st.integers(2, 7), label="b"), draw(st.integers(0, 9), label="m")
     s, n = draw(st.integers(1, 3), label="s"), draw(st.integers(1, 4), label="n")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -288,33 +315,32 @@ def nets_and_row_slices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(nets_and_row_slices(), st.data())
-def test_half_index_tables_match_the_direct_product(net_rows, data):
+def test_indexing_matches_the_direct_product(net_rows, data):
     net, rows = net_rows
     idx = np.arange(*rows.indices(net.n_points))
     want_digits, want_tails = int64_digit_arrays(net, idx)
-    digits, tails = point_digit_arrays(net, rows)
-    assert digits.dtype == tails.dtype == np.int64
-    assert digits.shape == (len(idx), net.s, net.n) and tails.shape == (len(idx), net.s)
-    assert np.array_equal(digits, want_digits) and np.array_equal(tails, want_tails)
+    assert NetPoints(net)[rows] == vectors(net.base, want_digits, want_tails)
     shift = np.array(data.draw(st.lists(st.integers(0, net.base - 1), min_size=net.s * net.n, max_size=net.s * net.n), label="shift"))
     shift = shift.reshape(net.s, net.n)
-    digits, tails = NetPoints(net, shift).digit_arrays(rows)
-    assert np.array_equal(digits, (want_digits + shift) % net.base) and np.array_equal(tails, want_tails)
+    shifted = vectors(net.base, (want_digits + shift) % net.base, want_tails)
+    pts = NetPoints(net, shift)
+    assert pts[rows] == shifted
+    if len(idx):
+        k = data.draw(st.integers(0, len(idx) - 1), label="k")
+        assert pts[int(idx[k])] == pts[int(idx[k]) - net.n_points] == shifted[k]
 
 
 @settings(max_examples=150, deadline=None)
-@given(nets_and_row_slices(), st.integers(1, 40))
-def test_once_built_tables_give_point_digit_arrays_for_every_slice(net_rows, block):
-    net, rows = net_rows
-    idx = np.arange(*rows.indices(net.n_points))
-    want_digits, want_tails = int64_digit_arrays(net, idx)
-    blocks = list(point_digit_blocks(net, rows, block))
-    assert len(blocks) == max(-(-len(idx) // block), 1)
+@given(digital_nets(max_points=729), st.integers(1, 40))
+def test_digit_blocks_match_the_direct_product_for_every_block_size(net, block):
+    want_digits, want_tails = int64_digit_arrays(net)
+    blocks = list(NetPoints(net).digit_blocks(block))
+    assert len(blocks) == -(-net.n_points // block)
     assert all(len(d) == len(t) == block for d, t in blocks[:-1])
     digits = np.concatenate([d for d, _ in blocks])
     tails = np.concatenate([t for _, t in blocks])
     assert np.array_equal(digits, want_digits) and np.array_equal(tails, want_tails)
-    assert all(np.array_equal(a, b) for a, b in zip((digits, tails), point_digit_arrays(net, rows)))
+    assert list(NetPoints(net)) == vectors(net.base, want_digits, want_tails)
 
 
 def test_digit_blocks_of_the_whole_net_build_two_tables(monkeypatch):
@@ -329,33 +355,34 @@ def test_digit_blocks_of_the_whole_net_build_two_tables(monkeypatch):
     assert np.array_equal(np.concatenate([d for d, _ in blocks]), digits)
     assert np.array_equal(np.concatenate([t for _, t in blocks]), tails)
     built.clear()
-    point_digit_arrays(net, slice(5, 6))  # one point: two products of one row, no table
-    assert built == [1, 1]
+    assert pts[5] == eager_points(net)[5]  # one point: one product of one row, no table
+    assert built == [1]
 
 
 @settings(max_examples=80, deadline=None)
 @given(digital_nets(), st.data())
 def test_float64_digit_arrays_match_the_int64_product(net, data):
-    digits, tails = point_digit_arrays(net)
+    pts = NetPoints(net)
+    digits, tails = pts.digit_arrays()
     want_digits, want_tails = int64_digit_arrays(net)
     assert digits.dtype == tails.dtype == np.int64
     assert np.array_equal(digits, want_digits) and np.array_equal(tails, want_tails)
     lo = data.draw(st.integers(0, net.n_points - 1), label="lo")
     rows = slice(lo, data.draw(st.integers(lo, net.n_points), label="hi"))
-    got = point_digit_arrays(net, rows)
-    assert np.array_equal(got[0], want_digits[rows]) and np.array_equal(got[1], want_tails[rows])
+    assert pts[rows] == vectors(net.base, want_digits[rows], want_tails[rows])
 
 
 def test_float64_digit_arrays_bound():
     # m (b - 1)^2 < 2^53 keeps every entry of the product exact
     b = (1 << 26) + 1  # (b - 1)^2 = 2^52
     below = DigitalNet(b, (np.array([[b - 1], [b - 2]]),), (np.array([b - 1]),))
-    digits, tails = point_digit_arrays(below, slice(b - 3, None))
-    assert digits[:, 0].tolist() == [[(k * (b - 1)) % b, (k * (b - 2)) % b] for k in range(b - 3, b)]
-    assert tails[:, 0].tolist() == [(k * (b - 1)) % b for k in range(b - 3, b)]
-    past = DigitalNet(b, (np.array([[b - 1, 1]]),))  # m (b - 1)^2 = 2^53
-    with pytest.raises(ValueError, match="2\\^53"):
-        point_digit_arrays(past, slice(0, 2))
+    got = NetPoints(below)[b - 3 :]
+    assert [z.coords[0].digits for z in got] == [((k * (b - 1)) % b, (k * (b - 2)) % b) for k in range(b - 3, b)]
+    assert [z.coords[0].tail for z in got] == [(k * (b - 1)) % b for k in range(b - 3, b)]
+    past = NetPoints(DigitalNet(b, (np.array([[b - 1, 1]]),)))  # m (b - 1)^2 = 2^53
+    for read in (lambda: past[0:2], lambda: past[0], lambda: next(past.digit_blocks()), past.digit_arrays, lambda: next(iter(past))):
+        with pytest.raises(ValueError, match="2\\^53"):
+            read()
 
 
 def test_points_csv_from_digit_arrays_matches_per_point_writer():
@@ -387,9 +414,10 @@ def test_points_csv_over_several_blocks_matches_per_point_writer():
     for pts in (enumerate_points(net), enumerate_points(tailed), shifted):
         assert len(pts) > _ROW_BLOCK
         digits, tails = pts.digit_arrays()
-        for rows in (slice(0, _ROW_BLOCK), slice(_ROW_BLOCK, 2 * _ROW_BLOCK), slice(len(pts) - 3, None)):
-            got = pts.digit_arrays(rows)
-            assert np.array_equal(got[0], digits[rows]) and np.array_equal(got[1], tails[rows])
+        blocks = list(pts.digit_blocks())
+        for k, rows in enumerate((slice(0, _ROW_BLOCK), slice(_ROW_BLOCK, 2 * _ROW_BLOCK))):
+            assert np.array_equal(blocks[k][0], digits[rows]) and np.array_equal(blocks[k][1], tails[rows])
+        assert pts[len(pts) - 3 :] == vectors(pts.net.base, digits[-3:], tails[-3:])
         assert csv_text(pts) == per_point_csv(list(pts))
 
 

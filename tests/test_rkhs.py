@@ -76,6 +76,9 @@ def test_flat_negation_negates_each_component(b, s, k_digits):
     # the kernel's digit rows are the frequencies' digits, by flat index
     want = frequency_digits([kern.frequency(t) for t in range(kern.size)], b, s, k_digits)
     assert np.array_equal(kern.digits, want)
+    # built once with the kernel, read-only like coeffs
+    assert kern.digits is kern.digits and not kern.digits.flags.writeable
+    assert np.array_equal(ds_invariant_coeffs(kern).digits, want)
 
 
 @pytest.mark.parametrize("b, s, k_digits", [(2, 1, 3), (2, 2, 2), (3, 2, 1), (3, 3, 1), (5, 2, 1), (2, 3, 0)])
@@ -124,6 +127,14 @@ def test_diagonal_kernel_weights():
 def test_diagonal_kernel_needs_convergent_alpha():
     with pytest.raises(ValueError, match="alpha must exceed 1/2"):
         SpectralDiagonalKernel(2, 1, 0.5, (1.0,))
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, -1.0])
+def test_diagonal_kernel_needs_finite_nonnegative_weights(gamma):
+    # an infinite weight gave wce_spectral inf with a nan tail bound and
+    # wce_direct an "-inf + inf in fsum" error
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        SpectralDiagonalKernel(2, 2, 1.0, (gamma, 1.0))
 
 
 def test_phi_closed_form_binary():

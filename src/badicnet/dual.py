@@ -37,7 +37,8 @@ def dual_members(net: DigitalNet, digits: np.ndarray) -> np.ndarray:
 
     Every component must fit in the digit rows (no nonzero digit past
     n).  The images sum_j vec(k_j) C_j mod b of all vectors come from one
-    (T, d) @ (d, m) product per coordinate.
+    (T, d) @ (d, m) product per coordinate, in int64 while d (b-1)^2 <
+    2^63 bounds its entries and in Python ints past that.
     """
     if digits.shape[1] != net.s:
         raise ValueError("incompatible elements: dimension mismatch")
@@ -45,9 +46,10 @@ def dual_members(net: DigitalNet, digits: np.ndarray) -> np.ndarray:
     if digits[..., n:].any():
         raise ValueError("digits exceed matrix rows")
     d = min(digits.shape[-1], n)
+    dtype = np.int64 if d * (b - 1) ** 2 < 1 << 63 else object
     acc = np.zeros((len(digits), net.m), dtype=np.int64)
     for j, C in enumerate(net.matrices):
-        acc += (digits[:, j, :d] @ C[:d]) % b
+        acc += (digits[:, j, :d].astype(dtype) @ C[:d].astype(dtype) % b).astype(np.int64)
     return ~np.any(acc % b, axis=1)
 
 
@@ -83,63 +85,62 @@ def _matches(side: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> tuple[
     return lo, np.searchsorted(side[1], targets, side="right") - lo
 
 
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of runs of counts[0], counts[1], ... entries: its run and its place in it."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _join(side: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, k) with keys[k] == targets[i], ordered by i, then k."""
     lo, counts = _matches(side, targets)
-    i = np.repeat(np.arange(len(targets)), counts)
-    start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return i, side[0][start + np.arange(len(i))]
+    i, place = _runs(counts)
+    return i, side[0][lo[i] + place]
 
 
-def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False) -> list[tuple[int, ...]]:
-    """Dual vectors in a box, in lexicographic order, origin included.
+def _half(tables: list[np.ndarray], m: int, b: int, budget: int, weighted: bool):
+    """A half's admissible tuples by weight (summed digit levels, 0 in a
+    box), lexicographic within one: the keys of their image rows summed
+    mod b, their components, and where each weight 0..budget+1 starts.
+    Each row takes the k < b^(budget - weight) of the next table, added
+    in the tables' narrow dtype and reduced by one conditional subtract."""
+    levels = np.searchsorted(b ** np.arange(budget), np.arange(b**budget), side="right") * weighted
+    rows, weights, comps = np.zeros((1, m), dtype=np.uint8), levels[:1], np.zeros((1, 0), dtype=np.int64)
+    if tables:
+        rows, weights, comps = tables[0], levels, np.arange(len(levels))[:, None]
+    for table in tables[1:]:
+        i, k = _runs(b ** (budget - weights))
+        rows = rows[i] + table[k]
+        rows -= (rows >= b) * rows.dtype.type(b)
+        weights, comps = weights[i] + levels[k], np.column_stack([comps[i], k])
+    order = np.argsort(weights, kind="stable")
+    return digit_values(rows, b)[order], comps[order], np.searchsorted(weights[order], np.arange(budget + 2))
+
+
+def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False) -> np.ndarray:
+    """Dual vectors in a box, as a (T, s) int64 array in lexicographic order, origin included.
 
     Unweighted, every component ranges over k < b^k_digits.  Weighted,
-    k_digits is a budget on the sum of the components' digit counts, so
-    each component ranges over k < b^(budget left).  The first s-2
-    components are walked one value at a time.  The last two are a join:
-    each image row is keyed as one integer, and per digit count of
-    k_{s-1} the rows that would cancel it are looked up in a stable sort
-    of the last coordinate's admissible keys.
+    k_digits is a budget on the sum of the components' digit counts.  The
+    first s // 2 coordinates, negated, and the rest are folded into two
+    halves; the left half's keys of weight w are joined with the right
+    half's of weight at most budget - w, a prefix of it.
     """
     b, s = net.base, net.s
     tables = [image_table(net, j, k_digits) for j in range(s)]
-    if s == 1:
-        return [(int(k),) for k in np.flatnonzero(~tables[0].any(axis=1))]
-    last = digit_values(tables[-1], b)
-    sides: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by admissible prefix length
-    out: list[tuple[int, ...]] = []
-
-    def join(budget: int, need: np.ndarray, prefix: tuple[int, ...]):
-        k1s, k2s = [], []
-        for a in range(budget + 1):  # the k_{s-1} with a digits
-            lo = b ** (a - 1) if a else 0
-            size = b ** (budget - a if weighted else budget)
-            if size not in sides:
-                sides[size] = _sorted_keys(last[:size])
-            i, k2 = _join(sides[size], digit_values((need - tables[-2][lo : b**a]) % b, b))
-            k1s.append(i + lo)
-            k2s.append(k2)
-        pairs = zip(np.concatenate(k1s).tolist(), np.concatenate(k2s).tolist())
-        out.extend(prefix + pair for pair in pairs)
-
-    def rec(j: int, budget: int, need: np.ndarray, prefix: tuple[int, ...]):
-        if j == s - 2:
-            join(budget, need, prefix)
-            return
-        block = tables[j][: b**budget]
-        lo = 0
-        for a in range(budget + 1):  # the k with a digits
-            for k in range(lo, b**a):
-                rec(j + 1, budget - a if weighted else budget, (need - block[k]) % b, prefix + (k,))
-            lo = b**a
-
-    rec(0, k_digits, np.zeros(net.m, dtype=np.int64), ())
-    return out
+    l_keys, l_comps, l_bounds = _half([(b - t) % b for t in tables[: s // 2]], net.m, b, k_digits, weighted)
+    r_keys, r_comps, r_bounds = _half(tables[s // 2 :], net.m, b, k_digits, weighted)
+    out = []
+    for w in np.flatnonzero(np.diff(l_bounds)):  # the weights the left half holds
+        i, k = _join(_sorted_keys(r_keys[: r_bounds[k_digits - w + 1]]), l_keys[l_bounds[w] : l_bounds[w + 1]])
+        out.append(np.column_stack([l_comps[l_bounds[w] + i], r_comps[k]]))
+    out = np.concatenate(out)
+    return out[np.lexsort(out.T[::-1])]
 
 
-def dual_enumerate_below(net: DigitalNet, k_digits: int, max_candidates: int = GUARD_DEFAULT) -> list[tuple[int, ...]]:
-    """All dual vectors with every component below b^k_digits, sorted.
+def dual_enumerate_below(net: DigitalNet, k_digits: int, max_candidates: int = GUARD_DEFAULT) -> np.ndarray:
+    """All dual vectors with every component below b^k_digits, as a
+    (T, s) int64 array in lexicographic order.
 
     k_digits may not exceed the stored rows n; the box size b^(s*k_digits)
     is capped by max_candidates.
@@ -373,8 +374,7 @@ def _independent_chunks(net: DigitalNet, selections: list[list[tuple[int, int]]]
     for lo in range(0, len(selections), step):
         chunk = selections[lo : lo + step]
         counts = np.array([len(rows) for rows in chunk], dtype=np.int64)
-        which = np.repeat(np.arange(len(chunk)), counts)
-        place = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts)
+        which, place = _runs(counts)
         J = np.zeros((len(chunk), width), dtype=np.intp)
         L = np.zeros((len(chunk), width), dtype=np.intp)
         jl = np.array([pair for rows in chunk for pair in rows], dtype=np.intp).reshape(-1, 2)

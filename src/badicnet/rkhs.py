@@ -32,10 +32,11 @@ u_k = sum_{x in P} W_k(x) for the k in its box, the values of the exact
 residue counts of walsh.residue_counts.  The spectral route takes the
 dual frequencies of a band-limited kernel from dual.dual_members over
 the same T digit rows the direct route reads, and those of a diagonal
-kernel from dual.dual_scan, read as digits.  Sums over the points and
-over the dual hits of a diagonal kernel are math.fsum, which is
-correctly rounded, so they do not depend on the order of their terms.
-Both routes take only kernels of the net's base and dimension.
+kernel from the (T, s) components that dual.dual_scan hands out.  Sums
+over the points and over the dual hits of a diagonal kernel are
+math.fsum, which is correctly rounded, so they do not depend on the
+order of their terms.  Both routes take only kernels of the net's base
+and dimension.
 """
 
 from __future__ import annotations
@@ -165,6 +166,10 @@ class SpectralDiagonalKernel:
     gammas: tuple[float, ...]
 
     def __post_init__(self):
+        if self.base < 2:
+            raise ValueError("base must be >= 2")
+        if self.s < 1:
+            raise ValueError("dimension must be >= 1")
         if not self.alpha > 0.5:
             raise ValueError("alpha must exceed 1/2 for a summable kernel")
         if len(self.gammas) != self.s:
@@ -189,17 +194,18 @@ class SpectralDiagonalKernel:
             out *= self.r1(int(k), j)
         return out
 
-    def r_rows(self, digits: np.ndarray) -> np.ndarray:
-        """r of every frequency vector with (T, s, d) digits
-        (frequency_digits), bit for bit.  Each coordinate's r1 is gathered
-        from a table over digit levels a1 = 0, 1, ..., d, built by r1
-        itself at k = 0 and k = b^(a1 - 1), and the factors are multiplied
-        in coordinate order from 1.0, as r does.  A component's level is
-        the position of its highest nonzero digit, 0 for k = 0."""
-        b, d = self.base, digits.shape[-1]
-        levels = (np.arange(1, d + 1) * (digits != 0)).max(axis=2, initial=0)
-        out = np.ones(len(digits))
-        for j in range(digits.shape[1]):
+    def r_rows(self, ks: np.ndarray) -> np.ndarray:
+        """r of every row of a (T, s) array of frequency vectors (int64, or
+        Python ints past 2^63), bit for bit.  A component's level a1 is the
+        count of the powers b^0, ..., b^(d-1) at most it, d the digit count
+        of the largest component.  Each coordinate's r1 is gathered from a
+        table over the levels 0..d, built by r1 itself at k = 0 and
+        k = b^(a1 - 1), and multiplied in coordinate order from 1.0, as r."""
+        b = self.base
+        d = len(int_digits(int(ks.max(initial=0)), b))
+        levels = np.searchsorted(np.array([b**a for a in range(d)], dtype=ks.dtype), ks, side="right")
+        out = np.ones(len(ks))
+        for j in range(ks.shape[1]):
             table = np.array([self.r1(0, j)] + [self.r1(b ** (a - 1), j) for a in range(1, d + 1)])
             out *= table[levels[:, j]]
         return out
@@ -359,8 +365,7 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
     count = _weighted_box_count(kernel.base, net.s, cap)
     if count > max_candidates:
         raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
-    digits = frequency_digits(dualmod.dual_scan(net, cap, weighted=True), net.base, net.s, cap)
-    hits = digits[digits.any(axis=(1, 2))]
+    hits = dualmod.dual_scan(net, cap, weighted=True)[1:]  # row 0 is the origin
     return WceResult(math.fsum(kernel.r_rows(hits).tolist()), "spectral", _diag_tail(kernel, cap), len(hits))
 
 

@@ -70,10 +70,10 @@ def test_c1_symmetrized_dual_identity():
                     for kd in range(1, min(4, n) + 1):
                         if (b**kd) ** 2 > 1 << 20:
                             continue
-                        got = set(dual_enumerate_below(sym, kd))
+                        got = set(map(tuple, dual_enumerate_below(sym, kd).tolist()))
                         want = {
-                            k
-                            for k in dual_enumerate_below(inner, kd)
+                            tuple(k)
+                            for k in dual_enumerate_below(inner, kd).tolist()
                             if all(in_E(kj, b) for kj in k)
                         }
                         assert got == want, (b, m, n, kd)

@@ -1,10 +1,14 @@
-"""The benchmark's span tracer names only functions that exist, and its
+"""The benchmark's span tracer names only functions that exist, its
 output check still reads the shifted net points the way the library
-hands them out (iteration and slicing of NetPoints)."""
+hands them out (iteration and slicing of NetPoints), and every tiny task
+of the benchmark still gives its recorded reference output."""
 
 import importlib
 import importlib.util
+import io
+import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -45,3 +49,25 @@ def test_qmc_check_reads_the_shifted_points():
     assert verify_qmc((net, shifted, res)) == []
     # one point swapped for a copy of another: no longer one digital shift
     assert verify_qmc((net, shifted[:-1] + shifted[:1], res))
+
+
+def test_tiny_tasks_match_the_reference():
+    # each tiny task of the four parts, run in-process at seed 3 as the
+    # benchmark's self-test runs them, against reference.json["tiny"]
+    from badicnet import cli
+
+    check, workloads = load_bench_module("check"), load_bench_module("workloads")
+    reference = json.loads((BENCH / "reference.json").read_text())["tiny"]
+
+    def run(task):
+        if not task.argv:
+            return task.call()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(list(task.argv))
+        return check.CliOutput(rc, out.getvalue(), err.getvalue())
+
+    tasks = [task for part in workloads.PARTS for task in workloads.build(part, 3, tiny=True)]
+    assert sorted(task.key for task in tasks) == sorted(reference)
+    problems = {task.key: check.verify(task, run(task), reference[task.key]) for task in tasks}
+    assert {key: found for key, found in problems.items() if found} == {}

@@ -35,6 +35,11 @@ def _k_image(net, j, k):
     return (vec @ net.matrices[j]) % net.base
 
 
+def _tuples(scan):
+    """The rows of a (T, s) dual scan as tuples, the walk's form."""
+    return list(map(tuple, scan.tolist()))
+
+
 def test_membership_on_hammersley():
     net = hammersley_matrices(2, 2)
     assert dual_contains(net, (0, 0))
@@ -52,7 +57,8 @@ def test_membership_rejects_wide_frequencies():
 
 def test_enumeration_below_box():
     net = hammersley_matrices(2, 2)
-    assert dual_enumerate_below(net, 2) == [(0, 0), (1, 2), (2, 1), (3, 3)]
+    got = dual_enumerate_below(net, 2)
+    assert got.dtype == np.int64 and got.tolist() == [[0, 0], [1, 2], [2, 1], [3, 3]]
 
 
 def test_enumeration_guard():
@@ -129,16 +135,27 @@ def test_dual_members_checks_every_frequency():
         dual_contains(net, (-1, 0))
 
 
+def test_dual_members_past_int64_products():
+    # d (b-1)^2 >= 2^63: the int64 product wrapped and lost this hit
+    b = 2**31 - 1
+    net = DigitalNet(b, (np.full((4, 1), b - 1),))
+    k = (b - 1) + (b - 1) * b + (b - 1) * b**2 + 3 * b**3  # digits (b-1, b-1, b-1, 3)
+    assert sum(d * (b - 1) for d in (b - 1, b - 1, b - 1, 3)) % b == 0
+    assert dual_members(net, frequency_digits([(k,)], b, 1, 4)).tolist() == [True]
+    assert dual_contains(net, (k,))
+    assert not dual_contains(net, (k + 1,))  # digits (0, 0, 0, 4)
+
+
 def test_symmetrized_dual_is_filtered_inner_dual():
     # within the common box, the symmetrized dual keeps exactly the
     # zero-digit-sum frequencies of the inner dual
     for b, m, kd in [(2, 2, 3), (3, 1, 2)]:
         inner = hammersley_matrices(b, m, m + 2)
         sym = symmetrize_matrices(inner)
-        got = set(dual_enumerate_below(sym, kd))
+        got = set(_tuples(dual_enumerate_below(sym, kd)))
         want = {
             k
-            for k in dual_enumerate_below(inner, kd)
+            for k in _tuples(dual_enumerate_below(inner, kd))
             if all(in_E(kj, b) for kj in k)
         }
         assert got == want
@@ -348,7 +365,7 @@ def nets_and_digits(draw):
 def test_batched_enumeration_matches_per_k_scan(case):
     net, k_digits = case
     got = dual_enumerate_below(net, k_digits)
-    assert got == per_k_enumerate_below(net, k_digits)
+    assert _tuples(got) == per_k_enumerate_below(net, k_digits)
     for j in range(net.s):
         table = image_table(net, j, k_digits)
         for k in range(net.base**k_digits):
@@ -363,8 +380,8 @@ def test_weighted_scan_is_the_box_scan_within_budget(case):
     def digit_count(k):
         return len(np.base_repr(k, net.base)) if k else 0
 
-    within = [ks for ks in dual_scan(net, budget) if sum(map(digit_count, ks)) <= budget]
-    assert dual_scan(net, budget, weighted=True) == within
+    within = [ks for ks in _tuples(dual_scan(net, budget)) if sum(map(digit_count, ks)) <= budget]
+    assert _tuples(dual_scan(net, budget, weighted=True)) == within
 
 
 def test_image_table_rows_for_a_base_past_one_byte():
@@ -456,10 +473,10 @@ def per_k_rho2(net, cap):
 
 @st.composite
 def scan_cases(draw):
-    """Random generating matrices, b in {2, 3, 5}, s in {1, 2, 3}, and a
-    digit count whose walked prefixes number at most 1000."""
+    """Random generating matrices, b in {2, 3, 5}, s in {1, 2, 3, 4}, and
+    a digit count whose walked prefixes number at most 1000."""
     b = draw(st.sampled_from([2, 3, 5]))
-    s = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 4))
     m = draw(st.integers(0, 4))
     n = draw(st.integers(1, 6))
     digit = st.integers(0, b - 1)
@@ -471,9 +488,12 @@ def scan_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(scan_cases())
 def test_join_scan_matches_the_walk(case):
-    # list-equal, order included: the spectral sum adds hits in this order
+    # list-equal, order included: lexicographic order is part of the
+    # contract, though the spectral sum is a math.fsum, which needs none
     net, k_digits, weighted = case
-    assert dual_scan(net, k_digits, weighted) == walk_dual_scan(net, k_digits, weighted)
+    got = dual_scan(net, k_digits, weighted)
+    assert got.dtype == np.int64 and got.shape[1] == net.s
+    assert _tuples(got) == walk_dual_scan(net, k_digits, weighted)
 
 
 def _low_rank_net(b, s, n, m, rank, seed):
@@ -496,7 +516,7 @@ def _low_rank_net(b, s, n, m, rank, seed):
     ids=["b2-s2", "b3-s2", "b3-s3", "b5-s3"],
 )
 def test_join_keeps_index_order_within_equal_keys(net, k_digits, weighted):
-    assert dual_scan(net, k_digits, weighted) == walk_dual_scan(net, k_digits, weighted)
+    assert _tuples(dual_scan(net, k_digits, weighted)) == walk_dual_scan(net, k_digits, weighted)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -508,13 +528,14 @@ def test_join_keeps_index_order_within_equal_keys(net, k_digits, weighted):
         (truncated_sym_hammersley(3, 43, 45), 3, True),
         (_low_rank_net(2, 2, 8, 70, 3, 5), 8, False),
         (_low_rank_net(3, 3, 3, 45, 2, 6), 3, False),
+        (_low_rank_net(2, 1, 8, 70, 3, 7), 8, False),
     ],
-    ids=["sym-b2-m70", "sym-b3-m45", "low-rank-b2-m70", "low-rank-b3-m45"],
+    ids=["sym-b2-m70", "sym-b3-m45", "low-rank-b2-m70", "low-rank-b3-m45", "low-rank-b2-s1-m70"],
 )
 def test_join_on_object_keys(net, k_digits, origin_only, weighted):
     # b^m > 2^63: the keys are Python ints, and the scan must not change
     assert net.base**net.m > 1 << 63
-    got = dual_scan(net, k_digits, weighted)
+    got = _tuples(dual_scan(net, k_digits, weighted))
     assert got == walk_dual_scan(net, k_digits, weighted)
     assert (got == [(0,) * net.s]) == origin_only
     assert all(dual_contains(net, ks) for ks in got)
@@ -527,10 +548,29 @@ def test_join_for_a_base_past_one_byte(weighted):
     rng = np.random.default_rng(8)
     net = DigitalNet(b, tuple(rng.integers(0, b, size=(2, 1)) for _ in range(2)))
     assert image_table(net, 0, 1).dtype == np.uint16
-    got = dual_scan(net, 1, weighted)
+    got = _tuples(dual_scan(net, 1, weighted))
     assert got == walk_dual_scan(net, 1, weighted)
     # the box pairs every k1 with one k2; a budget of one digit leaves the origin
     assert len(got) == b if not weighted else got == [(0, 0)]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_one_join_per_weight_of_the_left_half(s, weighted):
+    # the two halves meet in at most k_digits + 1 joins, one per weight of
+    # the left half, whatever the dimension
+    net = _low_rank_net(2, s, 4, 3, 2, s)
+    join, calls = dual._join, []
+
+    def spy(side, targets):
+        calls.append(len(targets))
+        return join(side, targets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dual, "_join", spy)
+        got = dual_scan(net, 4, weighted)
+    assert 1 <= len(calls) <= 4 + 1
+    assert _tuples(got) == walk_dual_scan(net, 4, weighted)
 
 
 @st.composite

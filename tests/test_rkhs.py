@@ -137,6 +137,15 @@ def test_diagonal_kernel_needs_finite_nonnegative_weights(gamma):
         SpectralDiagonalKernel(2, 2, 1.0, (gamma, 1.0))
 
 
+@pytest.mark.parametrize(
+    "base, s, match", [(1, 2, "base must be >= 2"), (0, 2, "base must be >= 2"), (2, 0, "dimension must be >= 1")]
+)
+def test_diagonal_kernel_needs_a_base_and_a_coordinate(base, s, match):
+    # base 1 or 0 reached phi and _diag_tail as a ZeroDivisionError
+    with pytest.raises(ValueError, match=match):
+        SpectralDiagonalKernel(base, s, 1.0, (1.0,) * s)
+
+
 def test_phi_closed_form_binary():
     k = SpectralDiagonalKernel(2, 1, 1.0, (1.0,))
     assert k.phi(None) == 0.5
@@ -251,25 +260,53 @@ def test_direct_within_tail_of_spectral_for_diagonal():
 def test_diagonal_spectral_is_the_fsum_of_its_hits_in_any_order():
     net = _sym_net(3, 2, 5)
     kern = SpectralDiagonalKernel(3, 2, 0.9, (1.0, 0.7))
-    hits = [ks for ks in dual_scan(net, 4, weighted=True) if any(ks)]
+    hits = [ks for ks in dual_scan(net, 4, weighted=True).tolist() if any(ks)]
     np.random.default_rng(0).shuffle(hits)
     res = wce_spectral(net, kern, cap=4)
     assert res.terms_used == len(hits) > 0
     assert res.value == math.fsum(kern.r(ks) for ks in hits)
 
 
+def _faure(b, s, m, n):
+    """Faure net: C_j = P^(j-1) mod b, P the upper triangular Pascal
+    matrix binom(c, r), with zero rows past m."""
+    P = np.array([[math.comb(c, r) % b for c in range(m)] for r in range(m)], dtype=np.int64)
+    mats, C = [], np.eye(m, dtype=np.int64)
+    for _ in range(s):
+        mats.append(np.vstack([C, np.zeros((n - m, m), dtype=np.int64)]))
+        C = C @ P % b
+    return DigitalNet(b, tuple(mats))
+
+
+@pytest.mark.parametrize(
+    "b, s, m, n, e2",
+    [(3, 3, 6, 8, 2.08e-5), (5, 3, 4, 6, 1.09e-5), (5, 4, 3, 5, 4.72e-4)],
+    ids=["b3-s3", "b5-s3", "b5-s4"],
+)
+def test_spectral_within_its_tail_on_faure_nets(b, s, m, n, e2):
+    # the dual scan beyond the plane, at the largest cap: the spectral sum
+    # lies within its own tail bound of the direct route, with no slack
+    net = _faure(b, s, m, n)
+    kern = SpectralDiagonalKernel(b, s, 1.0, (1.0,) * s)
+    direct = wce_direct(enumerate_points(net), kern)
+    spectral = wce_spectral(net, kern, cap=n)
+    assert direct.value == pytest.approx(e2, rel=5e-3)
+    assert spectral.terms_used > 0
+    assert abs(direct.value - spectral.value) <= spectral.tail_bound
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 7), st.integers(1, 4), st.data())
 def test_table_weights_equal_r_bit_for_bit(b, s, data):
     kern = data.draw(diagonal_kernels(b, s), label="kernel")
-    # components past 2^63 are expanded in Python ints, and zero digits
-    # past the highest nonzero one leave the levels unchanged
+    # components past 2^63 are read as Python ints, and the powers at
+    # either side of a level boundary land on the right level
     component = st.one_of(st.integers(0, b**8), st.sampled_from([0, 1, b - 1, b, 2**63 - 1]), st.integers(0, 2**90))
     ks = data.draw(st.lists(st.tuples(*[component] * s), min_size=1, max_size=20), label="ks")
-    digits = frequency_digits(ks, b, s, data.draw(st.integers(0, 10), label="depth"))
-    got = kern.r_rows(digits).tolist()
+    comps = np.array(ks, dtype=np.int64 if max(map(max, ks)) < 1 << 63 else object)
+    got = kern.r_rows(comps).tolist()
     assert got == [kern.r(k) for k in ks]  # float ==: the same bits
-    assert kern.r_rows(digits[:0]).shape == (0,)
+    assert kern.r_rows(comps[:0]).shape == (0,)
 
 
 def exact_diag_tail(kernel, cap):
@@ -365,7 +402,7 @@ def test_shift_average_equals_diagonalized_spectral():
     rng = np.random.default_rng(17)
     kern = BandLimitedKernel.random(2, 2, 1, 3, rng)
     ms = ms_wce_spectral(net, kern)
-    members = [k for k in dual_enumerate_below(net, 1) if k != (0, 0)]
+    members = [k for k in dual_enumerate_below(net, 1).tolist() if k != [0, 0]]
     expected = sum(khat(kern, k, k).real for k in members)
     assert ms.value == pytest.approx(max(expected, 0.0), abs=1e-12)
     diag = ds_invariant_coeffs(kern)
@@ -524,7 +561,7 @@ def test_batched_spectral_matches_candidate_scan(data):
             cap -= 1
         # hits come in the candidate generator's order, so the sum repeats bit for bit
         in_order = [ks for ks in weighted_box(b, s, cap) if dual_contains(net, ks)]
-        assert dual_scan(net, cap, weighted=True) == in_order
+        assert list(map(tuple, dual_scan(net, cap, weighted=True).tolist())) == in_order
     got = wce_spectral(net, kern, cap=cap)
     value, terms = spectral_by_candidates(net, kern, cap)
     assert got.value == value

@@ -8,9 +8,10 @@ rather than zero padded.
 
 mu2 adds the positions of the two highest nonzero digits (one position
 for a single nonzero digit, zero for k = 0).  rho2 is the minimum of
-mu2(k_1) + mu2(k_2) over the dual without the origin; it can be found by
-bounded enumeration or certified indirectly through linear independence
-of generating-matrix rows.
+mu2(k_1) + ... + mu2(k_s) over the dual without the origin; it can be
+found by bounded enumeration, on the same half join as the dual scan,
+or certified indirectly through linear independence of generating-matrix
+rows.
 """
 
 from __future__ import annotations
@@ -71,20 +72,6 @@ def image_table(net: DigitalNet, j: int, k_digits: int) -> np.ndarray:
     return table
 
 
-def _sorted_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable argsort of keys and the keys in that order, so equal keys
-    keep their index order."""
-    order = np.argsort(keys, kind="stable")
-    return order, keys[order]
-
-
-def _matches(side: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per target, where its run of equal keys starts in the sorted side
-    and how long it is (zero when no key matches)."""
-    lo = np.searchsorted(side[1], targets, side="left")
-    return lo, np.searchsorted(side[1], targets, side="right") - lo
-
-
 def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per entry of runs of counts[0], counts[1], ... entries: its run and its place in it."""
     run = np.repeat(np.arange(len(counts)), counts)
@@ -92,68 +79,100 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _join(side: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, k) with keys[k] == targets[i], ordered by i, then k."""
-    lo, counts = _matches(side, targets)
-    i, place = _runs(counts)
+    """Index pairs (i, k) with keys[k] == targets[i], ordered by i, then k,
+    from a side (stable argsort of keys, keys in that order): each
+    target's run of equal keys, found by two searchsorted calls."""
+    lo = np.searchsorted(side[1], targets, side="left")
+    i, place = _runs(np.searchsorted(side[1], targets, side="right") - lo)
     return i, side[0][lo[i] + place]
 
 
-def _half(tables: list[np.ndarray], m: int, b: int, budget: int, weighted: bool):
-    """A half's admissible tuples by weight (summed digit levels, 0 in a
-    box), lexicographic within one: the keys of their image rows summed
-    mod b, their components, and where each weight 0..budget+1 starts.
-    Each row takes the k < b^(budget - weight) of the next table, added
-    in the tables' narrow dtype and reduced by one conditional subtract."""
-    levels = np.searchsorted(b ** np.arange(budget), np.arange(b**budget), side="right") * weighted
-    rows, weights, comps = np.zeros((1, m), dtype=np.uint8), levels[:1], np.zeros((1, 0), dtype=np.int64)
+def _tuple_count(sizes: Sequence[int], s: int, cap: int) -> int:
+    """Number of s-tuples of total weight <= cap when each coordinate has
+    sizes[w] members of weight w, exact in Python ints."""
+    counts = [1] + [0] * cap  # tuples of the coordinates so far, per total weight
+    for _ in range(s):
+        counts = [sum(counts[v] * sizes[w - v] for v in range(w + 1) if w - v < len(sizes)) for w in range(cap + 1)]
+    return sum(counts)
+
+
+def _half(tables: list[np.ndarray], weights: np.ndarray, m: int, b: int, budget: int):
+    """A half's tuples of rows, one row per table, of total weight at most
+    budget, by weight and lexicographic within one: the keys of their
+    image rows summed mod b, their row indices and their weights.  The
+    tables share the weights, sorted, so a row of weight w takes the
+    next table's prefix of weight <= budget - w; rows are added in the
+    tables' narrow dtype and reduced by one conditional subtract.  An
+    empty half is one zero row."""
+    ends = np.searchsorted(weights, np.arange(budget + 1), side="right")
+    rows, totals, comps = np.zeros((1, m), dtype=np.uint8), np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
     if tables:
-        rows, weights, comps = tables[0], levels, np.arange(len(levels))[:, None]
+        rows, totals, comps = tables[0], weights, np.arange(len(weights))[:, None]
     for table in tables[1:]:
-        i, k = _runs(b ** (budget - weights))
+        i, k = _runs(ends[budget - totals])
         rows = rows[i] + table[k]
         rows -= (rows >= b) * rows.dtype.type(b)
-        weights, comps = weights[i] + levels[k], np.column_stack([comps[i], k])
-    order = np.argsort(weights, kind="stable")
-    return digit_values(rows, b)[order], comps[order], np.searchsorted(weights[order], np.arange(budget + 2))
+        totals, comps = totals[i] + weights[k], np.column_stack([comps[i], k])
+    order = np.argsort(totals, kind="stable")
+    return digit_values(rows, b)[order], comps[order], totals[order]
 
 
-def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False) -> np.ndarray:
+def _half_join(tables: list[np.ndarray], weights: np.ndarray, m: int, b: int, budget: int, least: bool = False):
+    """Row indices (T, s) and total weights (T,) of the tuples, one row of
+    each table, of total weight <= budget whose image rows sum to zero
+    mod b, the origin among them.
+
+    The first s // 2 tables, negated, and the rest fold into two halves.
+    Each weight w of the left half, increasing, is joined with the right
+    half's prefix of weight <= budget - w, sorted by key.  With least,
+    the budget then shrinks to the least nonzero total found so far,
+    skipping heavier left weights but no tuple of the least total.
+    """
+    s = len(tables)
+    l_keys, l_comps, l_weights = _half([(b - t) % b for t in tables[: s // 2]], weights, m, b, budget)
+    r_keys, r_comps, r_weights = _half(tables[s // 2 :], weights, m, b, budget)
+    l_bounds = np.searchsorted(l_weights, np.arange(budget + 2))
+    r_ends = np.searchsorted(r_weights, np.arange(budget + 1), side="right")
+    comps, totals = [], []
+    for w in np.flatnonzero(np.diff(l_bounds)).tolist():  # the weights the left half holds
+        if w > budget:
+            break
+        order = np.argsort(r_keys[: r_ends[budget - w]], kind="stable")  # equal keys keep their index order
+        i, k = _join((order, r_keys[order]), l_keys[l_bounds[w] : l_bounds[w + 1]])
+        comps.append(np.column_stack([l_comps[l_bounds[w] + i], r_comps[k]]))
+        totals.append(w + r_weights[k])
+        if least and totals[-1].any():
+            budget = min(budget, int(totals[-1][totals[-1] > 0].min()))
+    return np.concatenate(comps), np.concatenate(totals)
+
+
+def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False, max_candidates: int = GUARD_DEFAULT) -> np.ndarray:
     """Dual vectors in a box, as a (T, s) int64 array in lexicographic order, origin included.
 
-    Unweighted, every component ranges over k < b^k_digits.  Weighted,
+    Unweighted, every component ranges over k < b^k_digits; weighted,
     k_digits is a budget on the sum of the components' digit counts.  The
-    first s // 2 coordinates, negated, and the rest are folded into two
-    halves; the left half's keys of weight w are joined with the right
-    half's of weight at most budget - w, a prefix of it.
+    s-tuples this admits are counted against max_candidates before any
+    image_table is built; the tables go through _half_join.
     """
     b, s = net.base, net.s
-    tables = [image_table(net, j, k_digits) for j in range(s)]
-    l_keys, l_comps, l_bounds = _half([(b - t) % b for t in tables[: s // 2]], net.m, b, k_digits, weighted)
-    r_keys, r_comps, r_bounds = _half(tables[s // 2 :], net.m, b, k_digits, weighted)
-    out = []
-    for w in np.flatnonzero(np.diff(l_bounds)):  # the weights the left half holds
-        i, k = _join(_sorted_keys(r_keys[: r_bounds[k_digits - w + 1]]), l_keys[l_bounds[w] : l_bounds[w + 1]])
-        out.append(np.column_stack([l_comps[l_bounds[w] + i], r_comps[k]]))
-    out = np.concatenate(out)
+    sizes, budget = ([1] + [(b - 1) * b**a for a in range(k_digits)], k_digits) if weighted else ([b**k_digits], 0)
+    count = _tuple_count(sizes, s, budget)
+    if count > max_candidates:
+        raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
+    levels = np.searchsorted(b ** np.arange(k_digits), np.arange(b**k_digits), side="right") * weighted
+    out = _half_join([image_table(net, j, k_digits) for j in range(s)], levels, net.m, b, budget)[0]
     return out[np.lexsort(out.T[::-1])]
 
 
 def dual_enumerate_below(net: DigitalNet, k_digits: int, max_candidates: int = GUARD_DEFAULT) -> np.ndarray:
-    """All dual vectors with every component below b^k_digits, as a
-    (T, s) int64 array in lexicographic order.
-
-    k_digits may not exceed the stored rows n; the box size b^(s*k_digits)
-    is capped by max_candidates.
-    """
-    b, s = net.base, net.s
+    """All dual vectors with every component below b^k_digits, as
+    dual_scan's (T, s) array; k_digits may not exceed the stored rows n,
+    and the box size b^(s*k_digits) is capped by max_candidates."""
     if k_digits < 1:
         raise ValueError("need at least one digit")
     if k_digits > net.n:
         raise ValueError("digits exceed matrix rows")
-    box = b**k_digits
-    if box**s > max_candidates:
-        raise ValueError(f"guard exceeded: {box**s} candidates over cap {max_candidates}")
-    return dual_scan(net, k_digits)
+    return dual_scan(net, k_digits, max_candidates=max_candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +208,7 @@ class Rho2Result:
 
     weight: int | None  # None when every dual vector under the cap is trivial
     cap: int
-    witness: tuple[int, int] | None = None
+    witness: tuple[int, ...] | None = None
     certified_by: str = "enumeration"
 
     @property
@@ -221,67 +240,59 @@ def _profiles(cap: int):
             yield a1 + a2, (a1, a2)
 
 
-def _class_members(base: int, positions: tuple[int, ...]) -> list[int]:
-    """The k of one mu2 class in (top digit, second digit, low digits) order."""
+def _class_members(base: int, positions: tuple[int, ...]) -> np.ndarray:
+    """The k of one mu2 class in (top digit, second digit, low digits)
+    order, in int64 while b^a1 <= 2^63 and in Python ints past that."""
     b = base
     if not positions:
-        return [0]
-    high = b ** (positions[0] - 1)
+        return np.zeros(1, dtype=np.int64)
+    dtype = np.int64 if b ** positions[0] <= 1 << 63 else object
+    top = np.arange(1, b, dtype=dtype) * b ** (positions[0] - 1)
     if len(positions) == 1:
-        return [k1 * high for k1 in range(1, b)]
+        return top
     mid = b ** (positions[1] - 1)
-    return [k1 * high + k2 * mid + low for k1 in range(1, b) for k2 in range(1, b) for low in range(mid)]
+    return (top[:, None, None] + np.arange(1, b, dtype=dtype)[:, None] * mid + np.arange(mid, dtype=dtype)).ravel()
 
 
 def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int = GUARD_DEFAULT) -> Rho2Result:
-    """Minimum mu2(k1) + mu2(k2) over nontrivial dual vectors, by search.
+    """Minimum of sum_j mu2(k_j) over nontrivial dual vectors, by search.
 
-    Enumerates candidate pairs in increasing total weight and stops at the
-    first dual hit, so the reported weight is exact whenever it is at most
-    cap (default and maximum: 2n).  Both guards are counted from the class
-    sizes before any class is built.  Each mu2 class is imaged in one
-    product, and each class pair (w1, w2) of a total weight is a join:
-    the first k1 in class order whose cancelling row is among the keys of
-    class w2, with the first such k2.
+    The weight is exact whenever it is at most cap (default and maximum:
+    2n).  Both guards, on the candidates per coordinate and on their
+    s-tuples of weight <= cap, are counted from the class sizes before
+    any class is built.  The classes' members, by weight and in class
+    order within one, go through _half_join weighted by mu2, which stops
+    at the least nonzero total.  The witness is its least tuple of member
+    indices: in the plane the first k1 of the least w1, with the first k2.
     """
-    if net.s != 2:
-        raise ValueError("weight search is implemented for two coordinates")
     b, n = net.base, net.n
     if cap is None:
         cap = 2 * n
     if not 1 <= cap <= 2 * n:
         raise ValueError("cap must lie in 1..2n")
-    classes = [(w, pos) for w, pos in _profiles(cap) if not pos or pos[0] <= n]
-    sizes: dict[int, int] = {}
+    # sorted by weight, in profile order within one
+    classes = sorted(((w, pos) for w, pos in _profiles(cap) if not pos or pos[0] <= n), key=lambda c: c[0])
+    sizes = [0] * (cap + 1)
     for w, pos in classes:
-        sizes[w] = sizes.get(w, 0) + (b - 1) ** len(pos) * (b ** (pos[1] - 1) if len(pos) == 2 else 1)
-    count = sum(sizes.values())
+        sizes[w] += (b - 1) ** len(pos) * (b ** (pos[1] - 1) if len(pos) == 2 else 1)
+    count = sum(sizes)
     if count > max_candidates:
         raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
-    pair_count = sum(c1 * c2 for w1, c1 in sizes.items() for w2, c2 in sizes.items() if w1 + w2 <= cap)
-    if pair_count > max_candidates:
-        raise ValueError(f"guard exceeded: {pair_count} candidate pairs over cap {max_candidates}")
-    by_w: dict[int, list[int]] = {w: [] for w in sizes}
-    for w, pos in classes:  # within a weight, single digits come first
-        by_w[w] += _class_members(b, pos)
+    tuple_count = _tuple_count(sizes, net.s, cap)
+    if tuple_count > max_candidates:
+        raise ValueError(f"guard exceeded: {tuple_count} candidate pairs over cap {max_candidates}")
+    members = np.concatenate([_class_members(b, pos) for _, pos in classes])
     # candidates are below b^d, so only the first d digit rows matter
     d = min(cap, n)
-    neg_keys, sides = {}, {}
-    for w, ks in by_w.items():
-        digits = frequency_digits([(k,) for k in ks], b, 1, d)[:, 0]
-        neg_keys[w] = digit_values(-(digits @ net.matrices[0][:d]) % b, b)
-        sides[w] = _sorted_keys(digit_values(digits @ net.matrices[1][:d] % b, b))
-    for W in range(1, cap + 1):  # W >= 1, so the origin is never a candidate pair
-        for w1 in range(0, W + 1):
-            w2 = W - w1
-            if w1 not in by_w or w2 not in by_w:
-                continue
-            lo, counts = _matches(sides[w2], neg_keys[w1])
-            hit = np.flatnonzero(counts)
-            if len(hit):
-                i1 = hit[0]
-                return Rho2Result(W, cap, (by_w[w1][i1], by_w[w2][sides[w2][0][lo[i1]]]))
-    return Rho2Result(None, cap)
+    digits = (members[:, None] // np.array([b**i for i in range(d)], dtype=members.dtype) % b).astype(np.int64)
+    tables = [(digits @ C[:d] % b).astype(np.min_scalar_type(2 * (b - 1))) for C in net.matrices]
+    weights = np.repeat(np.arange(cap + 1), sizes)
+    comps, totals = _half_join(tables, weights, net.m, b, cap, least=True)
+    if not totals.any():
+        return Rho2Result(None, cap)
+    weight = int(totals[totals > 0].min())
+    hits = comps[totals == weight]
+    return Rho2Result(weight, cap, tuple(map(int, members[hits[np.lexsort(hits.T[::-1])[0]]])))
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +481,22 @@ def certify_rho2_via_independence(net: DigitalNet, rho: int) -> bool:
     largest members i_1 > i_2 satisfy the weight budget; rows below i_2
     are free, so it suffices to rank-check the maximal selections
     {1..i_2} + {i_1}.  Rows past n are zero, hence any selection touching
-    them fails and the certificate stays sound for rho >= n too.
+    them fails and the certificate stays sound for rho >= n too.  The
+    selections come from the s-tuples of mu2 profiles of total weight
+    <= rho, one coordinate at a time within the weight left, never from
+    the whole product of the profiles; in the plane they are every pair
+    (p1, p2) in profile order.
     """
-    if net.s != 2:
-        raise ValueError("certificate is implemented for two coordinates")
     if not is_prime(net.base):
         raise ValueError("requires prime base")
     if not 1 <= rho <= 2 * net.m:
         raise ValueError("rho must lie in 1..2m for the row bound to apply")
-
     profiles = list(_profiles(rho))
-    selections = [
-        _selection(0, p1) + _selection(1, p2) for w1, p1 in profiles for w2, p2 in profiles if w1 + w2 <= rho and p1 + p2
-    ]
-    return all(ok.all() for ok in _independent_chunks(net, selections))
+
+    def selections(j: int, budget: int) -> list[list[tuple[int, int]]]:
+        # coordinates j.. of the profile tuples of weight <= budget, in profile order
+        if j == net.s:
+            return [[]]
+        return [_selection(j, pos) + rest for w, pos in profiles if w <= budget for rest in selections(j + 1, budget - w)]
+
+    return all(ok.all() for ok in _independent_chunks(net, [rows for rows in selections(0, rho) if rows]))

@@ -345,8 +345,9 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
     encodes the digit-sum constraint of the symmetrization, so no extra
     filtering is needed.  Band-limited kernels are summed exactly over
     the dual_members of their T digit rows (tail_bound 0).  Diagonal
-    kernels are summed over dual frequencies of weight sum(a1(k_j)) at
-    most cap (default n); everything heavier, dual or not, is absorbed
+    kernels are summed over the dual_scan hits of weight sum(a1(k_j)) <=
+    cap (default n), the scan's guard counting their candidate tuples
+    against max_candidates; everything heavier, dual or not, is absorbed
     into tail_bound via geometric series, so |direct - spectral| <=
     tail_bound always holds.
     """
@@ -362,27 +363,8 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
         cap = net.n
     if not 1 <= cap <= net.n:
         raise ValueError("cap must lie in 1..n")
-    count = _weighted_box_count(kernel.base, net.s, cap)
-    if count > max_candidates:
-        raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
-    hits = dualmod.dual_scan(net, cap, weighted=True)[1:]  # row 0 is the origin
+    hits = dualmod.dual_scan(net, cap, weighted=True, max_candidates=max_candidates)[1:]  # row 0 is the origin
     return WceResult(math.fsum(kernel.r_rows(hits).tolist()), "spectral", _diag_tail(kernel, cap), len(hits))
-
-
-def _weighted_box_count(base: int, s: int, cap: int) -> int:
-    # number of k-tuples with sum of top digit positions <= cap
-    def level(a: int) -> int:
-        return 1 if a == 0 else (base - 1) * base ** (a - 1)
-
-    counts = [1] + [0] * cap
-    for _ in range(s):
-        new = [0] * (cap + 1)
-        for w in range(cap + 1):
-            if counts[w]:
-                for a in range(cap - w + 1):
-                    new[w + a] += counts[w] * level(a)
-        counts = new
-    return sum(counts)
 
 
 def _diag_tail(kernel: SpectralDiagonalKernel, cap: int) -> float:

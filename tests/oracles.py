@@ -128,6 +128,31 @@ def mu2_total(ks, base: int) -> int:
     return sum(mu2(int(k), base).mu2 for k in ks)
 
 
+def brute_rho2(net: DigitalNet, cap: int):
+    """rho2_min_weight by brute force in any dimension, as (weight,
+    witness), or (None, None) when no nonzero dual tuple weighs at most cap.
+
+    Every coordinate's candidates are the k < b^n with mu2(k) <= cap, in
+    the search's class order: by mu2, a single nonzero digit before two,
+    then by top position, then by k.  Every s-tuple of candidates is
+    imaged from its digits, and the least (weight, positions) among the
+    nonzero dual tuples of weight <= cap is taken.
+    """
+    b, n, s = net.base, net.n, net.s
+    profiles = [p for p in (mu2(k, b) for k in range(b**n)) if p.mu2 <= cap]
+    profiles.sort(key=lambda p: (p.mu2, len(p.positions) > 1, p.positions[:1], p.k))
+    digits = np.array([[p.k // b**i % b for i in range(n)] for p in profiles], dtype=np.int64)
+    weights = np.array([p.mu2 for p in profiles])
+    tuples = np.indices((len(profiles),) * s).reshape(s, -1).T  # every s-tuple of positions, lexicographic
+    image = sum((digits @ C % b)[tuples[:, j]] for j, C in enumerate(net.matrices)) % b
+    total = weights[tuples].sum(axis=1)
+    hits = np.flatnonzero(~image.any(axis=1) & (total > 0) & (total <= cap))
+    if not len(hits):
+        return None, None
+    first = hits[np.argmin(total[hits])]  # the first of the least weight, in position order
+    return int(total[first]), tuple(profiles[i].k for i in tuples[first].tolist())
+
+
 # ---------------------------------------------------------------------------
 # characters and kernels
 

@@ -1,7 +1,8 @@
 """The benchmark's span tracer names only functions that exist, its
 output check still reads the shifted net points the way the library
-hands them out (iteration and slicing of NetPoints), and every tiny task
-of the benchmark still gives its recorded reference output."""
+hands them out (iteration and slicing of NetPoints), every tiny task of
+the benchmark and its full-size dual-side tasks still give their
+recorded reference outputs."""
 
 import importlib
 import importlib.util
@@ -51,23 +52,39 @@ def test_qmc_check_reads_the_shifted_points():
     assert verify_qmc((net, shifted[:-1] + shifted[:1], res))
 
 
+def run_task(check, task):
+    """A task's output in-process: a library call's value, or what the CLI
+    printed and returned."""
+    from badicnet import cli
+
+    if not task.argv:
+        return task.call()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(list(task.argv))
+    return check.CliOutput(rc, out.getvalue(), err.getvalue())
+
+
 def test_tiny_tasks_match_the_reference():
     # each tiny task of the four parts, run in-process at seed 3 as the
     # benchmark's self-test runs them, against reference.json["tiny"]
-    from badicnet import cli
-
     check, workloads = load_bench_module("check"), load_bench_module("workloads")
     reference = json.loads((BENCH / "reference.json").read_text())["tiny"]
-
-    def run(task):
-        if not task.argv:
-            return task.call()
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = cli.main(list(task.argv))
-        return check.CliOutput(rc, out.getvalue(), err.getvalue())
-
     tasks = [task for part in workloads.PARTS for task in workloads.build(part, 3, tiny=True)]
     assert sorted(task.key for task in tasks) == sorted(reference)
-    problems = {task.key: check.verify(task, run(task), reference[task.key]) for task in tasks}
+    problems = {task.key: check.verify(task, run_task(check, task), reference[task.key]) for task in tasks}
+    assert {key: found for key, found in problems.items() if found} == {}
+
+
+def test_full_dual_side_tasks_match_the_reference():
+    # the dual-side tasks at full size, a few ms each, against
+    # reference.json["full"]: at tiny size rho2-b3 exceeds its cap, so
+    # only the full task checks a base-3 witness
+    check, workloads = load_bench_module("check"), load_bench_module("workloads")
+    reference = json.loads((BENCH / "reference.json").read_text())["full"]
+    keys = {"wce/rho2-b2", "wce/rho2-b3", "wce/dual-b2", "wce/independence-b2"}
+    tasks = [task for task in workloads.build("wce", 3) if task.key in keys]
+    assert {task.key for task in tasks} == keys
+    assert reference["wce/rho2-b3"]["doc"]["witness"]
+    problems = {task.key: check.verify(task, run_task(check, task), reference[task.key]) for task in tasks}
     assert {key: found for key, found in problems.items() if found} == {}

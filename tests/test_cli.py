@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -225,6 +226,22 @@ def test_verify_rho2_finds_weight(capsys):
     doc = json.loads(out)
     assert doc["rho2"] == 3
     assert doc["witness"] == [1, 2]
+
+
+def test_verify_rho2_beyond_the_plane(tmp_path, capsys):
+    # the b = 3, m = n = 4 Faure net in three coordinates, C_j = P^(j-1)
+    # mod 3 with P the 4x4 upper triangular Pascal matrix binom(c, r)
+    P = np.array([[math.comb(c, r) for c in range(4)] for r in range(4)])
+    mats = [(np.linalg.matrix_power(P, j) % 3).tolist() for j in range(3)]
+    net_file = tmp_path / "faure.json"
+    net_file.write_text(json.dumps({"base": 3, "s": 3, "m": 4, "n": 4, "matrices": mats}))
+    argv = ("verify", "rho2", "--kind", "custom-json", "--in", str(net_file))
+    code, out, _ = run(capsys, *argv, "--cap", "8")
+    assert code == 0
+    assert out == '{\n "rho2": 6,\n "cap": 8,\n "certified_by": "enumeration",\n "witness": [0, 9, 18]\n}\n'
+    code, out, _ = run(capsys, *argv, "--cap", "4")
+    assert code == 0
+    assert out == '{\n "rho2": "exceeds",\n "cap": 4,\n "certified_by": "enumeration+independence",\n "witness": null\n}\n'
 
 
 def test_study_discrepancy_schema_and_determinism(capsys):

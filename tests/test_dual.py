@@ -1,8 +1,10 @@
 """Dual net membership, minimal weights, and independence certificates."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from badicnet import (
     certify_rho2_via_independence,
@@ -23,7 +25,7 @@ from badicnet import dual, walsh
 from badicnet.dual import dual_members
 from badicnet.nets import DigitalNet
 from badicnet.walsh import character_sums
-from oracles import character_vec, digital_nets, loop_rank_mod_p, mu2_total
+from oracles import brute_rho2, character_vec, digital_nets, loop_rank_mod_p, mu2_total
 
 
 def _k_image(net, j, k):
@@ -212,8 +214,12 @@ def test_cap_validation():
     net = hammersley_matrices(2, 2)
     with pytest.raises(ValueError, match="cap must lie"):
         rho2_min_weight(net, cap=0)
-    with pytest.raises(ValueError, match="two coordinates"):
-        rho2_min_weight(DigitalNet(2, (np.zeros((1, 1), dtype=np.int64),)))
+    # one coordinate and three: the search has no planar limit
+    res = rho2_min_weight(DigitalNet(2, (np.zeros((1, 1), dtype=np.int64),)))
+    assert (res.weight, res.witness) == (1, (1,))
+    eye = np.eye(2, dtype=np.int64)
+    res = rho2_min_weight(DigitalNet(2, (eye, eye, eye)))
+    assert (res.weight, res.witness) == (2, (0, 1, 1))
 
 
 def test_rank_mod_p():
@@ -601,6 +607,70 @@ def test_rho2_join_on_low_rank_nets(seed):
         assert (res.weight, res.witness) == per_k_rho2(net, cap)
 
 
+@st.composite
+def nets_and_caps(draw):
+    """Random matrices, b in {2, 3}, s in {1, 2, 3, 4}, n with at most 4096
+    tuples of k < b^n, and a weight cap.  From s = 4 on, a left half of
+    two coordinates holds tuples that are lexicographically smaller but
+    heavier than others."""
+    b = draw(st.sampled_from([2, 3]))
+    s = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max(k for k in range(1, 13) if b ** (k * s) <= 4096)))
+    m = draw(st.integers(0, 4))
+    digit = st.integers(0, b - 1)
+    mats = tuple(np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(s))
+    return DigitalNet(b, mats), draw(st.integers(1, 2 * n))
+
+
+_LEFT_PAIR_NET = DigitalNet(
+    2, tuple(np.array(C) for C in ([[1, 1, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 0]], [[1, 0, 1], [0, 0, 1]], [[1, 1, 0], [0, 1, 0]]))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nets_and_caps())
+# weight 2 is hit by (1, 0, 0, 1) at left weight 1 and by the witness
+# (0, 2, 0, 0) at left weight 2: a budget cut below the least total loses it
+@example((_LEFT_PAIR_NET, 4))
+def test_rho2_matches_the_brute_force_tuples(case):
+    net, cap = case
+    res = rho2_min_weight(net, cap)
+    assert (res.weight, res.witness) == brute_rho2(net, cap)
+
+
+def test_rho2_joins_only_left_weights_up_to_its_weight():
+    # rho2 = 10 < cap = 18: once a hit of weight 10 is found, no heavier
+    # left weight is joined; in the plane the left half is the first
+    # coordinate's candidates, so each join takes one weight's class members
+    net = truncated_sym_hammersley(3, 4, 9)
+    sizes = {w: len(ks) for w, ks in classes_by_weight(3, 9, 18).items()}
+    join, calls = dual._join, []
+
+    def spy(side, targets):
+        calls.append(len(targets))
+        return join(side, targets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dual, "_join", spy)
+        res = rho2_min_weight(net, 18)
+    assert res.weight == 10
+    assert calls == [sizes[w] for w in range(11)]
+
+
+def test_class_members_past_int64():
+    # b^a1 > 2^63: the members are Python ints, in class order
+    for b, pos in [(2, (70,)), (2, (66, 3)), (3, (41, 2))]:
+        high = b ** (pos[0] - 1)
+        if len(pos) == 1:
+            want = [k1 * high for k1 in range(1, b)]
+        else:
+            mid = b ** (pos[1] - 1)
+            want = [k1 * high + k2 * mid + low for k1 in range(1, b) for k2 in range(1, b) for low in range(mid)]
+        got = _class_members(b, pos)
+        assert got.dtype == object and got.tolist() == want
+        assert all(mu2(k, b).positions[:2] == pos for k in want)
+
+
 @pytest.mark.parametrize(
     "b, m, witness",
     [(2, 3, (3, 6)), (2, 4, (3, 12)), (2, 5, (3, 24)), (2, 6, (3, 48)), (3, 2, (5, 5)), (3, 3, (5, 15)), (3, 4, (5, 45))],
@@ -810,6 +880,33 @@ def planar_prime_nets(draw):
 def test_certificate_matches_the_listed_profiles_on_random_nets(net):
     for rho in range(1, 2 * net.m + 1):
         assert certify_rho2_via_independence(net, rho) == listed_profiles_certificate(net, rho)
+
+
+@st.composite
+def prime_nets(draw):
+    """Random matrices or Faure nets (C_j = P^(j-1) mod b, zero rows past
+    m) over b in {2, 3, 5}, s in {1, 2, 3}, m >= 1, with at most 4096
+    tuples of k < b^n."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max(k for k in range(1, 13) if b ** (k * s) <= 4096)))
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        m = min(m, n)
+        P = np.array([[math.comb(c, r) % b for c in range(m)] for r in range(m)], dtype=np.int64)
+        mats = [np.vstack([np.linalg.matrix_power(P, j) % b, np.zeros((n - m, m), dtype=np.int64)]) for j in range(s)]
+        return DigitalNet(b, tuple(mats))
+    digit = st.integers(0, b - 1)
+    return DigitalNet(b, tuple(np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_nets())
+def test_certificate_implies_the_search_exceeds(net):
+    # a certified rho forces rho2 > rho, in any dimension
+    for rho in range(1, min(2 * net.m, 2 * net.n) + 1):
+        if certify_rho2_via_independence(net, rho):
+            assert rho2_min_weight(net, rho).exceeded
 
 
 @pytest.mark.parametrize("entries", [1, 40, 1 << 20])

@@ -34,9 +34,9 @@ from badicnet import (
     wce_spectral,
 )
 from badicnet.badic import frequency_digits, g_add, project_pi
-from badicnet.dual import dual_scan
+from badicnet.dual import _tuple_count, dual_scan
 from badicnet.nets import point_numerators
-from badicnet.rkhs import _diag_tail, _weighted_box_count
+from badicnet.rkhs import _diag_tail
 from badicnet.walsh import character_exponent_table, character_sums
 from oracles import (
     csv_text,
@@ -557,7 +557,7 @@ def test_batched_spectral_matches_candidate_scan(data):
     else:
         kern = data.draw(diagonal_kernels(b, s))
         cap = data.draw(st.integers(1, n), label="cap")
-        while cap > 1 and _weighted_box_count(b, s, cap) > 3000:
+        while cap > 1 and _tuple_count(level_sizes(b, cap), s, cap) > 3000:
             cap -= 1
         # hits come in the candidate generator's order, so the sum repeats bit for bit
         in_order = [ks for ks in weighted_box(b, s, cap) if dual_contains(net, ks)]
@@ -583,9 +583,17 @@ def test_spectral_on_object_keys_matches_candidate_scan(b, n, m, cap):
     assert (got.value, got.terms_used) == spectral_by_candidates(net, kern, cap)
 
 
+def level_sizes(base, cap):
+    """Frequencies per digit level 0..cap: the origin, then (b-1) b^(a-1)."""
+    return [1] + [(base - 1) * base ** (a - 1) for a in range(1, cap + 1)]
+
+
 def test_weighted_box_count_matches_generator():
     for b, s, cap in [(2, 1, 5), (2, 3, 4), (3, 2, 3), (5, 3, 2)]:
-        assert len(list(weighted_box(b, s, cap))) == _weighted_box_count(b, s, cap)
+        assert len(list(weighted_box(b, s, cap))) == _tuple_count(level_sizes(b, cap), s, cap)
+    # a box weighs nothing: all (b^k)^s tuples, whatever the cap
+    for b, s, k in [(2, 1, 5), (2, 3, 4), (3, 2, 3), (5, 4, 2)]:
+        assert _tuple_count([b**k], s, 0) == _tuple_count([b**k], s, 3) == (b**k) ** s
 
 
 # ---------------------------------------------------------------------------

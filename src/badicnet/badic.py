@@ -96,6 +96,30 @@ def digit_values(digits: np.ndarray, base: int) -> np.ndarray:
     return digits.astype(dtype) @ np.array([base**i for i in range(d)], dtype=dtype)
 
 
+def mod_product(digits: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
+    """(T, c) int64 residues digits @ rows mod b of (T, K) digits and (K, c)
+    rows, a net's linear digit map at given vectors: in int64 while
+    K (b - 1)^2 < 2^63 bounds every entry, in Python ints past that."""
+    dtype = np.int64 if rows.shape[0] * (base - 1) ** 2 < 1 << 63 else object
+    return (digits.astype(dtype) @ rows.astype(dtype) % base).astype(np.int64)
+
+
+def linear_table(rows: np.ndarray, base: int) -> np.ndarray:
+    """(b^k, c) array whose row v is the mod_product of the k digits of v
+    (least significant first) with a (k, c) array of rows, for every
+    v < b^k: row v + d b^i is row v plus row i times d, the multiples of
+    every row being one mod_product, in the smallest unsigned dtype that
+    holds 2(b-1).  Sums of several tables need a wider dtype."""
+    dtype = np.min_scalar_type(2 * (base - 1))
+    k, c = rows.shape
+    table = np.zeros((1, c), dtype=dtype)
+    if k:  # the multiples take b rows, so k = 0 builds none at any base
+        steps = mod_product(np.arange(base)[:, None], rows.reshape(1, k * c), base).astype(dtype).reshape(base, k, c)
+        for i in range(k):
+            table = ((steps[:, i, None] + table) % base).reshape(base * len(table), c)
+    return table
+
+
 @dataclass(frozen=True)
 class GElement:
     """Truncated digit sequence: n explicit digits, then a constant tail.

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .badic import digit_values, frequency_digits, int_digits, is_prime
+from .badic import digit_values, frequency_digits, int_digits, is_prime, linear_table, mod_product
 from .nets import DigitalNet, truncated_sym_hammersley
 
 GUARD_DEFAULT = 1 << 26
@@ -34,42 +34,25 @@ def dual_contains(net: DigitalNet, k: Sequence[int]) -> bool:
 
 def dual_members(net: DigitalNet, digits: np.ndarray) -> np.ndarray:
     """Exact dual membership of the frequency vectors with (T, s, d)
-    digits (frequency_digits), as a (T,) bool array.
-
-    Every component must fit in the digit rows (no nonzero digit past
-    n).  The images sum_j vec(k_j) C_j mod b of all vectors come from one
-    (T, d) @ (d, m) product per coordinate, in int64 while d (b-1)^2 <
-    2^63 bounds its entries and in Python ints past that.
-    """
+    digits (frequency_digits), none nonzero past n, as a (T,) bool array:
+    their images sum_j vec(k_j) C_j mod b are one badic.mod_product of
+    the (T, s d) digits with the stacked C_j[:d]."""
     if digits.shape[1] != net.s:
         raise ValueError("incompatible elements: dimension mismatch")
-    b, n = net.base, net.n
-    if digits[..., n:].any():
+    if digits[..., net.n :].any():
         raise ValueError("digits exceed matrix rows")
-    d = min(digits.shape[-1], n)
-    dtype = np.int64 if d * (b - 1) ** 2 < 1 << 63 else object
-    acc = np.zeros((len(digits), net.m), dtype=np.int64)
-    for j, C in enumerate(net.matrices):
-        acc += (digits[:, j, :d].astype(dtype) @ C[:d].astype(dtype) % b).astype(np.int64)
-    return ~np.any(acc % b, axis=1)
+    d = min(digits.shape[-1], net.n)
+    rows = np.concatenate([C[:d] for C in net.matrices])  # stacked like the (T, s d) digits
+    return ~mod_product(digits[..., :d].reshape(len(digits), net.s * d), rows, net.base).any(axis=1)
 
 
 def image_table(net: DigitalNet, j: int, k_digits: int) -> np.ndarray:
-    """(b^k_digits, m) array whose row k is vec(k) C_j mod b.
-
-    Built one digit at a time (row k + d b^a is row k plus d times row a
-    of C_j) in the smallest unsigned dtype that holds 2(b-1), so that no
-    int64 digit matrix of b^k_digits rows is ever held.  Sums of several
-    tables must be taken in a wider dtype.
-    """
+    """(b^k_digits, m) array whose row k is vec(k) C_j mod b: the
+    badic.linear_table of the first k_digits rows of C_j (narrow dtype:
+    sums of several tables need a wider one)."""
     if k_digits > net.n:
         raise ValueError("digits exceed matrix rows")
-    b = net.base
-    dtype = np.min_scalar_type(2 * (b - 1))
-    table = np.zeros((1, net.m), dtype=dtype)
-    for row in net.matrices[j][:k_digits]:
-        table = np.concatenate([(table + (d * row % b).astype(dtype)) % b for d in range(b)])
-    return table
+    return linear_table(net.matrices[j][:k_digits], net.base)
 
 
 def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,45 +237,60 @@ def _class_members(base: int, positions: tuple[int, ...]) -> np.ndarray:
     return (top[:, None, None] + np.arange(1, b, dtype=dtype)[:, None] * mid + np.arange(mid, dtype=dtype)).ravel()
 
 
+def _class_images(C: np.ndarray, base: int, positions: list[tuple[int, ...]]) -> np.ndarray:
+    """Image rows vec(k) C mod b (image_table's dtype) of the members of
+    the mu2 classes at these positions, in class and _class_members order.
+    Member k1 b^(a1-1) + k2 b^(a2-1) + low adds rows k1 (n+1) + a1 and
+    k2 (n+1) + a2 of one linear_table of C's multiples below a zero row
+    (a = 0 where a class has none) and row low of one of the free digits."""
+    b, (n, m) = base, C.shape
+    a = np.array([(*pos, 0, 0)[:2] for pos in positions]).reshape(-1, 2)
+    low = linear_table(C[: a[:, 1].max(initial=1) - 1], b)
+    multiples = linear_table(np.vstack([np.zeros((1, m), dtype=C.dtype), C]).reshape(1, -1), b).reshape(b * (n + 1), m)
+    lows = b ** np.maximum(a[:, 1] - 1, 0)
+    run, place = _runs((b - 1) ** (a > 0).sum(axis=1) * lows)
+    head, low_rows = np.divmod(place, lows[run])
+    k1, k2 = np.divmod(head, np.where(a[:, 1] > 0, b - 1, 1)[run])
+    out = multiples[(k1 + 1) * (n + 1) + a[run, 0]] + multiples[(k2 + 1) * (n + 1) + a[run, 1]]
+    return (out % b + low[low_rows]) % b
+
+
 def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int = GUARD_DEFAULT) -> Rho2Result:
     """Minimum of sum_j mu2(k_j) over nontrivial dual vectors, by search.
 
     The weight is exact whenever it is at most cap (default and maximum:
     2n).  Both guards, on the candidates per coordinate and on their
     s-tuples of weight <= cap, are counted from the class sizes before
-    any class is built.  The classes' members, by weight and in class
-    order within one, go through _half_join weighted by mu2, which stops
-    at the least nonzero total.  The witness is its least tuple of member
-    indices: in the plane the first k1 of the least w1, with the first k2.
+    any class is built.  The classes' _class_images, by weight and in
+    class order within one, go through _half_join weighted by mu2, which
+    stops at the least nonzero total.  The witness is its least tuple of
+    member indices, decoded by _class_members: in the plane the first k1
+    of the least w1, with the first k2.
     """
-    b, n = net.base, net.n
+    b, n, s = net.base, net.n, net.s
     if cap is None:
         cap = 2 * n
     if not 1 <= cap <= 2 * n:
         raise ValueError("cap must lie in 1..2n")
     # sorted by weight, in profile order within one
     classes = sorted(((w, pos) for w, pos in _profiles(cap) if not pos or pos[0] <= n), key=lambda c: c[0])
-    sizes = [0] * (cap + 1)
-    for w, pos in classes:
-        sizes[w] += (b - 1) ** len(pos) * (b ** (pos[1] - 1) if len(pos) == 2 else 1)
+    counts = [(b - 1) ** len(pos) * (b ** (pos[1] - 1) if len(pos) == 2 else 1) for _, pos in classes]
+    sizes = [sum(c for (v, _), c in zip(classes, counts) if v == w) for w in range(cap + 1)]
     count = sum(sizes)
     if count > max_candidates:
         raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
-    tuple_count = _tuple_count(sizes, net.s, cap)
+    tuple_count = _tuple_count(sizes, s, cap)
     if tuple_count > max_candidates:
-        raise ValueError(f"guard exceeded: {tuple_count} candidate pairs over cap {max_candidates}")
-    members = np.concatenate([_class_members(b, pos) for _, pos in classes])
-    # candidates are below b^d, so only the first d digit rows matter
-    d = min(cap, n)
-    digits = (members[:, None] // np.array([b**i for i in range(d)], dtype=members.dtype) % b).astype(np.int64)
-    tables = [(digits @ C[:d] % b).astype(np.min_scalar_type(2 * (b - 1))) for C in net.matrices]
-    weights = np.repeat(np.arange(cap + 1), sizes)
-    comps, totals = _half_join(tables, weights, net.m, b, cap, least=True)
+        raise ValueError(f"guard exceeded: {tuple_count} candidate {'pairs' if s == 2 else f'{s}-tuples'} over cap {max_candidates}")
+    tables = [_class_images(C, b, [pos for _, pos in classes]) for C in net.matrices]
+    comps, totals = _half_join(tables, np.repeat(np.arange(cap + 1), sizes), net.m, b, cap, least=True)
     if not totals.any():
         return Rho2Result(None, cap)
     weight = int(totals[totals > 0].min())
     hits = comps[totals == weight]
-    return Rho2Result(weight, cap, tuple(map(int, members[hits[np.lexsort(hits.T[::-1])[0]]])))
+    starts = np.cumsum([0] + counts)
+    first = [(i, np.searchsorted(starts, i, side="right") - 1) for i in hits[np.lexsort(hits.T[::-1])[0]].tolist()]
+    return Rho2Result(weight, cap, tuple(int(_class_members(b, classes[c][1])[i - starts[c]]) for i, c in first))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .badic import GElement, GVector
+from .badic import GElement, GVector, frequency_digits, linear_table, mod_product
 
 _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
-_FLOAT64_EXACT = 1 << 53  # integers below this are exact in float64
 # net point rows per block of digit arrays (numerators, the diagonal-kernel
 # group sum), of GVectors when iterating and of CSV rows per write: larger
 # blocks raised the peak RSS.  The blocks of one NetPoints.digit_blocks
@@ -104,20 +103,6 @@ class DigitalNet:
         return self.base**self.m
 
 
-def _half_rows(base: int, values: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
-    """Rows (digits of v) @ weights mod b for the int64 indices v in
-    values, point indices or half indices.
-
-    Each entry of the float64 product is an integer of at most
-    len(weights) (b - 1)^2, exact below 2^53.  The indices are int64 by
-    construction, so this hot path splits them here, not in badic.
-    """
-    digits = values[:, None] // base ** np.arange(len(weights), dtype=np.int64) % base
-    prod = (digits.astype(np.float64) @ weights.astype(np.float64)).astype(np.int64)
-    prod -= prod // base * base  # prod %= b, but numpy divides int64 by a scalar much faster than it takes the remainder
-    return prod.astype(dtype)
-
-
 class NetPoints:
     """Read-only sequence of a net's points in index order: the one point
     input of point_numerators, points_to_csv, the character sums and
@@ -129,16 +114,14 @@ class NetPoints:
     rows as one block.  Every digit and tail is linear in the index
     digits, so the row of index nu = nu_hi b^h + nu_lo, h = ceil(m/2), is
     the sum mod b of a row read for the high digits nu_hi and one for the
-    low digits nu_lo: digit_blocks builds the two tables of these rows
-    over all b^(m-h) and b^h half indices once, before its first block,
-    and a block is then one gather-add and one conditional subtract in
-    the narrowest unsigned type that holds 2b - 2.  Indexing reads the
-    rows asked for with one product of their m index digits, no table.
-    Both products are in float64, exact because each entry is an integer
-    of at most m (b - 1)^2, which must stay below 2^53; a net past that
-    bound is a ValueError.  Indexing and iteration build GVector objects
-    from the digit arrays of the rows asked for, a block at a time when
-    iterating, and keep none.
+    low digits nu_lo: digit_blocks builds the badic.linear_table of these
+    rows over all b^(m-h) and b^h half indices once, before its first
+    block, and a block is then one gather-add and one conditional
+    subtract in the tables' unsigned type.  Indexing reads the rows asked
+    for with one badic.mod_product of their m index digits, no table.
+    Both are exact at every base.  Indexing and iteration build GVector
+    objects from the digit arrays of the rows asked for, a block at a
+    time when iterating, and keep none.
     """
 
     def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
@@ -152,19 +135,16 @@ class NetPoints:
         index = range(len(self))[i]
         if isinstance(index, int):
             return self[index : index + 1][0]
-        rows = np.arange(index.start, index.stop, index.step, dtype=np.int64)
-        return self._vectors(*self._split(_half_rows(self.net.base, rows, self._weights(), np.int64)))
+        digits = frequency_digits([(v,) for v in index], self.net.base, 1, self.net.m)[:, 0]
+        return self._vectors(*self._split(mod_product(digits, self._weights(), self.net.base)))
 
     def __iter__(self):
         for digits, tails in self.digit_blocks():
             yield from self._vectors(digits, tails)
 
     def _weights(self) -> np.ndarray:
-        """(m, s n [+ s]) matrix whose row c is the digits and tails that
-        index digit c contributes, once m (b - 1)^2 < 2^53 is checked."""
+        """(m, s n [+ s]) rows: the digits and tails index digit c adds."""
         net = self.net
-        if net.m * (net.base - 1) ** 2 >= _FLOAT64_EXACT:
-            raise ValueError(f"net too large for exact float64 digits: m (b-1)^2 = {net.m * (net.base - 1) ** 2} >= 2^53")
         cols = [C.T for C in net.matrices]
         if net.tail_rows is not None:
             cols.append(np.stack(net.tail_rows, axis=1))
@@ -186,15 +166,12 @@ class NetPoints:
         weights = self._weights()
         b, m, N = self.net.base, self.net.m, len(self)
         h = (m + 1) // 2
-        half = b**h
-        dtype = np.min_scalar_type(2 * b - 2)
-        hi_rows = _half_rows(b, np.arange(N // half), weights[h:], dtype)
-        lo_rows = _half_rows(b, np.arange(half), weights[:h], dtype)
+        hi_rows, lo_rows = linear_table(weights[h:], b), linear_table(weights[:h], b)
         for start in range(0, N, block):
-            hi, lo = np.divmod(np.arange(start, min(start + block, N), dtype=np.int64), half)
+            hi, lo = np.divmod(np.arange(start, min(start + block, N), dtype=np.int64), b**h)
             prod = np.take(hi_rows, hi, axis=0)
             prod += np.take(lo_rows, lo, axis=0)
-            prod -= (prod >= b) * dtype.type(b)
+            prod -= (prod >= b) * prod.dtype.type(b)
             yield self._split(prod)
 
     def digit_arrays(self) -> tuple[np.ndarray, np.ndarray]:

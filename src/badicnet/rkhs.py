@@ -30,10 +30,10 @@ time (J. Dick and F. Pillichshammer, Digital Nets and Sequences,
 Cambridge University Press, 2010).  A band-limited kernel only needs
 u_k = sum_{x in P} W_k(x) for the k in its box, the values of the exact
 residue counts of walsh.residue_counts.  The spectral route takes the
-dual frequencies of a band-limited kernel from dual.dual_members over
-the same T digit rows the direct route reads, and those of a diagonal
-kernel from the (T, s) components that dual.dual_scan hands out.  Sums
-over the points and over the dual hits of a diagonal kernel are
+dual frequencies of either kernel from the (T, s) components that
+dual.dual_scan hands out: in the box of a band-limited kernel, under the
+weight cap of a diagonal one.  Sums over the points and over the dual
+hits of a diagonal kernel are
 math.fsum, which is correctly rounded, so they do not depend on the
 order of their terms.  Both routes take only kernels of the net's base
 and dimension.
@@ -343,17 +343,18 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
     The point multiset meant here is the image of the net's points; for
     a net built by symmetrize_matrices the dual membership test already
     encodes the digit-sum constraint of the symmetrization, so no extra
-    filtering is needed.  Band-limited kernels are summed exactly over
-    the dual_members of their T digit rows (tail_bound 0).  Diagonal
-    kernels are summed over the dual_scan hits of weight sum(a1(k_j)) <=
-    cap (default n), the scan's guard counting their candidate tuples
-    against max_candidates; everything heavier, dual or not, is absorbed
-    into tail_bound via geometric series, so |direct - spectral| <=
+    filtering is needed.  Both kernels are summed over dual_scan hits,
+    whose guard counts the candidate tuples against max_candidates.  A
+    band-limited kernel's are its box, by flat index, summed exactly
+    (tail_bound 0).  A diagonal kernel's have weight sum(a1(k_j)) <= cap
+    (default n); everything heavier, dual or not, is absorbed into
+    tail_bound via geometric series, so |direct - spectral| <=
     tail_bound always holds.
     """
     _check_kernel(net, kernel)
     if isinstance(kernel, BandLimitedKernel):
-        idx = np.flatnonzero(dualmod.dual_members(net, kernel.digits))[1:]  # flat index 0 is the origin
+        box = dualmod.dual_scan(net, kernel.k_digits, max_candidates=max_candidates)
+        idx = np.sort(digit_values(box, kernel.box))[1:]  # flat indices; 0 is the origin
         val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if len(idx) else 0j
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ArithmeticError("squared error came out non-real")

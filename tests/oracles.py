@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from badicnet import DigitalNet, PointSet2, mu2, points_to_csv, symmetrize_matrices
 from badicnet.badic import GElement, GVector, first_nonzero_position, g_add, g_sub, int_digits, project_pi
+from badicnet.dual import dual_members
 from badicnet.rkhs import BandLimitedKernel, SpectralDiagonalKernel, _first_positions, _phi_table
 from badicnet.walsh import UnityExponent, character, cyclotomic_coeffs
 
@@ -200,6 +201,15 @@ def kernel_eval(kernel, x: GVector, y: GVector):
             out *= 1.0 + kernel.gammas[j] * kernel.phi(first_nonzero_position(z))
         return out
     raise TypeError("unknown kernel type")
+
+
+def band_spectral_by_members(net: DigitalNet, kernel: BandLimitedKernel) -> tuple[float, int]:
+    """Band-limited wce_spectral as (value, terms_used) by brute force:
+    dual_members over all T digit rows of the kernel's box, the nonzero
+    hits' coefficients summed by increasing flat index."""
+    idx = np.flatnonzero(dual_members(net, kernel.digits))[1:]  # flat index 0 is the origin
+    val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if len(idx) else 0j
+    return max(val.real, 0.0), len(idx) ** 2
 
 
 def diag_pair_sum(points, kernel: SpectralDiagonalKernel) -> float:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from badicnet import (
     DigitalNet,
@@ -20,7 +20,7 @@ from badicnet import (
     project_pi,
     section_sigma,
 )
-from badicnet.badic import digit_values, first_nonzero_position, frequency_digits, rows_in_E
+from badicnet.badic import digit_values, first_nonzero_position, frequency_digits, linear_table, mod_product, rows_in_E
 from badicnet.dual import dual_members
 from oracles import g_neg, gv_add, gv_sub
 
@@ -303,3 +303,48 @@ def test_in_E_rejects_what_int_digits_rejects():
     with pytest.raises(TypeError):
         in_E(1.5, 2)
     assert rows_in_E(frequency_digits([], 3, 2, 0), 3).shape == (0,)
+
+
+@st.composite
+def digit_matrices(draw, bases, rows, width):
+    """A base and a (rows, width) array of digits in it, each size drawn
+    from its range."""
+    b = draw(st.sampled_from(bases), label="b")
+    shape = (draw(st.integers(*rows), label="rows"), draw(st.integers(*width), label="width"))
+    flat = draw(st.lists(st.integers(0, b - 1), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return b, np.array(flat, dtype=np.int64).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digit_matrices([2, 3, 4, 5, 6, 7], (0, 4), (0, 4)))
+@example((257, np.array([[1, 256, 0], [256, 256, 3]])))
+@example((2, np.zeros((0, 3), dtype=np.int64)))
+@example((3, np.zeros((2, 0), dtype=np.int64)))
+@example((2**62, np.zeros((0, 3), dtype=np.int64)))  # one zero row, no multiples of b entries
+def test_linear_table_matches_the_digit_expansion(case):
+    b, rows = case
+    k, c = rows.shape
+    table = linear_table(rows, b)
+    assert table.shape == (b**k, c) and table.dtype == np.min_scalar_type(2 * (b - 1))
+    for v in range(b**k):
+        digits = int_digits(v, b) + (0,) * k
+        assert table[v].tolist() == [sum(digits[i] * int(rows[i, j]) for i in range(k)) % b for j in range(c)]
+
+
+@st.composite
+def digit_products(draw):
+    """A base, (T, K) digits and (K, c) rows in it, on both sides of the
+    int64 bound K (b - 1)^2 < 2^63."""
+    b, rows = draw(digit_matrices([2, 3, 257, 2**31 - 1, 2**32 + 15], (0, 5), (0, 5)))
+    _, digits = draw(digit_matrices([b], (0, 4), (len(rows), len(rows))))
+    return b, digits, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(digit_products())
+@example((2**32 + 15, np.full((3, 1), 2**32 + 14), np.full((1, 2), 2**32 + 14)))  # (b - 1)^2 > 2^63: int64 wraps
+def test_mod_product_matches_python_int_sums(case):
+    b, digits, rows = case
+    got = mod_product(digits, rows, b)
+    assert got.dtype == np.int64 and got.shape == (len(digits), rows.shape[1])
+    assert got.tolist() == [[sum(int(d) * int(r) for d, r in zip(v, col)) % b for col in rows.T] for v in digits]

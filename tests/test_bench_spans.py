@@ -77,13 +77,15 @@ def test_tiny_tasks_match_the_reference():
 
 
 def test_full_dual_side_tasks_match_the_reference():
-    # the dual-side tasks at full size, a few ms each, against
-    # reference.json["full"]: at tiny size rho2-b3 exceeds its cap, so
-    # only the full task checks a base-3 witness
+    # the dual-side tasks and the point-side tasks on the linear digit map
+    # at full size, a few ms each, against reference.json["full"]: at tiny
+    # size rho2-b3 exceeds its cap, so only the full task checks a base-3
+    # witness
     check, workloads = load_bench_module("check"), load_bench_module("workloads")
     reference = json.loads((BENCH / "reference.json").read_text())["full"]
-    keys = {"wce/rho2-b2", "wce/rho2-b3", "wce/dual-b2", "wce/independence-b2"}
-    tasks = [task for task in workloads.build("wce", 3) if task.key in keys]
+    keys = {"wce/rho2-b2", "wce/rho2-b3", "wce/dual-b2", "wce/independence-b2", "wce/wce-bandlimited"}
+    keys |= {"points/net-gen", "points/net-points", "points/orthogonality"}
+    tasks = [task for part in ("wce", "points") for task in workloads.build(part, 3) if task.key in keys]
     assert {task.key for task in tasks} == keys
     assert reference["wce/rho2-b3"]["doc"]["witness"]
     problems = {task.key: check.verify(task, run_task(check, task), reference[task.key]) for task in tasks}

@@ -19,8 +19,8 @@ from badicnet import (
     symmetrize_matrices,
     truncated_sym_hammersley,
 )
-from badicnet.badic import frequency_digits, in_E, int_digits
-from badicnet.dual import _class_members, _profiles, dual_scan, image_table, rank_mod_p
+from badicnet.badic import frequency_digits, in_E, int_digits, mod_product
+from badicnet.dual import _class_images, _class_members, _profiles, dual_scan, image_table, rank_mod_p
 from badicnet import dual, walsh
 from badicnet.dual import dual_members
 from badicnet.nets import DigitalNet
@@ -728,6 +728,39 @@ def test_rho2_guards_count_what_the_lists_hold(b, m, n):
         rho2_min_weight(net, cap, max_candidates=pairs - 1)
     res = rho2_min_weight(net, cap, max_candidates=pairs)
     assert (res.weight, res.witness) == per_k_rho2(net, cap)
+
+
+def test_rho2_tuple_guard_names_the_tuples_beyond_the_plane():
+    # the b = 3, m = n = 4 Faure net in three coordinates, C_j = P^(j-1) mod 3
+    P = np.array([[math.comb(c, r) % 3 for c in range(4)] for r in range(4)], dtype=np.int64)
+    net = DigitalNet(3, tuple(np.linalg.matrix_power(P, j) % 3 for j in range(3)))
+    with pytest.raises(ValueError, match=r"^guard exceeded: 4913 candidate 3-tuples over cap 1000$"):
+        rho2_min_weight(net, 8, max_candidates=1000)
+
+
+@st.composite
+def matrices_and_classes(draw):
+    """One random n x m matrix over b in {2, 3, 5} and the positions of
+    every mu2 class of weight <= 2n whose top digit fits in its n rows."""
+    b = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6 if b == 2 else 4))
+    m = draw(st.integers(0, 4))
+    C = np.array(draw(st.lists(st.integers(0, b - 1), min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m)
+    return b, C, [pos for _, pos in _profiles(2 * n) if not pos or pos[0] <= n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_and_classes())
+def test_class_images_are_the_products_of_the_class_members(case):
+    b, C, classes = case
+    images = _class_images(C, b, classes)
+    assert images.dtype == image_table(DigitalNet(b, (C,)), 0, 0).dtype
+    want = []
+    for pos in classes:
+        digits = frequency_digits([(int(k),) for k in _class_members(b, pos)], b, 1, len(C))[:, 0]
+        want.append(mod_product(digits, C, b))
+        assert np.array_equal(_class_images(C, b, [pos]), want[-1])
+    assert np.array_equal(images, np.concatenate(want))
 
 
 def test_rho2_guard_trips_before_any_class_is_built(monkeypatch):

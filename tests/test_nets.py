@@ -344,19 +344,20 @@ def test_digit_blocks_match_the_direct_product_for_every_block_size(net, block):
 
 
 def test_digit_blocks_of_the_whole_net_build_two_tables(monkeypatch):
-    built = []
-    half_rows = netsmod._half_rows
-    monkeypatch.setattr(netsmod, "_half_rows", lambda *args: built.append(len(args[1])) or half_rows(*args))
+    tables, products = [], []
+    linear_table, mod_product = netsmod.linear_table, netsmod.mod_product
+    monkeypatch.setattr(netsmod, "linear_table", lambda rows, b: tables.append(b ** len(rows)) or linear_table(rows, b))
+    monkeypatch.setattr(netsmod, "mod_product", lambda digits, *args: products.append(len(digits)) or mod_product(digits, *args))
     net = symmetrize_matrices(hammersley_matrices(3, 6, 8))  # 3^8 points, 7 blocks
     pts = enumerate_points(net)
     blocks = list(pts.digit_blocks())
-    assert len(blocks) == 7 and built == [3**4, 3**4]  # one table per half index, each over every half index
+    assert len(blocks) == 7 and tables == [3**4, 3**4] and products == []  # one table per half index, each over every half index
     digits, tails = int64_digit_arrays(net)
     assert np.array_equal(np.concatenate([d for d, _ in blocks]), digits)
     assert np.array_equal(np.concatenate([t for _, t in blocks]), tails)
-    built.clear()
+    tables.clear()
     assert pts[5] == eager_points(net)[5]  # one point: one product of one row, no table
-    assert built == [1]
+    assert tables == [] and products == [1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -372,17 +373,29 @@ def test_float64_digit_arrays_match_the_int64_product(net, data):
     assert pts[rows] == vectors(net.base, want_digits[rows], want_tails[rows])
 
 
-def test_float64_digit_arrays_bound():
-    # m (b - 1)^2 < 2^53 keeps every entry of the product exact
-    b = (1 << 26) + 1  # (b - 1)^2 = 2^52
-    below = DigitalNet(b, (np.array([[b - 1], [b - 2]]),), (np.array([b - 1]),))
-    got = NetPoints(below)[b - 3 :]
-    assert [z.coords[0].digits for z in got] == [((k * (b - 1)) % b, (k * (b - 2)) % b) for k in range(b - 3, b)]
-    assert [z.coords[0].tail for z in got] == [(k * (b - 1)) % b for k in range(b - 3, b)]
-    past = NetPoints(DigitalNet(b, (np.array([[b - 1, 1]]),)))  # m (b - 1)^2 = 2^53
-    for read in (lambda: past[0:2], lambda: past[0], lambda: next(past.digit_blocks()), past.digit_arrays, lambda: next(iter(past))):
-        with pytest.raises(ValueError, match="2\\^53"):
-            read()
+def test_indexing_past_the_float64_bound_is_exact():
+    # m (b - 1)^2 = 2^53: a float64 product of the index digits would round;
+    # only indexing is read, since the blocks build tables of b rows
+    b = (1 << 26) + 1
+    net = DigitalNet(b, (np.array([[b - 1, 1]]),), (np.array([1, b - 1]),))
+    assert net.m * (b - 1) ** 2 == 1 << 53
+    pts = NetPoints(net)
+
+    def want(i):  # in Python ints: index digits (nu_0, nu_1), the row and the tail row
+        nu1, nu0 = divmod(i, b)
+        return ((nu0 * (b - 1) + nu1) % b,), (nu0 + nu1 * (b - 1)) % b
+
+    for i in [0, 1, b - 1, b, b * b - 2, b * b - 1, 12345678 * b + 7654321]:
+        assert (pts[i].coords[0].digits, pts[i].coords[0].tail) == want(i)
+    assert [(z.coords[0].digits, z.coords[0].tail) for z in pts[b * b - 3 :]] == [want(i) for i in range(b * b - 3, b * b)]
+    # entries past 2^53: the float64 product of the last index rounds to digit 1
+    b = 100000007
+    last = NetPoints(DigitalNet(b, (np.array([[b - 1, b - 2]]),)))[-1]
+    assert last.coords[0].digits == (((b - 1) * (b - 1) + (b - 1) * (b - 2)) % b,) == (3,)
+    # m = 0: the one point's blocks are tables of one row at any base
+    b = 1 << 40
+    digits, tails = NetPoints(DigitalNet(b, (np.zeros((2, 0), dtype=np.int64),)), np.array([[b - 1, 1]])).digit_arrays()
+    assert digits.tolist() == [[[b - 1, 1]]] and tails.tolist() == [[0]]
 
 
 def test_points_csv_from_digit_arrays_matches_per_point_writer():

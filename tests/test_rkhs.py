@@ -39,6 +39,7 @@ from badicnet.nets import point_numerators
 from badicnet.rkhs import _diag_tail
 from badicnet.walsh import character_exponent_table, character_sums
 from oracles import (
+    band_spectral_by_members,
     csv_text,
     diag_pair_sum,
     digit_negate,
@@ -358,6 +359,22 @@ def test_band_limited_direct_memory_is_bounded():
     assert res.terms_used == net.n_points * kern.size  # N T exponent entries
     assert abs(res.value - wce_spectral(net, kern).value) < 1e-10
     assert peak < 40 * 2**20
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_band_limited_spectral_reads_the_box_scan_under_its_guard(data):
+    # the T box vectors are the scan's candidates: refused at T - 1, and
+    # at T the sum of the brute-force dual_members hits, bit for bit
+    net = data.draw(digital_nets())
+    b, s = net.base, net.s
+    k_digits = data.draw(st.integers(0, net.n).filter(lambda k: b ** (k * s) <= 125), label="k_digits")
+    kern = BandLimitedKernel.random(b, s, k_digits, 3, np.random.default_rng(data.draw(st.integers(0, 99), label="seed")))
+    T = kern.size
+    with pytest.raises(ValueError, match=rf"^guard exceeded: {T} candidates over cap {T - 1}$"):
+        wce_spectral(net, kern, max_candidates=T - 1)
+    got = wce_spectral(net, kern, max_candidates=T)
+    assert (got.value, got.terms_used) == band_spectral_by_members(net, kern)
 
 
 def test_band_limited_direct_rejects_a_base_mismatch():

@@ -99,9 +99,11 @@ def digit_values(digits: np.ndarray, base: int) -> np.ndarray:
 def mod_product(digits: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
     """(T, c) int64 residues digits @ rows mod b of (T, K) digits and (K, c)
     rows, a net's linear digit map at given vectors: in int64 while
-    K (b - 1)^2 < 2^63 bounds every entry, in Python ints past that."""
+    K (b - 1)^2 < 2^63 bounds every entry, in Python ints past that.
+    int64 inputs are not copied and the product is reduced in place."""
     dtype = np.int64 if rows.shape[0] * (base - 1) ** 2 < 1 << 63 else object
-    return (digits.astype(dtype) @ rows.astype(dtype) % base).astype(np.int64)
+    prod = digits.astype(dtype, copy=False) @ rows.astype(dtype, copy=False)
+    return np.remainder(prod, base, out=prod).astype(np.int64, copy=False)
 
 
 def linear_table(rows: np.ndarray, base: int) -> np.ndarray:

@@ -12,6 +12,7 @@ in.  The local discrepancy convention is the strict half-open box
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,7 +242,9 @@ def _lp_even_exact(ps: PointSet2, p: int) -> DiscrepancyResult:
     total = Fraction(0)
     for q, form in enumerate(forms):
         total += Fraction((-1) ** q * comb(p, q) * form, N ** (p - q) * (q + 1) ** 2 * D ** (2 * q + 2))
-    value = float(total) ** (1.0 / p)
+    # below the normal floats float(total) loses digits: take the root of the exact ratio in log space
+    low = float(total) < sys.float_info.min
+    value = math.exp((math.log(total.numerator) - math.log(total.denominator)) / p) if low else float(total) ** (1.0 / p)
     return DiscrepancyResult(float(p), value, "piecewise_exact", 1e-14 * max(value, 1.0), total)
 
 

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import GElement, frequency_digits, int_digits, minimal_precision, section_sigma
+from .badic import GElement, frequency_digits, int_digits, minimal_precision, mod_product, section_sigma
 from .nets import NetPoints, require_net_points
 
 _TABLE_ENTRIES = 1 << 20  # exponent-table entries per chunk of frequencies in residue_counts
@@ -200,14 +200,15 @@ def residue_counts(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: i
     (T, s, d) digits K at the points with (N, s, n) digits and (N, s)
     tails.  The exponent table is built over chunks of frequencies of
     about _TABLE_ENTRIES entries, so memory stays bounded for any number
-    of frequencies, and each chunk's counts take one compare per residue.
+    of frequencies, and each chunk's counts are one bincount, frequency t
+    of the chunk counting its exponents offset by t b.
     """
     counts = np.empty((len(K), base), dtype=np.int64)
     step = max(1, _TABLE_ENTRIES // len(digits))
     for lo in range(0, len(K), step):
         E = _exponents(digits, tails, K[lo : lo + step], base)
-        for r in range(base):
-            counts[lo : lo + step, r] = (E == r).sum(axis=0)
+        E += np.arange(E.shape[1]) * base
+        counts[lo : lo + step] = np.bincount(E.ravel(), minlength=E.shape[1] * base).reshape(-1, base)
     return counts
 
 
@@ -226,11 +227,15 @@ def character_exponent_table(points: NetPoints, ks: Sequence[Sequence[int]]) -> 
 
 def _exponents(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: int) -> np.ndarray:
     """(N, T) exponents mod b of the frequencies with (T, s, d) digits K
-    at the points with (N, s, n) digits and (N, s) tails; each position
-    past n reads the point's tail digit."""
-    n, d = digits.shape[-1], K.shape[-1]
-    E = np.einsum("psd,tsd->pt", digits[:, :, :d], K[:, :, :n])
-    if K.shape[-1] > n:
-        E += tails @ K[:, :, n:].sum(axis=2).T
-    E %= base
+    at the points with (N, s, n) digits and (N, s) tails: a mod_product of
+    the digit rows, plus past n (where points read their tail digit) one of
+    the tails with each coordinate's digit sum mod b, added mod b by a
+    conditional subtract that stays in int64 at any base."""
+    (N, s, n), (T, _, d) = digits.shape, K.shape
+    w = min(n, d)
+    E = mod_product(digits[:, :, :w].reshape(N, s * w), K[:, :, :w].reshape(T, s * w).T, base)
+    if d > n:
+        sums = mod_product(K[:, :, n:].reshape(T * s, d - n), np.ones((d - n, 1), dtype=np.int64), base)
+        E -= base - mod_product(tails, sums.reshape(T, s).T, base)
+        np.add(E, base, out=E, where=E < 0)
     return E

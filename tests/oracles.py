@@ -168,6 +168,15 @@ def character_vec(k, z: GVector) -> UnityExponent:
     return UnityExponent(z.base, e)
 
 
+def residue_count_loop(points, ks) -> np.ndarray:
+    """(T, b) counts of the exponents of W_k over the points for each
+    frequency vector k: one character_vec per point and frequency, then
+    one compare per residue."""
+    b = points[0].base
+    E = np.array([[character_vec(k, z).e for k in ks] for z in points], dtype=np.int64).reshape(len(points), len(ks))
+    return np.stack([(E == r).sum(axis=0) for r in range(b)], axis=1)
+
+
 def digit_negate(k: int, base: int) -> int:
     """Digitwise negation mod b of k >= 0, from int_digits."""
     return sum((-d % base) * base**i for i, d in enumerate(int_digits(k, base)))

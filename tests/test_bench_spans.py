@@ -1,8 +1,8 @@
 """The benchmark's span tracer names only functions that exist, its
 output check still reads the shifted net points the way the library
 hands them out (iteration and slicing of NetPoints), every tiny task of
-the benchmark and its full-size dual-side tasks still give their
-recorded reference outputs."""
+the benchmark and its full-size dual-side, point-side and L_p grid tasks
+still give their recorded reference outputs."""
 
 import importlib
 import importlib.util
@@ -77,15 +77,16 @@ def test_tiny_tasks_match_the_reference():
 
 
 def test_full_dual_side_tasks_match_the_reference():
-    # the dual-side tasks and the point-side tasks on the linear digit map
-    # at full size, a few ms each, against reference.json["full"]: at tiny
-    # size rho2-b3 exceeds its cap, so only the full task checks a base-3
-    # witness
+    # the dual-side tasks, the point-side tasks on the linear digit map and
+    # the L_p grid tasks (even-p roots past p = 2) at full size, a few tens
+    # of ms each, against reference.json["full"]: at tiny size rho2-b3
+    # exceeds its cap, so only the full task checks a base-3 witness
     check, workloads = load_bench_module("check"), load_bench_module("workloads")
     reference = json.loads((BENCH / "reference.json").read_text())["full"]
     keys = {"wce/rho2-b2", "wce/rho2-b3", "wce/dual-b2", "wce/independence-b2", "wce/wce-bandlimited"}
     keys |= {"points/net-gen", "points/net-points", "points/orthogonality"}
-    tasks = [task for part in ("wce", "points") for task in workloads.build(part, 3) if task.key in keys]
+    keys |= {"lp-grid/discrepancy-b2", "lp-grid/discrepancy-b3"}
+    tasks = [task for part in ("wce", "points", "lp-grid") for task in workloads.build(part, 3) if task.key in keys]
     assert {task.key for task in tasks} == keys
     assert reference["wce/rho2-b3"]["doc"]["witness"]
     problems = {task.key: check.verify(task, run_task(check, task), reference[task.key]) for task in tasks}

@@ -6,7 +6,9 @@ in exact rational arithmetic, independently of the production formulas.
 
 import math
 import random
+import sys
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +136,28 @@ def test_lp_p4_exact_vs_quadrature():
     assert lp_star(ps, 4.0).method == "piecewise_exact"  # dispatch is by value
     quad = _lp_quadrature(ps, 4.0)
     assert abs(exact.value - quad.value) < 1e-9
+
+
+def test_lp_even_root_past_the_normal_floats():
+    # L_p^p below the smallest normal float: float(exact) is 0.0 or
+    # subnormal, so the root comes from the exact ratio in log space; the
+    # reference is that root in 50-digit decimal arithmetic
+    sym = sym_hammersley_points(2, 6)
+    roots = []
+    for ps, p in [(sym, 200), (hammersley_point_set(2, 2), 1040)]:
+        res = lp_star(ps, p)
+        assert float(res.exact) < sys.float_info.min
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = float(((Decimal(res.exact.numerator).ln() - Decimal(res.exact.denominator).ln()) / p).exp())
+        assert abs(res.value - want) <= 1e-14 * want
+        assert lp_star(ps, 4).value <= res.value <= linf_star(ps).value
+        roots.append(res.value)
+    assert abs(roots[0] - 0.02060086285201239) <= 1e-14 * 0.02060086285201239
+    # in the normal range the root stays float(exact) ** (1 / p), bit for bit
+    res = lp_star(sym, 150)
+    assert float(res.exact) >= sys.float_info.min
+    assert res.value == float(res.exact) ** (1.0 / 150) <= roots[0]
 
 
 def test_lp_odd_single_point_oracles():

@@ -24,7 +24,9 @@ from badicnet import (
     walsh_eval,
     walsh_exponent,
 )
+from badicnet import walsh
 from badicnet.badic import frequency_digits
+from badicnet.nets import NetPoints
 from badicnet.walsh import (
     character_exponent_table,
     character_sums,
@@ -34,7 +36,7 @@ from badicnet.walsh import (
     sum_values,
     sums_vanish,
 )
-from oracles import character_vec, is_multiple_of_cyclotomic
+from oracles import character_vec, is_multiple_of_cyclotomic, residue_count_loop
 
 
 def test_unity_exponent_normalizes_and_multiplies():
@@ -144,6 +146,46 @@ def test_exponent_table_matches_scalar_characters():
     for i, z in enumerate(pts):
         for j, k in enumerate(ks):
             assert table[i, j] == character_vec(k, z).e
+
+
+PAIRING_BASES = [2, 3, 5, 257, 2**31 - 1, 2**32 + 15]
+
+
+@st.composite
+def pairing_cases(draw):
+    """A net over one of PAIRING_BASES with at most 257 points, shifted or
+    not, and frequencies of up to n + 2 digits per coordinate; digits b - 1
+    and frequencies of all digits b - 1 are drawn often."""
+    b = draw(st.sampled_from(PAIRING_BASES))
+    s, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    m = draw(st.integers(0, {2: 4, 3: 3, 5: 2, 257: 1}.get(b, 0)))
+    digit = st.integers(0, b - 1) | st.just(b - 1)
+    mats = tuple(np.array(draw(st.lists(digit, min_size=n * m, max_size=n * m)), dtype=np.int64).reshape(n, m) for _ in range(s))
+    tails = [draw(st.lists(digit, min_size=m, max_size=m)) for _ in range(s)] if draw(st.booleans()) else None
+    shift = np.array(draw(st.lists(digit, min_size=s * n, max_size=s * n)), dtype=np.int64).reshape(s, n) if draw(st.booleans()) else None
+    component = st.integers(0, b ** (n + 2) - 1) | st.sampled_from([b**n - 1, b ** (n + 2) - 1])
+    ks = draw(st.lists(st.tuples(*[component] * s), max_size=4))
+    return NetPoints(DigitalNet(b, mats, tails), shift), ks
+
+
+@settings(max_examples=120, deadline=None)
+@given(pairing_cases())
+def test_exponent_table_matches_scalar_characters_at_any_base(case):
+    # each entry against walsh.character over the GVector of the point,
+    # at bases whose digit products pass int64, frequencies past n included
+    pts, ks = case
+    table = character_exponent_table(pts, ks)
+    assert table.dtype == np.int64 and table.shape == (len(pts), len(ks))
+    assert table.tolist() == [[character_vec(k, z).e for k in ks] for z in pts]
+
+
+def test_exponent_table_does_not_wrap_past_int64():
+    # one point, all eight digits b - 1 and a frequency of eight digits b - 1:
+    # the exponent is 8 (b - 1)^2 = 8 mod b, where 8 (b - 1)^2 = 2^63
+    b = 2**30 + 1
+    pts = NetPoints(DigitalNet(b, (np.zeros((8, 0), dtype=np.int64),)), np.full((1, 8), b - 1))
+    assert character_exponent_table(pts, [(b**8 - 1,)]).tolist() == [[8]]
+    assert character_vec((b**8 - 1,), pts[0]).e == 8
 
 
 def test_vector_character_dimension_checks():
@@ -326,3 +368,17 @@ def test_residue_counts_are_the_character_sums():
     per_point = [tuple(sum(character_vec(k, z).e == r for z in pts) for r in range(3)) for k in ks]
     assert [cs.counts for cs in character_sums(pts, ks)] == per_point
     assert residue_counts(digits, tails, frequency_digits([], 3, 2, 0), 3).shape == (0, 3)
+
+
+@pytest.mark.parametrize("b, m, n, entries", [(3, 3, 4, 1 << 20), (257, 1, 2, 1000), (2, 5, 6, 64)])
+def test_residue_counts_match_the_per_residue_loop(b, m, n, entries, monkeypatch):
+    # a small table bound splits the frequencies into several chunks
+    # (three frequencies a chunk at b = 257, two at b = 2)
+    monkeypatch.setattr(walsh, "_TABLE_ENTRIES", entries)
+    pts = random_digital_shift(enumerate_points(hammersley_matrices(b, m, n)), 5)
+    rng = np.random.default_rng(b)
+    ks = [(0, 0), (b**n - 1, b ** (n + 2) - 1)] + rng.integers(0, b ** (n + 1), size=(10, 2)).tolist()
+    digits, tails = pts.digit_arrays()
+    counts = residue_counts(digits, tails, frequency_digits(ks, b, 2, n), b)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == residue_count_loop(list(pts), ks).tolist()

@@ -106,19 +106,31 @@ def mod_product(digits: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
     return np.remainder(prod, base, out=prod).astype(np.int64, copy=False)
 
 
+def add_mod(x: np.ndarray, y: np.ndarray, base: int) -> np.ndarray:
+    """x + y mod b of residues in [0, b), added into x in place and
+    returned; y, of x's dtype, broadcasts against x and is left unchanged.
+    The sum u is formed in the unsigned view of x's dtype, which must hold
+    2(b-1) (a linear_table's dtype, or int64 at any b <= 2^63), and
+    reduced to the smaller of u and u - b: below b, u - b wraps past u."""
+    u = x.view(f"u{x.dtype.itemsize}")
+    u += y.view(u.dtype)
+    np.minimum(u, u - u.dtype.type(base), out=u)
+    return x
+
+
 def linear_table(rows: np.ndarray, base: int) -> np.ndarray:
     """(b^k, c) array whose row v is the mod_product of the k digits of v
     (least significant first) with a (k, c) array of rows, for every
-    v < b^k: row v + d b^i is row v plus row i times d, the multiples of
-    every row being one mod_product, in the smallest unsigned dtype that
-    holds 2(b-1).  Sums of several tables need a wider dtype."""
+    v < b^k: row v + d b^i is row v add_mod row i times d, the multiples
+    of every row being one mod_product, in the smallest unsigned dtype
+    that holds 2(b-1), so any two tables' rows add_mod in place."""
     dtype = np.min_scalar_type(2 * (base - 1))
     k, c = rows.shape
     table = np.zeros((1, c), dtype=dtype)
     if k:  # the multiples take b rows, so k = 0 builds none at any base
         steps = mod_product(np.arange(base)[:, None], rows.reshape(1, k * c), base).astype(dtype).reshape(base, k, c)
         for i in range(k):
-            table = ((steps[:, i, None] + table) % base).reshape(base * len(table), c)
+            table = add_mod(np.repeat(table[None], base, axis=0), steps[:, i, None], base).reshape(base * len(table), c)
     return table
 
 
@@ -277,8 +289,9 @@ def in_E(k: int, base: int) -> bool:
 def rows_in_E(digits: np.ndarray, base: int) -> np.ndarray:
     """(T,) bool: True for the frequency vectors with (T, s, d) digits
     (frequency_digits) whose every component has a digit sum that
-    vanishes mod b."""
-    return ~np.any(digits.sum(axis=2) % base, axis=1)
+    vanishes mod b: one mod_product of the digit rows with ones."""
+    T, s, d = digits.shape
+    return ~np.any(mod_product(digits.reshape(T * s, d), np.ones((d, 1), dtype=np.int64), base).reshape(T, s), axis=1)
 
 
 @dataclass(frozen=True)

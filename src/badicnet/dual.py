@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .badic import digit_values, frequency_digits, int_digits, is_prime, linear_table, mod_product
+from .badic import add_mod, digit_values, frequency_digits, int_digits, is_prime, linear_table, mod_product
 from .nets import DigitalNet, truncated_sym_hammersley
 
 GUARD_DEFAULT = 1 << 26
@@ -48,8 +48,8 @@ def dual_members(net: DigitalNet, digits: np.ndarray) -> np.ndarray:
 
 def image_table(net: DigitalNet, j: int, k_digits: int) -> np.ndarray:
     """(b^k_digits, m) array whose row k is vec(k) C_j mod b: the
-    badic.linear_table of the first k_digits rows of C_j (narrow dtype:
-    sums of several tables need a wider one)."""
+    badic.linear_table of the first k_digits rows of C_j, in its narrow
+    dtype, where rows of several tables add by badic.add_mod."""
     if k_digits > net.n:
         raise ValueError("digits exceed matrix rows")
     return linear_table(net.matrices[j][:k_digits], net.base)
@@ -84,17 +84,15 @@ def _half(tables: list[np.ndarray], weights: np.ndarray, m: int, b: int, budget:
     budget, by weight and lexicographic within one: the keys of their
     image rows summed mod b, their row indices and their weights.  The
     tables share the weights, sorted, so a row of weight w takes the
-    next table's prefix of weight <= budget - w; rows are added in the
-    tables' narrow dtype and reduced by one conditional subtract.  An
-    empty half is one zero row."""
+    next table's prefix of weight <= budget - w; rows are added by
+    add_mod in the tables' narrow dtype.  An empty half is one zero row."""
     ends = np.searchsorted(weights, np.arange(budget + 1), side="right")
     rows, totals, comps = np.zeros((1, m), dtype=np.uint8), np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
     if tables:
         rows, totals, comps = tables[0], weights, np.arange(len(weights))[:, None]
     for table in tables[1:]:
         i, k = _runs(ends[budget - totals])
-        rows = rows[i] + table[k]
-        rows -= (rows >= b) * rows.dtype.type(b)
+        rows = add_mod(rows[i], table[k], b)
         totals, comps = totals[i] + weights[k], np.column_stack([comps[i], k])
     order = np.argsort(totals, kind="stable")
     return digit_values(rows, b)[order], comps[order], totals[order]
@@ -251,8 +249,8 @@ def _class_images(C: np.ndarray, base: int, positions: list[tuple[int, ...]]) ->
     run, place = _runs((b - 1) ** (a > 0).sum(axis=1) * lows)
     head, low_rows = np.divmod(place, lows[run])
     k1, k2 = np.divmod(head, np.where(a[:, 1] > 0, b - 1, 1)[run])
-    out = multiples[(k1 + 1) * (n + 1) + a[run, 0]] + multiples[(k2 + 1) * (n + 1) + a[run, 1]]
-    return (out % b + low[low_rows]) % b
+    out = add_mod(multiples[(k1 + 1) * (n + 1) + a[run, 0]], multiples[(k2 + 1) * (n + 1) + a[run, 1]], b)
+    return add_mod(out, low[low_rows], b)
 
 
 def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int = GUARD_DEFAULT) -> Rho2Result:

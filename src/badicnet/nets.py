@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .badic import GElement, GVector, frequency_digits, linear_table, mod_product
+from .badic import GElement, GVector, add_mod, frequency_digits, linear_table, mod_product
 
 _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
 # net point rows per block of digit arrays (numerators, the diagonal-kernel
@@ -108,24 +108,31 @@ class NetPoints:
     input of point_numerators, points_to_csv, the character sums and
     exponent tables of walsh, and wce_direct and qmc_integrate in rkhs.
 
-    It holds the net and an optional digital shift ((s, n) digits, zero
-    tail), and is never empty.  digit_blocks() gives the digit arrays of
-    every point, _ROW_BLOCK rows at a time, and digit_arrays() the same
-    rows as one block.  Every digit and tail is linear in the index
-    digits, so the row of index nu = nu_hi b^h + nu_lo, h = ceil(m/2), is
-    the sum mod b of a row read for the high digits nu_hi and one for the
-    low digits nu_lo: digit_blocks builds the badic.linear_table of these
-    rows over all b^(m-h) and b^h half indices once, before its first
-    block, and a block is then one gather-add and one conditional
-    subtract in the tables' unsigned type.  Indexing reads the rows asked
-    for with one badic.mod_product of their m index digits, no table.
-    Both are exact at every base.  Indexing and iteration build GVector
-    objects from the digit arrays of the rows asked for, a block at a
-    time when iterating, and keep none.
+    It holds the net and an optional digital shift, an (s, n) integer
+    array of digits in [0, b) (zero tail) kept as a read-only int64 copy,
+    any other shift being a ValueError, and is never empty.  digit_blocks()
+    gives the digit arrays of every point, _ROW_BLOCK rows at a time, and
+    digit_arrays() the same rows as one block.  Every digit and tail is
+    linear in the index digits, so the row of index nu = nu_hi b^h + nu_lo,
+    h = ceil(m/2), is the sum mod b of a row read for the high digits nu_hi
+    and one for the low digits nu_lo: digit_blocks builds the
+    badic.linear_table of these rows over all b^(m-h) and b^h half indices
+    once, before its first block, and a block is then one gather and one
+    badic.add_mod in the tables' unsigned type.  Indexing reads the rows
+    asked for with one badic.mod_product of their m index digits, no table.
+    The shift is one add_mod more.  Both are exact at every base.
+    Indexing and iteration build GVector objects from the digit arrays of
+    the rows asked for, a block at a time when iterating, and keep none.
     """
 
     def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
         self.net = net
+        if shift is not None:
+            a = np.asarray(shift)
+            if a.dtype.kind not in "iu" or a.shape != (net.s, net.n) or a.min() < 0 or a.max() >= net.base:
+                raise ValueError(f"shift must be a ({net.s}, {net.n}) integer array of digits in [0, {net.base})")
+            shift = a.astype(np.int64)
+            shift.setflags(write=False)
         self.shift = shift
 
     def __len__(self) -> int:
@@ -156,7 +163,7 @@ class NetPoints:
         prod = prod.astype(np.int64, copy=False)
         digits = prod[:, : net.s * net.n].reshape(-1, net.s, net.n)
         if self.shift is not None:
-            digits = (digits + self.shift) % net.base
+            digits = add_mod(digits, self.shift, net.base)
         tails = prod[:, net.s * net.n :] if net.tail_rows is not None else np.zeros((len(prod), net.s), dtype=np.int64)
         return digits, tails
 
@@ -169,10 +176,7 @@ class NetPoints:
         hi_rows, lo_rows = linear_table(weights[h:], b), linear_table(weights[:h], b)
         for start in range(0, N, block):
             hi, lo = np.divmod(np.arange(start, min(start + block, N), dtype=np.int64), b**h)
-            prod = np.take(hi_rows, hi, axis=0)
-            prod += np.take(lo_rows, lo, axis=0)
-            prod -= (prod >= b) * prod.dtype.type(b)
-            yield self._split(prod)
+            yield self._split(add_mod(np.take(hi_rows, hi, axis=0), np.take(lo_rows, lo, axis=0), b))
 
     def digit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(N, s, n) digits and (N, s) tails: the one block of digit_blocks."""

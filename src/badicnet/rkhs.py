@@ -48,7 +48,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import digit_values, frequency_digits, int_digits, minimal_precision
+from .badic import add_mod, digit_values, frequency_digits, int_digits, minimal_precision
 from .nets import DigitalNet, NetPoints, PointSet2, point_numerators, require_net_points
 from .walsh import UnityExponent, _exponents, residue_counts, sum_values
 from . import dual as dualmod
@@ -403,13 +403,13 @@ def ms_wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candida
 def random_digital_shift(points: NetPoints, seed_or_rng) -> NetPoints:
     """Shift every net point by one shared uniform digit vector.
 
-    The shift has the net's precision and a zero tail, and shifts add
-    mod b; pairwise digitwise differences between points are untouched.
+    The shift has the net's precision and a zero tail; shifts compose by
+    badic.add_mod, and digitwise differences between points are untouched.
     """
     net = require_net_points(points, "random_digital_shift").net
     rng = np.random.default_rng(seed_or_rng)  # a Generator passes through unchanged
     shift = rng.integers(0, net.base, size=(net.s, net.n))
-    return NetPoints(net, shift if points.shift is None else (shift + points.shift) % net.base)
+    return NetPoints(net, shift if points.shift is None else add_mod(shift, points.shift, net.base))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import GElement, frequency_digits, int_digits, minimal_precision, mod_product, section_sigma
+from .badic import GElement, add_mod, frequency_digits, int_digits, minimal_precision, mod_product, section_sigma
 from .nets import NetPoints, require_net_points
 
 _TABLE_ENTRIES = 1 << 20  # exponent-table entries per chunk of frequencies in residue_counts
@@ -229,13 +229,12 @@ def _exponents(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: int) 
     """(N, T) exponents mod b of the frequencies with (T, s, d) digits K
     at the points with (N, s, n) digits and (N, s) tails: a mod_product of
     the digit rows, plus past n (where points read their tail digit) one of
-    the tails with each coordinate's digit sum mod b, added mod b by a
-    conditional subtract that stays in int64 at any base."""
+    the tails with each coordinate's digit sum mod b, the two added by
+    add_mod."""
     (N, s, n), (T, _, d) = digits.shape, K.shape
     w = min(n, d)
     E = mod_product(digits[:, :, :w].reshape(N, s * w), K[:, :, :w].reshape(T, s * w).T, base)
     if d > n:
         sums = mod_product(K[:, :, n:].reshape(T * s, d - n), np.ones((d - n, 1), dtype=np.int64), base)
-        E -= base - mod_product(tails, sums.reshape(T, s).T, base)
-        np.add(E, base, out=E, where=E < 0)
+        add_mod(E, mod_product(tails, sums.reshape(T, s).T, base), base)
     return E

@@ -1,5 +1,6 @@
 """Digit group arithmetic, projection, and the canonical section."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from badicnet import (
     project_pi,
     section_sigma,
 )
-from badicnet.badic import digit_values, first_nonzero_position, frequency_digits, linear_table, mod_product, rows_in_E
+from badicnet.badic import add_mod, digit_values, first_nonzero_position, frequency_digits, linear_table, mod_product, rows_in_E
 from badicnet.dual import dual_members
 from oracles import g_neg, gv_add, gv_sub
 
@@ -294,6 +295,14 @@ def test_rows_in_E_match_the_digit_sums(b, s, data):
     assert [in_E(k[0], b) for k in ks] == [sum(int_digits(k[0], b)) % b == 0 for k in ks]
 
 
+def test_in_E_does_not_wrap_past_int64():
+    # the digits b - 1, b - 1 and 2 sum to 2b, past int64 at this base
+    b = 2**62 + 135
+    assert in_E(2 + (b - 1) * b + (b - 1) * b**2, b)
+    assert not in_E(1 + (b - 1) * b + (b - 1) * b**2, b)
+    assert rows_in_E(frequency_digits([(2 + (b - 1) * b + (b - 1) * b**2, 0), (b - 1, 1)], b, 2, 0), b).tolist() == [True, False]
+
+
 def test_in_E_rejects_what_int_digits_rejects():
     assert in_E(2**64 + 2**63, 2) and not in_E(2**64 + 1 + 2**70, 2)
     with pytest.raises(ValueError, match="negative"):
@@ -321,6 +330,10 @@ def digit_matrices(draw, bases, rows, width):
 @example((2, np.zeros((0, 3), dtype=np.int64)))
 @example((3, np.zeros((2, 0), dtype=np.int64)))
 @example((2**62, np.zeros((0, 3), dtype=np.int64)))  # one zero row, no multiples of b entries
+# both sides of the uint8 and uint16 bounds on 2(b - 1), digits b - 1 and 1
+@example((128, np.array([[1, 127, 0], [127, 127, 3]])))
+@example((129, np.array([[1, 128, 0], [128, 128, 3]])))
+@example((256, np.array([[1, 255, 0], [255, 255, 3]])))
 def test_linear_table_matches_the_digit_expansion(case):
     b, rows = case
     k, c = rows.shape
@@ -329,6 +342,35 @@ def test_linear_table_matches_the_digit_expansion(case):
     for v in range(b**k):
         digits = int_digits(v, b) + (0,) * k
         assert table[v].tolist() == [sum(digits[i] * int(rows[i, j]) for i in range(k)) % b for j in range(c)]
+
+
+_ADD_MOD_TOP = {np.uint8: 128, np.uint16: 2**15, np.uint64: 2**63 - 25, np.int64: 2**63 - 25}
+
+
+@st.composite
+def residue_pairs(draw):
+    """A dtype, a base whose 2(b - 1) the dtype's unsigned view holds (up
+    to 2^63 - 25 in 64 bits), and residues x and y of that dtype in it,
+    y's shape broadcasting against x's."""
+    dtype = draw(st.sampled_from(list(_ADD_MOD_TOP)), label="dtype")
+    top = _ADD_MOD_TOP[dtype]
+    b = draw(st.sampled_from([2, 3, top - 1, top]) | st.integers(2, top), label="b")
+    shape = (draw(st.integers(0, 4), label="rows"), draw(st.integers(1, 4), label="cols"))
+    y_shape = draw(st.sampled_from([shape, (1, shape[1]), (shape[1],), (shape[0], 1), ()]), label="y_shape")
+    digit = st.sampled_from([0, b - 1]) | st.integers(0, b - 1)
+    x, y = (np.array(draw(st.lists(digit, min_size=math.prod(sh), max_size=math.prod(sh))), dtype=dtype).reshape(sh) for sh in (shape, y_shape))
+    return b, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_pairs())
+def test_add_mod_matches_python_int_sums(case):
+    b, x, y = case
+    want = [[(int(u) + int(v)) % b for u, v in zip(xr, yr)] for xr, yr in zip(x.tolist(), np.broadcast_to(y, x.shape).tolist())]
+    y_before, dtype = y.copy(), x.dtype
+    assert add_mod(x, y, b) is x
+    assert x.dtype == dtype and x.tolist() == want
+    assert y.dtype == dtype and np.array_equal(y, y_before)
 
 
 @st.composite

@@ -78,15 +78,18 @@ def test_tiny_tasks_match_the_reference():
 
 def test_full_dual_side_tasks_match_the_reference():
     # the dual-side tasks, the point-side tasks on the linear digit map and
-    # the L_p grid tasks (even-p roots past p = 2) at full size, a few tens
-    # of ms each, against reference.json["full"]: at tiny size rho2-b3
+    # its shift add, both WCE routes, the L_2 convergence tables and the
+    # L_p grid tasks (even-p roots past p = 2) at full size, a few tens of
+    # ms each, against reference.json["full"]: at tiny size rho2-b3
     # exceeds its cap, so only the full task checks a base-3 witness
     check, workloads = load_bench_module("check"), load_bench_module("workloads")
     reference = json.loads((BENCH / "reference.json").read_text())["full"]
     keys = {"wce/rho2-b2", "wce/rho2-b3", "wce/dual-b2", "wce/independence-b2", "wce/wce-bandlimited"}
-    keys |= {"points/net-gen", "points/net-points", "points/orthogonality"}
-    keys |= {"lp-grid/discrepancy-b2", "lp-grid/discrepancy-b3"}
-    tasks = [task for part in ("wce", "points", "lp-grid") for task in workloads.build(part, 3) if task.key in keys]
+    keys |= {"wce/wce-direct", "wce/wce-spectral"}
+    keys |= {"points/net-gen", "points/net-points", "points/orthogonality", "points/qmc-shift"}
+    keys |= {"lp-grid/discrepancy-b2", "lp-grid/discrepancy-b3", "l2-scaling/convergence-b2", "l2-scaling/convergence-b3"}
+    parts = ("wce", "points", "lp-grid", "l2-scaling")
+    tasks = [task for part in parts for task in workloads.build(part, 3) if task.key in keys]
     assert {task.key for task in tasks} == keys
     assert reference["wce/rho2-b3"]["doc"]["witness"]
     problems = {task.key: check.verify(task, run_task(check, task), reference[task.key]) for task in tasks}

@@ -330,6 +330,27 @@ def test_indexing_matches_the_direct_product(net_rows, data):
         assert pts[int(idx[k])] == pts[int(idx[k]) - net.n_points] == shifted[k]
 
 
+@pytest.mark.parametrize("b", [2**62 + 135, 2**63 - 25])
+def test_shift_adds_exactly_past_int64(b):
+    # digit b - 1 plus shift b - 1 is 2b - 2, past int64 at both bases
+    pts = NetPoints(DigitalNet(b, (np.array([[1], [0]]),)), np.array([[b - 1, 0]]))
+    assert [z.digits for z in pts[b - 1].coords] == [(b - 2, 0)]
+    assert [z.digits for z in pts[-1].coords] == [(b - 2, 0)]
+
+
+def test_shift_must_be_digits_of_the_net():
+    net = hammersley_matrices(3, 2)  # base 3, s = n = 2
+    # a fraction, one row broadcast to every coordinate, digits past b - 1 and below 0
+    for bad in ([[0.5, 0], [0, 0]], [1, 2], [[5, 0], [0, 0]], [[-1, 0], [0, 0]]):
+        with pytest.raises(ValueError, match=r"shift must be a \(2, 2\) integer array of digits in \[0, 3\)"):
+            NetPoints(net, np.array(bad))
+    given_shift = np.array([[2, 0], [1, 1]], dtype=np.int32)
+    pts = NetPoints(net, given_shift)
+    given_shift[0, 0] = 0  # the points keep their own read-only int64 copy
+    assert pts.shift.dtype == np.int64 and not pts.shift.flags.writeable
+    assert pts.shift.tolist() == [[2, 0], [1, 1]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(digital_nets(max_points=729), st.integers(1, 40))
 def test_digit_blocks_match_the_direct_product_for_every_block_size(net, block):

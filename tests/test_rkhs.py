@@ -705,6 +705,18 @@ def test_shifted_net_points_match_the_object_path(data):
     assert list(twice) == shift_by_objects(oracle, draw_shift(b, s, n, np.random.default_rng(seed2)))
 
 
+def test_shifts_compose_exactly_past_int64():
+    # two shifts by seed 0 add each digit to itself: past int64 at this base
+    b = 2**63 - 25
+    net = DigitalNet(b, (np.array([[1], [0]]),))
+    once = random_digital_shift(enumerate_points(net), 0)
+    twice = random_digital_shift(once, 0)
+    drawn = np.random.default_rng(0).integers(0, b, size=(1, 2)).tolist()
+    assert once.shift.tolist() == drawn
+    assert twice.shift.tolist() == [[2 * d % b for d in row] for row in drawn]
+    assert [z.digits for z in twice[0].coords] == [tuple(2 * d % b for d in row) for row in drawn]
+
+
 def test_digital_shift_needs_net_points():
     pts = enumerate_points(_sym_net(2, 1))
     with pytest.raises(TypeError, match="enumerate_points"):

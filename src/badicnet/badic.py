@@ -14,6 +14,7 @@ expansion becomes constant after the stored precision.
 
 from __future__ import annotations
 
+import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,9 +23,48 @@ from fractions import Fraction
 import numpy as np
 
 
-def _check_digit(d: int, b: int) -> None:
-    if not 0 <= d < b:
-        raise ValueError(f"digit {d} out of range for base {b}")
+def integer_array(value, name: str, shape: tuple | None = None, below: int | None = None, rule: str | None = None) -> np.ndarray:
+    """The one gate of integer input: a read-only copy of value, an ndarray
+    of integer dtype or nested sequences (or an object array) whose every
+    leaf is a Python or numpy integer, bool not counting as one.  shape,
+    when given, is the shape value must have, None standing for any
+    length, and below, when given, bounds every entry to [0, below).  The
+    copy is int64, or Python ints in an object array when an entry does
+    not fit.  Anything else is a ValueError: rule (by default what name
+    must be), then the leaf, shape or entry of name that breaks it."""
+    want = str(shape).replace("None", "*")
+    if rule is None:
+        kind = "an integer array" if shape is None else "an integer" if shape == () else f"a {want} integer array"
+        rule = f"{name} must be {kind}" + (f" of digits in [0, {below})" if below is not None else "")
+    a = value
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
+        try:
+            a = np.array(value, dtype=object)
+        except ValueError:  # sequences of mismatched shapes that numpy cannot nest
+            raise ValueError(f"{rule}: {name} is not a rectangular array") from None
+    if shape is not None and (a.ndim != len(shape) or any(k not in (None, d) for k, d in zip(shape, a.shape))):
+        raise ValueError(f"{rule}: {name} has shape {a.shape}, not {want}")
+    if a.dtype == object:
+        for v in a.flat:
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+                raise ValueError(f"{rule}: {name} holds {_leaf_text(v)}")
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    if below is not None and (lo < 0 or hi >= below):
+        raise ValueError(f"{rule}: {name} holds {lo if lo < 0 else hi}")
+    if -(1 << 63) <= lo and hi < 1 << 63:
+        out = a.astype(np.int64)
+    else:  # Python ints, numpy integer leaves included
+        out = np.array(list(map(int, a.ravel().tolist())), dtype=object).reshape(a.shape)
+    out.setflags(write=False)
+    return out
+
+
+def _leaf_text(v) -> str:
+    """A rejected leaf as JSON writes it (true, null, 1.5), else its repr."""
+    try:
+        return json.dumps(v)
+    except TypeError:
+        return repr(v)
 
 
 def is_prime(n: int) -> bool:
@@ -139,7 +179,8 @@ class GElement:
     """Truncated digit sequence: n explicit digits, then a constant tail.
 
     digits[i] is the digit at position i+1.  Every position past
-    len(digits) holds the tail digit.
+    len(digits) holds the tail digit.  Digits and tail pass
+    integer_array and are kept as Python ints.
     """
 
     base: int
@@ -149,11 +190,11 @@ class GElement:
     def __post_init__(self):
         if self.base < 2:
             raise ValueError("base must be >= 2")
-        if not self.digits:
+        if not len(self.digits):
             raise ValueError("precision must be >= 1")
-        for d in self.digits:
-            _check_digit(d, self.base)
-        _check_digit(self.tail, self.base)
+        *digits, tail = integer_array((*self.digits, self.tail), "digits", below=self.base).tolist()
+        object.__setattr__(self, "digits", tuple(digits))
+        object.__setattr__(self, "tail", tail)
 
     @property
     def precision(self) -> int:

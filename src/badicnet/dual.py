@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .badic import add_mod, digit_values, frequency_digits, int_digits, is_prime, linear_table, mod_product
+from .badic import add_mod, digit_values, frequency_digits, int_digits, integer_array, is_prime, linear_table, mod_product
 from .nets import DigitalNet, truncated_sym_hammersley
 
 GUARD_DEFAULT = 1 << 26
@@ -297,7 +297,8 @@ def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int
 
 def rank_mod_p(rows: np.ndarray, p: int) -> int | np.ndarray:
     """Row ranks over the field with p elements, of one (r, c) matrix (an
-    int) or of every matrix of an (S, r, c) stack (an (S,) int64 array).
+    int) or of every matrix of an (S, r, c) stack (an (S,) int64 array) of
+    integers, read by badic.integer_array.
 
     One Gauss-Jordan elimination runs over the whole stack, column by
     column.  In each matrix the pivot is the first nonzero row at or below
@@ -308,14 +309,12 @@ def rank_mod_p(rows: np.ndarray, p: int) -> int | np.ndarray:
     """
     if not is_prime(p):
         raise ValueError("requires prime base")
-    a = np.asarray(rows)
+    a = integer_array(rows, "rows")
     if a.ndim not in (2, 3):
         raise ValueError("expected a matrix or a stack of matrices")
     single = a.ndim == 2
     if single:
         a = a[None]
-    if a.dtype.kind not in "iuO":
-        a = a.astype(np.int64)
     dtype = np.int64 if (p - 1) ** 2 + (p - 1) < 1 << 63 else object
     a = (a % p).astype(dtype)
     S, R, C = a.shape

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .badic import GElement, GVector, add_mod, frequency_digits, linear_table, mod_product
+from .badic import GElement, GVector, add_mod, frequency_digits, integer_array, linear_table, mod_product
 
 _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
 # net point rows per block of digit arrays (numerators, the diagonal-kernel
@@ -28,17 +28,6 @@ _INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
 # blocks raised the peak RSS.  The blocks of one NetPoints.digit_blocks
 # call share its two half-index tables
 _ROW_BLOCK = 1024
-
-
-def _as_matrix(mat, base: int) -> np.ndarray:
-    a = np.asarray(mat, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("generating matrix must be two dimensional")
-    if a.size and (a.min() < 0 or a.max() >= base):
-        raise ValueError(f"matrix entries out of range for base {base}")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +38,8 @@ class DigitalNet:
     that the point for index digits nu has constant tail digit t @ nu
     mod b in coordinate j (all-zero tail when absent).  sym_columns
     counts how many trailing columns were added by symmetrization.
+    Every field passes badic.integer_array: base and sym_columns become
+    Python ints, matrices and tail rows read-only int64 digits in [0, b).
     """
 
     base: int
@@ -57,34 +48,26 @@ class DigitalNet:
     sym_columns: int = 0
 
     def __post_init__(self):
-        if self.base < 2:
+        base = integer_array(self.base, "base", shape=()).item()
+        sym_columns = integer_array(self.sym_columns, "sym_columns", shape=()).item()
+        if base < 2:
             raise ValueError("base must be >= 2")
-        if self.sym_columns < 0:
+        if sym_columns < 0:
             raise ValueError("sym_columns must be nonnegative")
-        if not self.matrices:
+        if not len(self.matrices):
             raise ValueError("net needs at least one coordinate")
-        mats = tuple(_as_matrix(m, self.base) for m in self.matrices)
+        mats = tuple(integer_array(m, "generating matrix", shape=(None, None), below=base) for m in self.matrices)
         shape = mats[0].shape
-        for m in mats:
-            if m.shape != shape:
-                raise ValueError("generating matrices must share one shape")
+        if any(m.shape != shape for m in mats):
+            raise ValueError("generating matrices must share one shape")
         if shape[0] < 1:
             raise ValueError("need at least one digit row")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sym_columns", sym_columns)
         object.__setattr__(self, "matrices", mats)
         if self.tail_rows is not None:
-            rows = []
-            for t in self.tail_rows:
-                a = np.asarray(t, dtype=np.int64)
-                if a.shape != (shape[1],):
-                    raise ValueError("tail row length must match matrix columns")
-                if a.size and (a.min() < 0 or a.max() >= self.base):
-                    raise ValueError("tail row entries out of range")
-                a = a.copy()
-                a.setflags(write=False)
-                rows.append(a)
-            if len(rows) != len(mats):
-                raise ValueError("one tail row per coordinate required")
-            object.__setattr__(self, "tail_rows", tuple(rows))
+            tails = integer_array(self.tail_rows, "tail rows", shape=(len(mats), shape[1]), below=base)
+            object.__setattr__(self, "tail_rows", tuple(tails))
 
     @property
     def s(self) -> int:
@@ -109,8 +92,8 @@ class NetPoints:
     exponent tables of walsh, and wce_direct and qmc_integrate in rkhs.
 
     It holds the net and an optional digital shift, an (s, n) integer
-    array of digits in [0, b) (zero tail) kept as a read-only int64 copy,
-    any other shift being a ValueError, and is never empty.  digit_blocks()
+    array of digits in [0, b) (zero tail) kept as the read-only int64 copy
+    of badic.integer_array, and is never empty.  digit_blocks()
     gives the digit arrays of every point, _ROW_BLOCK rows at a time, and
     digit_arrays() the same rows as one block.  Every digit and tail is
     linear in the index digits, so the row of index nu = nu_hi b^h + nu_lo,
@@ -127,13 +110,7 @@ class NetPoints:
 
     def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
         self.net = net
-        if shift is not None:
-            a = np.asarray(shift)
-            if a.dtype.kind not in "iu" or a.shape != (net.s, net.n) or a.min() < 0 or a.max() >= net.base:
-                raise ValueError(f"shift must be a ({net.s}, {net.n}) integer array of digits in [0, {net.base})")
-            shift = a.astype(np.int64)
-            shift.setflags(write=False)
-        self.shift = shift
+        self.shift = None if shift is None else integer_array(shift, "shift", shape=(net.s, net.n), below=net.base)
 
     def __len__(self) -> int:
         return self.net.n_points
@@ -210,24 +187,25 @@ def require_net_points(points, entry: str) -> NetPoints:
 @dataclass(frozen=True, eq=False)
 class PointSet2:
     """Planar multiset of exact rationals in [0, 1]^2, stored as integer
-    numerators in [0, den] over one common positive denominator.
-    Numerator dtype falls back to python ints when the denominator is
-    large enough to threaten int64 arithmetic."""
+    numerators in [0, den] over one common positive denominator, both read
+    by badic.integer_array.  Numerator dtype falls back to python ints when
+    the denominator is large enough to threaten int64 arithmetic."""
 
     nums: np.ndarray  # (N, 2)
     den: int
 
     def __post_init__(self):
-        a = np.asarray(self.nums)
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError("expected an (N, 2) numerator array")
-        if not isinstance(self.den, (int, np.integer)) or self.den <= 0:
-            raise ValueError(f"den must be a positive integer, not {self.den!r}")
-        if a.dtype.kind not in "iu" and not (a.dtype == object and all(isinstance(v, (int, np.integer)) for v in a.flat)):
-            raise ValueError(f"numerators must be integers, not {a.dtype}")
-        if a.size and (int(a.min()) < 0 or int(a.max()) > self.den):
-            raise ValueError("numerators must lie in [0, den]: a point outside the unit square")
-        object.__setattr__(self, "nums", a)
+        rule = "den must be a positive integer"
+        den = integer_array(self.den, "den", shape=(), rule=rule).item()
+        if den <= 0:
+            raise ValueError(f"{rule}: den holds {den}")
+        rule = "numerators must be integers in [0, den], which puts no point outside the unit square"
+        nums = integer_array(self.nums, "numerators", shape=(None, 2), below=den + 1, rule=rule)
+        if den > _INT64_SAFE_DEN and nums.dtype != object:
+            nums = nums.astype(object)
+            nums.setflags(write=False)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @property
     def n_points(self) -> int:
@@ -243,12 +221,8 @@ class PointSet2:
         den = 1
         for x, y in pairs:
             den = _lcm(_lcm(den, x.denominator), y.denominator)
-        dtype = object if den > _INT64_SAFE_DEN else np.int64
-        nums = np.array(
-            [[x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)] for x, y in pairs],
-            dtype=dtype,
-        ).reshape(len(pairs), 2)
-        return cls(nums, den)
+        nums = [[x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)] for x, y in pairs]
+        return cls(np.array(nums, dtype=object).reshape(len(pairs), 2), den)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -373,16 +347,6 @@ def net_to_json(net: DigitalNet) -> str:
     return dumps_compact(doc)
 
 
-def _check_integer_entries(value, key: str) -> None:
-    """Reject any entry of the nested lists that is not a JSON integer:
-    an int64 cast would truncate 1.5 to 1 and read true as 1."""
-    if isinstance(value, list):
-        for item in value:
-            _check_integer_entries(item, key)
-    elif type(value) is not int:
-        raise ValueError(f"net JSON matrices and tail_rows must hold integer rows: {key!r} holds {json.dumps(value)}")
-
-
 def net_from_json(text: str) -> DigitalNet:
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -390,23 +354,13 @@ def net_from_json(text: str) -> DigitalNet:
     for key in ("base", "s", "m", "n", "matrices"):
         if type(doc.get(key)) is not (list if key == "matrices" else int):
             raise ValueError(f"net JSON field {key!r} is missing or of the wrong type")
-    for key in ("matrices", "tail_rows"):
-        if key in doc:
-            _check_integer_entries(doc[key], key)
     sym_columns = doc.get("sym_columns", 0)
     if type(sym_columns) is not int or sym_columns < 0:
         raise ValueError(f"net JSON field 'sym_columns' must be a nonnegative integer, not {json.dumps(sym_columns)}")
-    try:
-        mats = tuple(np.array(m, dtype=np.int64) for m in doc["matrices"])
-        tails = tuple(np.array(t, dtype=np.int64) for t in doc["tail_rows"]) if "tail_rows" in doc else None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"net JSON matrices and tail_rows must hold integer rows: {exc}") from None
-    if len(mats) != doc["s"]:
-        raise ValueError("coordinate count does not match matrices")
-    for m in mats:
-        if m.shape != (doc["n"], doc["m"]):
-            raise ValueError("matrix shape does not match declared n, m")
-    return DigitalNet(doc["base"], mats, tails, sym_columns=sym_columns)
+    rule, s, n, m = "net JSON matrices and tail_rows must hold integer rows", doc["s"], doc["n"], doc["m"]
+    mats = integer_array(doc["matrices"], "'matrices'", shape=(s, n, m), rule=rule)
+    tails = integer_array(doc["tail_rows"], "'tail_rows'", shape=(s, m), rule=rule) if "tail_rows" in doc else None
+    return DigitalNet(doc["base"], tuple(mats), tails, sym_columns=sym_columns)
 
 
 def points_to_csv(points: NetPoints, stream) -> None:

@@ -42,6 +42,7 @@ and dimension.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Sequence
@@ -191,7 +192,7 @@ class SpectralDiagonalKernel:
     def r(self, ks: Sequence[int]) -> float:
         out = 1.0
         for j, k in enumerate(ks):
-            out *= self.r1(int(k), j)
+            out *= self.r1(operator.index(k), j)
         return out
 
     def r_rows(self, ks: np.ndarray) -> np.ndarray:
@@ -222,8 +223,8 @@ class SpectralDiagonalKernel:
 
 def khat(kernel, k: Sequence[int], l: Sequence[int]) -> complex:
     """Walsh coefficient of the kernel at a frequency pair."""
-    ks = tuple(int(v) for v in k)
-    ls = tuple(int(v) for v in l)
+    ks = tuple(map(operator.index, k))
+    ls = tuple(map(operator.index, l))
     if len(ks) != kernel.s or len(ls) != kernel.s:
         raise ValueError("incompatible elements: dimension mismatch")
     if min(ks + ls) < 0:

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import GElement, add_mod, frequency_digits, int_digits, minimal_precision, mod_product, section_sigma
+from .badic import GElement, add_mod, frequency_digits, int_digits, integer_array, minimal_precision, mod_product, section_sigma
 from .nets import NetPoints, require_net_points
 
 _TABLE_ENTRIES = 1 << 20  # exponent-table entries per chunk of frequencies in residue_counts
@@ -120,7 +120,8 @@ def cyclotomic_remainders(b: int) -> list[list[int]]:
 
 def sums_vanish(counts: np.ndarray, base: int) -> np.ndarray:
     """(T,) bool: True where sum_r counts[t, r] omega^r is exactly 0, for
-    a (T, b) integer array of per-residue counts (entries of any sign).
+    a (T, b) integer array of per-residue counts (entries of any sign),
+    read by badic.integer_array.
 
     Phi_b is the minimal polynomial of omega = exp(2 pi i / b), so a row
     vanishes exactly when its polynomial sum_r counts[t, r] x^r is a
@@ -128,10 +129,11 @@ def sums_vanish(counts: np.ndarray, base: int) -> np.ndarray:
     M = cyclotomic_remainders(b).  The product is exact in int64 while
     b max|M| max|counts| < 2^63 and runs in Python ints past that.
     """
+    counts = integer_array(counts, "counts", shape=(None, base))
     M = cyclotomic_remainders(base)
     largest = int(np.abs(counts).max()) if counts.size else 0
     dtype = np.int64 if base * max(abs(v) for row in M for v in row) * largest < 1 << 63 else object
-    return ~np.any(np.asarray(counts).astype(dtype) @ np.array(M, dtype=dtype), axis=1)
+    return ~np.any(counts.astype(dtype) @ np.array(M, dtype=dtype), axis=1)
 
 
 def sum_values(counts: np.ndarray, base: int) -> list[complex]:

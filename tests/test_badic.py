@@ -1,5 +1,6 @@
 """Digit group arithmetic, projection, and the canonical section."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -15,15 +16,20 @@ from badicnet import (
     g_add,
     g_sub,
     in_E,
+    PointSet2,
     int_digits,
     is_prime,
     minimal_precision,
+    net_from_json,
+    net_to_json,
     project_pi,
     section_sigma,
 )
 from badicnet.badic import add_mod, digit_values, first_nonzero_position, frequency_digits, linear_table, mod_product, rows_in_E
-from badicnet.dual import dual_members
-from oracles import g_neg, gv_add, gv_sub
+from badicnet.dual import dual_members, rank_mod_p
+from badicnet.nets import NetPoints
+from badicnet.walsh import sums_vanish
+from oracles import csv_text, g_neg, gv_add, gv_sub
 
 
 def test_is_prime_small_values():
@@ -61,6 +67,16 @@ def test_element_digit_reads_tail_beyond_precision():
     z = GElement(3, (2, 0, 1), tail=2)
     assert [z.digit(i) for i in range(1, 6)] == [2, 0, 1, 2, 2]
     assert z.precision == 3
+
+
+def test_element_digits_must_be_integers():
+    # a digit 1.5 was compared with the base and stored as given
+    with pytest.raises(ValueError, match="digits holds 1.5"):
+        GElement(3, (1.5, 0))
+    with pytest.raises(ValueError, match="digits holds true"):
+        GElement(3, (0,), True)
+    z = GElement(3, np.array([2, 0], dtype=np.uint8), np.int64(1))
+    assert z == GElement(3, (2, 0), 1) and [type(d) for d in (*z.digits, z.tail)] == [int, int, int]
 
 
 def test_add_with_constant_sequence():
@@ -390,3 +406,118 @@ def test_mod_product_matches_python_int_sums(case):
     got = mod_product(digits, rows, b)
     assert got.dtype == np.int64 and got.shape == (len(digits), rows.shape[1])
     assert got.tolist() == [[sum(int(d) * int(r) for d, r in zip(v, col)) % b for col in rows.T] for v in digits]
+
+
+# ---------------------------------------------------------------------------
+# the integer gate
+
+_INTEGER_FORMS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64, list, object)
+_SPOILS = ("float", "half", "bool", "str", "shape", "negative", "past")
+
+
+@st.composite
+def gated_values(draw):
+    """A prime base b and an int64 value for every gated entry, small
+    enough for int8: the (s, n, m) matrices and (s, m) tail rows of a net
+    over b, an (s, n) shift, n + 1 GElement digits, a PointSet2 den and
+    its (N, 2) numerators, and (T, b) residue counts."""
+    b = draw(st.sampled_from([2, 3, 5]), label="b")
+    s, n, m = (draw(st.integers(1, top)) for top in (2, 3, 3))
+
+    def ints(shape, top):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(st.integers(0, top - 1), min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
+
+    den = draw(st.integers(1, 120), label="den")
+    rows = draw(st.integers(1, 4), label="rows")
+    return {
+        "b": b,
+        "matrices": ints((s, n, m), b),
+        "tail_rows": ints((s, m), b),
+        "shift": ints((s, n), b),
+        "digits": ints((n + 1,), b),
+        "den": den,
+        "nums": ints((rows, 2), den + 1),
+        "counts": ints((rows, b), 100),
+    }
+
+
+def gated_entries(v):
+    """(name, value, bound, read) of every gated entry.  read(x) puts x in
+    the entry's place, the drawn values in every other, and returns what a
+    caller sees: stored arrays, their dtype and write flag, net JSON and
+    point CSV text.  bound is the exclusive top of the entry's range,
+    math.inf for a lower bound only, None for entries of any sign."""
+    b, mats, tails, den, nums = v["b"], v["matrices"], v["tail_rows"], v["den"], v["nums"]
+    net = DigitalNet(b, tuple(mats), tuple(tails))
+
+    def seen_net(x):
+        return net_to_json(x), [(a.dtype, a.flags.writeable) for a in (*x.matrices, *(x.tail_rows or ()))], type(x.base), type(x.sym_columns)
+
+    def seen_points(pts):
+        return csv_text(pts), pts.shift.dtype, pts.shift.flags.writeable
+
+    def seen_point_set(ps):
+        return ps.nums.tolist(), ps.nums.dtype, ps.nums.flags.writeable, ps.den, type(ps.den)
+
+    def from_json(x):
+        doc = {"base": b, "s": net.s, "m": net.m, "n": net.n, "matrices": np.array(x, dtype=object).tolist()}
+        return seen_net(net_from_json(json.dumps(doc)))
+
+    def element(x):
+        z = GElement(b, x, int(v["digits"][0]))
+        return z, [type(d) for d in (*z.digits, z.tail)]
+
+    return [
+        ("base", b, math.inf, lambda x: seen_net(DigitalNet(x, net.matrices, net.tail_rows))),
+        ("sym_columns", 0, math.inf, lambda x: seen_net(DigitalNet(b, net.matrices, net.tail_rows, sym_columns=x))),
+        ("matrices", mats, b, lambda x: seen_net(DigitalNet(b, tuple(x), net.tail_rows))),
+        ("tail_rows", tails, b, lambda x: seen_net(DigitalNet(b, net.matrices, x))),
+        ("net JSON", mats, b, from_json),
+        ("shift", v["shift"], b, lambda x: seen_points(NetPoints(net, x))),
+        ("numerators", nums, den + 1, lambda x: seen_point_set(PointSet2(x, den))),
+        ("den", den, math.inf, lambda x: seen_point_set(PointSet2(nums, x))),
+        ("GElement digits", v["digits"], b, element),
+        ("rank_mod_p", mats[0], None, lambda x: rank_mod_p(x, b)),
+        ("sums_vanish", v["counts"], None, lambda x: sums_vanish(x, b).tolist()),
+    ]
+
+
+def in_form(value, form):
+    """The integers of an int64 array, or of an int, given as form: an
+    array (for an int, a scalar) of a numpy integer dtype, nested lists
+    (the int itself) or an object array of Python ints."""
+    if isinstance(value, int):
+        return value if form is list else np.array(value, dtype=object) if form is object else form(value)
+    return value.tolist() if form is list else value.astype(form)
+
+
+def spoiled(value, how, bound, at):
+    """value with one flaw: all floats or all bools, a leaf at flat index
+    at (mod size) made a fraction, a string, -1 or bound, or two more axes
+    (a doubly nested list for an int)."""
+    if how == "shape":
+        return [[value]] if isinstance(value, int) else value[None, None]
+    if how in ("float", "bool"):
+        return (float if how == "float" else bool)(value) if isinstance(value, int) else value.astype(how)
+    a = np.array(value, dtype=object)
+    flat = a.reshape(-1)
+    i = at % flat.size
+    flat[i] = {"half": flat[i] + 0.5, "str": str(flat[i]), "negative": -1, "past": bound}[how]
+    return a[()] if isinstance(value, int) else a
+
+
+@settings(max_examples=40, deadline=None)
+@given(gated_values(), st.data())
+def test_integer_gate_on_every_entry(values, data):
+    # the same integers in any integer form read alike; a float, bool or
+    # string leaf, a wrong shape or an entry out of range is a ValueError
+    for name, value, bound, read in gated_entries(values):
+        form = data.draw(st.sampled_from(_INTEGER_FORMS), label=f"{name} form")
+        assert read(in_form(value, form)) == read(value), name
+        how = data.draw(st.sampled_from(_SPOILS), label=f"{name} flaw")
+        if bound is None and how in ("negative", "past") or bound is math.inf and how == "past":
+            continue
+        bad = spoiled(value, how, bound, data.draw(st.integers(0, 99), label=f"{name} at"))
+        with pytest.raises(ValueError):
+            read(bad)

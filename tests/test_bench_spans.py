@@ -1,8 +1,7 @@
 """The benchmark's span tracer names only functions that exist, its
 output check still reads the shifted net points the way the library
-hands them out (iteration and slicing of NetPoints), every tiny task of
-the benchmark and its full-size dual-side, point-side and L_p grid tasks
-still give their recorded reference outputs."""
+hands them out (iteration and slicing of NetPoints), every task of the
+benchmark, tiny and full size, still gives its recorded reference output."""
 
 import importlib
 import importlib.util
@@ -77,20 +76,17 @@ def test_tiny_tasks_match_the_reference():
 
 
 def test_full_dual_side_tasks_match_the_reference():
-    # the dual-side tasks, the point-side tasks on the linear digit map and
-    # its shift add, both WCE routes, the L_2 convergence tables and the
-    # L_p grid tasks (even-p roots past p = 2) at full size, a few tens of
-    # ms each, against reference.json["full"]: at tiny size rho2-b3
-    # exceeds its cap, so only the full task checks a base-3 witness
+    # every full-size task against reference.json["full"]: the dual-side
+    # tasks, the point-side tasks on the linear digit map and its shift
+    # add, both WCE routes, the L_2 convergence tables, the truncated L_2
+    # sums (Python-int dots at n = 28) and the L_p grid tasks (even-p roots
+    # past p = 2), a few tens of ms each: at tiny size rho2-b3 exceeds its
+    # cap, so only the full task checks a base-3 witness
     check, workloads = load_bench_module("check"), load_bench_module("workloads")
     reference = json.loads((BENCH / "reference.json").read_text())["full"]
-    keys = {"wce/rho2-b2", "wce/rho2-b3", "wce/dual-b2", "wce/independence-b2", "wce/wce-bandlimited"}
-    keys |= {"wce/wce-direct", "wce/wce-spectral"}
-    keys |= {"points/net-gen", "points/net-points", "points/orthogonality", "points/qmc-shift"}
-    keys |= {"lp-grid/discrepancy-b2", "lp-grid/discrepancy-b3", "l2-scaling/convergence-b2", "l2-scaling/convergence-b3"}
-    parts = ("wce", "points", "lp-grid", "l2-scaling")
-    tasks = [task for part in parts for task in workloads.build(part, 3) if task.key in keys]
-    assert {task.key for task in tasks} == keys
+    tasks = [task for part in workloads.PARTS for task in workloads.build(part, 3)]
+    assert sorted(task.key for task in tasks) == sorted(reference)
+    assert {"l2-scaling/l2-truncated-n12", "l2-scaling/l2-truncated-n20", "l2-scaling/l2-truncated-n28"} <= set(reference)
     assert reference["wce/rho2-b3"]["doc"]["witness"]
     problems = {task.key: check.verify(task, run_task(check, task), reference[task.key]) for task in tasks}
     assert {key: found for key, found in problems.items() if found} == {}

@@ -256,6 +256,12 @@ def test_rank_mod_p_takes_a_stack():
         rank_mod_p(np.ones(3, dtype=np.int64), 3)
 
 
+def test_rank_mod_p_refuses_fractions():
+    # an int64 cast ranked [[1.5, 0], [0, 0.4]] as [[1, 0], [0, 0]], rank 1
+    with pytest.raises(ValueError, match="rows holds 1.5"):
+        rank_mod_p(np.array([[1.5, 0], [0, 0.4]]), 3)
+
+
 @st.composite
 def rank_stacks(draw):
     """A stack of 0-40 matrices mod p with 0-9 rows and columns; a matrix

@@ -102,10 +102,37 @@ def test_point_set_rejects_numerators_that_are_not_integers():
 
 
 def test_point_set_rejects_a_denominator_that_is_not_positive():
-    # den = 0 was a ZeroDivisionError in the first value read
-    for den in (0, -3, 1.0, Fraction(1)):
+    # den = 0 was a ZeroDivisionError in the first value read, and den = True was read as 1
+    for den in (0, -3, 1.0, Fraction(1), True):
         with pytest.raises(ValueError, match="den must be a positive integer"):
             PointSet2(np.array([[0, 0]]), den)
+
+
+@pytest.mark.parametrize(
+    "matrix, leaf",
+    [(np.array([[1.5, 0], [0, 1]]), "1.5"), ([[True, 0], [0, 1]], "true"), ([["1", 0], [0, 1]], '"1"')],
+    ids=["float", "bool", "string"],
+)
+def test_matrix_entries_must_be_integers(matrix, leaf):
+    # an int64 cast stored [[1.5, 0], [0, 1]] as the identity
+    with pytest.raises(ValueError, match=f"generating matrix holds {leaf}$"):
+        DigitalNet(3, (matrix,))
+
+
+def test_tail_rows_must_be_integers():
+    # an int64 cast stored the tail row [0.7, 2.2] as [0, 2]
+    with pytest.raises(ValueError, match="tail rows holds 0.7$"):
+        DigitalNet(3, (np.eye(2, dtype=np.int64),), tail_rows=(np.array([0.7, 2.2]),))
+
+
+def test_base_and_sym_columns_must_be_integers():
+    # base 3.0 gave n_points 9.0, and sym_columns 1.5 was stored as given
+    with pytest.raises(ValueError, match="base must be an integer: base holds 3.0"):
+        DigitalNet(3.0, (np.eye(2, dtype=np.int64),))
+    with pytest.raises(ValueError, match="sym_columns must be an integer: sym_columns holds 1.5"):
+        DigitalNet(3, (np.eye(2, dtype=np.int64),), sym_columns=1.5)
+    net = DigitalNet(np.int16(3), (np.eye(2, dtype=np.int64),), sym_columns=np.uint8(1))
+    assert (type(net.base), type(net.sym_columns), net.n_points) == (int, int, 9)
 
 
 def test_symmetrized_matrices_shape_and_tail_rows():

@@ -1,4 +1,5 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say, and
+its Layout rows stay short."""
 
 import ast
 import re
@@ -46,3 +47,12 @@ def test_library_use_block_matches_its_comments():
     assert abs(checked["wce_direct(pts, K)"][0].value - spectral) <= tail
     wrong = {expr: (value, comment) for expr, (value, comment) in checked.items() if not shown(value, comment)}
     assert wrong == {}
+
+
+def test_layout_rows_stay_short():
+    # a Layout row names the module's public entries and the guarantees a
+    # caller relies on, not how the module works inside
+    layout = re.search(r"^## Layout\n\n(.*?)\n\n", README.read_text(), re.S | re.M).group(1)
+    rows = [line for line in layout.splitlines() if line.startswith("| `badicnet.")]
+    assert len(rows) == 7
+    assert {row.split("`")[1]: len(row) for row in rows if len(row) > 640} == {}

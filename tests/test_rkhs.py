@@ -200,6 +200,16 @@ def test_khat_reads_coefficients():
     assert khat(kern, (2**70, 0), (0, 0)) == 0
 
 
+def test_frequencies_must_be_integers():
+    # int() read the frequency 1.5 as 1, and 1.9 too: both gave r((1, 0)) = 0.25
+    k = SpectralDiagonalKernel(2, 2, 1.0, (1.0, 1.0))
+    with pytest.raises(TypeError):
+        khat(k, (1.5, 0), (1.5, 0))
+    with pytest.raises(TypeError):
+        k.r((1.9, 0))
+    assert khat(k, (np.int64(1), 0), (1, 0)) == k.r(np.array([1, 0])) == 0.25
+
+
 def test_band_limited_eval_matches_expansion():
     rng = np.random.default_rng(11)
     kern = BandLimitedKernel.random(2, 1, 2, 3, rng)

@@ -344,6 +344,12 @@ def test_identities_past_int64_run_in_python_ints():
         assert not CharacterSum(b, (big,) + (0,) * (b - 1)).equals_int(big + 1)
 
 
+def test_sums_vanish_refuses_fractions():
+    # an int64 cast read the counts [0.5, 0.5] as [0, 0], a vanishing sum
+    with pytest.raises(ValueError, match="counts holds 0.5"):
+        sums_vanish(np.array([[0.5, 0.5]]), 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 7).flatmap(lambda b: st.lists(st.lists(st.integers(0, 10**12), min_size=b, max_size=b), min_size=1, max_size=6)))
 def test_row_values_are_the_character_sum_values(rows):

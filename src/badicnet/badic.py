@@ -15,6 +15,7 @@ expansion becomes constant after the stored precision.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -107,9 +108,10 @@ def frequency_digits(ks: Sequence[Sequence[int]], base: int, s: int, depth: int)
     depth, or more when a component needs them.
 
     Digit i of every component is one floor division by b^i and one
-    remainder, over the whole (T, s) array at once: in int64 while every
-    component is below 2^63, in Python ints past that.  Components are
-    read with operator.index, as int_digits reads them.
+    remainder, over the whole (T, s) array at once: in int64 while b and
+    every component are below 2^63, in Python ints past that, which the
+    digits keep when b >= 2^63.  Components are read with operator.index,
+    as int_digits reads them.
     """
     if base < 2:
         raise ValueError("base must be >= 2")
@@ -120,10 +122,11 @@ def frequency_digits(ks: Sequence[Sequence[int]], base: int, s: int, depth: int)
         raise ValueError("negative integer has no digit expansion here")
     largest = max(flat, default=0)
     top = len(int_digits(largest, base))
-    dtype = np.int64 if largest < 1 << 63 else object
+    wide = base >= 1 << 63  # a digit may not fit in int64
+    dtype = object if wide or largest >= 1 << 63 else np.int64
     powers = np.array([base**i for i in range(top)], dtype=dtype)  # each at most the largest component
-    out = np.zeros((len(ks), s, max(depth, top)), dtype=np.int64)
-    out[..., :top] = (np.array(flat, dtype=dtype).reshape(len(ks), s, 1) // powers % base).astype(np.int64)
+    out = np.zeros((len(ks), s, max(depth, top)), dtype=object if wide else np.int64)
+    out[..., :top] = np.array(flat, dtype=dtype).reshape(len(ks), s, 1) // powers % base
     return out
 
 
@@ -172,6 +175,63 @@ def linear_table(rows: np.ndarray, base: int) -> np.ndarray:
         for i in range(k):
             table = add_mod(np.repeat(table[None], base, axis=0), steps[:, i, None], base).reshape(base * len(table), c)
     return table
+
+
+_INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to Python ints
+
+
+def numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.ndarray, int]:
+    """Exact values of digit arrays as numerators over den = b^n (b - 1).
+
+    A coordinate with digits d_1..d_n and constant tail c has value
+    (sum_i d_i b^(n-i) (b - 1) + c) / (b^n (b - 1)).  The (..., s)
+    numerators of (..., s, n) digits and (..., s) tails come from one
+    matrix product, in int64 while den <= 2^40, where num / den in float64
+    is the correctly rounded decimal of the point CSV, and in Python ints
+    past that (not the 2^63 rule of the other entries).
+    """
+    b, n = base, digits.shape[-1]
+    den = b**n * (b - 1)
+    dtype = np.int64 if den <= _INT64_SAFE_DEN else object
+    weights = np.array([b**e for e in range(n - 1, -1, -1)], dtype=dtype)
+    nums = (digits.astype(dtype, copy=False) @ weights) * (b - 1) + tails.astype(dtype, copy=False)
+    return nums, den
+
+
+def canonical_digits(rows, den: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, s, n) digits, position 1 first, and (N, s) tails of the
+    canonical base-b expansions of the values num/den of (N, s) integer
+    numerators, at one precision n: the minimal_precision of g/den, g the
+    gcd of den and every numerator (at most den.bit_length() digits).
+    Over b^n (b - 1), a numerator's tail is num mod (b - 1) and its digits
+    are those of num div (b - 1); the value 1 is all digits b - 1 with
+    tail b - 1.  Both arrays are int64, or Python ints when b >= 2^63, as
+    frequency_digits gives them.
+    """
+    b = base
+    flat = [x for row in rows for x in row]
+    if min(flat) < 0 or max(flat) > den:
+        raise ValueError("unsupported expansion: x outside [0, 1]")
+    g = math.gcd(den, *flat)
+    n = minimal_precision(Fraction(g, den), b, limit=den.bit_length())
+    top = b**n * (b - 1)
+    nums = np.array(rows, dtype=object) // g * (top // (den // g))
+    one = nums == top  # num div (b - 1) = b^n has n + 1 digits
+    heads = np.where(one, 0, nums // (b - 1))
+    digits = frequency_digits(heads.tolist(), b, nums.shape[1], n)[:, :, ::-1]
+    tails = (nums % (b - 1)).astype(digits.dtype)
+    digits[one], tails[one] = b - 1, b - 1
+    return digits, tails
+
+
+def first_positions(digits: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Depth of every sequence of (..., n) digits and (...) tails: the
+    1-based position of its first nonzero digit, n + 1 where only the tail
+    is nonzero, 0 where the sequence is 0."""
+    nonzero = digits != 0
+    any_digit = nonzero.any(axis=-1)
+    pos = np.where(any_digit, nonzero.argmax(axis=-1) + 1, 0)
+    return np.where(~any_digit & (tails != 0), nonzero.shape[-1] + 1, pos)
 
 
 @dataclass(frozen=True)
@@ -238,37 +298,25 @@ def g_sub(z: GElement, w: GElement) -> GElement:
 
 
 def project_pi(z: GElement) -> Fraction:
-    """Value sum(z_i * b^-i) in [0, 1], exact.
-
-    The constant tail c past precision n contributes c * b^-n / (b - 1).
+    """Value sum(z_i * b^-i) in [0, 1], exact: the numerators of the one
+    sequence z.  The constant tail c past precision n contributes
+    c * b^-n / (b - 1).
     """
-    b, n = z.base, z.precision
-    acc = 0
-    for d in z.digits:
-        acc = acc * b + d
-    # acc / b^n plus geometric tail
-    val = Fraction(acc, b**n)
-    if z.tail:
-        val += Fraction(z.tail, b**n * (b - 1))
-    return val
+    nums, den = numerators(np.array([[z.digits]], dtype=object), np.array([[z.tail]], dtype=object), z.base)
+    return Fraction(int(nums[0, 0]), den)
 
 
 def first_nonzero_position(z: GElement) -> int | None:
-    """1-based position of the first nonzero digit, None if z = 0."""
-    for i, d in enumerate(z.digits):
-        if d:
-            return i + 1
-    if z.tail:
-        return z.precision + 1
-    return None
+    """1-based position of the first nonzero digit, the tail counting as
+    position n + 1, None if z = 0: first_positions of the one sequence z."""
+    return first_positions(np.array(z.digits, dtype=object), np.array(z.tail, dtype=object)).item() or None
 
 
 def section_sigma(x, base: int, precision: int) -> GElement:
-    """Canonical digit expansion of x in [0, 1] at the given precision.
-
-    Only numbers whose canonical expansion is constant from position
-    precision+1 onwards are representable; anything else (or a tail that
-    would force the non-canonical all-(b-1) form short of x = 1) raises
+    """Canonical digit expansion of x in [0, 1] at the given precision:
+    the canonical_digits of x at its minimal precision, padded with the
+    tail digit.  Only numbers whose canonical expansion is constant from
+    position precision+1 onwards are representable; anything else raises
     ValueError("unsupported expansion ...").  x = 1 itself maps to the
     constant sequence e_{b-1}, the single point where pi is not injective
     on canonical expansions.
@@ -281,21 +329,11 @@ def section_sigma(x, base: int, precision: int) -> GElement:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("unsupported expansion: x outside [0, 1]")
-    if x == 1:
-        return GElement.constant(b, n, b - 1)
-    digits = []
-    rem = x
-    for _ in range(n):
-        rem *= b
-        d = int(rem)  # floor: rem stays in [0, 1)
-        digits.append(d)
-        rem -= d
-    # remainder must be a pure constant tail c/(b-1), c < b-1
-    c_frac = rem * (b - 1)
-    if c_frac.denominator != 1:
+    if (x * b**n * (b - 1)).denominator != 1:
         raise ValueError(f"unsupported expansion: {x} is not eventually constant in base {b} at precision {n}")
-    c = int(c_frac)
-    return GElement(b, tuple(digits), c)
+    digits, tails = canonical_digits([[x.numerator]], x.denominator, b)
+    tail = tails.item()
+    return GElement(b, tuple(digits[0, 0].tolist()) + (tail,) * (n - digits.shape[2]), tail)
 
 
 def minimal_precision(x, base: int, limit: int = 4096) -> int:
@@ -330,7 +368,9 @@ def in_E(k: int, base: int) -> bool:
 def rows_in_E(digits: np.ndarray, base: int) -> np.ndarray:
     """(T,) bool: True for the frequency vectors with (T, s, d) digits
     (frequency_digits) whose every component has a digit sum that
-    vanishes mod b: one mod_product of the digit rows with ones."""
+    vanishes mod b: one mod_product of the digit rows with ones.  The
+    digits pass integer_array as digits in [0, b)."""
+    digits = integer_array(digits, "frequency digits", shape=(None, None, None), below=base)
     T, s, d = digits.shape
     return ~np.any(mod_product(digits.reshape(T * s, d), np.ones((d, 1), dtype=np.int64), base).reshape(T, s), axis=1)
 

@@ -36,7 +36,9 @@ def dual_members(net: DigitalNet, digits: np.ndarray) -> np.ndarray:
     """Exact dual membership of the frequency vectors with (T, s, d)
     digits (frequency_digits), none nonzero past n, as a (T,) bool array:
     their images sum_j vec(k_j) C_j mod b are one badic.mod_product of
-    the (T, s d) digits with the stacked C_j[:d]."""
+    the (T, s d) digits with the stacked C_j[:d].  The digits pass
+    badic.integer_array as digits in [0, b)."""
+    digits = integer_array(digits, "frequency digits", shape=(None, None, None), below=net.base)
     if digits.shape[1] != net.s:
         raise ValueError("incompatible elements: dimension mismatch")
     if digits[..., net.n :].any():

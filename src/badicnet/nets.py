@@ -14,15 +14,15 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .badic import GElement, GVector, add_mod, frequency_digits, integer_array, linear_table, mod_product
+from .badic import _INT64_SAFE_DEN, GElement, GVector, add_mod, frequency_digits, integer_array, linear_table, mod_product, numerators
 
-_INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to python ints
 # net point rows per block of digit arrays (numerators, the diagonal-kernel
 # group sum), of GVectors when iterating and of CSV rows per write: larger
 # blocks raised the peak RSS.  The blocks of one NetPoints.digit_blocks
@@ -93,7 +93,8 @@ class NetPoints:
 
     It holds the net and an optional digital shift, an (s, n) integer
     array of digits in [0, b) (zero tail) kept as the read-only int64 copy
-    of badic.integer_array, and is never empty.  digit_blocks()
+    of badic.integer_array, and is never empty.  A net of more points than
+    an index holds (sys.maxsize) is a ValueError.  digit_blocks()
     gives the digit arrays of every point, _ROW_BLOCK rows at a time, and
     digit_arrays() the same rows as one block.  Every digit and tail is
     linear in the index digits, so the row of index nu = nu_hi b^h + nu_lo,
@@ -109,6 +110,8 @@ class NetPoints:
     """
 
     def __init__(self, net: DigitalNet, shift: np.ndarray | None = None):
+        if net.n_points > sys.maxsize:
+            raise ValueError(f"net has {net.base}^{net.m} points, more than an index holds ({sys.maxsize})")
         self.net = net
         self.shift = None if shift is None else integer_array(shift, "shift", shape=(net.s, net.n), below=net.base)
 
@@ -229,29 +232,12 @@ def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
-def _numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.ndarray, int]:
-    """Exact values of digit arrays as numerators over den = b^n (b - 1).
-
-    A coordinate with digits d_1..d_n and constant tail c has value
-    (sum_i d_i b^(n-i) (b - 1) + c) / (b^n (b - 1)).  The (N, s)
-    numerators come from one matrix product, in int64 while den <= 2^40,
-    where num / den in float64 is the correctly rounded decimal of the
-    point CSV, and in Python ints past that (not badic's 2^63 rule).
-    """
-    b, n = base, digits.shape[-1]
-    den = b**n * (b - 1)
-    dtype = np.int64 if den <= _INT64_SAFE_DEN else object
-    weights = np.array([b**e for e in range(n - 1, -1, -1)], dtype=dtype)
-    nums = (digits.astype(dtype, copy=False) @ weights) * (b - 1) + tails.astype(dtype, copy=False)
-    return nums, den
-
-
 def point_numerators(points: NetPoints) -> tuple[np.ndarray, int]:
-    """(N, s) numerators of net points over one den, as _numerators.  The
+    """(N, s) numerators of net points over one den, as badic.numerators.  The
     digit arrays are read from digit_blocks, so no (N, s, n) array is
     held."""
     b = require_net_points(points, "point_numerators").net.base
-    blocks = [_numerators(digits, tails, b) for digits, tails in points.digit_blocks()]
+    blocks = [numerators(digits, tails, b) for digits, tails in points.digit_blocks()]
     return np.concatenate([nums for nums, _ in blocks]), blocks[0][1]
 
 

@@ -49,7 +49,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import add_mod, digit_values, frequency_digits, int_digits, minimal_precision
+from .badic import add_mod, canonical_digits, digit_values, first_positions, frequency_digits, int_digits, integer_array
 from .nets import DigitalNet, NetPoints, PointSet2, point_numerators, require_net_points
 from .walsh import UnityExponent, _exponents, residue_counts, sum_values
 from . import dual as dualmod
@@ -190,18 +190,21 @@ class SpectralDiagonalKernel:
         return self.gammas[j] * float(self.base) ** (-2.0 * self.alpha * a1)
 
     def r(self, ks: Sequence[int]) -> float:
-        out = 1.0
-        for j, k in enumerate(ks):
-            out *= self.r1(operator.index(k), j)
-        return out
+        """r_rows of the one frequency vector ks, its components read with
+        operator.index."""
+        row = [operator.index(k) for k in ks]
+        if min(row, default=0) < 0:
+            raise ValueError("negative integer has no digit expansion here")
+        return float(self.r_rows(integer_array([row], "frequencies", shape=(1, None)))[0])
 
     def r_rows(self, ks: np.ndarray) -> np.ndarray:
-        """r of every row of a (T, s) array of frequency vectors (int64, or
-        Python ints past 2^63), bit for bit.  A component's level a1 is the
+        """The product of r1 over the components of every row of a (T, s)
+        array of frequency vectors (int64, or Python ints past 2^63), in
+        coordinate order from 1.0, bit for bit.  A component's level a1 is the
         count of the powers b^0, ..., b^(d-1) at most it, d the digit count
         of the largest component.  Each coordinate's r1 is gathered from a
         table over the levels 0..d, built by r1 itself at k = 0 and
-        k = b^(a1 - 1), and multiplied in coordinate order from 1.0, as r."""
+        k = b^(a1 - 1)."""
         b = self.base
         d = len(int_digits(int(ks.max(initial=0)), b))
         levels = np.searchsorted(np.array([b**a for a in range(d)], dtype=ks.dtype), ks, side="right")
@@ -221,50 +224,48 @@ class SpectralDiagonalKernel:
         return head - (q**i0) / b
 
 
+def _band_limited(kernel, net: DigitalNet | None = None) -> bool:
+    """True for a BandLimitedKernel, False for a SpectralDiagonalKernel,
+    anything else a TypeError; given a net, a kernel of another base or
+    dimension is a ValueError."""
+    if not isinstance(kernel, (BandLimitedKernel, SpectralDiagonalKernel)):
+        raise TypeError("unknown kernel type")
+    if net is not None and kernel.base != net.base:
+        raise ValueError("incompatible elements: base mismatch")
+    if net is not None and kernel.s != net.s:
+        raise ValueError("incompatible elements: dimension mismatch")
+    return isinstance(kernel, BandLimitedKernel)
+
+
 def khat(kernel, k: Sequence[int], l: Sequence[int]) -> complex:
     """Walsh coefficient of the kernel at a frequency pair."""
+    band = _band_limited(kernel)
     ks = tuple(map(operator.index, k))
     ls = tuple(map(operator.index, l))
     if len(ks) != kernel.s or len(ls) != kernel.s:
         raise ValueError("incompatible elements: dimension mismatch")
     if min(ks + ls) < 0:
         raise ValueError("frequencies are nonnegative")
-    if isinstance(kernel, BandLimitedKernel):
-        if any(v >= kernel.box for v in ks + ls):
-            return 0j
-        # the flat indices are the frequencies' digits read as one integer
-        digits = frequency_digits([ks, ls], kernel.base, kernel.s, kernel.k_digits)
-        t, u = digit_values(digits.reshape(2, -1), kernel.base).tolist()
-        return complex(kernel.coeffs[t, u])
-    if isinstance(kernel, SpectralDiagonalKernel):
+    if not band:
         return complex(kernel.r(ks)) if ks == ls else 0j
-    raise TypeError("unknown kernel type")
+    if any(v >= kernel.box for v in ks + ls):
+        return 0j
+    # the flat indices are the frequencies' digits read as one integer
+    digits = frequency_digits([ks, ls], kernel.base, kernel.s, kernel.k_digits)
+    t, u = digit_values(digits.reshape(2, -1), kernel.base).tolist()
+    return complex(kernel.coeffs[t, u])
 
 
 def ds_invariant_coeffs(kernel):
     """Digit-shift averaged version of a kernel: off-diagonal Walsh
     coefficients vanish, the diagonal is untouched."""
-    if isinstance(kernel, SpectralDiagonalKernel):
+    if not _band_limited(kernel):
         return kernel
-    if isinstance(kernel, BandLimitedKernel):
-        diag = np.diag(np.diag(kernel.coeffs))
-        return BandLimitedKernel(kernel.base, kernel.s, kernel.k_digits, diag)
-    raise TypeError("unknown kernel type")
+    return BandLimitedKernel(kernel.base, kernel.s, kernel.k_digits, np.diag(np.diag(kernel.coeffs)))
 
 
 # ---------------------------------------------------------------------------
 # worst-case error, direct route
-
-
-def _check_kernel(net: DigitalNet, kernel) -> None:
-    """Raise unless the kernel is of a known type, in the net's base and
-    dimension."""
-    if not isinstance(kernel, (BandLimitedKernel, SpectralDiagonalKernel)):
-        raise TypeError("unknown kernel type")
-    if kernel.base != net.base:
-        raise ValueError("incompatible elements: base mismatch")
-    if kernel.s != net.s:
-        raise ValueError("incompatible elements: dimension mismatch")
 
 
 def _clamped(e2: float) -> tuple[float, bool]:
@@ -283,8 +284,7 @@ def wce_direct(points: NetPoints, kernel) -> WceResult:
     for a kernel of another base or dimension than the net's.
     """
     N = len(require_net_points(points, "wce_direct"))
-    _check_kernel(points.net, kernel)
-    if isinstance(kernel, BandLimitedKernel):
+    if _band_limited(kernel, points.net):
         digits, tails = points.digit_arrays()
         u = np.array(sum_values(residue_counts(digits, tails, kernel.digits, kernel.base), kernel.base))
         term1 = complex(kernel.coeffs[0, 0])
@@ -301,19 +301,6 @@ def wce_direct(points: NetPoints, kernel) -> WceResult:
     return WceResult(val, "direct", 0.0, N, cl)
 
 
-def _phi_table(kernel: SpectralDiagonalKernel, n: int) -> np.ndarray:
-    """phi per first-nonzero position: 1..n digits, n+1 the tail, 0 none."""
-    return np.array([kernel.phi(None)] + [kernel.phi(i0) for i0 in range(1, n + 2)])
-
-
-def _first_positions(nonzero: np.ndarray, tail_nonzero: np.ndarray) -> np.ndarray:
-    """Index into _phi_table from (..., n) digit and (...) tail masks."""
-    n = nonzero.shape[-1]
-    any_digit = nonzero.any(axis=-1)
-    pos = np.where(any_digit, nonzero.argmax(axis=-1) + 1, 0)
-    return np.where(~any_digit & tail_nonzero, n + 1, pos)
-
-
 def _diag_group_sum(net: DigitalNet, kernel: SpectralDiagonalKernel) -> float:
     """sum over the unshifted net points x of the diagonal kernel K(x, 0).
 
@@ -321,13 +308,13 @@ def _diag_group_sum(net: DigitalNet, kernel: SpectralDiagonalKernel) -> float:
     products of every block go into one math.fsum, which is correctly
     rounded, so the sum does not depend on the blocks.
     """
-    table = _phi_table(kernel, net.n)
+    table = np.array([kernel.phi(None)] + [kernel.phi(i0) for i0 in range(1, net.n + 2)])  # by depth, 0 for none
 
     def products():
         for digits, tails in NetPoints(net).digit_blocks():
             prod = np.ones(len(digits))
             for j in range(net.s):
-                pos = _first_positions(digits[:, j, :] != 0, tails[:, j] != 0)
+                pos = first_positions(digits[:, j, :], tails[:, j])
                 prod *= 1.0 + kernel.gammas[j] * table[pos]
             yield from prod.tolist()
 
@@ -352,8 +339,7 @@ def wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates
     tail_bound via geometric series, so |direct - spectral| <=
     tail_bound always holds.
     """
-    _check_kernel(net, kernel)
-    if isinstance(kernel, BandLimitedKernel):
+    if _band_limited(kernel, net):
         box = dualmod.dual_scan(net, kernel.k_digits, max_candidates=max_candidates)
         idx = np.sort(digit_values(box, kernel.box))[1:]  # flat indices; 0 is the origin
         val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if len(idx) else 0j
@@ -425,30 +411,6 @@ class IntegrationResult:
         return abs(self.value - self.exact)
 
 
-def _canonical_digits(rows: list[list[int]], den: int, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, s, n) digits and (N, s) tails of the canonical base-b
-    expansions of the values num/den at one precision n, the
-    minimal_precision of g/den with g the gcd of den and every numerator.
-    Over b^n (b - 1), a numerator's tail is num mod (b - 1) and its digits
-    are those of num div (b - 1); the value 1 is all digits b - 1 with
-    tail b - 1, as in section_sigma.
-    """
-    b = base
-    flat = [x for row in rows for x in row]
-    if min(flat) < 0 or max(flat) > den:
-        raise ValueError("unsupported expansion: x outside [0, 1]")
-    g = math.gcd(den, *flat)
-    n = minimal_precision(Fraction(g, den), b)
-    top = b**n * (b - 1)
-    nums = np.array(rows, dtype=object) // g * (top // (den // g))
-    one = nums == top  # num div (b - 1) = b^n has n + 1 digits
-    heads = np.where(one, 0, nums // (b - 1))
-    digits = frequency_digits(heads.tolist(), b, nums.shape[1], n)[:, :, ::-1]  # position 1 first
-    tails = (nums % (b - 1)).astype(np.int64)
-    digits[one], tails[one] = b - 1, b - 1
-    return digits, tails
-
-
 def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> IntegrationResult:
     """Equal-weight cubature of a few built-in integrands with known value,
     over a PointSet2 or net points, shifted or not.
@@ -493,7 +455,7 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
             raise ValueError("walsh integrand needs the base")
         if base < 2:
             raise ValueError("base must be >= 2")
-        digits, tails = _canonical_digits(nums.tolist(), den, base)
+        digits, tails = canonical_digits(nums.tolist(), den, base)
         # one frequency per coordinate, so that E[:, j] is coordinate j's exponent
         ks = [tuple(kj if i == j else 0 for i in range(s)) for j, kj in enumerate(k)]
         roots = [UnityExponent(base, r).value for r in range(base)]

@@ -203,8 +203,12 @@ def residue_counts(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: i
     tails.  The exponent table is built over chunks of frequencies of
     about _TABLE_ENTRIES entries, so memory stays bounded for any number
     of frequencies, and each chunk's counts are one bincount, frequency t
-    of the chunk counting its exponents offset by t b.
+    of the chunk counting its exponents offset by t b.  The three arrays
+    pass badic.integer_array as digits in [0, b).
     """
+    digits = integer_array(digits, "point digits", shape=(None, None, None), below=base)
+    tails = integer_array(tails, "tails", shape=(len(digits), digits.shape[1]), below=base)
+    K = integer_array(K, "frequency digits", shape=(None, digits.shape[1], None), below=base)
     counts = np.empty((len(K), base), dtype=np.int64)
     step = max(1, _TABLE_ENTRIES // len(digits))
     for lo in range(0, len(K), step):

@@ -3,7 +3,10 @@
 The library takes points only as NetPoints and computes on their digit
 arrays.  The functions here work on GElement and GVector digit vectors,
 one point, coordinate or pair at a time, as the definitions read; the
-tests compare the array paths against them.  Also here: the closed forms
+tests compare the array paths against them.  The scalar loops of the
+projection pi, the section sigma, the depth of a sequence, the diagonal
+coefficient r and wal_k are here too: the library's entries of the same
+names are one-row calls of its array paths.  Also here: the closed forms
 of the two Hammersley point sets, the local discrepancy and the mu2 sum
 of a frequency vector, the random nets the property tests draw, the
 guard that fails a call building point objects, the CSV helpers, and
@@ -13,6 +16,7 @@ per character sum.
 """
 
 import io
+import operator
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -22,10 +26,81 @@ import pytest
 from hypothesis import strategies as st
 
 from badicnet import DigitalNet, PointSet2, mu2, points_to_csv, symmetrize_matrices
-from badicnet.badic import GElement, GVector, first_nonzero_position, g_add, g_sub, int_digits, project_pi
+from badicnet.badic import GElement, GVector, g_add, g_sub, int_digits, minimal_precision
 from badicnet.dual import dual_members
-from badicnet.rkhs import BandLimitedKernel, SpectralDiagonalKernel, _first_positions, _phi_table
+from badicnet.rkhs import BandLimitedKernel, SpectralDiagonalKernel
 from badicnet.walsh import UnityExponent, character, cyclotomic_coeffs
+
+# ---------------------------------------------------------------------------
+# the scalar definitions
+
+
+def project_pi_loop(z: GElement) -> Fraction:
+    """sum(z_i * b^-i) in [0, 1], one digit at a time (Horner), plus the
+    constant tail c past precision n as c * b^-n / (b - 1)."""
+    b, n = z.base, z.precision
+    acc = 0
+    for d in z.digits:
+        acc = acc * b + d
+    val = Fraction(acc, b**n)
+    if z.tail:
+        val += Fraction(z.tail, b**n * (b - 1))
+    return val
+
+
+def first_nonzero_loop(z: GElement) -> int | None:
+    """1-based position of the first nonzero digit, n + 1 for a nonzero
+    tail past them, None if z = 0."""
+    for i, d in enumerate(z.digits):
+        if d:
+            return i + 1
+    if z.tail:
+        return z.precision + 1
+    return None
+
+
+def section_sigma_loop(x, base: int, precision: int) -> GElement:
+    """Canonical digits of x in [0, 1] at the given precision, one digit
+    at a time: digit i is the floor of b times the remainder, and what is
+    left past the last digit must be a constant tail c / (b - 1), c < b - 1;
+    x = 1 is the constant sequence e_{b-1}."""
+    b, n = base, precision
+    if b < 2:
+        raise ValueError("base must be >= 2")
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError("unsupported expansion: x outside [0, 1]")
+    if x == 1:
+        return GElement.constant(b, n, b - 1)
+    digits = []
+    rem = x
+    for _ in range(n):
+        rem *= b
+        d = int(rem)  # floor: rem stays in [0, 1)
+        digits.append(d)
+        rem -= d
+    c_frac = rem * (b - 1)
+    if c_frac.denominator != 1:
+        raise ValueError(f"unsupported expansion: {x} is not eventually constant in base {b} at precision {n}")
+    return GElement(b, tuple(digits), int(c_frac))
+
+
+def r_loop(kernel: SpectralDiagonalKernel, ks) -> float:
+    """The diagonal coefficient at a frequency vector: r1 of each
+    component, multiplied in coordinate order from 1.0."""
+    out = 1.0
+    for j, k in enumerate(ks):
+        out *= kernel.r1(operator.index(k), j)
+    return out
+
+
+def walsh_eval_loop(k, x, base: int) -> complex:
+    """wal_k(x): the character W_k at section_sigma_loop of x, at its
+    minimal precision."""
+    return character(k, section_sigma_loop(x, base, minimal_precision(x, base))).value
+
 
 # ---------------------------------------------------------------------------
 # digit vectors
@@ -49,7 +124,7 @@ def gv_sub(z: GVector, w: GVector) -> GVector:
 
 
 def gv_pi(z: GVector) -> tuple[Fraction, ...]:
-    return tuple(project_pi(c) for c in z.coords)
+    return tuple(project_pi_loop(c) for c in z.coords)
 
 
 def symmetrize_points(points) -> list[GVector]:
@@ -207,7 +282,7 @@ def kernel_eval(kernel, x: GVector, y: GVector):
         out = 1.0
         for j in range(kernel.s):
             z = g_sub(x.coords[j], y.coords[j])
-            out *= 1.0 + kernel.gammas[j] * kernel.phi(first_nonzero_position(z))
+            out *= 1.0 + kernel.gammas[j] * kernel.phi(first_nonzero_loop(z))
         return out
     raise TypeError("unknown kernel type")
 
@@ -223,15 +298,18 @@ def band_spectral_by_members(net: DigitalNet, kernel: BandLimitedKernel) -> tupl
 
 def diag_pair_sum(points, kernel: SpectralDiagonalKernel) -> float:
     """sum over ordered point pairs of the diagonal kernel, vectorized on
-    the first-nonzero-difference position."""
+    the first position where two points differ: the first True of the n
+    digit and one tail mismatch flags, 0 where none is."""
     digits, tails = pack_digit_arrays(points)
-    table = _phi_table(kernel, digits.shape[2])
+    n = digits.shape[2]
+    phi = np.array([kernel.phi(None)] + [kernel.phi(i0) for i0 in range(1, n + 2)])
     total = 0.0
     for i in range(len(points)):
         prod = np.ones(len(points))
         for j in range(digits.shape[1]):
-            pos = _first_positions(digits[:, j, :] != digits[i, j, :][None, :], tails[:, j] != tails[i, j])
-            prod *= 1.0 + kernel.gammas[j] * table[pos]
+            differ = np.hstack([digits[:, j, :] != digits[i, j, :], (tails[:, j] != tails[i, j])[:, None]])
+            depth = np.where(differ.any(axis=1), differ.argmax(axis=1) + 1, 0)
+            prod *= 1.0 + kernel.gammas[j] * phi[depth]
         total += float(prod.sum())
     return total
 
@@ -287,12 +365,12 @@ def csv_text(points) -> str:
 
 
 def per_point_csv(points) -> str:
-    """points_to_csv as it was: project_pi on every coordinate of every GVector."""
+    """points_to_csv as it was: project_pi_loop on every coordinate of every GVector."""
     lines = ["# schema=1", ",".join(f"x{j}_frac,x{j}" for j in range(1, points[0].s + 1))]
     for z in points:
         cells = []
         for c in z.coords:
-            v = project_pi(c)
+            v = project_pi_loop(c)
             cells += [f"{v.numerator}/{v.denominator}", repr(float(v))]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -28,8 +28,8 @@ from badicnet import (
 from badicnet.badic import add_mod, digit_values, first_nonzero_position, frequency_digits, linear_table, mod_product, rows_in_E
 from badicnet.dual import dual_members, rank_mod_p
 from badicnet.nets import NetPoints
-from badicnet.walsh import sums_vanish
-from oracles import csv_text, g_neg, gv_add, gv_sub
+from badicnet.walsh import residue_counts, sums_vanish, walsh_eval
+from oracles import csv_text, first_nonzero_loop, g_neg, gv_add, gv_sub, project_pi_loop, section_sigma_loop, walsh_eval_loop
 
 
 def test_is_prime_small_values():
@@ -111,6 +111,11 @@ def test_section_extracts_canonical_digits():
     z = section_sigma(Fraction(3, 8), 2, 4)
     assert z.digits == (0, 1, 1, 0)
     assert z.tail == 0
+    # digits past int64 stay Python ints
+    b = 2**64 + 13
+    for x, digits in ((Fraction(5, b), (5, 0)), (Fraction(b - 1, b), (b - 1, 0))):
+        z = section_sigma(x, b, 2)
+        assert (z.digits, z.tail) == (digits, 0)
 
 
 def test_section_of_one_is_the_top_constant():
@@ -126,6 +131,8 @@ def test_section_finds_constant_tails():
     # 1/2 = sum 3^-i is the constant-1 sequence in base 3
     z = section_sigma(Fraction(1, 2), 3, 2)
     assert z.digits == (1, 1) and z.tail == 1
+    # a value that needs more than 4096 digits
+    assert section_sigma(Fraction(1, 2**5000), 2, 5001).digits[4999:] == (1, 0)
 
 
 def test_section_rejects_out_of_range():
@@ -221,6 +228,33 @@ def test_section_inverts_projection(num, b, extra):
     n = minimal_precision(x, b)
     z = section_sigma(x, b, n + extra)
     assert project_pi(z) == x
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 10, 257, 2**64 + 13]), st.data())
+def test_scalar_entries_match_their_loops(b, data):
+    # project_pi, first_nonzero_position and section_sigma are one-row
+    # calls of numerators, first_positions and canonical_digits
+    n = data.draw(st.integers(1, 6), label="n")
+    digit = st.integers(0, b - 1) | st.sampled_from([0, b - 1])
+    z = GElement(b, tuple(data.draw(st.lists(digit, min_size=n, max_size=n), label="digits")), data.draw(digit, label="tail"))
+    assert project_pi(z) == project_pi_loop(z)
+    assert first_nonzero_position(z) == first_nonzero_loop(z)
+    # the value of z, a few of its neighbours, and values past [0, 1]
+    x = project_pi_loop(z) + data.draw(st.sampled_from([0, 0, Fraction(1, 3), Fraction(-1, 7), Fraction(1, b**n), 1]), label="step")
+    precision = data.draw(st.integers(1, n + 3), label="precision")
+    assert outcome(section_sigma, x, b, precision) == outcome(section_sigma_loop, x, b, precision)
+    if 0 <= x <= 1 and (x * b**n * (b - 1)).denominator == 1:
+        k = data.draw(st.integers(0, b ** (n + 1)), label="k")
+        assert walsh_eval(k, x, b) == walsh_eval_loop(k, x, b)
 
 
 @given(st.integers(2, 7), st.integers(0, 5000), st.integers(0, 5000))
@@ -420,7 +454,8 @@ def gated_values(draw):
     """A prime base b and an int64 value for every gated entry, small
     enough for int8: the (s, n, m) matrices and (s, m) tail rows of a net
     over b, an (s, n) shift, n + 1 GElement digits, a PointSet2 den and
-    its (N, 2) numerators, and (T, b) residue counts."""
+    its (N, 2) numerators, (T, b) residue counts and the (T, s, n) digits
+    of T frequency vectors."""
     b = draw(st.sampled_from([2, 3, 5]), label="b")
     s, n, m = (draw(st.integers(1, top)) for top in (2, 3, 3))
 
@@ -439,6 +474,7 @@ def gated_values(draw):
         "den": den,
         "nums": ints((rows, 2), den + 1),
         "counts": ints((rows, b), 100),
+        "frequencies": ints((rows, s, n), b),
     }
 
 
@@ -450,6 +486,7 @@ def gated_entries(v):
     math.inf for a lower bound only, None for entries of any sign."""
     b, mats, tails, den, nums = v["b"], v["matrices"], v["tail_rows"], v["den"], v["nums"]
     net = DigitalNet(b, tuple(mats), tuple(tails))
+    digits, point_tails = NetPoints(net).digit_arrays()
 
     def seen_net(x):
         return net_to_json(x), [(a.dtype, a.flags.writeable) for a in (*x.matrices, *(x.tail_rows or ()))], type(x.base), type(x.sym_columns)
@@ -480,6 +517,10 @@ def gated_entries(v):
         ("GElement digits", v["digits"], b, element),
         ("rank_mod_p", mats[0], None, lambda x: rank_mod_p(x, b)),
         ("sums_vanish", v["counts"], None, lambda x: sums_vanish(x, b).tolist()),
+        ("dual_members", v["frequencies"], b, lambda x: dual_members(net, x).tolist()),
+        ("rows_in_E", v["frequencies"], b, lambda x: rows_in_E(x, b).tolist()),
+        ("residue_counts", v["frequencies"], b, lambda x: residue_counts(digits, point_tails, x, b).tolist()),
+        ("residue_counts points", digits, b, lambda x: residue_counts(x, point_tails, v["frequencies"], b).tolist()),
     ]
 
 

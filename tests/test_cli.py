@@ -669,3 +669,27 @@ def test_one_parser_serves_many_main_calls(tmp_path, capsys, monkeypatch):
     for name in ("net.json", "points.csv"):
         assert (here / name).read_text() == (fresh / name).read_text() != ""
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("net", "points", "--kind", "hammersley", "--base", "2", "--m", "70"),
+        ("net", "gen", "--base", "2", "--m", "64", "--points-csv", os.devnull),
+        ("verify", "orthogonality", "--kind", "hammersley", "--base", "2", "--m", "64", "--samples", "3"),
+        ("study", "wce", "--base", "2", "--m-range", "70:70", "--max-ops", str(1 << 160)),
+    ],
+    ids=["net-points", "net-gen-csv", "verify-orthogonality", "study-wce"],
+)
+def test_nets_past_an_index_exit_two(capsys, argv):
+    # len(NetPoints) was b^m, an OverflowError traceback with exit 1, the
+    # code of a failed verification
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: net has 2^") and "more than an index holds" in err
+
+
+def test_net_gen_of_a_net_past_an_index(capsys):
+    # without --points-csv no point is enumerated
+    code, out, _ = run(capsys, "net", "gen", "--base", "2", "--m", "64")
+    assert code == 0 and json.loads(out)["m"] == 64

@@ -17,7 +17,6 @@ from badicnet import (
     net_from_json,
     net_to_json,
     points_to_csv,
-    project_pi,
     sym_hammersley_points,
     symmetrize_matrices,
     to_point_set,
@@ -35,6 +34,7 @@ from oracles import (
     hammersley_closed_form,
     no_point_objects,
     per_point_csv,
+    project_pi_loop,
     sym_hammersley_closed_form,
     symmetrize_points,
 )
@@ -544,8 +544,16 @@ def test_point_set_past_int64_matches_projection():
     for net in (truncated_sym_hammersley(2, 2, 45), symmetrize_matrices(hammersley_matrices(5, 1, 25))):
         ps = to_point_set(net)
         assert ps.den > 1 << 40 and ps.nums.dtype == object
-        want = [tuple(project_pi(c) for c in z.coords) for z in enumerate_points(net)]
+        want = [tuple(project_pi_loop(c) for c in z.coords) for z in enumerate_points(net)]
         assert ps.fractions() == want
+
+
+def test_net_points_refuse_more_points_than_an_index_holds():
+    # len() of 2^63 points raised OverflowError wherever it was taken
+    assert len(NetPoints(hammersley_matrices(2, 62))) == 2**62
+    for net in (hammersley_matrices(2, 63), hammersley_matrices(3, 40)):
+        with pytest.raises(ValueError, match=r"^net has \d+\^\d+ points, more than an index holds"):
+            NetPoints(net)
 
 
 def test_closed_form_families_reject_degenerate_parameters():

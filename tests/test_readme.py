@@ -1,10 +1,13 @@
 """The README's library example runs and prints what its comments say, and
-its Layout rows stay short."""
+its Layout rows stay short and name what their modules hold."""
 
 import ast
+import builtins
+import importlib
 import re
 from pathlib import Path
 
+import badicnet
 from badicnet import WceResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,10 +52,40 @@ def test_library_use_block_matches_its_comments():
     assert wrong == {}
 
 
+def layout_rows() -> list[str]:
+    layout = re.search(r"^## Layout\n\n(.*?)\n\n", README.read_text(), re.S | re.M).group(1)
+    return [line for line in layout.splitlines() if line.startswith("| `badicnet.")]
+
+
 def test_layout_rows_stay_short():
     # a Layout row names the module's public entries and the guarantees a
     # caller relies on, not how the module works inside
-    layout = re.search(r"^## Layout\n\n(.*?)\n\n", README.read_text(), re.S | re.M).group(1)
-    rows = [line for line in layout.splitlines() if line.startswith("| `badicnet.")]
+    rows = layout_rows()
     assert len(rows) == 7
     assert {row.split("`")[1]: len(row) for row in rows if len(row) > 640} == {}
+
+
+# backticked names that are no attribute: a parameter and the command
+NOT_ATTRIBUTES = {"max_candidates", "badicnet"}
+
+
+def resolves(module, name: str) -> bool:
+    """Is name (dotted or not) an attribute of module, a builtin, or, for
+    a dotted name such as badic.integer_array, one of the package?"""
+    head, *rest = name.split(".")
+    roots = (module, builtins) + ((badicnet,) if rest else ())
+    obj = next((getattr(root, head) for root in roots if hasattr(root, head)), None)
+    for part in rest:
+        obj = getattr(obj, part, None)
+    return obj is not None
+
+
+def test_layout_names_resolve():
+    # a row naming a moved or renamed entry fails here
+    unresolved = {}
+    for row in layout_rows():
+        module_name, *names = re.findall(r"`([^`]+)`", row)
+        module = importlib.import_module(module_name)
+        names = {v for v in names if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", v)} - NOT_ATTRIBUTES
+        unresolved[module_name] = sorted(v for v in names if not resolves(module, v))
+    assert unresolved == dict.fromkeys(unresolved, [])

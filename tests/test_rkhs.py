@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,11 +30,10 @@ from badicnet import (
     sym_hammersley_points,
     symmetrize_matrices,
     truncated_sym_hammersley,
-    walsh_eval,
     wce_direct,
     wce_spectral,
 )
-from badicnet.badic import frequency_digits, g_add, project_pi
+from badicnet.badic import frequency_digits, g_add
 from badicnet.dual import _tuple_count, dual_scan
 from badicnet.nets import point_numerators
 from badicnet.rkhs import _diag_tail
@@ -50,7 +50,10 @@ from oracles import (
     no_point_objects,
     pack_digit_arrays,
     per_point_csv,
+    project_pi_loop,
+    r_loop,
     tuple_to_flat,
+    walsh_eval_loop,
     walsh_row,
 )
 
@@ -163,7 +166,7 @@ def test_phi_matches_walsh_series():
     for i0, x in [(1, Fraction(1, 2)), (2, Fraction(1, 4)), (3, Fraction(1, 8))]:
         acc = 0.0
         for k in range(1, 2**14):
-            acc += kern.r1(k, 0) * walsh_eval(k, x, b).real
+            acc += kern.r1(k, 0) * walsh_eval_loop(k, x, b).real
         assert abs(acc - kern.phi(i0)) < 1e-3
 
 
@@ -210,6 +213,21 @@ def test_frequencies_must_be_integers():
     assert khat(k, (np.int64(1), 0), (1, 0)) == k.r(np.array([1, 0])) == 0.25
 
 
+def test_non_kernels_are_a_type_error():
+    net = _sym_net(2, 1, 4)
+    routes = {
+        "khat": lambda k: khat(k, (0, 0), (0, 0)),
+        "ds_invariant_coeffs": ds_invariant_coeffs,
+        "wce_direct": lambda k: wce_direct(enumerate_points(net), k),
+        "wce_spectral": lambda k: wce_spectral(net, k),
+    }
+    # a look-alike with a kernel's base, dimension and box is no kernel either
+    for fake in (object(), SimpleNamespace(base=2, s=2, box=4, k_digits=1, coeffs=np.eye(16))):
+        for name, route in routes.items():
+            with pytest.raises(TypeError, match="^unknown kernel type$"):
+                route(fake)
+
+
 def test_band_limited_eval_matches_expansion():
     rng = np.random.default_rng(11)
     kern = BandLimitedKernel.random(2, 1, 2, 3, rng)
@@ -221,8 +239,8 @@ def test_band_limited_eval_matches_expansion():
                 for ll in range(4):
                     brute += (
                         kern.coeffs[kk, ll]
-                        * walsh_eval(kk, project_pi(x.coords[0]), 2)
-                        * np.conj(walsh_eval(ll, project_pi(y.coords[0]), 2))
+                        * walsh_eval_loop(kk, project_pi_loop(x.coords[0]), 2)
+                        * np.conj(walsh_eval_loop(ll, project_pi_loop(y.coords[0]), 2))
                     )
             assert abs(kernel_eval(kern, x, y) - brute) < 1e-12
 
@@ -275,7 +293,7 @@ def test_diagonal_spectral_is_the_fsum_of_its_hits_in_any_order():
     np.random.default_rng(0).shuffle(hits)
     res = wce_spectral(net, kern, cap=4)
     assert res.terms_used == len(hits) > 0
-    assert res.value == math.fsum(kern.r(ks) for ks in hits)
+    assert res.value == math.fsum(r_loop(kern, ks) for ks in hits)
 
 
 def _faure(b, s, m, n):
@@ -316,7 +334,7 @@ def test_table_weights_equal_r_bit_for_bit(b, s, data):
     ks = data.draw(st.lists(st.tuples(*[component] * s), min_size=1, max_size=20), label="ks")
     comps = np.array(ks, dtype=np.int64 if max(map(max, ks)) < 1 << 63 else object)
     got = kern.r_rows(comps).tolist()
-    assert got == [kern.r(k) for k in ks]  # float ==: the same bits
+    assert got == [r_loop(kern, k) for k in ks] == [kern.r(k) for k in ks]  # float ==: the same bits
     assert kern.r_rows(comps[:0]).shape == (0,)
 
 
@@ -523,7 +541,7 @@ def spectral_by_candidates(net, kernel, cap=None):
         return (0.0 if val.real < 0 else val.real), len(members) ** 2
     cap = net.n if cap is None else cap
     parts = [
-        kernel.r(ks)
+        r_loop(kernel, ks)
         for ks in weighted_box(kernel.base, net.s, cap)
         if any(ks) and dual_contains(net, ks)
     ]
@@ -633,7 +651,7 @@ def shift_by_objects(points, sigma):
 
 
 def fraction_rows(points):
-    """Exact coordinates as Fraction rows: PointSet2 pairs or project_pi per coordinate."""
+    """Exact coordinates as Fraction rows: PointSet2 pairs or project_pi_loop per coordinate."""
     if isinstance(points, PointSet2):
         return [tuple(pair) for pair in points.fractions()]
     return [gv_pi(z) for z in points]
@@ -660,7 +678,7 @@ def qmc_by_fraction_rows(points, integrand, **params):
         for row in rows:
             v = complex(1.0)
             for kj, x in zip(params["k"], row):
-                v *= walsh_eval(kj, x, params["base"])
+                v *= walsh_eval_loop(kj, x, params["base"])
             vals.append(v)
         exact = complex(1.0) if not any(params["k"]) else complex(0.0)
     return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)) / len(rows), exact

@@ -140,21 +140,25 @@ def digit_values(digits: np.ndarray, base: int) -> np.ndarray:
 
 
 def mod_product(digits: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
-    """(T, c) int64 residues digits @ rows mod b of (T, K) digits and (K, c)
+    """(T, c) residues digits @ rows mod b of (T, K) digits and (K, c)
     rows, a net's linear digit map at given vectors: in int64 while
-    K (b - 1)^2 < 2^63 bounds every entry, in Python ints past that.
-    int64 inputs are not copied and the product is reduced in place."""
-    dtype = np.int64 if rows.shape[0] * (base - 1) ** 2 < 1 << 63 else object
+    max(K, 1) (b - 1)^2 < 2^63 bounds every entry, else in Python ints, kept
+    past b = 2^63.  int64 inputs are not copied; the product is reduced in place."""
+    dtype = np.int64 if max(rows.shape[0], 1) * (base - 1) ** 2 < 1 << 63 else object
     prod = digits.astype(dtype, copy=False) @ rows.astype(dtype, copy=False)
-    return np.remainder(prod, base, out=prod).astype(np.int64, copy=False)
+    np.remainder(prod, base, out=prod)
+    return prod if base > 1 << 63 else prod.astype(np.int64, copy=False)
 
 
 def add_mod(x: np.ndarray, y: np.ndarray, base: int) -> np.ndarray:
     """x + y mod b of residues in [0, b), added into x in place and
     returned; y, of x's dtype, broadcasts against x and is left unchanged.
-    The sum u is formed in the unsigned view of x's dtype, which must hold
+    Object arrays (Python ints, any b) add as they are.  Else the sum u
+    is formed in the unsigned view of x's dtype, which must hold
     2(b-1) (a linear_table's dtype, or int64 at any b <= 2^63), and
     reduced to the smaller of u and u - b: below b, u - b wraps past u."""
+    if x.dtype == object:
+        return np.remainder(x + y, base, out=x)
     u = x.view(f"u{x.dtype.itemsize}")
     u += y.view(u.dtype)
     np.minimum(u, u - u.dtype.type(base), out=u)
@@ -202,7 +206,7 @@ def canonical_digits(rows, den: int, base: int) -> tuple[np.ndarray, np.ndarray]
     """(N, s, n) digits, position 1 first, and (N, s) tails of the
     canonical base-b expansions of the values num/den of (N, s) integer
     numerators, at one precision n: the minimal_precision of g/den, g the
-    gcd of den and every numerator (at most den.bit_length() digits).
+    gcd of den and every numerator.
     Over b^n (b - 1), a numerator's tail is num mod (b - 1) and its digits
     are those of num div (b - 1); the value 1 is all digits b - 1 with
     tail b - 1.  Both arrays are int64, or Python ints when b >= 2^63, as
@@ -213,7 +217,7 @@ def canonical_digits(rows, den: int, base: int) -> tuple[np.ndarray, np.ndarray]
     if min(flat) < 0 or max(flat) > den:
         raise ValueError("unsupported expansion: x outside [0, 1]")
     g = math.gcd(den, *flat)
-    n = minimal_precision(Fraction(g, den), b, limit=den.bit_length())
+    n = minimal_precision(Fraction(g, den), b)
     top = b**n * (b - 1)
     nums = np.array(rows, dtype=object) // g * (top // (den // g))
     one = nums == top  # num div (b - 1) = b^n has n + 1 digits
@@ -260,12 +264,6 @@ class GElement:
     def precision(self) -> int:
         return len(self.digits)
 
-    def digit(self, i: int) -> int:
-        """Digit at position i (1-based), falling back to the tail digit."""
-        if i < 1:
-            raise ValueError("digit positions are 1-based")
-        return self.digits[i - 1] if i <= len(self.digits) else self.tail
-
     @classmethod
     def zero(cls, base: int, precision: int) -> "GElement":
         return cls(base, (0,) * precision, 0)
@@ -276,25 +274,24 @@ class GElement:
         return cls(base, (l,) * precision, l)
 
 
-def _compatible(z: GElement, w: GElement) -> None:
-    if z.base != w.base or z.precision != w.precision:
-        raise ValueError("incompatible elements: base or precision mismatch")
-
-
 def g_add(z: GElement, w: GElement) -> GElement:
     """Digitwise sum mod b; tails add as well."""
-    _compatible(z, w)
-    b = z.base
-    digits = tuple((a + c) % b for a, c in zip(z.digits, w.digits))
-    return GElement(b, digits, (z.tail + w.tail) % b)
+    return _add_rows(z, w, 1)
 
 
 def g_sub(z: GElement, w: GElement) -> GElement:
     """Digitwise difference mod b."""
-    _compatible(z, w)
-    b = z.base
-    digits = tuple((a - c) % b for a, c in zip(z.digits, w.digits))
-    return GElement(b, digits, (z.tail - w.tail) % b)
+    return _add_rows(z, w, -1)
+
+
+def _add_rows(z: GElement, w: GElement, sign: int) -> GElement:
+    """z + sign w, for elements of one base and precision: add_mod of
+    their rows of digits and tail, w's negated as (b - d) mod b for -1."""
+    if z.base != w.base or z.precision != w.precision:
+        raise ValueError("incompatible elements: base or precision mismatch")
+    x, y = (np.array([*v.digits, v.tail], dtype=object) for v in (z, w))
+    *digits, tail = add_mod(x, sign * y % z.base, z.base).tolist()
+    return GElement(z.base, tuple(digits), tail)
 
 
 def project_pi(z: GElement) -> Fraction:
@@ -336,18 +333,18 @@ def section_sigma(x, base: int, precision: int) -> GElement:
     return GElement(b, tuple(digits[0, 0].tolist()) + (tail,) * (n - digits.shape[2]), tail)
 
 
-def minimal_precision(x, base: int, limit: int = 4096) -> int:
+def minimal_precision(x, base: int) -> int:
     """Smallest precision at which section_sigma can represent x, or raise.
 
     x is representable at precision n exactly when x * b^n * (b-1) is an
-    integer, so the search just clears the denominator one factor of b at
-    a time.
+    integer, so the search clears the denominator q of x one factor of b at
+    a time, for at most q.bit_length() steps, which bound the least such n.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("unsupported expansion: x outside [0, 1]")
     scaled = x * (base - 1)
-    for n in range(1, limit + 1):
+    for n in range(1, x.denominator.bit_length() + 1):
         scaled *= base
         if scaled.denominator == 1:
             return n

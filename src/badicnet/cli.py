@@ -18,6 +18,7 @@ import numpy as np
 from .badic import frequency_digits, rows_in_E
 from .dual import (
     GUARD_DEFAULT,
+    GuardExceeded,
     certify_rho2_via_independence,
     check_independence_sets,
     dual_enumerate_below,
@@ -117,7 +118,7 @@ def _parse_kernel(args, s: int):
     e, cap = 2 * kd * s, args.max_candidates
     # b^e is never formed past the cap's bit length: a huge k costs nothing
     if kd >= 0 and base ** min(e, cap.bit_length() + 1) > cap:
-        raise ValueError(f"guard exceeded: {base}^{e} kernel coefficients over cap {cap}")
+        raise GuardExceeded(f"guard exceeded: {base}^{e} kernel coefficients over cap {cap}")
     rng = np.random.default_rng(args.seed)
     return BandLimitedKernel.random(base, s, kd, rank, rng)
 
@@ -457,12 +458,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if str(exc).startswith("guard exceeded") else 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GuardExceeded) else 2
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ from .nets import DigitalNet, truncated_sym_hammersley
 GUARD_DEFAULT = 1 << 26
 
 
+class GuardExceeded(ValueError):
+    """A resource guard tripped: the counted cost of a call is over its cap."""
+
+
 def dual_contains(net: DigitalNet, k: Sequence[int]) -> bool:
     """Exact dual membership of a frequency vector (one int per coordinate)."""
     return bool(dual_members(net, frequency_digits([k], net.base, net.s, net.n))[0])
@@ -141,7 +145,7 @@ def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False, max_candid
     sizes, budget = ([1] + [(b - 1) * b**a for a in range(k_digits)], k_digits) if weighted else ([b**k_digits], 0)
     count = _tuple_count(sizes, s, budget)
     if count > max_candidates:
-        raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
+        raise GuardExceeded(f"guard exceeded: {count} candidates over cap {max_candidates}")
     levels = np.searchsorted(b ** np.arange(k_digits), np.arange(b**k_digits), side="right") * weighted
     out = _half_join([image_table(net, j, k_digits) for j in range(s)], levels, net.m, b, budget)[0]
     return out[np.lexsort(out.T[::-1])]
@@ -278,10 +282,10 @@ def rho2_min_weight(net: DigitalNet, cap: int | None = None, max_candidates: int
     sizes = [sum(c for (v, _), c in zip(classes, counts) if v == w) for w in range(cap + 1)]
     count = sum(sizes)
     if count > max_candidates:
-        raise ValueError(f"guard exceeded: {count} candidates over cap {max_candidates}")
+        raise GuardExceeded(f"guard exceeded: {count} candidates over cap {max_candidates}")
     tuple_count = _tuple_count(sizes, s, cap)
     if tuple_count > max_candidates:
-        raise ValueError(f"guard exceeded: {tuple_count} candidate {'pairs' if s == 2 else f'{s}-tuples'} over cap {max_candidates}")
+        raise GuardExceeded(f"guard exceeded: {tuple_count} candidate {'pairs' if s == 2 else f'{s}-tuples'} over cap {max_candidates}")
     tables = [_class_images(C, b, [pos for _, pos in classes]) for C in net.matrices]
     comps, totals = _half_join(tables, np.repeat(np.arange(cap + 1), sizes), net.m, b, cap, least=True)
     if not totals.any():

@@ -49,9 +49,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import add_mod, canonical_digits, digit_values, first_positions, frequency_digits, int_digits, integer_array
+from .badic import add_mod, digit_values, first_positions, frequency_digits, int_digits, integer_array
 from .nets import DigitalNet, NetPoints, PointSet2, point_numerators, require_net_points
-from .walsh import UnityExponent, _exponents, residue_counts, sum_values
+from .walsh import UnityExponent, residue_counts, sum_values, walsh_exponents
 from . import dual as dualmod
 
 
@@ -204,7 +204,9 @@ class SpectralDiagonalKernel:
         count of the powers b^0, ..., b^(d-1) at most it, d the digit count
         of the largest component.  Each coordinate's r1 is gathered from a
         table over the levels 0..d, built by r1 itself at k = 0 and
-        k = b^(a1 - 1)."""
+        k = b^(a1 - 1).  Rows not of length s are a ValueError, as in khat."""
+        if ks.shape[1:] != (self.s,):
+            raise ValueError("incompatible elements: dimension mismatch")
         b = self.base
         d = len(int_digits(int(ks.max(initial=0)), b))
         levels = np.searchsorted(np.array([b**a for a in range(d)], dtype=ks.dtype), ks, side="right")
@@ -423,10 +425,10 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
     prod-quadratic takes every row as one exact product of Python ints,
     (c_d x^2 + c_n) over the coordinates, in one object-array pass, then
     one true division by the common scale, which is correctly rounded.
-    The walsh integrand reads the canonical digits of every coordinate
-    from the numerators, as arrays.  The estimate is the mean of the row
-    values, real and imaginary parts each summed by math.fsum (a real
-    integrand's imaginary part sums no terms, to 0.0).
+    The walsh integrand takes the walsh_exponents of the numerators and
+    the root of each distinct exponent once.  The estimate is the mean of
+    the row values, real and imaginary parts each summed by math.fsum (a
+    real integrand's imaginary part sums no terms, to 0.0).
     """
     if isinstance(points, PointSet2):
         nums, den = points.nums, points.den
@@ -453,14 +455,12 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
         base = params.get("base")
         if base is None:
             raise ValueError("walsh integrand needs the base")
-        if base < 2:
-            raise ValueError("base must be >= 2")
-        digits, tails = canonical_digits(nums.tolist(), den, base)
         # one frequency per coordinate, so that E[:, j] is coordinate j's exponent
         ks = [tuple(kj if i == j else 0 for i in range(s)) for j, kj in enumerate(k)]
-        roots = [UnityExponent(base, r).value for r in range(base)]
-        E = _exponents(digits, tails, frequency_digits(ks, base, s, digits.shape[-1]), base)
-        vals = [math.prod((roots[e] for e in row), start=complex(1.0)) for row in E.tolist()]
+        E = walsh_exponents(nums.tolist(), den, ks, base)
+        present, index = np.unique(E, return_inverse=True)  # a root per exponent present, not per residue
+        roots = [UnityExponent(base, e).value for e in present.tolist()]
+        vals = [math.prod((roots[i] for i in row), start=complex(1.0)) for row in index.reshape(E.shape).tolist()]
         re, im = [v.real for v in vals], [v.imag for v in vals]
         exact = complex(1.0) if all(int(v) == 0 for v in k) else complex(0.0)
     else:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from collections.abc import Sequence
 
 import numpy as np
 
-from .badic import GElement, add_mod, frequency_digits, int_digits, integer_array, minimal_precision, mod_product, section_sigma
+from .badic import GElement, add_mod, canonical_digits, frequency_digits, integer_array, mod_product
 from .nets import NetPoints, require_net_points
 
 _TABLE_ENTRIES = 1 << 20  # exponent-table entries per chunk of frequencies in residue_counts
@@ -45,33 +46,31 @@ class UnityExponent:
             return complex(1.0)
         return cmath.exp(2j * math.pi * self.e / self.base)
 
-    def __mul__(self, other: "UnityExponent") -> "UnityExponent":
-        if self.base != other.base:
-            raise ValueError("incompatible elements: root-of-unity base mismatch")
-        return UnityExponent(self.base, self.e + other.e)
-
-    def conj(self) -> "UnityExponent":
-        return UnityExponent(self.base, -self.e)
-
 
 def character(k: int, z: GElement) -> UnityExponent:
-    """W_k evaluated at a digit sequence, as an exact exponent mod b."""
-    e = 0
-    for i, kappa in enumerate(int_digits(k, z.base), start=1):
-        if kappa:
-            e += kappa * z.digit(i)
-    return UnityExponent(z.base, e)
+    """W_k evaluated at a digit sequence, as an exact exponent mod b: the
+    _exponents of the one frequency (k,) at the one sequence z."""
+    digits, tail = np.array([[z.digits]], dtype=object), np.array([[z.tail]], dtype=object)
+    return UnityExponent(z.base, _exponents(digits, tail, frequency_digits([(k,)], z.base, 1, 0), z.base).item())
 
 
 def walsh_exponent(k, x, base: int) -> UnityExponent:
-    """Exponent form of wal_k(x) via the canonical digit expansion of x."""
-    n = minimal_precision(x, base)
-    return character(k, section_sigma(x, base, n))
+    """Exponent form of wal_k(x): walsh_exponents of the one k at the one x."""
+    x = Fraction(x)
+    return UnityExponent(base, walsh_exponents([[x.numerator]], x.denominator, [(k,)], base).item())
 
 
 def walsh_eval(k, x, base: int) -> complex:
     """wal_k(x) as a complex number."""
     return walsh_exponent(k, x, base).value
+
+
+def walsh_exponents(nums, den: int, ks: Sequence[Sequence[int]], base: int) -> np.ndarray:
+    """(N, T) exponents mod b of wal_k(x) = W_k(sigma(x)) at the points x of
+    (N, s) numerators over den and the T frequency vectors ks: _exponents of
+    their canonical_digits and frequency_digits, read first (they check b)."""
+    K = frequency_digits(ks, base, np.shape(nums)[1], 0)
+    return _exponents(*canonical_digits(nums, den, base), K, base)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ The library takes points only as NetPoints and computes on their digit
 arrays.  The functions here work on GElement and GVector digit vectors,
 one point, coordinate or pair at a time, as the definitions read; the
 tests compare the array paths against them.  The scalar loops of the
-projection pi, the section sigma, the depth of a sequence, the diagonal
-coefficient r and wal_k are here too: the library's entries of the same
-names are one-row calls of its array paths.  Also here: the closed forms
-of the two Hammersley point sets, the local discrepancy and the mu2 sum
-of a frequency vector, the random nets the property tests draw, the
-guard that fails a call building point objects, the CSV helpers, and
-the scalar loops behind the stacked ranks over F_p and the cyclotomic
-identities: one Gauss elimination per matrix and one polynomial division
-per character sum.
+group sum and difference, the characters W_k, the projection pi, the
+section sigma, the depth of a sequence, the diagonal coefficient r,
+wal_k, dual membership and the set E are here too: the library's entries
+of the same names are one-row calls of its array paths, and no function
+here calls one of them (tests/test_oracles.py checks that).  Also here:
+the closed forms of the two Hammersley point sets, the local discrepancy
+and the mu2 sum of a frequency vector, the random nets the property
+tests draw, the guard that fails a call building point objects, the CSV
+helpers, and the scalar loops behind the stacked ranks over F_p and the
+cyclotomic identities: one Gauss elimination per matrix and one
+polynomial division per character sum.
 """
 
 import io
@@ -26,13 +28,45 @@ import pytest
 from hypothesis import strategies as st
 
 from badicnet import DigitalNet, PointSet2, mu2, points_to_csv, symmetrize_matrices
-from badicnet.badic import GElement, GVector, g_add, g_sub, int_digits, minimal_precision
+from badicnet.badic import GElement, GVector, int_digits, minimal_precision
 from badicnet.dual import dual_members
 from badicnet.rkhs import BandLimitedKernel, SpectralDiagonalKernel
-from badicnet.walsh import UnityExponent, character, cyclotomic_coeffs
+from badicnet.walsh import UnityExponent, cyclotomic_coeffs
 
 # ---------------------------------------------------------------------------
 # the scalar definitions
+
+
+def _compatible(z: GElement, w: GElement) -> None:
+    if z.base != w.base or z.precision != w.precision:
+        raise ValueError("incompatible elements: base or precision mismatch")
+
+
+def g_add_loop(z: GElement, w: GElement) -> GElement:
+    """Digitwise sum mod b, one digit at a time; tails add as well."""
+    _compatible(z, w)
+    b = z.base
+    digits = tuple((a + c) % b for a, c in zip(z.digits, w.digits))
+    return GElement(b, digits, (z.tail + w.tail) % b)
+
+
+def g_sub_loop(z: GElement, w: GElement) -> GElement:
+    """Digitwise difference mod b, one digit at a time."""
+    _compatible(z, w)
+    b = z.base
+    digits = tuple((a - c) % b for a, c in zip(z.digits, w.digits))
+    return GElement(b, digits, (z.tail - w.tail) % b)
+
+
+def character_loop(k: int, z: GElement) -> UnityExponent:
+    """W_k at a digit sequence, as an exact exponent mod b: kappa_{i-1}
+    times digit i of z, summed over the digits of k, the tail standing in
+    for every digit past the precision."""
+    e = 0
+    for i, kappa in enumerate(int_digits(k, z.base), start=1):
+        if kappa:
+            e += kappa * (z.digits[i - 1] if i <= z.precision else z.tail)
+    return UnityExponent(z.base, e)
 
 
 def project_pi_loop(z: GElement) -> Fraction:
@@ -96,10 +130,15 @@ def r_loop(kernel: SpectralDiagonalKernel, ks) -> float:
     return out
 
 
+def walsh_exponent_loop(k, x, base: int) -> UnityExponent:
+    """wal_k(x) as an exponent: character_loop at section_sigma_loop of x,
+    at its minimal precision."""
+    return character_loop(k, section_sigma_loop(x, base, minimal_precision(x, base)))
+
+
 def walsh_eval_loop(k, x, base: int) -> complex:
-    """wal_k(x): the character W_k at section_sigma_loop of x, at its
-    minimal precision."""
-    return character(k, section_sigma_loop(x, base, minimal_precision(x, base))).value
+    """wal_k(x) as a complex number, from walsh_exponent_loop."""
+    return walsh_exponent_loop(k, x, base).value
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +153,13 @@ def g_neg(z: GElement) -> GElement:
 def gv_add(z: GVector, w: GVector) -> GVector:
     if z.s != w.s:
         raise ValueError("incompatible elements: dimension mismatch")
-    return GVector(tuple(g_add(a, c) for a, c in zip(z.coords, w.coords)))
+    return GVector(tuple(g_add_loop(a, c) for a, c in zip(z.coords, w.coords)))
 
 
 def gv_sub(z: GVector, w: GVector) -> GVector:
     if z.s != w.s:
         raise ValueError("incompatible elements: dimension mismatch")
-    return GVector(tuple(g_sub(a, c) for a, c in zip(z.coords, w.coords)))
+    return GVector(tuple(g_sub_loop(a, c) for a, c in zip(z.coords, w.coords)))
 
 
 def gv_pi(z: GVector) -> tuple[Fraction, ...]:
@@ -199,6 +238,26 @@ def local_discrepancy(ps: PointSet2, t) -> Fraction:
     return Fraction(count, ps.n_points) - t1 * t2
 
 
+def dual_contains_loop(net: DigitalNet, k) -> bool:
+    """Dual membership of a frequency vector: the image sum_j vec(k_j) C_j
+    mod b, added one digit row at a time, is zero.  A component with more
+    digits than the n stored rows is a ValueError."""
+    b = net.base
+    image = [0] * net.m
+    for kj, C in zip(k, net.matrices):
+        digits = int_digits(kj, b)
+        if len(digits) > net.n:
+            raise ValueError("digits exceed matrix rows")
+        for d, row in zip(digits, C.tolist()):
+            image = [(v + d * c) % b for v, c in zip(image, row)]
+    return not any(image)
+
+
+def in_E_loop(k: int, base: int) -> bool:
+    """True when the digit sum of k, added one digit at a time, vanishes mod b."""
+    return sum(int_digits(k, base)) % base == 0
+
+
 def mu2_total(ks, base: int) -> int:
     """Sum of mu2 over the components of a frequency vector."""
     return sum(mu2(int(k), base).mu2 for k in ks)
@@ -239,7 +298,7 @@ def character_vec(k, z: GVector) -> UnityExponent:
         raise ValueError("incompatible elements: dimension mismatch")
     e = 0
     for kj, zj in zip(k, z.coords):
-        e += character(kj, zj).e
+        e += character_loop(kj, zj).e
     return UnityExponent(z.base, e)
 
 
@@ -281,7 +340,7 @@ def kernel_eval(kernel, x: GVector, y: GVector):
     if isinstance(kernel, SpectralDiagonalKernel):
         out = 1.0
         for j in range(kernel.s):
-            z = g_sub(x.coords[j], y.coords[j])
+            z = g_sub_loop(x.coords[j], y.coords[j])
             out *= 1.0 + kernel.gammas[j] * kernel.phi(first_nonzero_loop(z))
         return out
     raise TypeError("unknown kernel type")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from badicnet import (
     GElement,
     GVector,
     delta_digit_sum,
+    dual_contains,
     g_add,
     g_sub,
     in_E,
@@ -24,12 +26,28 @@ from badicnet import (
     net_to_json,
     project_pi,
     section_sigma,
+    walsh_exponent,
 )
 from badicnet.badic import add_mod, digit_values, first_nonzero_position, frequency_digits, linear_table, mod_product, rows_in_E
 from badicnet.dual import dual_members, rank_mod_p
 from badicnet.nets import NetPoints
-from badicnet.walsh import residue_counts, sums_vanish, walsh_eval
-from oracles import csv_text, first_nonzero_loop, g_neg, gv_add, gv_sub, project_pi_loop, section_sigma_loop, walsh_eval_loop
+from badicnet.walsh import character, residue_counts, sums_vanish, walsh_eval
+from oracles import (
+    character_loop,
+    csv_text,
+    dual_contains_loop,
+    first_nonzero_loop,
+    g_add_loop,
+    g_neg,
+    g_sub_loop,
+    gv_add,
+    gv_sub,
+    in_E_loop,
+    project_pi_loop,
+    section_sigma_loop,
+    walsh_eval_loop,
+    walsh_exponent_loop,
+)
 
 
 def test_is_prime_small_values():
@@ -64,8 +82,9 @@ def test_int_digits_rebuild_k(k, b):
 
 
 def test_element_digit_reads_tail_beyond_precision():
+    # W_k at k = 3^(i-1) is omega to the digit at position i
     z = GElement(3, (2, 0, 1), tail=2)
-    assert [z.digit(i) for i in range(1, 6)] == [2, 0, 1, 2, 2]
+    assert [character(3 ** (i - 1), z).e for i in range(1, 6)] == [2, 0, 1, 2, 2]
     assert z.precision == 3
 
 
@@ -148,7 +167,12 @@ def test_minimal_precision_examples():
     assert minimal_precision(1, 7) == 1
     assert minimal_precision(Fraction(1, 3), 3) == 1
     with pytest.raises(ValueError, match="unsupported expansion"):
-        minimal_precision(Fraction(1, 3), 2, limit=64)
+        minimal_precision(Fraction(1, 3), 2)
+    # the search runs to the bit length of the denominator, past any fixed limit
+    assert minimal_precision(Fraction(1, 2**5000), 2) == 5000
+    assert minimal_precision(Fraction(1, 3**4000), 3) == 4000
+    with pytest.raises(ValueError, match="unsupported expansion"):
+        minimal_precision(Fraction(1, 2**5000 * 7), 2)
 
 
 def test_digit_sum_and_zero_sum_set():
@@ -241,11 +265,15 @@ def outcome(f, *args):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([2, 3, 4, 5, 7, 10, 257, 2**64 + 13]), st.data())
 def test_scalar_entries_match_their_loops(b, data):
-    # project_pi, first_nonzero_position and section_sigma are one-row
-    # calls of numerators, first_positions and canonical_digits
+    # g_add, g_sub, character, project_pi, first_nonzero_position and
+    # section_sigma are one-row calls of add_mod, walsh._exponents,
+    # numerators, first_positions and canonical_digits
     n = data.draw(st.integers(1, 6), label="n")
     digit = st.integers(0, b - 1) | st.sampled_from([0, b - 1])
-    z = GElement(b, tuple(data.draw(st.lists(digit, min_size=n, max_size=n), label="digits")), data.draw(digit, label="tail"))
+    z, w = (GElement(b, tuple(data.draw(st.lists(digit, min_size=n, max_size=n), label="digits")), data.draw(digit, label="tail")) for _ in "zw")
+    assert g_add(z, w) == g_add_loop(z, w) and g_sub(z, w) == g_sub_loop(z, w)
+    k = data.draw(st.integers(0, b ** (n + 2)), label="frequency")
+    assert character(k, z) == character_loop(k, z)
     assert project_pi(z) == project_pi_loop(z)
     assert first_nonzero_position(z) == first_nonzero_loop(z)
     # the value of z, a few of its neighbours, and values past [0, 1]
@@ -351,6 +379,42 @@ def test_in_E_does_not_wrap_past_int64():
     assert in_E(2 + (b - 1) * b + (b - 1) * b**2, b)
     assert not in_E(1 + (b - 1) * b + (b - 1) * b**2, b)
     assert rows_in_E(frequency_digits([(2 + (b - 1) * b + (b - 1) * b**2, 0), (b - 1, 1)], b, 2, 0), b).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("b", [2, 3, 2**62 + 135, 2**63, 2**63 + 29, 2**64 + 13], ids=["2", "3", "2^62+135", "2^63", "2^63+29", "2^64+13"])
+def test_one_row_entries_match_their_loops_at_every_base(b):
+    # at 2^64 + 13, dual_contains(net, (b - 2, 1)) and in_E(0, b) and, at
+    # 2^63 + 29, in_E(b - 1, b) raised OverflowError: residues were cast to int64
+    rng = random.Random(b)
+
+    def digit():
+        return rng.choice([0, 1, b - 2, b - 1, rng.randrange(b)]) % b
+
+    def value(digits):
+        return sum(d * b**i for i, d in enumerate(digits))
+
+    C = np.array([[digit() for _ in range(2)] for _ in range(2)], dtype=object)
+    net = DigitalNet(b, (C, np.eye(2, dtype=np.int64)))
+    ks = [(b - 2, 1), (value([b - 1, 1]), value([1, b - 1]))]
+    for miss in (0, 1, 0, 1, 0, 1):  # the second component cancels the image of the first, or misses by one
+        d = [digit(), digit()]
+        ks.append((value(d), value([(miss * (l == 0) - sum(x * c for x, c in zip(d, col))) % b for l, col in enumerate(C.T.tolist())])))
+    members = [dual_contains_loop(net, k) for k in ks]
+    assert True in members and False in members
+    assert [dual_contains(net, k) for k in ks] == members
+    assert dual_members(net, frequency_digits(ks, b, 2, 2)).tolist() == members
+    flat = [kj for k in ks for kj in k] + [0, b - 1, value([1, b - 1]), value([b - 1, b - 1, 2]), value([digit() for _ in range(4)])]
+    in_e = [in_E_loop(k, b) for k in flat]
+    assert True in in_e and False in in_e
+    assert [in_E(k, b) for k in flat] == in_e
+    assert rows_in_E(frequency_digits([(k,) for k in flat], b, 1, 0), b).tolist() == in_e
+    for _ in range(8):
+        z, w = (GElement(b, (digit(), digit(), digit()), digit()) for _ in "zw")
+        assert g_add(z, w) == g_add_loop(z, w) and g_sub(z, w) == g_sub_loop(z, w)
+        k = value([digit() for _ in range(rng.randrange(6))])
+        assert character(k, z) == character_loop(k, z)
+        x = rng.choice([project_pi_loop(z), Fraction(digit(), b), 1])
+        assert walsh_exponent(k, x, b) == walsh_exponent_loop(k, x, b)
 
 
 def test_in_E_rejects_what_int_digits_rejects():

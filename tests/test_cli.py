@@ -21,7 +21,9 @@ from badicnet import (
     random_digital_shift,
     symmetrize_matrices,
 )
+from badicnet import cli
 from badicnet.cli import _net_by_kind, main
+from badicnet.dual import GuardExceeded
 from badicnet.nets import dumps_compact
 from oracles import no_point_objects
 
@@ -101,6 +103,17 @@ def test_verify_dual_guard_exit_code(capsys):
     )
     assert code == 3
     assert "guard exceeded" in err
+
+
+def test_exit_three_follows_the_guard_type(capsys, monkeypatch):
+    # exit 3 is read from the type of the error, not from its message
+    for exc, code in ((GuardExceeded("over its cap"), 3), (ValueError("guard exceeded: by message only"), 2)):
+
+        def fail(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_load_net", fail)
+        assert run(capsys, "net", "gen", "--kind", "hammersley", "--base", "2", "--m", "2") == (code, "", f"error: {exc}\n")
 
 
 def test_verify_orthogonality_deterministic(capsys):

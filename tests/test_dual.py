@@ -22,7 +22,7 @@ from badicnet import (
 from badicnet.badic import frequency_digits, in_E, int_digits, mod_product
 from badicnet.dual import _class_images, _class_members, _profiles, dual_scan, image_table, rank_mod_p
 from badicnet import dual, walsh
-from badicnet.dual import dual_members
+from badicnet.dual import GuardExceeded, dual_members
 from badicnet.nets import DigitalNet
 from badicnet.walsh import character_sums
 from oracles import brute_rho2, character_vec, digital_nets, loop_rank_mod_p, mu2_total
@@ -65,7 +65,7 @@ def test_enumeration_below_box():
 
 def test_enumeration_guard():
     net = hammersley_matrices(2, 3, 6)
-    with pytest.raises(ValueError, match="guard exceeded"):
+    with pytest.raises(GuardExceeded, match="guard exceeded"):
         dual_enumerate_below(net, 6, max_candidates=100)
 
 
@@ -728,9 +728,9 @@ def test_rho2_guards_count_what_the_lists_hold(b, m, n):
     count = sum(map(len, by_w.values()))
     pairs = sum(len(l1) * len(l2) for w1, l1 in by_w.items() for w2, l2 in by_w.items() if w1 + w2 <= cap)
     assert pairs > count
-    with pytest.raises(ValueError, match=rf"^guard exceeded: {count} candidates over cap {count - 1}$"):
+    with pytest.raises(GuardExceeded, match=rf"^guard exceeded: {count} candidates over cap {count - 1}$"):
         rho2_min_weight(net, cap, max_candidates=count - 1)
-    with pytest.raises(ValueError, match=rf"^guard exceeded: {pairs} candidate pairs over cap {pairs - 1}$"):
+    with pytest.raises(GuardExceeded, match=rf"^guard exceeded: {pairs} candidate pairs over cap {pairs - 1}$"):
         rho2_min_weight(net, cap, max_candidates=pairs - 1)
     res = rho2_min_weight(net, cap, max_candidates=pairs)
     assert (res.weight, res.witness) == per_k_rho2(net, cap)
@@ -740,7 +740,7 @@ def test_rho2_tuple_guard_names_the_tuples_beyond_the_plane():
     # the b = 3, m = n = 4 Faure net in three coordinates, C_j = P^(j-1) mod 3
     P = np.array([[math.comb(c, r) % 3 for c in range(4)] for r in range(4)], dtype=np.int64)
     net = DigitalNet(3, tuple(np.linalg.matrix_power(P, j) % 3 for j in range(3)))
-    with pytest.raises(ValueError, match=r"^guard exceeded: 4913 candidate 3-tuples over cap 1000$"):
+    with pytest.raises(GuardExceeded, match=r"^guard exceeded: 4913 candidate 3-tuples over cap 1000$"):
         rho2_min_weight(net, 8, max_candidates=1000)
 
 
@@ -778,7 +778,7 @@ def test_rho2_guard_trips_before_any_class_is_built(monkeypatch):
     net = truncated_sym_hammersley(2, 10, 40)
     count = closed_form_count(2, 40, 80)
     assert count == 2**40
-    with pytest.raises(ValueError, match=rf"^guard exceeded: {count} candidates over cap 1000$"):
+    with pytest.raises(GuardExceeded, match=rf"^guard exceeded: {count} candidates over cap 1000$"):
         rho2_min_weight(net, max_candidates=1000)
 
 

@@ -1,8 +1,12 @@
 """Kernel machinery and worst-case integration error, two routes."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +25,6 @@ from badicnet import (
     dual_contains,
     dual_enumerate_below,
     enumerate_points,
-    g_sub,
     hammersley_matrices,
     khat,
     ms_wce_spectral,
@@ -33,8 +36,9 @@ from badicnet import (
     wce_direct,
     wce_spectral,
 )
-from badicnet.badic import frequency_digits, g_add
-from badicnet.dual import _tuple_count, dual_scan
+import badicnet
+from badicnet.badic import frequency_digits
+from badicnet.dual import GuardExceeded, _tuple_count, dual_scan
 from badicnet.nets import point_numerators
 from badicnet.rkhs import _diag_tail
 from badicnet.walsh import character_exponent_table, character_sums
@@ -45,6 +49,8 @@ from oracles import (
     digit_negate,
     digital_nets,
     draw_shift,
+    g_add_loop,
+    g_sub_loop,
     gv_pi,
     kernel_eval,
     no_point_objects,
@@ -211,6 +217,15 @@ def test_frequencies_must_be_integers():
     with pytest.raises(TypeError):
         k.r((1.9, 0))
     assert khat(k, (np.int64(1), 0), (1, 0)) == k.r(np.array([1, 0])) == 0.25
+
+
+def test_coefficients_reject_a_vector_of_another_length():
+    # r((1,)) on a kernel with s = 2 read the vector as (1, 0) and gave 0.25
+    k = SpectralDiagonalKernel(2, 2, 1.0, (1.0, 1.0))
+    for ks in [(1,), (1, 0, 0)]:
+        for entry in (lambda: k.r(ks), lambda: k.r_rows(np.array([ks])), lambda: khat(k, ks, ks)):
+            with pytest.raises(ValueError, match="^incompatible elements: dimension mismatch$"):
+                entry()
 
 
 def test_non_kernels_are_a_type_error():
@@ -399,7 +414,7 @@ def test_band_limited_spectral_reads_the_box_scan_under_its_guard(data):
     k_digits = data.draw(st.integers(0, net.n).filter(lambda k: b ** (k * s) <= 125), label="k_digits")
     kern = BandLimitedKernel.random(b, s, k_digits, 3, np.random.default_rng(data.draw(st.integers(0, 99), label="seed")))
     T = kern.size
-    with pytest.raises(ValueError, match=rf"^guard exceeded: {T} candidates over cap {T - 1}$"):
+    with pytest.raises(GuardExceeded, match=rf"^guard exceeded: {T} candidates over cap {T - 1}$"):
         wce_spectral(net, kern, max_candidates=T - 1)
     got = wce_spectral(net, kern, max_candidates=T)
     assert (got.value, got.terms_used) == band_spectral_by_members(net, kern)
@@ -461,7 +476,7 @@ def test_shift_preserves_differences_and_errors():
     assert len(shifted) == len(pts)
     for i in (0, 3, 7):
         for j in (1, 5):
-            assert g_sub(pts[i].coords[0], pts[j].coords[0]) == g_sub(
+            assert g_sub_loop(pts[i].coords[0], pts[j].coords[0]) == g_sub_loop(
                 shifted[i].coords[0], shifted[j].coords[0]
             )
     # a digit-difference kernel cannot see the shift
@@ -646,8 +661,8 @@ def test_weighted_box_count_matches_generator():
 
 
 def shift_by_objects(points, sigma):
-    """The shifted point list, one g_add per coordinate of every point."""
-    return [GVector(tuple(g_add(zj, sj) for zj, sj in zip(z.coords, sigma.coords))) for z in points]
+    """The shifted point list, one g_add_loop per coordinate of every point."""
+    return [GVector(tuple(g_add_loop(zj, sj) for zj, sj in zip(z.coords, sigma.coords))) for z in points]
 
 
 def fraction_rows(points):
@@ -790,10 +805,35 @@ def test_qmc_on_point_sets_matches_the_symmetrized_net():
             assert got == qmc_integrate(pts, integrand, **params)
     with pytest.raises(ValueError, match="empty point set"):
         qmc_integrate(PointSet2(np.zeros((0, 2), dtype=np.int64), 1), "prod-exp")
+    for k in [(), (1,), (1, 0, 1)]:
+        with pytest.raises(ValueError, match="^incompatible elements: dimension mismatch$"):
+            qmc_integrate(sym_hammersley_points(2, 2), "walsh", k=k, base=2)
     # 1/7 has no eventually constant binary expansion
     with pytest.raises(ValueError, match="unsupported expansion"):
         qmc_integrate(PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 7))]), "walsh", k=(1, 1), base=2)
 
+
+
+def test_qmc_walsh_at_a_huge_base_builds_no_root_per_residue():
+    # the walsh integrand built the roots of all b residues: one point at
+    # b = 2^64 + 13 passed 4 GB of memory.  A child process under a 1 GB
+    # address-space limit fails on that, rather than taking the machine's memory.
+    b = 2**64 + 13
+    x = (project_pi_loop(GElement(b, (5, b - 1), 2)), project_pi_loop(GElement(b, (b - 2, 0), 0)))
+    k = (b + 3, 1)
+    script = "\n".join([
+        "import resource",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+        "from fractions import Fraction",
+        "from badicnet import PointSet2, qmc_integrate",
+        f"ps = PointSet2.from_fractions([tuple(map(Fraction, {[str(v) for v in x]!r}))])",
+        f"print(repr(qmc_integrate(ps, 'walsh', k={k!r}, base={b}).value))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(badicnet.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 0, run.stderr[-2000:]
+    want = walsh_eval_loop(k[0], x[0], b) * walsh_eval_loop(k[1], x[1], b)
+    assert abs(complex(run.stdout) - want) < 1e-15
 
 
 @settings(max_examples=60, deadline=None)

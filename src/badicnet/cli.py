@@ -243,9 +243,11 @@ def _csv_row(values) -> str:
 
 @dataclass(frozen=True)
 class _Skipped:
-    """A study row left out because its N^2 estimate is over --max-ops."""
+    """A study row left out because its estimate ops, by the formula that
+    charge names, is over --max-ops."""
 
     ops: int
+    charge: str = "N^2"
 
 
 def _write_study(args, header: str, rows, results, label="m={}".format) -> list:
@@ -260,7 +262,7 @@ def _write_study(args, header: str, rows, results, label="m={}".format) -> list:
         fh.write(header + "\n")
         for row, res in zip(rows, results):
             if isinstance(res, _Skipped):
-                print(f"warning: skipped {label(row)}: N^2 = {res.ops} over --max-ops {args.max_ops}", file=sys.stderr)
+                print(f"warning: skipped {label(row)}: {res.charge} = {res.ops} over --max-ops {args.max_ops}", file=sys.stderr)
                 continue
             fh.write(_csv_row(res))
             written.append(res)
@@ -268,9 +270,10 @@ def _write_study(args, header: str, rows, results, label="m={}".format) -> list:
 
 
 def cmd_study_discrepancy(args) -> int:
-    """One row per (kind, m, p).  The guard reads N from the matrices, so a
-    skipped (kind, m) builds no point set, and the others build theirs
-    once for all p."""
+    """One row per (kind, m, p).  The guard reads N from the matrices and
+    charges a row N^2, or N^2 p^2 for an even p >= 4, whose p + 1 exact
+    forms act on integers that widen with p.  A (kind, m) builds its point
+    set once, at its first row that fits, and none if no row fits."""
     kinds = args.kinds.split(",")
     ps = [int(p) if p.lstrip("+-").isdigit() else float(p) for p in args.p.split(",")]
     ms = _parse_m_range(args.m_range)
@@ -281,14 +284,18 @@ def cmd_study_discrepancy(args) -> int:
         for m in ms:
             net = _net_by_kind(kind, args.base, m, None)
             N = net.n_points
-            rows += [(kind, m, p) for p in ps]
-            if N * N > args.max_ops:
-                results += [_Skipped(N * N)] * len(ps)
-                continue
-            pts = to_point_set(net)
+            pts = None
             # log_b N: m digits for Hammersley, m+2 after symmetrization
             logn = m if kind == "hammersley" else m + 2
             for p in ps:
+                rows.append((kind, m, p))
+                even = p >= 4 and p % 2 == 0  # False for inf and nan
+                ops = N * N * int(p) ** 2 if even else N * N
+                if ops > args.max_ops:
+                    results.append(_Skipped(ops, "N^2 p^2" if even else "N^2"))
+                    continue
+                if pts is None:
+                    pts = to_point_set(net)
                 res = l2_star(pts) if p == 2 else lp_star(pts, p)
                 scaled = res.value * N / math.sqrt(logn)
                 results.append((kind, args.base, m, N, p, res.method, res.value, res.error_bound, scaled))

@@ -286,43 +286,36 @@ _GK_GAUSS[11::2] = _WG[::-1]
 _MAX_INTERVALS = 200
 
 
-def _gk21(A, v_lo, v_hi, p, start, stop, a, b):
-    """qk21 on every interval [a_k, b_k] of the sum of terms start_k .. stop_k - 1.
+def _gk21(A, v_lo, v_hi, p, term, a, b):
+    """qk21 on every interval [a_k, b_k] of term term_k.
 
     Term n is the inner integral over one count run of a grid row,
     int_{v_lo_n}^{v_hi_n} |A_n - t1 t2|^p dt2 with A_n the run's count over
     N, which is (w_lo |w_lo|^p - w_hi |w_hi|^p) / (t1 (p+1)) with
-    w = A_n - t1 v at v = v_lo_n and v_hi_n.  The (interval, term) pairs
-    are evaluated about _BLOCK values at a time.  Returns the Kronrod
+    w = A_n - t1 v at v = v_lo_n and v_hi_n.  The intervals are evaluated
+    _BLOCK // 21 at a time, about _BLOCK values.  Returns the Kronrod
     values and QUADPACK's error estimates.
     """
     hl = 0.5 * (b - a)
-    size = stop - start
-    ends = np.cumsum(size)
     # per interval: Kronrod and Gauss sums, and the Kronrod sums of |f| and |f - mean|
     sums = np.empty((4, len(a)))
-    s = 0
-    while s < len(a):
-        # intervals s .. e-1 with at most _BLOCK / 21 terms between them, or s alone
-        e = max(s + 1, int(np.searchsorted(ends, ends[s] - size[s] + _BLOCK // 21, side="right")))
-        n = size[s:e]
-        first = np.cumsum(n) - n  # each interval's first pair in the chunk
-        term = np.arange(first[-1] + n[-1]) + np.repeat(start[s:e] - first, n)
-        # nodes down, pairs across, so that every per-pair factor broadcasts
-        # along contiguous rows
+    step = _BLOCK // 21
+    for s in range(0, len(a), step):
+        e = s + step
+        n = term[s:e]
+        # nodes down, intervals across, so that every per-interval factor
+        # broadcasts along contiguous rows
         t = 0.5 * (a[s:e] + b[s:e]) + hl[s:e] * _GK_NODES[:, None]
-        ts = np.repeat(t, n, axis=1)
-        A_n = A[term]
-        w = A_n - ts * v_lo[term]
+        A_n = A[n]
+        w = A_n - t * v_lo[n]
         aw = np.abs(w)  # named: on a temporary, numpy takes the power in place, several times slower
-        inner = w * aw**p
-        w = A_n - ts * v_hi[term]
+        f = w * aw**p
+        w = A_n - t * v_hi[n]
         aw = np.abs(w)
-        inner -= w * aw**p
-        f = np.add.reduceat(inner, first, axis=1) / (t * (p + 1.0))
+        f -= w * aw**p
+        f /= t * (p + 1.0)
         resk = _GK_KRONROD @ f
         sums[:, s:e] = resk, _GK_GAUSS @ f, _GK_KRONROD @ np.abs(f), _GK_KRONROD @ np.abs(f - 0.5 * resk)
-        s = e
     resk, resg, resabs, resasc = sums * hl
     err = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -337,11 +330,11 @@ def _row_pieces(C, N, t_lo, t_hi, gyf):
 
     A run is a maximal stretch of cells in one row with the same count.  Its
     inner integral telescopes to the run's outer edges, so its only kinks
-    are t1 = A / v at its two ends.  Runs with neither kink strictly inside
-    their row share one piece per row; each other run gets its own pieces,
-    cut at its kinks, which carry only its term.  Returns the terms
-    (A, v_lo, v_hi), and per piece its terms start .. stop - 1, its
-    interval [a, b) and the height its terms cover in t2.
+    are t1 = A / v_hi <= A / v_lo at its two ends.  Each run's pieces are
+    its row's t1-interval cut at those kinks that fall strictly inside it:
+    one to three pieces, each carrying only the run's term.  Returns the
+    terms (A, v_lo, v_hi), and per piece its term, its interval [a, b) and
+    its run's height v_hi - v_lo in t2.
     """
     flat = np.flatnonzero(np.diff(C, axis=1, prepend=-1))  # every row starts a run
     r, j = np.divmod(flat, C.shape[1])
@@ -352,33 +345,14 @@ def _row_pieces(C, N, t_lo, t_hi, gyf):
     with np.errstate(divide="ignore", invalid="ignore"):
         # A / 0 and 0 / v never pass lo < t1, since counts and edges are >= 0
         k_lo, k_hi = A / v_lo, A / v_hi
-    in_lo = (lo < k_lo) & (k_lo < hi)
-    in_hi = (lo < k_hi) & (k_hi < hi)
-    kinked = in_lo | in_hi
-    smooth = ~kinked
-    n_smooth = int(smooth.sum())
-
-    # one piece per row over its smooth runs, which come in row order
-    rows, first, count = np.unique(r[smooth], return_index=True, return_counts=True)
-    height = v_hi[smooth] - v_lo[smooth]
-    row_height = np.add.reduceat(height, first) if n_smooth else height
-
-    # up to three pieces per kinked run, cut at k_hi < k_lo
-    kin = np.flatnonzero(kinked)
-    lo_k, hi_k = lo[kin], hi[kin]
-    cuts = np.stack((lo_k, np.where(in_hi[kin], k_hi[kin], lo_k), np.where(in_lo[kin], k_lo[kin], hi_k), hi_k))
+    k_hi = np.where((lo < k_hi) & (k_hi < hi), k_hi, lo)
+    k_lo = np.where((lo < k_lo) & (k_lo < hi), k_lo, hi)
+    cuts = np.stack((lo, k_hi, k_lo, hi))
     a, b = cuts[:-1].ravel(), cuts[1:].ravel()
-    run = np.tile(np.arange(n_smooth, n_smooth + len(kin)), 3)
+    term = np.tile(np.arange(len(A)), 3)
     wide = a < b
-    a, b, run = a[wide], b[wide], run[wide]
-
-    terms = tuple(np.concatenate((x[smooth], x[kin])) for x in (A, v_lo, v_hi))
-    start = np.concatenate((first, run))
-    stop = np.concatenate((first + count, run + 1))
-    a = np.concatenate((t_lo[rows], a))
-    b = np.concatenate((t_hi[rows], b))
-    height = np.concatenate((row_height, (v_hi - v_lo)[kin][run - n_smooth]))
-    return terms, start, stop, a, b, height
+    term = term[wide]
+    return (A, v_lo, v_hi), term, a[wide], b[wide], (v_hi - v_lo)[term]
 
 
 def _lp_quadrature(ps: PointSet2, p: float) -> DiscrepancyResult:
@@ -386,22 +360,23 @@ def _lp_quadrature(ps: PointSet2, p: float) -> DiscrepancyResult:
 
     The inner variable t2 is integrated in closed form over every count run
     of a grid row, and the outer t1 over the pieces _row_pieces cuts at the
-    runs' kinks, so the integrand is smooth on every piece.  All pieces of
-    a block of rows go through QUADPACK's 21-point rule at once, and only
-    the intervals whose error estimate is over their share of the 1e-10
-    budget are bisected: a piece of width w whose terms cover height h in
-    t2 is allowed max(1e-10 w h, 1e-12 |piece|) on the p-th power, shared
-    among its intervals by width.  The areas w h sum to 1 over the square.
-    A piece is split into at most _MAX_INTERVALS intervals; those still
-    over their share then are kept, and their estimates go into the error
-    bound.
+    runs' kinks: one run per piece, so the integrand is smooth on every
+    piece.  All pieces of a block of rows go through QUADPACK's 21-point
+    rule at once, and only the intervals whose error estimate is over their
+    share of the 1e-10 budget are bisected: a piece of width w whose run
+    covers height h in t2 is allowed max(1e-10 w h, 1e-12 |piece|) on the
+    p-th power, shared among its intervals by width.  The areas w h sum to
+    1 over the square.  A piece is split into at most _MAX_INTERVALS
+    intervals; those still over their share then are kept, and their
+    estimates go into the error bound.
 
-    A round costs O(runs + kinks) * 21 integrand terms.  On symmetrized
-    Hammersley sets (G = N/4 + 1 lines per axis) the first round takes
-    about 1.5 G^2 terms and later rounds few more, so the cost grows like
-    N^2 (on plain Hammersley sets, about G^2 / 2 terms): on a 2-vCPU Xeon
-    VM, sym_hammersley_points(2, m) takes about 0.05 s at N = 512,
-    0.12 / 0.13 s at N = 1024 and 1.2-1.9 s at N = 4096 for p = 1 / 1.5.
+    A round costs 21 integrand values per interval, and a run has at most
+    three pieces.  On symmetrized Hammersley sets (G = N/4 + 1 lines per
+    axis) the first round takes about 1.5 G^2 intervals and later rounds
+    few more, so the cost grows like N^2 (on plain Hammersley sets, about
+    G^2 / 2): on a 2-vCPU Xeon VM, sym_hammersley_points(2, m) takes
+    0.02-0.035 s at N = 512, 0.06-0.08 s at N = 1024 and 0.8-0.95 /
+    0.95-1.1 s at N = 4096 for p = 1 / 1.5.
     Counts, runs and pieces are built one block of rows at a time, and
     each block is integrated and summed before the next is built.
     """
@@ -413,14 +388,14 @@ def _lp_quadrature(ps: PointSet2, p: float) -> DiscrepancyResult:
     for i0, C in _count_blocks(ps, gx, gy):
         t_lo, t_hi = gxf[i0 : i0 + len(C)], gxf[i0 + 1 : i0 + 1 + len(C)]
         wide = t_lo < t_hi
-        terms, start, stop, a, b, height = _row_pieces(C[wide], N, t_lo[wide], t_hi[wide], gyf)
+        terms, term, a, b, height = _row_pieces(C[wide], N, t_lo[wide], t_hi[wide], gyf)
         n_pieces = len(a)
         piece = np.arange(n_pieces)
         held = np.ones(n_pieces, dtype=np.int64)  # intervals per piece
         allow = None
         block_vals, block_errs = [], []
         while len(a):
-            val, err = _gk21(*terms, p, start, stop, a, b)
+            val, err = _gk21(*terms, p, term, a, b)
             if allow is None:
                 # the piece's allowance per unit of width
                 allow = np.maximum(1e-10 * height, 1e-12 * np.abs(val) / (b - a))
@@ -430,7 +405,7 @@ def _lp_quadrature(ps: PointSet2, p: float) -> DiscrepancyResult:
             split &= held[piece] <= _MAX_INTERVALS
             block_vals.append(val[~split])
             block_errs.append(err[~split])
-            start, stop, piece = (np.tile(x[split], 2) for x in (start, stop, piece))
+            term, piece = (np.tile(x[split], 2) for x in (term, piece))
             a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
         vals.append(math.fsum(chain.from_iterable(block_vals)))
         errs.append(math.fsum(chain.from_iterable(block_errs)))

@@ -203,12 +203,16 @@ def residue_counts(digits: np.ndarray, tails: np.ndarray, K: np.ndarray, base: i
     about _TABLE_ENTRIES entries, so memory stays bounded for any number
     of frequencies, and each chunk's counts are one bincount, frequency t
     of the chunk counting its exponents offset by t b.  The three arrays
-    pass badic.integer_array as digits in [0, b).
+    pass badic.integer_array as digits in [0, b).  A (T, b) table that
+    numpy cannot allocate is a ValueError that names its shape.
     """
     digits = integer_array(digits, "point digits", shape=(None, None, None), below=base)
     tails = integer_array(tails, "tails", shape=(len(digits), digits.shape[1]), below=base)
     K = integer_array(K, "frequency digits", shape=(None, digits.shape[1], None), below=base)
-    counts = np.empty((len(K), base), dtype=np.int64)
+    try:
+        counts = np.empty((len(K), base), dtype=np.int64)
+    except (MemoryError, ValueError):  # past the address space, or past numpy's largest dimension
+        raise ValueError(f"residue counts need a ({len(K)}, {base}) table") from None
     step = max(1, _TABLE_ENTRIES // len(digits))
     for lo in range(0, len(K), step):
         E = _exponents(digits, tails, K[lo : lo + step], base)

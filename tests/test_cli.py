@@ -417,13 +417,33 @@ def test_skipped_study_rows_build_no_point_set(capsys, monkeypatch):
         "--kinds", "sym-hammersley",
     )
     assert code == 0
-    assert err == "".join(
-        f"warning: skipped ('sym-hammersley', 19, {p}): N^2 = {2**42} over --max-ops {1 << 28}\n" for p in (1, 2, 4)
+    assert err == (
+        f"warning: skipped ('sym-hammersley', 19, 1): N^2 = {2**42} over --max-ops {1 << 28}\n"
+        f"warning: skipped ('sym-hammersley', 19, 2): N^2 = {2**42} over --max-ops {1 << 28}\n"
+        f"warning: skipped ('sym-hammersley', 19, 4): N^2 p^2 = {2**46} over --max-ops {1 << 28}\n"
     )
     assert out == "# schema=1\nkind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn\n"
     code, out, err = run(capsys, "study", "convergence", "--base", "2", "--m-range", "20:20")
     assert code == 0
     assert err == f"warning: skipped m=20: N^2 = {2**44} over --max-ops {1 << 28}\n"
+
+
+def test_huge_even_p_is_charged_its_width(capsys, monkeypatch):
+    # the p + 1 exact forms of an even p act on integers of about p log2 D
+    # bits: p = 1e20 at N = 4 is charged N^2 p^2, far over the cap, and
+    # never reaches lp_star
+    import badicnet.cli
+
+    def refuse(ps, p):
+        raise AssertionError("a skipped row ran lp_star")
+
+    monkeypatch.setattr(badicnet.cli, "lp_star", refuse)
+    code, out, err = run(
+        capsys, "study", "discrepancy", "--base", "2", "--m-range", "2:2", "--p", "1e20", "--kinds", "hammersley"
+    )
+    assert code == 0
+    assert err == f"warning: skipped ('hammersley', 2, 1e+20): N^2 p^2 = {16 * 10**40} over --max-ops {1 << 28}\n"
+    assert out == "# schema=1\nkind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn\n"
 
 
 def test_study_builds_each_point_set_once(capsys, monkeypatch):

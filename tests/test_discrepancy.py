@@ -10,6 +10,7 @@ import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -583,6 +584,39 @@ def test_batched_quadrature_on_faces_ties_and_wide_denominators():
             _assert_quadrature_matches_oracle(ps, p)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(point_sets(max_points=6), run_point_sets()), st.sampled_from([1 << 14, 1]))
+def test_run_pieces_tile_their_rows(ps, block):
+    # every interval carries one term, a run's pieces tile its row's
+    # [t_lo, t_hi) cut exactly at its kinks A / v inside it, and widths
+    # times run heights sum to the area of the square, on which the 1e-10
+    # allowance of _lp_quadrature is shared out
+    gx, gy = discrepancy._grids(ps)
+    gxf, gyf = gx.astype(float) / ps.den, gy.astype(float) / ps.den
+    areas = []
+    with mock.patch.object(discrepancy, "_BLOCK", block):
+        for i0, C in discrepancy._count_blocks(ps, gx, gy):
+            t_lo, t_hi = gxf[i0 : i0 + len(C)], gxf[i0 + 1 : i0 + 1 + len(C)]
+            wide = t_lo < t_hi
+            C, t_lo, t_hi = C[wide], t_lo[wide], t_hi[wide]
+            (A, v_lo, v_hi), term, a, b, height = discrepancy._row_pieces(C, ps.n_points, t_lo, t_hi, gyf)
+            assert term.shape == a.shape == b.shape == height.shape and term.dtype.kind == "i"
+            row = np.repeat(np.arange(len(C)), 1 + np.count_nonzero(np.diff(C, axis=1), axis=1))
+            assert len(row) == len(A) and np.all(a < b)
+            for n in range(len(A)):
+                mine = np.flatnonzero(term == n)
+                lo, hi = a[mine], b[mine]
+                order = np.argsort(lo)
+                lo, hi = lo[order], hi[order]
+                assert lo[0] == t_lo[row[n]] and hi[-1] == t_hi[row[n]] and np.array_equal(hi[:-1], lo[1:])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    kinks = {k for k in (A[n] / v_lo[n], A[n] / v_hi[n]) if t_lo[row[n]] < k < t_hi[row[n]]}
+                assert set(hi[:-1]) == kinks
+                assert np.all(height[mine] == v_hi[n] - v_lo[n])
+            areas += list((b - a) * height)
+    assert abs(math.fsum(areas) - 1) <= 1e-12
+
+
 def test_quadrature_matches_exact_even_p():
     # on the p-th power: |value^p - exact| <= (value + bound)^p - value^p
     sets = (
@@ -598,9 +632,9 @@ def test_quadrature_matches_exact_even_p():
 
 
 def test_quadrature_cost_grows_like_the_cell_count(monkeypatch):
-    # one term is one count run of a row evaluated over one interval at 21
-    # nodes.  Each run takes part in at most three pieces, so the first
-    # round stays within a small multiple of the cell count, and the total
+    # one term is one interval of one count run of a row, evaluated at 21
+    # nodes.  Each run has at most three pieces, so the first round stays
+    # within a small multiple of the cell count, and the total
     # grows like G^2 (4x per doubling of G), not like the G^3 (8x) of
     # summing every piece over all G cells of its row
     real_gk21, real_blocks = discrepancy._gk21, discrepancy._count_blocks
@@ -611,12 +645,11 @@ def test_quadrature_cost_grows_like_the_cell_count(monkeypatch):
             tally["fresh"] = True
             yield block
 
-    def gk21(A, v_lo, v_hi, p, start, stop, a, b):
-        terms = int((stop - start).sum())
-        tally["total"] += terms
+    def gk21(A, v_lo, v_hi, p, term, a, b):
+        tally["total"] += len(term)
         if tally.pop("fresh", False):
-            tally["first"] += terms
-        return real_gk21(A, v_lo, v_hi, p, start, stop, a, b)
+            tally["first"] += len(term)
+        return real_gk21(A, v_lo, v_hi, p, term, a, b)
 
     monkeypatch.setattr(discrepancy, "_count_blocks", count_blocks)
     monkeypatch.setattr(discrepancy, "_gk21", gk21)
@@ -635,9 +668,10 @@ def test_quadrature_cost_grows_like_the_cell_count(monkeypatch):
 
 def test_row_blocks_give_the_one_block_results(monkeypatch):
     # blocks of a few rows carry the running column histogram across block
-    # edges, and chunks of at most three terms split the pieces; the exact
+    # edges, and chunks of three intervals split each round; the exact
     # kernels must not move, the quadrature only within its bounds (its
-    # pieces are the same, its sums over chunks are not)
+    # pieces and intervals are the same, but the per-block fsums differ,
+    # and the BLAS node sums round differently with the chunk width)
     big = (1 << 45) + 7
     sets = _random_sets(6, 9, 9, seed=41) + [
         sym_hammersley_points(2, 4),

@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from badicnet import (
     walsh_eval,
     walsh_exponent,
 )
+import badicnet
 from badicnet import walsh
 from badicnet.badic import frequency_digits
 from badicnet.nets import NetPoints
@@ -376,6 +381,33 @@ def test_residue_counts_are_the_character_sums():
     per_point = [tuple(sum(character_vec(k, z).e == r for z in pts) for r in range(3)) for k in ks]
     assert [cs.counts for cs in character_sums(pts, ks)] == per_point
     assert residue_counts(digits, tails, frequency_digits([], 3, 2, 0), 3).shape == (0, 3)
+
+
+def test_residue_counts_name_a_table_numpy_cannot_allocate():
+    # one frequency at one point needs a (1, b) count table: 8 TiB at
+    # b = 2^40 + 15, past numpy's largest dimension at b = 2^64 + 13.  A
+    # child process under a 1 GB address-space limit fails on the first,
+    # rather than taking the machine's memory.
+    script = "\n".join([
+        "import resource",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+        "import numpy as np",
+        "from badicnet import DigitalNet, enumerate_points",
+        "from badicnet.walsh import character_sums",
+        "for b in (2**40 + 15, 2**64 + 13):",
+        "    net = DigitalNet(b, (np.zeros((1, 0), dtype=np.int64),) * 2)",
+        "    try:",
+        "        character_sums(enumerate_points(net), [(1, 0)])",
+        "    except ValueError as exc:",
+        "        print(exc)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(badicnet.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.splitlines() == [
+        f"residue counts need a (1, {2**40 + 15}) table",
+        f"residue counts need a (1, {2**64 + 13}) table",
+    ]
 
 
 @pytest.mark.parametrize("b, m, n, entries", [(3, 3, 4, 1 << 20), (257, 1, 2, 1000), (2, 5, 6, 64)])

@@ -181,22 +181,19 @@ def linear_table(rows: np.ndarray, base: int) -> np.ndarray:
     return table
 
 
-_INT64_SAFE_DEN = 1 << 40  # past this, numerators switch to Python ints
-
-
 def numerators(digits: np.ndarray, tails: np.ndarray, base: int) -> tuple[np.ndarray, int]:
     """Exact values of digit arrays as numerators over den = b^n (b - 1).
 
     A coordinate with digits d_1..d_n and constant tail c has value
     (sum_i d_i b^(n-i) (b - 1) + c) / (b^n (b - 1)).  The (..., s)
     numerators of (..., s, n) digits and (..., s) tails come from one
-    matrix product, in int64 while den <= 2^40, where num / den in float64
-    is the correctly rounded decimal of the point CSV, and in Python ints
-    past that (not the 2^63 rule of the other entries).
+    matrix product, in int64 while den < 2^63 and in Python ints past
+    that: every partial sum is at most den, since sum_i d_i b^(n-i) <= b^n - 1
+    and c <= b - 1.
     """
     b, n = base, digits.shape[-1]
     den = b**n * (b - 1)
-    dtype = np.int64 if den <= _INT64_SAFE_DEN else object
+    dtype = np.int64 if den < 1 << 63 else object
     weights = np.array([b**e for e in range(n - 1, -1, -1)], dtype=dtype)
     nums = (digits.astype(dtype, copy=False) @ weights) * (b - 1) + tails.astype(dtype, copy=False)
     return nums, den

@@ -271,9 +271,10 @@ def _write_study(args, header: str, rows, results, label="m={}".format) -> list:
 
 def cmd_study_discrepancy(args) -> int:
     """One row per (kind, m, p).  The guard reads N from the matrices and
-    charges a row N^2, or N^2 p^2 for an even p >= 4, whose p + 1 exact
-    forms act on integers that widen with p.  A (kind, m) builds its point
-    set once, at its first row that fits, and none if no row fits."""
+    charges a row N^2, N log^2 N (log N = ceil(log2 N), l2_star's sweep)
+    for p = 2, or N^2 p^2 for an even p >= 4, whose p + 1 exact forms act
+    on integers that widen with p.  A (kind, m) builds its point set once,
+    at its first row that fits, and none if no row fits."""
     kinds = args.kinds.split(",")
     ps = [int(p) if p.lstrip("+-").isdigit() else float(p) for p in args.p.split(",")]
     ms = _parse_m_range(args.m_range)
@@ -290,9 +291,9 @@ def cmd_study_discrepancy(args) -> int:
             for p in ps:
                 rows.append((kind, m, p))
                 even = p >= 4 and p % 2 == 0  # False for inf and nan
-                ops = N * N * int(p) ** 2 if even else N * N
+                ops = N * (N - 1).bit_length() ** 2 if p == 2 else N * N * int(p) ** 2 if even else N * N
                 if ops > args.max_ops:
-                    results.append(_Skipped(ops, "N^2 p^2" if even else "N^2"))
+                    results.append(_Skipped(ops, "N log^2 N" if p == 2 else "N^2 p^2" if even else "N^2"))
                     continue
                 if pts is None:
                     pts = to_point_set(net)
@@ -343,8 +344,9 @@ def cmd_study_convergence(args) -> int:
         ham_net = hammersley_matrices(args.base, m)
         sym_net = symmetrize_matrices(ham_net)
         N = max(ham_net.n_points, sym_net.n_points)
-        if N * N > args.max_ops:
-            return _Skipped(N * N)
+        ops = N * (N - 1).bit_length() ** 2
+        if ops > args.max_ops:
+            return _Skipped(ops, "N log^2 N")
         ham, sym = to_point_set(ham_net), to_point_set(sym_net)
         l2h = l2_star(ham).value
         l2s = l2_star(sym).value

@@ -50,10 +50,10 @@ def _peak(a: np.ndarray) -> int:
 
 
 def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
-    """sum_i x_i y_i, exact: in int64 when neither array is object dtype
-    and max|x| max|y| N < 2^63, which bounds every partial sum; in Python
+    """sum_i x_i y_i, exact: as the arrays are while max|x| max|y| N < 2^63,
+    which bounds every partial sum (int64 arrays stay in int64), in Python
     ints past that."""
-    if x.dtype != object and y.dtype != object and _peak(x) * _peak(y) * len(x) < 1 << 63:
+    if _peak(x) * _peak(y) * len(x) < 1 << 63:
         return int(np.dot(x, y))
     return int(np.dot(x.astype(object), y.astype(object)))
 
@@ -122,23 +122,19 @@ def l2_star(ps: PointSet2) -> DiscrepancyResult:
     evaluated in integer arithmetic over the common denominator.  The pair
     sum runs as a dominance sweep in O(N log^2 N) (the planar case of
     S. Heinrich, Math. Comp. 65 (1996)), whose per-bit sorts are radix
-    sorts while at most 2^16 distinct y values occur.  Each step stays in
-    int64 while its own bound holds, and only a step past it moves to
-    Python ints: a dot over N terms while max|x| max|y| N < 2^63, which
-    for numerators in [0, D] is N D^4 < 2^63 for the first sum and
-    N^2 D^2 < 2^63 for the pair sum; the sweep's sums while N D < 2^63.
-    Object numerators take Python ints throughout.
+    sorts while at most 2^16 distinct y values occur.  The numerators are
+    read as PointSet2 holds them, int64 while D < 2^63; they lie in [0, D],
+    and so do D - x and its sort key.  Each later step leaves int64 only
+    past its own bound: a dot over N terms at max|x| max|y| N >= 2^63, so
+    N D^4 for the first sum and N^2 D^2 for the pair sum; the sweep at N D.
     """
     N = ps.n_points
     if N == 0:
         raise ValueError("empty point set")
     D = ps.den
-    top = max(D, _peak(ps.nums))
-    # D - x, and the sort key made from it, stay in int64 while top < 2^61
-    wide = ps.nums.dtype == object or top >= 1 << 61
-    x, y = ps.nums.astype(object if wide else np.int64, copy=False).T
+    x, y = ps.nums.T
     s3 = _pair_min_sum(D - x, D - y)
-    if top >= 1 << 31:  # D^2 - x^2 would leave int64
+    if D >= 1 << 31:  # D^2 - x^2 would leave int64
         x, y = x.astype(object), y.astype(object)
     s2 = _exact_dot(D * D - x * x, D * D - y * y)
     l2sq = Fraction(1, 9) - Fraction(s2, 2 * N * D**4) + Fraction(s3, N * N * D * D)
@@ -422,14 +418,15 @@ def linf_star(ps: PointSet2) -> DiscrepancyResult:
     On each grid cell the sup is attained in the limit at the lower
     corner (count held, box shrunk) or at the closed upper corner, so a
     sweep over both corner families suffices.  One block of grid rows at a
-    time, the scaled corner values count * D^2 - N u v are integers bounded
-    by N D^2: int64 while that stays below 2^61, python ints past it.
+    time, the scaled corner values count * D^2 - N u v are integers, and
+    counts in [0, N] and u, v in [0, D] bound them and both terms by N D^2:
+    int64 while N D^2 < 2^63, Python ints past it.
     """
     N, D = ps.n_points, ps.den
     if N == 0:
         raise ValueError("empty point set")
     gx, gy = _grids(ps)
-    dtype = np.int64 if ps.nums.dtype != object and N * D * D < (1 << 61) else object
+    dtype = np.int64 if N * D * D < 1 << 63 else object
     nu, v = N * gx.astype(dtype), gy.astype(dtype)
     best_num = 0
     for i0, C in _count_blocks(ps, gx, gy):

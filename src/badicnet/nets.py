@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .badic import _INT64_SAFE_DEN, GElement, GVector, add_mod, frequency_digits, integer_array, linear_table, mod_product, numerators
+from .badic import GElement, GVector, add_mod, frequency_digits, integer_array, linear_table, mod_product, numerators
 
 # net point rows per block of digit arrays (numerators, the diagonal-kernel
 # group sum), of GVectors when iterating and of CSV rows per write: larger
@@ -191,8 +191,8 @@ def require_net_points(points, entry: str) -> NetPoints:
 class PointSet2:
     """Planar multiset of exact rationals in [0, 1]^2, stored as integer
     numerators in [0, den] over one common positive denominator, both read
-    by badic.integer_array.  Numerator dtype falls back to python ints when
-    the denominator is large enough to threaten int64 arithmetic."""
+    by badic.integer_array.  The numerators are int64 exactly when
+    den < 2^63, which bounds them, and Python ints when den does not fit."""
 
     nums: np.ndarray  # (N, 2)
     den: int
@@ -204,7 +204,7 @@ class PointSet2:
             raise ValueError(f"{rule}: den holds {den}")
         rule = "numerators must be integers in [0, den], which puts no point outside the unit square"
         nums = integer_array(self.nums, "numerators", shape=(None, 2), below=den + 1, rule=rule)
-        if den > _INT64_SAFE_DEN and nums.dtype != object:
+        if den >= 1 << 63 and nums.dtype != object:
             nums = nums.astype(object)
             nums.setflags(write=False)
         object.__setattr__(self, "nums", nums)
@@ -360,8 +360,8 @@ def points_to_csv(points: NetPoints, stream) -> None:
     assembled from the cells by lookup, _ROW_BLOCK rows per write.  Each
     value num/den is reduced by gcd(num, den), so the cells do not depend
     on the number n of the net's digit rows, and its decimal is the
-    correctly rounded quotient: int64 numerators and den <= 2^40 are
-    exact in float64, and Python ints divide exactly rounded too.
+    correctly rounded quotient: in float64 while den <= 2^53, where both
+    operands are exact, and as a true division of Python ints past that.
     """
     nums, den = point_numerators(require_net_points(points, "points_to_csv"))
     stream.write("# schema=1\n")
@@ -369,7 +369,8 @@ def points_to_csv(points: NetPoints, stream) -> None:
     stream.write(",".join(f"x{j}_frac,x{j}" for j in range(1, s + 1)) + "\n")
     values, inverse = np.unique(nums, return_inverse=True)
     g = np.gcd(values, den)
-    cells = [f"{p}/{q},{x!r}" for p, q, x in zip((values // g).tolist(), (den // g).tolist(), (values / den).tolist())]
+    quotients = (values if den <= 1 << 53 else values.astype(object)) / den
+    cells = [f"{p}/{q},{x!r}" for p, q, x in zip((values // g).tolist(), (den // g).tolist(), quotients.tolist())]
     # cell k + U (U distinct values) is cell k closing its row
     table = np.array([c + "," for c in cells] + [c + "\n" for c in cells], dtype=object)
     keys = inverse.reshape(nums.shape)

@@ -11,10 +11,11 @@ of the same names are one-row calls of its array paths, and no function
 here calls one of them (tests/test_oracles.py checks that).  Also here:
 the closed forms of the two Hammersley point sets, the local discrepancy
 and the mu2 sum of a frequency vector, the random nets the property
-tests draw, the guard that fails a call building point objects, the CSV
-helpers, and the scalar loops behind the stacked ranks over F_p and the
-cyclotomic identities: one Gauss elimination per matrix and one
-polynomial division per character sum.
+tests draw, the guard that fails a call building point objects, the
+numpy spy that records object-dtype work, the CSV helpers, and the scalar
+loops behind the stacked ranks over F_p and the cyclotomic identities:
+one Gauss elimination per matrix and one polynomial division per
+character sum.
 """
 
 import io
@@ -415,6 +416,51 @@ def no_point_objects(classes=(GElement, GVector)):
         for cls in classes:
             mp.setattr(cls, "__post_init__", refuse)
         yield
+
+
+class NumpySpy:
+    """Stands in for numpy in a module: records the key dtype of every
+    argsort and the name of every numpy function or ufunc call that takes
+    or returns an object-dtype array.  A ufunc's methods (np.add.at) and
+    array methods and operators are not seen."""
+
+    def __init__(self):
+        self.keys, self.object_calls = [], []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if not callable(fn) or isinstance(fn, type):
+            return fn
+        return _SpiedCall(self, name, fn)
+
+
+class _SpiedCall:
+    """One numpy callable seen through a NumpySpy; its attributes are the callable's."""
+
+    def __init__(self, spy: NumpySpy, name: str, fn):
+        self.spy, self.name, self.fn = spy, name, fn
+
+    def __getattr__(self, attr):
+        return getattr(self.fn, attr)
+
+    def __call__(self, *args, **kwargs):
+        out = self.fn(*args, **kwargs)
+        if self.name == "argsort":
+            self.spy.keys.append(np.asarray(args[0]).dtype)
+        seen = (*args, *kwargs.values(), *(out if isinstance(out, tuple) else (out,)))
+        if any(isinstance(a, np.ndarray) and a.dtype == object for a in seen):
+            self.spy.object_calls.append(self.name)
+        return out
+
+
+@contextmanager
+def numpy_spy(*modules):
+    """Inside, the numpy of every module given is one NumpySpy, yielded."""
+    spy = NumpySpy()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in modules:
+            mp.setattr(module, "np", spy)
+        yield spy
 
 
 def csv_text(points) -> str:

@@ -278,7 +278,7 @@ def test_study_discrepancy_max_ops_skips(capsys):
     assert code == 0
     assert "skipped" in err
     lines = [l for l in out.strip().splitlines() if not l.startswith("#")]
-    # sym-hammersley m=5 has 128 points, 128^2 > 4000 ops
+    # sym-hammersley m=5 has 128 points, charged 128 * 7^2 = 6272 > 4000 ops
     assert not any(l.startswith("sym-hammersley,2,5") for l in lines)
 
 
@@ -385,15 +385,16 @@ def test_parameter_errors_exit_two(capsys):
 def test_study_skip_warnings_state_cost_and_cap(capsys):
     code, _, err = run(
         capsys, "study", "discrepancy", "--base", "2", "--m-range", "4:4", "--p", "2",
-        "--max-ops", "4000",
+        "--max-ops", "2000",
     )
     assert code == 0
     # sym-hammersley m=4 has 64 points; hammersley m=4 (16 points) runs
-    assert err == "warning: skipped ('sym-hammersley', 4, 2): N^2 = 4096 over --max-ops 4000\n"
-    for study in ("convergence", "wce"):
+    assert err == "warning: skipped ('sym-hammersley', 4, 2): N log^2 N = 2304 over --max-ops 2000\n"
+    # m=3: 32 symmetrized points, charged 32 * 5^2 by the L_2 study, 32^2 by the WCE study
+    for study, charge in (("convergence", "N log^2 N = 800"), ("wce", "N^2 = 1024")):
         code, out, err = run(capsys, "study", study, "--base", "2", "--m-range", "3:3", "--max-ops", "100")
         assert code == 0
-        assert err == "warning: skipped m=3: N^2 = 1024 over --max-ops 100\n"
+        assert err == f"warning: skipped m=3: {charge} over --max-ops 100\n"
         assert [l for l in out.splitlines() if not l.startswith("#")][1:] == []
 
 
@@ -419,13 +420,13 @@ def test_skipped_study_rows_build_no_point_set(capsys, monkeypatch):
     assert code == 0
     assert err == (
         f"warning: skipped ('sym-hammersley', 19, 1): N^2 = {2**42} over --max-ops {1 << 28}\n"
-        f"warning: skipped ('sym-hammersley', 19, 2): N^2 = {2**42} over --max-ops {1 << 28}\n"
+        f"warning: skipped ('sym-hammersley', 19, 2): N log^2 N = {2**21 * 21**2} over --max-ops {1 << 28}\n"
         f"warning: skipped ('sym-hammersley', 19, 4): N^2 p^2 = {2**46} over --max-ops {1 << 28}\n"
     )
     assert out == "# schema=1\nkind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn\n"
     code, out, err = run(capsys, "study", "convergence", "--base", "2", "--m-range", "20:20")
     assert code == 0
-    assert err == f"warning: skipped m=20: N^2 = {2**44} over --max-ops {1 << 28}\n"
+    assert err == f"warning: skipped m=20: N log^2 N = {2**22 * 22**2} over --max-ops {1 << 28}\n"
 
 
 def test_huge_even_p_is_charged_its_width(capsys, monkeypatch):

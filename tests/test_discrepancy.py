@@ -29,7 +29,7 @@ from badicnet import (
 )
 from badicnet import discrepancy
 from badicnet.discrepancy import _lp_even_exact, _lp_quadrature
-from oracles import local_discrepancy
+from oracles import local_discrepancy, numpy_spy
 
 
 def _grid(vals):
@@ -204,17 +204,21 @@ def test_linf_matches_brute_force():
     assert linf_star(ham).exact == brute_linf(ham)
     sym = sym_hammersley_points(2, 2)
     assert linf_star(sym).exact == brute_linf(sym)
-    # N D^2 = 2^61 exactly: the first set whose row sweep runs in python ints
-    trunc = to_point_set(truncated_sym_hammersley(2, 3, 28))
-    assert trunc.nums.dtype != object and trunc.n_points * trunc.den**2 == 1 << 61
-    assert linf_star(trunc).exact == brute_linf(trunc)
-    # object numerators over den >= 2^45, more than two points
+    # N D^2 = 2^63 exactly: the first set whose row sweep runs in Python
+    # ints; one digit less (N D^2 = 2^61) it runs in int64
+    for n, python_ints in ((28, False), (29, True)):
+        trunc = to_point_set(truncated_sym_hammersley(2, 3, n))
+        assert trunc.nums.dtype == np.int64 and trunc.n_points * trunc.den**2 == 1 << (2 * n + 5)
+        with numpy_spy(discrepancy) as spy:
+            assert linf_star(trunc).exact == brute_linf(trunc)
+        assert bool(spy.object_calls) == python_ints
+    # numerators over den >= 2^45, given as Python ints, more than two points
     big = (1 << 45) + 7
     wide = PointSet2.from_fractions(
         [(Fraction(k * 7919 % big, big), Fraction((k * k * 104729 + 1) % big, big)) for k in range(9)]
         + [(Fraction(1), Fraction(1, 3)), (Fraction(0), Fraction(1))]
     )
-    assert wide.nums.dtype == object and wide.den >= 1 << 45
+    assert wide.den >= 1 << 45
     assert linf_star(wide).exact == brute_linf(wide)
 
 
@@ -295,15 +299,25 @@ def point_sets(draw, max_points=8):
     """Numerators over a drawn denominator, kept as drawn (not reduced).
 
     Coordinates favour 0, D and a small pool of values, so repeated x and y
-    values and points on the faces are common.  Denominators past 2^40 get
-    object-dtype numerators, as PointSet2.from_fractions gives them; int64
-    ones up to 2^62 push N D past 2^62.
+    values and points on the faces are common.  Numerators over
+    denominators in [2^45, 2^50] are handed over as Python ints, as
+    PointSet2.from_fractions gives them.  PointSet2 keeps every numerator
+    over a den below 2^63 in int64, and dens from 2^58 on push N D and
+    N D^2 past 2^63; from den = 2^63 on the numerators are Python ints.
     """
-    den = draw(st.one_of(st.integers(1, 16), st.integers(1 << 45, 1 << 50), st.integers(1 << 58, 1 << 62)))
+    den = draw(
+        st.one_of(
+            st.integers(1, 16),
+            st.integers(1 << 45, 1 << 50),
+            st.integers(1 << 58, 1 << 62),
+            st.integers(1 << 61, (1 << 63) - 1),
+            st.integers(1 << 63, 1 << 70),
+        )
+    )
     pool = draw(st.lists(st.integers(0, den), min_size=1, max_size=3)) + [0, den]
     coord = st.one_of(st.sampled_from(pool), st.integers(0, den))
     nums = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=max_points))
-    dtype = object if (1 << 45) <= den < (1 << 58) else np.int64
+    dtype = object if (1 << 45) <= den < (1 << 58) or den >= 1 << 63 else np.int64
     return PointSet2(np.array(nums, dtype=dtype).reshape(len(nums), 2), den)
 
 
@@ -319,6 +333,12 @@ def test_l2_dominance_sweep_matches_pair_sum(ps):
 @given(point_sets(max_points=6))
 def test_l2_dominance_sweep_matches_brute_cells(ps):
     assert l2_star(ps).exact == brute_l2sq(ps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(max_points=6))
+def test_linf_sweep_matches_brute_force_on_drawn_sets(ps):
+    assert linf_star(ps).exact == brute_linf(ps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,10 +384,11 @@ def test_l2_dominance_sweep_on_larger_sets():
 def tied_point_sets(draw, max_points=300):
     """Up to max_points points over a denominator drawn on both sides of
     each int64 bound of l2_star: N D^4 < 2^63 (first sum), N^2 D^2 < 2^63
-    (pair sum), D < 2^31 and 2^61 (numerators), N D < 2^63 (sweep), and
-    past int64.  Coordinates come from a small pool that holds 0 and D
+    (pair sum), D < 2^31 (D^2 - x^2), N D < 2^63 (sweep), and D < 2^63
+    (numerators).  Coordinates come from a small pool that holds 0 and D
     (ties, points on the upper faces) or at random, some points repeat
-    earlier ones, and the numerators are sometimes object dtype."""
+    earlier ones, and the numerators are sometimes handed over as Python
+    ints."""
     den = draw(
         st.one_of(
             st.integers(1, 64),
@@ -399,31 +420,6 @@ def test_l2_int64_sweep_matches_pair_sum_on_tied_sets(ps):
     assert l2_star(ps).exact == pair_sum_l2sq(ps)
 
 
-class NumpySpy:
-    """Stands in for numpy in the discrepancy module: records the key
-    dtype of every argsort and the name of every numpy function that takes
-    or returns an object-dtype array."""
-
-    def __init__(self):
-        self.keys, self.object_calls = [], []
-
-    def __getattr__(self, name):
-        fn = getattr(np, name)
-        if not callable(fn) or isinstance(fn, (type, np.ufunc)):
-            return fn
-
-        def spied(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            if name == "argsort":
-                self.keys.append(np.asarray(args[0]).dtype)
-            seen = (*args, *kwargs.values(), *(out if isinstance(out, tuple) else (out,)))
-            if any(isinstance(a, np.ndarray) and a.dtype == object for a in seen):
-                self.object_calls.append(name)
-            return out
-
-        return spied
-
-
 class SpiedArray(np.ndarray):
     """Numerators that record every astype target and every object-dtype
     array derived from them."""
@@ -441,10 +437,8 @@ class SpiedArray(np.ndarray):
 
 
 def _spied_l2(ps):
-    spy = NumpySpy()
     SpiedArray.casts, SpiedArray.objects = [], []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(discrepancy, "np", spy)
+    with numpy_spy(discrepancy) as spy:
         res = l2_star(PointSet2(ps.nums.view(SpiedArray), ps.den))
     return res, spy
 
@@ -458,14 +452,25 @@ def test_l2_fast_path_stays_in_int64_with_narrow_keys():
         assert spy.object_calls == [] and SpiedArray.objects == []
         assert np.dtype(object) not in SpiedArray.casts
         assert spy.keys and all(key.kind == "u" and key.itemsize <= 2 for key in spy.keys)
-    # past the int64 bound of the dots (D = 2^28, N = 1024) only the three
-    # dots move to Python ints, not the work per rank bit
-    _, spy = _spied_l2(to_point_set(truncated_sym_hammersley(2, 8, 28)))
-    assert spy.object_calls == ["dot"] * 3
+    # past the int64 bound of the dots (D = 2^28 and 2^41, N = 1024) only
+    # the three dots move to Python ints, not the work per rank bit
+    for n in (28, 41):
+        _, spy = _spied_l2(to_point_set(truncated_sym_hammersley(2, 8, n)))
+        assert spy.object_calls == ["dot"] * 3
     # the spies see object arrays where there are some
     den = (1 << 45) + 7
     _, spy = _spied_l2(PointSet2(np.array([[1, den], [den // 3, 17]], dtype=object), den))
     assert "dot" in spy.object_calls and SpiedArray.objects
+
+
+def test_linf_sweep_stays_in_int64_below_2_63():
+    # pinned without timing: N D^2 = 2^62 (N = 1024, D = 2^26) sweeps its
+    # corners in int64
+    ps = to_point_set(truncated_sym_hammersley(2, 8, 26))
+    assert ps.n_points * ps.den**2 == 1 << 62
+    with numpy_spy(discrepancy) as spy:
+        res = linf_star(ps)
+    assert spy.object_calls == [] and res.exact == linf_star(ps).exact
 
 
 def test_l2_sweep_widens_its_key_past_2_16_ranks():

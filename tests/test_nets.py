@@ -22,7 +22,7 @@ from badicnet import (
     to_point_set,
     truncated_sym_hammersley,
 )
-from badicnet import nets as netsmod
+from badicnet import badic as badicmod, nets as netsmod
 from badicnet.badic import GElement, GVector
 from badicnet.nets import NetPoints
 from oracles import (
@@ -33,6 +33,7 @@ from oracles import (
     gv_pi,
     hammersley_closed_form,
     no_point_objects,
+    numpy_spy,
     per_point_csv,
     project_pi_loop,
     sym_hammersley_closed_form,
@@ -454,7 +455,10 @@ def test_points_csv_from_digit_arrays_matches_per_point_writer():
         symmetrize_matrices(hammersley_matrices(5, 1, 3)),
         tailed,
         truncated_sym_hammersley(3, 2, 6),
-        truncated_sym_hammersley(2, 2, 45),  # den 2^45: numerators in python ints
+        truncated_sym_hammersley(2, 2, 45),  # den 2^45: int64 numerators, exact float64 quotients
+        truncated_sym_hammersley(3, 4, 32),  # den 2 3^32 < 2^53: quotients in float64
+        truncated_sym_hammersley(3, 4, 34),  # den 2 3^34 > 2^53: quotients of Python ints
+        truncated_sym_hammersley(2, 2, 63),  # den 2^63: numerators in Python ints
     ]
     for net in nets:
         pts = enumerate_points(net)
@@ -488,7 +492,10 @@ def test_points_csv_over_several_blocks_matches_per_point_writer():
         # each value repeats 3 times per coordinate, 3^6 or 3^5 rows apart, across blocks
         (symmetrize_matrices(hammersley_matrices(3, 5, 7)), 3**6),
         (hammersley_matrices(2, 11, 13), 2**11),  # every value distinct
-        (truncated_sym_hammersley(2, 2, 45), 2**3),  # den 2^45: numerators in python ints
+        (truncated_sym_hammersley(2, 2, 45), 2**3),  # den 2^45: int64 numerators
+        (truncated_sym_hammersley(3, 4, 32), 3**5),  # den 2 3^32 < 2^53: quotients in float64
+        # den 2 3^34 > 2^53: a float64 quotient would change 175 of the 243 decimals
+        (truncated_sym_hammersley(3, 4, 34), 3**5),
     ],
 )
 def test_deduplicated_csv_matches_per_point_writer(net, distinct):
@@ -540,12 +547,31 @@ def test_points_csv_examples_cover_disjoint_and_wide_nets():
 
 
 def test_point_set_past_int64_matches_projection():
-    # den 2^45 without tails; den 4 * 5^25 with tails and values past 2^53
-    for net in (truncated_sym_hammersley(2, 2, 45), symmetrize_matrices(hammersley_matrices(5, 1, 25))):
+    # den 2^45 without tails and den 4 * 5^25 with tails and values past
+    # 2^53 keep int64 numerators; den 2^63 does not fit int64
+    nets = [
+        (truncated_sym_hammersley(2, 2, 45), np.int64),
+        (symmetrize_matrices(hammersley_matrices(5, 1, 25)), np.int64),
+        (truncated_sym_hammersley(2, 2, 63), object),
+    ]
+    for net, dtype in nets:
         ps = to_point_set(net)
-        assert ps.den > 1 << 40 and ps.nums.dtype == object
+        assert ps.nums.dtype == dtype and (ps.den < 1 << 63) == (dtype == np.int64)
         want = [tuple(project_pi_loop(c) for c in z.coords) for z in enumerate_points(net)]
         assert ps.fractions() == want
+
+
+def test_point_set_and_csv_stay_in_int64_below_den_2_53():
+    # pinned without timing: below den = 2^53 the only numpy calls that see
+    # an object array are the integer gate reading den as a 0-d array and
+    # the CSV building its table of cell strings
+    for net in (truncated_sym_hammersley(2, 8, 41), truncated_sym_hammersley(3, 4, 25)):
+        with numpy_spy(badicmod, netsmod) as spy:
+            ps = to_point_set(net)
+        assert ps.nums.dtype == np.int64 and spy.object_calls == ["array"]
+        with numpy_spy(badicmod, netsmod) as spy:
+            csv_text(enumerate_points(net))
+        assert spy.object_calls == ["array"]
 
 
 def test_net_points_refuse_more_points_than_an_index_holds():

@@ -11,7 +11,6 @@ import functools
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +46,6 @@ from .rkhs import (
 from .walsh import residue_counts, sums_vanish
 
 
-def _dump_json(doc, fh) -> None:
-    fh.write(dumps_compact(doc) + "\n")
-
-
 @contextmanager
 def _out_stream(path: str | None):
     if path in (None, "-"):
@@ -60,8 +55,13 @@ def _out_stream(path: str | None):
             yield fh
 
 
+def _dump_json(args, doc) -> None:
+    with _out_stream(args.out) as fh:
+        fh.write(dumps_compact(doc) + "\n")
+
+
 def _load_net(args) -> DigitalNet:
-    if args.infile:
+    if args.infile is not None:
         with open(args.infile) as fh:
             return net_from_json(fh.read())
     if args.kind == "custom-json":
@@ -127,8 +127,8 @@ def _parse_kernel(args, s: int):
 # net commands
 
 
-def cmd_net_gen(args) -> int:
-    net = _load_net(args)
+def _write_net(args, net: DigitalNet) -> int:
+    """Write the net's JSON to --out and, given --points-csv, its points."""
     with _out_stream(args.out) as fh:
         fh.write(net_to_json(net) + "\n")
     if args.points_csv:
@@ -137,16 +137,12 @@ def cmd_net_gen(args) -> int:
     return 0
 
 
+def cmd_net_gen(args) -> int:
+    return _write_net(args, _load_net(args))
+
+
 def cmd_net_symmetrize(args) -> int:
-    with open(args.infile) as fh:
-        net = net_from_json(fh.read())
-    sym = symmetrize_matrices(net)
-    with _out_stream(args.out) as fh:
-        fh.write(net_to_json(sym) + "\n")
-    if args.points_csv:
-        with _out_stream(args.points_csv) as fh:
-            points_to_csv(enumerate_points(sym), fh)
-    return 0
+    return _write_net(args, symmetrize_matrices(_load_net(args)))
 
 
 def cmd_net_points(args) -> int:
@@ -176,8 +172,7 @@ def cmd_verify_dual(args) -> int:
         "dual_inner_in_E": len(filtered),
         "examples": sym_side[:5].tolist(),
     }
-    with _out_stream(args.out) as fh:
-        _dump_json(report, fh)
+    _dump_json(args, report)
     return 0 if passed else 1
 
 
@@ -199,16 +194,14 @@ def cmd_verify_orthogonality(args) -> int:
     bad = int(np.count_nonzero(~sums_vanish(counts, b)))
     full = int(np.count_nonzero(members))
     report = {"passed": bad == 0, "samples": args.samples, "dual_hits": full, "nondual": args.samples - full, "failures": bad}
-    with _out_stream(args.out) as fh:
-        _dump_json(report, fh)
+    _dump_json(args, report)
     return 0 if bad == 0 else 1
 
 
 def cmd_verify_independence(args) -> int:
     net = truncated_sym_hammersley(args.base, args.m, args.n if args.n is not None else 2 * args.m + 1)
     report = check_independence_sets(net)
-    with _out_stream(args.out) as fh:
-        _dump_json(report.to_json_dict(), fh)
+    _dump_json(args, report.to_json_dict())
     return 0 if report.all_passed else 1
 
 
@@ -224,8 +217,7 @@ def cmd_verify_rho2(args) -> int:
             pass
     doc = res.to_json_dict()
     doc["certified_by"] = certified
-    with _out_stream(args.out) as fh:
-        _dump_json(doc, fh)
+    _dump_json(args, doc)
     return 0
 
 
@@ -233,52 +225,42 @@ def cmd_verify_rho2(args) -> int:
 # study commands
 
 
-def _csv_row(values) -> str:
-    cells = []
-    for v in values:
-        t = str(v)
-        cells.append(f'"{t}"' if "," in t else t)
-    return ",".join(cells) + "\n"
+def _over_cap(args, label: str, charge: str, ops: int) -> bool:
+    """Is a study row's estimate ops, by the formula that charge names,
+    over --max-ops?  If so the caller skips the row, and a warning on
+    stderr states the estimate and the cap."""
+    if ops <= args.max_ops:
+        return False
+    print(f"warning: skipped {label}: {charge} = {ops} over --max-ops {args.max_ops}", file=sys.stderr)
+    return True
 
 
-@dataclass(frozen=True)
-class _Skipped:
-    """A study row left out because its estimate ops, by the formula that
-    charge names, is over --max-ops."""
-
-    ops: int
-    charge: str = "N^2"
+def _l2_ops(N: int) -> int:
+    """The charge of an L_2 row: N log^2 N with log N = ceil(log2 N), the
+    cost of l2_star's sweep."""
+    return N * (N - 1).bit_length() ** 2
 
 
-def _write_study(args, header: str, rows, results, label="m={}".format) -> list:
-    """Write the CSV of the computed rows; return the results written.
-
-    Rows that come back _Skipped are left out of the CSV with a warning
-    on stderr that states the estimate and the cap.
-    """
-    written = []
+def _write_study(args, header: str, rows) -> None:
+    """Write the CSV of the study rows, once every row is computed, so an
+    error leaves stdout empty."""
     with _out_stream(args.out) as fh:
         fh.write("# schema=1\n")
         fh.write(header + "\n")
-        for row, res in zip(rows, results):
-            if isinstance(res, _Skipped):
-                print(f"warning: skipped {label(row)}: {res.charge} = {res.ops} over --max-ops {args.max_ops}", file=sys.stderr)
-                continue
-            fh.write(_csv_row(res))
-            written.append(res)
-    return written
+        for row in rows:
+            fh.write(",".join(f'"{t}"' if "," in t else t for t in map(str, row)) + "\n")
 
 
 def cmd_study_discrepancy(args) -> int:
     """One row per (kind, m, p).  The guard reads N from the matrices and
-    charges a row N^2, N log^2 N (log N = ceil(log2 N), l2_star's sweep)
-    for p = 2, or N^2 p^2 for an even p >= 4, whose p + 1 exact forms act
-    on integers that widen with p.  A (kind, m) builds its point set once,
-    at its first row that fits, and none if no row fits."""
+    charges a row N^2, N log^2 N (_l2_ops) for p = 2, or N^2 p^2 for an
+    even p >= 4, whose p + 1 exact forms act on integers that widen with
+    p.  A (kind, m) builds its point set once, at its first row that
+    fits, and none if no row fits."""
     kinds = args.kinds.split(",")
     ps = [int(p) if p.lstrip("+-").isdigit() else float(p) for p in args.p.split(",")]
     ms = _parse_m_range(args.m_range)
-    rows, results = [], []
+    rows = []
     for kind in kinds:
         if kind not in ("hammersley", "sym-hammersley"):
             raise ValueError(f"unknown study kind {kind!r}")
@@ -289,81 +271,85 @@ def cmd_study_discrepancy(args) -> int:
             # log_b N: m digits for Hammersley, m+2 after symmetrization
             logn = m if kind == "hammersley" else m + 2
             for p in ps:
-                rows.append((kind, m, p))
                 even = p >= 4 and p % 2 == 0  # False for inf and nan
-                ops = N * (N - 1).bit_length() ** 2 if p == 2 else N * N * int(p) ** 2 if even else N * N
-                if ops > args.max_ops:
-                    results.append(_Skipped(ops, "N log^2 N" if p == 2 else "N^2 p^2" if even else "N^2"))
+                ops = _l2_ops(N) if p == 2 else N * N * int(p) ** 2 if even else N * N
+                if _over_cap(args, str((kind, m, p)), "N log^2 N" if p == 2 else "N^2 p^2" if even else "N^2", ops):
                     continue
                 if pts is None:
                     pts = to_point_set(net)
                 res = l2_star(pts) if p == 2 else lp_star(pts, p)
                 scaled = res.value * N / math.sqrt(logn)
-                results.append((kind, args.base, m, N, p, res.method, res.value, res.error_bound, scaled))
+                rows.append((kind, args.base, m, N, p, res.method, res.value, res.error_bound, scaled))
 
     header = "kind,base,m,N,p,method,value,error_bound,value_n_over_sqrt_logn"
-    _write_study(args, header, rows, results, str)
+    _write_study(args, header, rows)
     return 0
 
 
 def cmd_study_wce(args) -> int:
+    """One row per m.  The guard charges a row N T s (n+1), the digit
+    entries wce_direct reads: T is 1 for a diagonal kernel and the
+    b^(k s) frequencies of a band-limited one, which alone has a size.
+    The spectral route keeps its own --max-candidates guard."""
     # the study nets are planar: symmetrized two dimensional Hammersley
     kernel = _parse_kernel(args, 2)
-
-    def worker(m):
+    T = getattr(kernel, "size", 1)
+    rows = []
+    for m in _parse_m_range(args.m_range):
         n = m + args.n_extra
         net = symmetrize_matrices(hammersley_matrices(args.base, m, n))
-        if net.n_points**2 > args.max_ops:
-            return _Skipped(net.n_points**2)
+        if _over_cap(args, f"m={m}", "N T s (n+1)", net.n_points * T * net.s * (net.n + 1)):
+            continue
         direct = wce_direct(enumerate_points(net), kernel)
         cap = min(args.cap, n) if args.cap is not None else None
         spectral = wce_spectral(net, kernel, cap=cap, max_candidates=args.max_candidates)
         ok = abs(direct.value - spectral.value) <= spectral.tail_bound + 1e-10
-        return (
-            args.base,
-            m,
-            n,
-            net.n_points,
-            args.kernel,
-            direct.value,
-            spectral.value,
-            spectral.tail_bound,
-            spectral.terms_used,
-            ok,
+        rows.append(
+            (
+                args.base,
+                m,
+                n,
+                net.n_points,
+                args.kernel,
+                direct.value,
+                spectral.value,
+                spectral.tail_bound,
+                spectral.terms_used,
+                ok,
+            )
         )
 
     header = "base,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail"
-    ms = _parse_m_range(args.m_range)
-    written = _write_study(args, header, ms, [worker(m) for m in ms])
-    return 0 if all(row[-1] for row in written) else 1
+    _write_study(args, header, rows)
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def cmd_study_convergence(args) -> int:
-    def worker(m):
+    rows = []
+    for m in _parse_m_range(args.m_range):
         # the guard reads N from the matrices, before any point set is built
         ham_net = hammersley_matrices(args.base, m)
         sym_net = symmetrize_matrices(ham_net)
-        N = max(ham_net.n_points, sym_net.n_points)
-        ops = N * (N - 1).bit_length() ** 2
-        if ops > args.max_ops:
-            return _Skipped(ops, "N log^2 N")
+        if _over_cap(args, f"m={m}", "N log^2 N", _l2_ops(max(ham_net.n_points, sym_net.n_points))):
+            continue
         ham, sym = to_point_set(ham_net), to_point_set(sym_net)
         l2h = l2_star(ham).value
         l2s = l2_star(sym).value
-        return (
-            args.base,
-            m,
-            ham.n_points,
-            l2h,
-            l2h * ham.n_points / m,
-            sym.n_points,
-            l2s,
-            l2s * sym.n_points / math.sqrt(m + 2),
+        rows.append(
+            (
+                args.base,
+                m,
+                ham.n_points,
+                l2h,
+                l2h * ham.n_points / m,
+                sym.n_points,
+                l2s,
+                l2s * sym.n_points / math.sqrt(m + 2),
+            )
         )
 
     header = "base,m,N_ham,l2_ham,ham_n_over_logn,N_sym,l2_sym,sym_n_over_sqrt_logn"
-    ms = _parse_m_range(args.m_range)
-    _write_study(args, header, ms, [worker(m) for m in ms])
+    _write_study(args, header, rows)
     return 0
 
 
@@ -379,84 +365,66 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="badicnet", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_net_args(sp):
-        sp.add_argument("--kind", default="hammersley",
-                        choices=["hammersley", "sym-hammersley", "sym-hammersley-truncated", "custom-json"])
-        sp.add_argument("--base", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--in", dest="infile")
+    # flags shared by several subcommands, each declared once in a parent
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-")
+    net_out = argparse.ArgumentParser(add_help=False, parents=[out])
+    net_out.add_argument("--points-csv")
+    net_args = argparse.ArgumentParser(add_help=False)
+    net_args.add_argument("--kind", default="hammersley",
+                          choices=["hammersley", "sym-hammersley", "sym-hammersley-truncated", "custom-json"])
+    net_args.add_argument("--base", type=int)
+    net_args.add_argument("--m", type=int)
+    net_args.add_argument("--n", type=int)
+    net_args.add_argument("--in", dest="infile")
+    candidates = argparse.ArgumentParser(add_help=False)
+    candidates.add_argument("--max-candidates", type=int, default=GUARD_DEFAULT)
+    study_args = argparse.ArgumentParser(add_help=False, parents=[out])
+    study_args.add_argument("--base", type=int, required=True)
+    study_args.add_argument("--m-range", required=True, help="A:B inclusive, or one value")
+    study_args.add_argument("--max-ops", type=int, default=1 << 28)
 
     net = sub.add_parser("net", help="generate and transform nets")
     netsub = net.add_subparsers(dest="sub", required=True)
-    g = netsub.add_parser("gen")
-    add_net_args(g)
-    g.add_argument("--out", default="-")
-    g.add_argument("--points-csv")
+    g = netsub.add_parser("gen", parents=[net_args, net_out])
     g.set_defaults(func=cmd_net_gen)
-    sy = netsub.add_parser("symmetrize")
+    sy = netsub.add_parser("symmetrize", parents=[net_out])
     sy.add_argument("--in", dest="infile", required=True)
-    sy.add_argument("--out", default="-")
-    sy.add_argument("--points-csv")
     sy.set_defaults(func=cmd_net_symmetrize)
-    pp = netsub.add_parser("points")
-    add_net_args(pp)
-    pp.add_argument("--out", default="-")
+    pp = netsub.add_parser("points", parents=[net_args, out])
     pp.set_defaults(func=cmd_net_points)
 
     ver = sub.add_parser("verify", help="exact identity checks")
     versub = ver.add_subparsers(dest="sub", required=True)
-    vd = versub.add_parser("dual")
-    add_net_args(vd)
+    vd = versub.add_parser("dual", parents=[net_args, candidates, out])
     vd.add_argument("--kbound", type=int, required=True, help="digits per component in the search box")
-    vd.add_argument("--max-candidates", type=int, default=GUARD_DEFAULT)
-    vd.add_argument("--out", default="-")
     vd.set_defaults(func=cmd_verify_dual)
-    vo = versub.add_parser("orthogonality")
-    add_net_args(vo)
+    vo = versub.add_parser("orthogonality", parents=[net_args, out])
     vo.add_argument("--samples", type=int, default=200)
     vo.add_argument("--seed", type=int, default=0)
-    vo.add_argument("--out", default="-")
     vo.set_defaults(func=cmd_verify_orthogonality)
-    vi = versub.add_parser("independence")
+    vi = versub.add_parser("independence", parents=[out])
     vi.add_argument("--base", type=int, required=True)
     vi.add_argument("--m", type=int, required=True)
     vi.add_argument("--n", type=int)
-    vi.add_argument("--out", default="-")
     vi.set_defaults(func=cmd_verify_independence)
-    vr = versub.add_parser("rho2")
-    add_net_args(vr)
+    vr = versub.add_parser("rho2", parents=[net_args, candidates, out])
     vr.add_argument("--cap", type=int)
-    vr.add_argument("--max-candidates", type=int, default=GUARD_DEFAULT)
-    vr.add_argument("--out", default="-")
     vr.set_defaults(func=cmd_verify_rho2)
 
     study = sub.add_parser("study", help="tabulated computations over families")
     stsub = study.add_subparsers(dest="sub", required=True)
-    sd = stsub.add_parser("discrepancy")
-    sd.add_argument("--base", type=int, required=True)
-    sd.add_argument("--m-range", required=True, help="A:B inclusive, or one value")
+    sd = stsub.add_parser("discrepancy", parents=[study_args])
     sd.add_argument("--p", default="2")
     sd.add_argument("--kinds", default="hammersley,sym-hammersley")
-    sd.add_argument("--max-ops", type=int, default=1 << 28)
-    sd.add_argument("--out", default="-")
     sd.set_defaults(func=cmd_study_discrepancy)
-    sw = stsub.add_parser("wce")
-    sw.add_argument("--base", type=int, required=True)
-    sw.add_argument("--m-range", required=True)
+    sw = stsub.add_parser("wce", parents=[study_args, candidates])
     sw.add_argument("--kernel", default="diagonal:alpha=1,gamma=1")
     sw.add_argument("--n-extra", type=int, default=8)
     sw.add_argument("--cap", type=int)
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--max-ops", type=int, default=1 << 28)
-    sw.add_argument("--max-candidates", type=int, default=GUARD_DEFAULT)
-    sw.add_argument("--out", default="-")
     sw.set_defaults(func=cmd_study_wce)
-    sc = stsub.add_parser("convergence")
-    sc.add_argument("--base", type=int, required=True)
-    sc.add_argument("--m-range", required=True)
-    sc.add_argument("--max-ops", type=int, default=1 << 28)
-    sc.add_argument("--out", default="-")
+    sc = stsub.add_parser("convergence", parents=[study_args])
     sc.set_defaults(func=cmd_study_convergence)
 
     return p

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -22,8 +23,8 @@ from badicnet import (
     symmetrize_matrices,
 )
 from badicnet import cli
-from badicnet.cli import _net_by_kind, main
-from badicnet.dual import GuardExceeded
+from badicnet.cli import _net_by_kind, build_parser, main
+from badicnet.dual import GUARD_DEFAULT, GuardExceeded
 from badicnet.nets import dumps_compact
 from oracles import no_point_objects
 
@@ -390,12 +391,34 @@ def test_study_skip_warnings_state_cost_and_cap(capsys):
     assert code == 0
     # sym-hammersley m=4 has 64 points; hammersley m=4 (16 points) runs
     assert err == "warning: skipped ('sym-hammersley', 4, 2): N log^2 N = 2304 over --max-ops 2000\n"
-    # m=3: 32 symmetrized points, charged 32 * 5^2 by the L_2 study, 32^2 by the WCE study
-    for study, charge in (("convergence", "N log^2 N = 800"), ("wce", "N^2 = 1024")):
+    # m=3: 32 symmetrized points, charged 32 * 5^2 by the L_2 study; the WCE
+    # study (n = 11, s = 2, a diagonal kernel) 32 * 1 * 2 * 12 digit entries
+    for study, charge in (("convergence", "N log^2 N = 800"), ("wce", "N T s (n+1) = 768")):
         code, out, err = run(capsys, "study", study, "--base", "2", "--m-range", "3:3", "--max-ops", "100")
         assert code == 0
         assert err == f"warning: skipped m=3: {charge} over --max-ops 100\n"
         assert [l for l in out.splitlines() if not l.startswith("#")][1:] == []
+
+
+def test_study_wce_is_charged_the_digit_entries_it_reads(capsys):
+    # N T s (n+1): the digit entries wce_direct reads, T frequencies per
+    # point; m=3 has N = 32, s = 2 and n = 11
+    code, out, err = run(capsys, "study", "wce", "--base", "2", "--m-range", "3:3", "--max-ops", "1000")
+    assert (code, err) == (0, "")
+    assert [l.split(",")[:4] for l in out.splitlines()[2:]] == [["2", "3", "11", "32"]]
+    # a band-limited kernel with k=1 has T = 2^(1*2) = 4 frequencies
+    code, out, err = run(
+        capsys, "study", "wce", "--base", "2", "--m-range", "3:3", "--max-ops", "3000",
+        "--kernel", "bandlimited:k=1,rank=2",
+    )
+    assert code == 0
+    assert err == "warning: skipped m=3: N T s (n+1) = 3072 over --max-ops 3000\n"
+    assert out == "# schema=1\nbase,m,n,N,kernel,value_direct,value_spectral,tail_bound,terms_used,within_tail\n"
+    code, out, err = run(
+        capsys, "study", "wce", "--base", "2", "--m-range", "3:3", "--max-ops", "3072",
+        "--kernel", "bandlimited:k=1,rank=2",
+    )
+    assert (code, err) == (0, "") and len(out.splitlines()) == 3
 
 
 def _patch_point_sets(monkeypatch, to_point_set):
@@ -488,6 +511,13 @@ def test_nan_p_exits_two(capsys):
     assert code == 2
     assert err == "error: p must be >= 1 (or inf)\n"
     assert out == ""
+    # the guard warns as it skips a row; a later error still leaves stdout empty
+    code, out, err = run(
+        capsys, "study", "discrepancy", "--base", "2", "--m-range", "3:3", "--p", "4,nan",
+        "--max-ops", "100", "--kinds", "hammersley",
+    )
+    assert (code, out) == (2, "")
+    assert err == "warning: skipped ('hammersley', 3, 4): N^2 p^2 = 1024 over --max-ops 100\nerror: p must be >= 1 (or inf)\n"
 
 
 def test_cli_import_leaves_scipy_out():
@@ -674,8 +704,6 @@ def test_one_parser_serves_many_main_calls(tmp_path, capsys, monkeypatch):
     # the parser is built once per process; a run of calls through it,
     # an argparse error and a default --out after an explicit one among
     # them, gives what a new process gives for each call
-    from badicnet.cli import build_parser
-
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both processes
     calls = [
         ["net", "gen", "--kind", "hammersley", "--base", "2", "--m", "2", "--out", "{dir}/net.json"],
@@ -703,6 +731,49 @@ def test_one_parser_serves_many_main_calls(tmp_path, capsys, monkeypatch):
     for name in ("net.json", "points.csv"):
         assert (here / name).read_text() == (fresh / name).read_text() != ""
     assert build_parser() is build_parser()
+
+
+def _commands(parser, path=()):
+    """(command words, parser) of every leaf subcommand under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sp in action.choices.items():
+            yield from _commands(sp, path + (name,))
+
+
+def test_shared_flags_are_stated_once():
+    # a flag taken from a parent parser is one argparse action, shared by
+    # every subcommand that takes it, with its one default
+    options = {cmd: {s: a for a in sp._actions for s in a.option_strings} for cmd, sp in _commands(build_parser())}
+    assert len(options) == 10
+    for flag, default, want in (
+        ("--out", "-", set(options)),
+        ("--max-ops", 1 << 28, {"study discrepancy", "study wce", "study convergence"}),
+        ("--max-candidates", GUARD_DEFAULT, {"verify dual", "verify rho2", "study wce"}),
+    ):
+        actions = {cmd: opts[flag] for cmd, opts in options.items() if flag in opts}
+        assert set(actions) == want, flag
+        assert len({id(a) for a in actions.values()}) == 1, flag
+        assert next(iter(actions.values())).default == default, flag
+    studies = [options[f"study {name}"] for name in ("discrepancy", "wce", "convergence")]
+    for flag in ("--base", "--m-range", "--max-ops"):
+        assert len({id(opts[flag]) for opts in studies}) == 1, flag
+    # the net flags are one set of actions too
+    nets = [opts for opts in options.values() if "--kind" in opts]
+    assert len(nets) == 5
+    for flag in ("--kind", "--base", "--m", "--n", "--in"):
+        assert len({id(opts[flag]) for opts in nets}) == 1, flag
+
+
+def test_an_empty_in_path_is_read(capsys):
+    # every net command reads the --in it is given, as net symmetrize
+    # always did: an empty path is a missing file, not "no --in"
+    for argv in (("net", "gen", "--base", "2", "--m", "2"), ("net", "points", "--base", "2", "--m", "2"), ("net", "symmetrize")):
+        code, out, err = run(capsys, *argv, "--in", "")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 @pytest.mark.parametrize(

@@ -237,6 +237,31 @@ def test_symmetrized_l2_is_smaller_than_plain():
         assert sym < plain
 
 
+# (N L_2)^2 = A m + B + C b^-m + D b^-2m for sym_hammersley_points(b, m),
+# N = b^(m+2): the coefficients (A, B, C, D) solved exactly from m = 1..4
+SYM_L2_COEFFS = {
+    2: (Fraction(1, 6), Fraction(1, 2), Fraction(1), Fraction(-2, 9)),
+    3: (Fraction(2, 3), Fraction(5, 12), Fraction(2), Fraction(-9, 32)),
+    5: (Fraction(62, 15), Fraction(-49, 30), Fraction(13, 2), Fraction(-625, 1152)),
+    7: (Fraction(44, 3), Fraction(-1087, 108), Fraction(140, 9), Fraction(-2401, 2592)),
+}
+
+
+@pytest.mark.parametrize("b, top", [(2, 13), (3, 9), (5, 5), (7, 4)])
+def test_symmetrized_l2_closed_form(b, top):
+    # a measured identity, not a proved one: it holds exactly at every m
+    # computed, so it checks l2_star at N up to 2^15, 3^11, 5^7 and 7^6;
+    # N L_2 = sqrt(A log_b N + O(1)) is the paper's sqrt(log N) order
+    A, B, C, D = SYM_L2_COEFFS[b]
+    assert A == Fraction((b * b - 1) * (b * b + 6), 180)
+    assert D == Fraction(-(b**4), 72 * (b - 1) ** 2)
+    for m in range(1, top + 1):
+        ps = sym_hammersley_points(b, m)
+        assert ps.n_points == b ** (m + 2)
+        want = A * m + B + C / Fraction(b) ** m + D / Fraction(b) ** (2 * m)
+        assert l2_star(ps).exact * ps.n_points**2 == want, (b, m)
+
+
 def test_truncation_bound_values():
     assert truncation_bound(2, 3, 8, 2) == 2.0**-7
     assert truncation_bound(2, 3, 8, math.inf) == 2.0**-3

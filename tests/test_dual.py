@@ -210,6 +210,19 @@ def test_minimal_weight_of_truncated_family():
     assert res.to_json_dict()["rho2"] == "exceeds"
 
 
+@pytest.mark.parametrize("b, top", [(2, 10), (3, 8)])
+def test_sym_hammersley_rho2_is_2m_plus_2_by_both_routes(b, top):
+    # the paper proves rho2 >= 2m + 2 only; the equality is a measurement.
+    # The certificate proves rho2 > 2m + 1 and the search finds weight 2m + 2.
+    for m in range(2, top + 1):
+        net = truncated_sym_hammersley(b, m, 2 * m + 3)
+        assert certify_rho2_via_independence(net, 2 * m + 1), (b, m)
+        res = rho2_min_weight(net, cap=2 * m + 2)
+        assert (res.exceeded, res.weight) == (False, 2 * m + 2), (b, m)
+    # m = 1 is the exception: weight 5, not 4
+    assert rho2_min_weight(truncated_sym_hammersley(2, 1, 5)).weight == 5
+
+
 def test_cap_validation():
     net = hammersley_matrices(2, 2)
     with pytest.raises(ValueError, match="cap must lie"):

@@ -1,8 +1,9 @@
 """Digital nets over Z_b with digit-reflection symmetrization.
 
-Construction and exact analysis of two dimensional digital nets:
-character sums, dual nets and Dick weights, L_p star discrepancy, and
-worst-case integration error in Walsh-based kernel spaces.
+Construction and exact analysis of digital nets in any dimension, with
+exact rational points: character sums, dual nets and Dick weights,
+planar L_p star discrepancy, and worst-case integration error in
+Walsh-based kernel spaces.
 """
 
 from .badic import (
@@ -28,7 +29,7 @@ from .walsh import (
 )
 from .nets import (
     DigitalNet,
-    PointSet2,
+    PointSet,
     enumerate_points,
     hammersley_matrices,
     hammersley_point_set,

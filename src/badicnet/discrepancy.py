@@ -1,7 +1,8 @@
 """Star discrepancy of planar point sets, exactly where possible.
 
-Everything here works on PointSet2, whose coordinates are integers over
-one common denominator D.  Counting functions are then integer valued on
+Everything here works on a PointSet of two coordinates (any other is a
+ValueError of _planar), whose coordinates are integers over one common
+denominator D.  Counting functions are then integer valued on
 the grid spanned by the coordinate values, which makes the L_2 formula,
 even-exponent L_p integrals, and the L_inf corner sweep exact integer
 computations; only the square root and non-even exponents bring floats
@@ -21,7 +22,8 @@ from math import comb
 
 import numpy as np
 
-from .nets import PointSet2
+from .dual import GuardExceeded
+from .nets import PointSet
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,16 @@ class DiscrepancyResult:
     method: str
     error_bound: float
     exact: Fraction | None = None
+
+
+def _planar(ps: PointSet) -> tuple[int, int]:
+    """N and D of a nonempty point set of two coordinates, the one rule
+    of l2_star, lp_star and linf_star; any other is a ValueError."""
+    if ps.nums.shape[1] != 2:
+        raise ValueError(f"star discrepancy needs a planar point set, not one of {ps.nums.shape[1]} coordinates")
+    if ps.n_points == 0:
+        raise ValueError("empty point set")
+    return ps.n_points, ps.den
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +127,7 @@ def _pair_min_sum(u: np.ndarray, v: np.ndarray) -> int:
     return _exact_dot(u, v) + 2 * _exact_dot(u, earlier)
 
 
-def l2_star(ps: PointSet2) -> DiscrepancyResult:
+def l2_star(ps: PointSet) -> DiscrepancyResult:
     """Exact L2 star discrepancy via the pairwise max formula.
 
     L2^2 = 1/9 - 2/N sum_x prod_j (1-x_j^2)/2 + 1/N^2 sum_{x,y} prod_j (1 - max(x_j, y_j))
@@ -123,15 +135,12 @@ def l2_star(ps: PointSet2) -> DiscrepancyResult:
     sum runs as a dominance sweep in O(N log^2 N) (the planar case of
     S. Heinrich, Math. Comp. 65 (1996)), whose per-bit sorts are radix
     sorts while at most 2^16 distinct y values occur.  The numerators are
-    read as PointSet2 holds them, int64 while D < 2^63; they lie in [0, D],
+    read as PointSet holds them, int64 while D < 2^63; they lie in [0, D],
     and so do D - x and its sort key.  Each later step leaves int64 only
     past its own bound: a dot over N terms at max|x| max|y| N >= 2^63, so
     N D^4 for the first sum and N^2 D^2 for the pair sum; the sweep at N D.
     """
-    N = ps.n_points
-    if N == 0:
-        raise ValueError("empty point set")
-    D = ps.den
+    N, D = _planar(ps)
     x, y = ps.nums.T
     s3 = _pair_min_sum(D - x, D - y)
     if D >= 1 << 31:  # D^2 - x^2 would leave int64
@@ -151,14 +160,14 @@ def l2_star(ps: PointSet2) -> DiscrepancyResult:
 _BLOCK = 1 << 14
 
 
-def _grids(ps: PointSet2):
+def _grids(ps: PointSet):
     D = ps.den
     gx = np.unique(np.concatenate([np.array([0, D], dtype=ps.nums.dtype), ps.nums[:, 0]]))
     gy = np.unique(np.concatenate([np.array([0, D], dtype=ps.nums.dtype), ps.nums[:, 1]]))
     return gx, gy
 
 
-def _count_blocks(ps: PointSet2, gx, gy):
+def _count_blocks(ps: PointSet, gx, gy):
     """Yield (i0, C) over consecutive blocks of grid rows, about _BLOCK cells each.
 
     C[r, j] = number of points with x <= gx[i0 + r] and y <= gy[j], for the
@@ -186,7 +195,7 @@ def _count_blocks(ps: PointSet2, gx, gy):
         yield i0, np.cumsum(inc, axis=1, out=inc)
 
 
-def lp_star(ps: PointSet2, p) -> DiscrepancyResult:
+def lp_star(ps: PointSet, p) -> DiscrepancyResult:
     """L_p star discrepancy on the cell decomposition of the unit square.
 
     The counting function is constant on every half-open grid cell, so
@@ -204,15 +213,17 @@ def lp_star(ps: PointSet2, p) -> DiscrepancyResult:
     p = float(p)
     if not p >= 1:  # NaN included
         raise ValueError("p must be >= 1 (or inf)")
-    N = ps.n_points
-    if N == 0:
-        raise ValueError("empty point set")
+    _planar(ps)
     if p == int(p) and int(p) % 2 == 0:
         return _lp_even_exact(ps, int(p))
     return _lp_quadrature(ps, p)
 
 
-def _lp_even_exact(ps: PointSet2, p: int) -> DiscrepancyResult:
+# bits the per-axis powers of the p + 1 exact forms may take (512 MiB)
+_FORM_BITS = 1 << 32
+
+
+def _lp_even_exact(ps: PointSet, p: int) -> DiscrepancyResult:
     """Sum over q of (-1)^q C(p, q) dx_q^T (C^(p-q)) dy_q / (N^(p-q) (q+1)^2 D^(2q+2)).
 
     On cell (i, j) the integrand is (C_ij/N - t1 t2)^p; expanding the
@@ -220,10 +231,16 @@ def _lp_even_exact(ps: PointSet2, p: int) -> DiscrepancyResult:
     dx_q[i] = gx[i+1]^(q+1) - gx[i]^(q+1) (dy_q alike), and C^(p-q) is the
     elementwise power of the cell counts.  Each q is then one integer
     bilinear form, taken as object-dtype matrix products over one block of
-    grid rows at a time.
+    grid rows at a time.  Before any is built, the powers are charged
+    (G_x + G_y) (p+1)(p+2)/2 log2 D bits for G_x, G_y grid lines, the sum
+    over q of (q+1) log2 D bits per line: past _FORM_BITS the call is a
+    GuardExceeded.
     """
     N, D = ps.n_points, ps.den
     gx, gy = _grids(ps)
+    bits = (len(gx) + len(gy)) * (p + 1) * (p + 2) // 2 * D.bit_length()
+    if bits > _FORM_BITS:
+        raise GuardExceeded(f"guard exceeded: the p + 1 = {p + 1} exact forms take {bits} bits over cap {_FORM_BITS}")
     gxo, gyo = gx.astype(object), gy.astype(object)
     dx = [gxo[1:] ** (q + 1) - gxo[:-1] ** (q + 1) for q in range(p + 1)]
     dy = [gyo[1:] ** (q + 1) - gyo[:-1] ** (q + 1) for q in range(p + 1)]
@@ -351,7 +368,7 @@ def _row_pieces(C, N, t_lo, t_hi, gyf):
     return (A, v_lo, v_hi), term, a[wide], b[wide], (v_hi - v_lo)[term]
 
 
-def _lp_quadrature(ps: PointSet2, p: float) -> DiscrepancyResult:
+def _lp_quadrature(ps: PointSet, p: float) -> DiscrepancyResult:
     """Integral of |local discrepancy|^p by batched adaptive Gauss–Kronrod.
 
     The inner variable t2 is integrated in closed form over every count run
@@ -412,7 +429,7 @@ def _lp_quadrature(ps: PointSet2, p: float) -> DiscrepancyResult:
     return DiscrepancyResult(p, value, "quadrature", bound + 1e-15, None)
 
 
-def linf_star(ps: PointSet2) -> DiscrepancyResult:
+def linf_star(ps: PointSet) -> DiscrepancyResult:
     """Sup of |local discrepancy|, exact.
 
     On each grid cell the sup is attained in the limit at the lower
@@ -422,9 +439,7 @@ def linf_star(ps: PointSet2) -> DiscrepancyResult:
     counts in [0, N] and u, v in [0, D] bound them and both terms by N D^2:
     int64 while N D^2 < 2^63, Python ints past it.
     """
-    N, D = ps.n_points, ps.den
-    if N == 0:
-        raise ValueError("empty point set")
+    N, D = _planar(ps)
     gx, gy = _grids(ps)
     dtype = np.int64 if N * D * D < 1 << 63 else object
     nu, v = N * gx.astype(dtype), gy.astype(dtype)

@@ -50,7 +50,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .badic import add_mod, digit_values, first_positions, frequency_digits, int_digits, integer_array
-from .nets import DigitalNet, NetPoints, PointSet2, point_numerators, require_net_points
+from .nets import DigitalNet, NetPoints, PointSet, require_net_points, to_point_set
 from .walsh import UnityExponent, residue_counts, sum_values, walsh_exponents
 from . import dual as dualmod
 
@@ -413,9 +413,10 @@ class IntegrationResult:
         return abs(self.value - self.exact)
 
 
-def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> IntegrationResult:
+def qmc_integrate(points: PointSet | NetPoints, integrand: str, **params) -> IntegrationResult:
     """Equal-weight cubature of a few built-in integrands with known value,
-    over a PointSet2 or net points, shifted or not.
+    over a PointSet of any dimension s, or over net points, shifted or not,
+    read as their to_point_set.
 
     integrand is one of:
       prod-quadratic   prod_j (x_j^2 + c), exact (1/3 + c)^s   (param c, default 0)
@@ -430,10 +431,8 @@ def qmc_integrate(points: PointSet2 | NetPoints, integrand: str, **params) -> In
     the row values, real and imaginary parts each summed by math.fsum (a
     real integrand's imaginary part sums no terms, to 0.0).
     """
-    if isinstance(points, PointSet2):
-        nums, den = points.nums, points.den
-    else:
-        nums, den = point_numerators(require_net_points(points, "qmc_integrate"))
+    ps = points if isinstance(points, PointSet) else to_point_set(require_net_points(points, "qmc_integrate"))
+    nums, den = ps.nums, ps.den
     N = len(nums)
     if N == 0:
         raise ValueError("empty point set")

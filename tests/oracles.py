@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from badicnet import DigitalNet, PointSet2, mu2, points_to_csv, symmetrize_matrices
+from badicnet import DigitalNet, PointSet, mu2, points_to_csv, symmetrize_matrices
 from badicnet.badic import GElement, GVector, int_digits, minimal_precision
 from badicnet.dual import dual_members
 from badicnet.rkhs import BandLimitedKernel, SpectralDiagonalKernel
@@ -208,16 +208,16 @@ def _index_digit_rows(base: int, m: int, idx=None) -> np.ndarray:
     return idx[:, None] // base ** np.arange(m, dtype=np.int64) % base
 
 
-def hammersley_closed_form(base: int, m: int) -> PointSet2:
+def hammersley_closed_form(base: int, m: int) -> PointSet:
     """Plain Hammersley point set from its closed form: index digits
     (a_1, ..., a_m) give x = sum a_i b^-i and y the same digits reversed,
     over b^m."""
     a = _index_digit_rows(base, m)
     powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return PointSet2(np.stack([a @ powers, a[:, ::-1] @ powers], axis=1), base**m)
+    return PointSet(np.stack([a @ powers, a[:, ::-1] @ powers], axis=1), base**m)
 
 
-def sym_hammersley_closed_form(base: int, m: int) -> PointSet2:
+def sym_hammersley_closed_form(base: int, m: int) -> PointSet:
     """Symmetrized Hammersley point set from its closed form, over
     b^m (b - 1).  For index digits (a_1, ..., a_{m+2}):
       x = sum_{i<=m} ((a_i + a_{m+1}) mod b) b^-i  +  a_{m+1} / (b^m (b-1))
@@ -228,10 +228,10 @@ def sym_hammersley_closed_form(base: int, m: int) -> PointSet2:
     powers = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
     xs = ((a[:, :m] + a[:, [m]]) % b) @ powers
     ys = ((a[:, m - 1 :: -1] + a[:, [m + 1]]) % b) @ powers
-    return PointSet2(np.stack([xs * (b - 1) + a[:, m], ys * (b - 1) + a[:, m + 1]], axis=1), b**m * (b - 1))
+    return PointSet(np.stack([xs * (b - 1) + a[:, m], ys * (b - 1) + a[:, m + 1]], axis=1), b**m * (b - 1))
 
 
-def local_discrepancy(ps: PointSet2, t) -> Fraction:
+def local_discrepancy(ps: PointSet, t) -> Fraction:
     """count([0,t) cap P)/N - t1*t2, exact, one point at a time."""
     t1, t2 = Fraction(t[0]), Fraction(t[1])
     x1, x2 = t1 * ps.den, t2 * ps.den
@@ -379,12 +379,12 @@ def diag_pair_sum(points, kernel: SpectralDiagonalKernel) -> float:
 
 
 @st.composite
-def digital_nets(draw, max_points=243):
-    """Random generating matrices over b in {2, 3, 5}, s in {1, 2, 3},
+def digital_nets(draw, max_points=243, max_s=3):
+    """Random generating matrices over b in {2, 3, 5}, s in {1, ..., max_s},
     optionally with random tail rows and optionally symmetrized, with at
-    most max_points points."""
+    most max_points points, or b^s for a symmetrized net at m = 0."""
     b = draw(st.sampled_from([2, 3, 5]))
-    s = draw(st.integers(1, 3))
+    s = draw(st.integers(1, max_s))
     sym = draw(st.booleans())
     m_max = 0
     while b ** (m_max + 1 + (s if sym else 0)) <= max_points:

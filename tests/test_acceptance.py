@@ -14,7 +14,7 @@ import pytest
 
 from badicnet import (
     BandLimitedKernel,
-    PointSet2,
+    PointSet,
     SpectralDiagonalKernel,
     certify_rho2_via_independence,
     character_sum_over,
@@ -203,13 +203,13 @@ def test_c7_l2_scaling_of_the_two_families():
 
 def test_c8_two_l2_routes_agree():
     with _Budget(8, "closed form and cell decomposition produce one answer", 60):
-        assert l2_star(PointSet2.from_fractions([(Fraction(0), Fraction(0))])).exact == Fraction(11, 18)
-        assert lp_star(PointSet2.from_fractions([(Fraction(0), Fraction(0))]), 2).exact == Fraction(11, 18)
+        assert l2_star(PointSet.from_fractions([(Fraction(0), Fraction(0))])).exact == Fraction(11, 18)
+        assert lp_star(PointSet.from_fractions([(Fraction(0), Fraction(0))]), 2).exact == Fraction(11, 18)
         rng = np.random.default_rng(8)
         for _ in range(20):
             npts = int(rng.integers(1, 9))
             den = int(rng.integers(2, 17))
-            ps = PointSet2.from_fractions(
+            ps = PointSet.from_fractions(
                 [
                     (Fraction(int(rng.integers(0, den + 1)), den), Fraction(int(rng.integers(0, den + 1)), den))
                     for _ in range(npts)

@@ -18,7 +18,7 @@ from badicnet import (
     g_add,
     g_sub,
     in_E,
-    PointSet2,
+    PointSet,
     int_digits,
     is_prime,
     minimal_precision,
@@ -517,7 +517,7 @@ _SPOILS = ("float", "half", "bool", "str", "shape", "negative", "past")
 def gated_values(draw):
     """A prime base b and an int64 value for every gated entry, small
     enough for int8: the (s, n, m) matrices and (s, m) tail rows of a net
-    over b, an (s, n) shift, n + 1 GElement digits, a PointSet2 den and
+    over b, an (s, n) shift, n + 1 GElement digits, a PointSet den and
     its (N, 2) numerators, (T, b) residue counts and the (T, s, n) digits
     of T frequency vectors."""
     b = draw(st.sampled_from([2, 3, 5]), label="b")
@@ -576,8 +576,8 @@ def gated_entries(v):
         ("tail_rows", tails, b, lambda x: seen_net(DigitalNet(b, net.matrices, x))),
         ("net JSON", mats, b, from_json),
         ("shift", v["shift"], b, lambda x: seen_points(NetPoints(net, x))),
-        ("numerators", nums, den + 1, lambda x: seen_point_set(PointSet2(x, den))),
-        ("den", den, math.inf, lambda x: seen_point_set(PointSet2(nums, x))),
+        ("numerators", nums, den + 1, lambda x: seen_point_set(PointSet(x, den))),
+        ("den", den, math.inf, lambda x: seen_point_set(PointSet(nums, x))),
         ("GElement digits", v["digits"], b, element),
         ("rank_mod_p", mats[0], None, lambda x: rank_mod_p(x, b)),
         ("sums_vanish", v["counts"], None, lambda x: sums_vanish(x, b).tolist()),

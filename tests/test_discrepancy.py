@@ -7,6 +7,7 @@ in exact rational arithmetic, independently of the production formulas.
 import math
 import random
 import sys
+import time
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -17,17 +18,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from badicnet import (
-    PointSet2,
+    DigitalNet,
+    PointSet,
     hammersley_point_set,
     l2_star,
     linf_star,
     lp_star,
     sym_hammersley_points,
+    symmetrize_matrices,
     to_point_set,
     truncated_sym_hammersley,
     truncation_bound,
 )
 from badicnet import discrepancy
+from badicnet.dual import GuardExceeded
 from badicnet.discrepancy import _lp_even_exact, _lp_quadrature
 from oracles import local_discrepancy, numpy_spy
 
@@ -36,7 +40,7 @@ def _grid(vals):
     return sorted(set(vals) | {Fraction(0), Fraction(1)})
 
 
-def brute_l2sq(ps: PointSet2) -> Fraction:
+def brute_l2sq(ps: PointSet) -> Fraction:
     pts = ps.fractions()
     N = len(pts)
     xs = _grid(x for x, _ in pts)
@@ -54,7 +58,7 @@ def brute_l2sq(ps: PointSet2) -> Fraction:
     return total
 
 
-def brute_linf(ps: PointSet2) -> Fraction:
+def brute_linf(ps: PointSet) -> Fraction:
     pts = ps.fractions()
     N = len(pts)
     xs = _grid(x for x, _ in pts)
@@ -79,12 +83,12 @@ def _random_sets(count, max_points, max_den, seed):
             (Fraction(int(rng.integers(0, den + 1)), den), Fraction(int(rng.integers(0, den + 1)), den))
             for _ in range(n)
         ]
-        out.append(PointSet2.from_fractions(pairs))
+        out.append(PointSet.from_fractions(pairs))
     return out
 
 
 def test_local_discrepancy_counts_strict_boxes():
-    ps = PointSet2.from_fractions([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))])
+    ps = PointSet.from_fractions([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))])
     assert local_discrepancy(ps, (Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 2) - Fraction(1, 6)
     # both points sit strictly inside the 3/4 box
     assert local_discrepancy(ps, (Fraction(3, 4), Fraction(3, 4))) == 1 - Fraction(9, 16)
@@ -94,7 +98,7 @@ def test_local_discrepancy_counts_strict_boxes():
 
 
 def test_l2_single_point_at_origin():
-    ps = PointSet2.from_fractions([(Fraction(0), Fraction(0))])
+    ps = PointSet.from_fractions([(Fraction(0), Fraction(0))])
     res = l2_star(ps)
     assert res.method == "warnock"
     assert res.exact == Fraction(11, 18)
@@ -102,7 +106,7 @@ def test_l2_single_point_at_origin():
 
 
 def test_l2_single_point_at_center():
-    ps = PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
+    ps = PointSet.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
     assert l2_star(ps).exact == Fraction(23, 288)
 
 
@@ -113,7 +117,7 @@ def test_l2_matches_brute_force_cells():
 
 def test_l2_object_path_for_wide_denominators():
     big = 1 << 45
-    ps = PointSet2.from_fractions(
+    ps = PointSet.from_fractions(
         [(Fraction(1, big), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 3))]
     )
     assert ps.den >= big
@@ -161,8 +165,27 @@ def test_lp_even_root_past_the_normal_floats():
     assert res.value == float(res.exact) ** (1.0 / 150) <= roots[0]
 
 
+def test_huge_even_p_is_refused_before_any_form_is_built():
+    # p = 1e20 built p + 1 forms and ended in a bare MemoryError after about 34 s
+    start = time.perf_counter()
+    forms = f"the p \\+ 1 = {10**20 + 1} exact forms"
+    with pytest.raises(GuardExceeded, match=rf"^guard exceeded: {forms} take \d+ bits over cap {1 << 32}$"):
+        lp_star(hammersley_point_set(2, 2), 1e20)
+    assert time.perf_counter() - start < 1
+
+
+def test_star_discrepancies_refuse_a_point_set_that_is_not_planar():
+    # a PointSet may hold any s; every entry states the one planar rule
+    net = symmetrize_matrices(DigitalNet(2, (np.eye(2, dtype=np.int64),) * 3))
+    calls = (l2_star, linf_star, *(lambda ps, p=p: lp_star(ps, p) for p in (1, 1.5, 2, 4, math.inf)))
+    for ps, s in ((to_point_set(net), 3), (PointSet.from_fractions([(Fraction(1, 2),)]), 1)):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^star discrepancy needs a planar point set, not one of {s} coordinates$"):
+                call(ps)
+
+
 def test_lp_odd_single_point_oracles():
-    ps = PointSet2.from_fractions([(Fraction(0), Fraction(0))])
+    ps = PointSet.from_fractions([(Fraction(0), Fraction(0))])
     r1 = lp_star(ps, 1)
     assert abs(r1.value - 0.75) < 1e-9
     r3 = lp_star(ps, 3)
@@ -170,13 +193,13 @@ def test_lp_odd_single_point_oracles():
 
 
 def test_lp_rejects_small_p():
-    ps = PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
+    ps = PointSet.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
     with pytest.raises(ValueError, match="p must be >= 1"):
         lp_star(ps, 0.5)
 
 
 def test_lp_rejects_nan_p():
-    ps = PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
+    ps = PointSet.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
     with pytest.raises(ValueError, match=r"p must be >= 1 \(or inf\)"):
         lp_star(ps, float("nan"))
     with pytest.raises(ValueError, match=r"p must be >= 1 \(or inf\)"):
@@ -184,16 +207,16 @@ def test_lp_rejects_nan_p():
 
 
 def test_lp_inf_routes_to_sup():
-    ps = PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
+    ps = PointSet.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
     res = lp_star(ps, math.inf)
     assert res.method == "corner_sweep"
     assert res.exact == Fraction(3, 4)
 
 
 def test_linf_oracles():
-    ps = PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
+    ps = PointSet.from_fractions([(Fraction(1, 2), Fraction(1, 2))])
     assert linf_star(ps).exact == Fraction(3, 4)
-    origin = PointSet2.from_fractions([(Fraction(0), Fraction(0))])
+    origin = PointSet.from_fractions([(Fraction(0), Fraction(0))])
     assert linf_star(origin).exact == 1
 
 
@@ -214,7 +237,7 @@ def test_linf_matches_brute_force():
         assert bool(spy.object_calls) == python_ints
     # numerators over den >= 2^45, given as Python ints, more than two points
     big = (1 << 45) + 7
-    wide = PointSet2.from_fractions(
+    wide = PointSet.from_fractions(
         [(Fraction(k * 7919 % big, big), Fraction((k * k * 104729 + 1) % big, big)) for k in range(9)]
         + [(Fraction(1), Fraction(1, 3)), (Fraction(0), Fraction(1))]
     )
@@ -224,7 +247,7 @@ def test_linf_matches_brute_force():
 
 def test_linf_object_path_for_wide_denominators():
     big = (1 << 31) + 1
-    ps = PointSet2.from_fractions(
+    ps = PointSet.from_fractions(
         [(Fraction(1, big), Fraction(1, 2)), (Fraction(3, 4), Fraction(2, 3))]
     )
     assert linf_star(ps).exact == brute_linf(ps)
@@ -290,7 +313,7 @@ def test_truncation_bound_warns_where_p_below_two_fails():
 # the dominance sweep and the bilinear forms
 
 
-def pair_sum_l2sq(ps: PointSet2) -> Fraction:
+def pair_sum_l2sq(ps: PointSet) -> Fraction:
     """Warnock's formula with the pair sum taken over all N^2 ordered pairs."""
     N, D = ps.n_points, ps.den
     pts = [(int(x), int(y)) for x, y in ps.nums]
@@ -302,7 +325,7 @@ def pair_sum_l2sq(ps: PointSet2) -> Fraction:
     return Fraction(1, 9) - Fraction(s2, 2 * N * D**4) + Fraction(s3, N * N * D * D)
 
 
-def cell_loop_lp_even(ps: PointSet2, p: int) -> Fraction:
+def cell_loop_lp_even(ps: PointSet, p: int) -> Fraction:
     """Integral of the p-th power of the local discrepancy, cell by cell."""
     N, D = ps.n_points, ps.den
     gx = sorted({0, D, *(int(x) for x in ps.nums[:, 0])})
@@ -326,7 +349,7 @@ def point_sets(draw, max_points=8):
     Coordinates favour 0, D and a small pool of values, so repeated x and y
     values and points on the faces are common.  Numerators over
     denominators in [2^45, 2^50] are handed over as Python ints, as
-    PointSet2.from_fractions gives them.  PointSet2 keeps every numerator
+    PointSet.from_fractions gives them.  PointSet keeps every numerator
     over a den below 2^63 in int64, and dens from 2^58 on push N D and
     N D^2 past 2^63; from den = 2^63 on the numerators are Python ints.
     """
@@ -343,7 +366,7 @@ def point_sets(draw, max_points=8):
     coord = st.one_of(st.sampled_from(pool), st.integers(0, den))
     nums = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=max_points))
     dtype = object if (1 << 45) <= den < (1 << 58) or den >= 1 << 63 else np.int64
-    return PointSet2(np.array(nums, dtype=dtype).reshape(len(nums), 2), den)
+    return PointSet(np.array(nums, dtype=dtype).reshape(len(nums), 2), den)
 
 
 @settings(max_examples=150, deadline=None)
@@ -379,7 +402,7 @@ def test_lp_even_bilinear_matches_cell_loop(ps, p):
 
 def test_exact_kernels_on_single_points_at_the_corners():
     for x, y in [(0, 0), (0, 5), (5, 0), (5, 5), (2, 5)]:
-        ps = PointSet2(np.array([[x, y]], dtype=np.int64), 5)
+        ps = PointSet(np.array([[x, y]], dtype=np.int64), 5)
         assert l2_star(ps).exact == pair_sum_l2sq(ps) == brute_l2sq(ps)
         for p in (2, 4, 6):
             assert lp_star(ps, p).exact == cell_loop_lp_even(ps, p)
@@ -388,7 +411,7 @@ def test_exact_kernels_on_single_points_at_the_corners():
 def test_exact_kernels_on_object_numerators():
     den = (1 << 45) + 7
     nums = np.array([[1, den], [den // 3, 17], [den // 3, den], [0, 17], [den - 1, 0]], dtype=object)
-    ps = PointSet2(nums, den)
+    ps = PointSet(nums, den)
     assert l2_star(ps).exact == pair_sum_l2sq(ps) == brute_l2sq(ps)
     for p in (2, 4, 6):
         assert lp_star(ps, p).exact == cell_loop_lp_even(ps, p)
@@ -398,7 +421,7 @@ def test_l2_dominance_sweep_on_larger_sets():
     # enough points for many rank bits and long runs of tied coordinates
     rng = np.random.default_rng(7)
     for den in (12, 1000):
-        ps = PointSet2(rng.integers(0, den + 1, size=(300, 2)), den)
+        ps = PointSet(rng.integers(0, den + 1, size=(300, 2)), den)
         assert l2_star(ps).exact == pair_sum_l2sq(ps)
     for ps in (hammersley_point_set(3, 4), sym_hammersley_points(2, 5)):
         assert l2_star(ps).exact == pair_sum_l2sq(ps)
@@ -436,7 +459,7 @@ def tied_point_sets(draw, max_points=300):
         else:
             nums.append([rng.choice(pool) if rng.random() < tie else rng.randint(0, den) for _ in range(2)])
     dtype = object if den >= 1 << 63 or draw(st.booleans(), label="object") else np.int64
-    return PointSet2(np.array(nums, dtype=dtype).reshape(n, 2), den)
+    return PointSet(np.array(nums, dtype=dtype).reshape(n, 2), den)
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,7 +487,7 @@ class SpiedArray(np.ndarray):
 def _spied_l2(ps):
     SpiedArray.casts, SpiedArray.objects = [], []
     with numpy_spy(discrepancy) as spy:
-        res = l2_star(PointSet2(ps.nums.view(SpiedArray), ps.den))
+        res = l2_star(PointSet(ps.nums.view(SpiedArray), ps.den))
     return res, spy
 
 
@@ -484,7 +507,7 @@ def test_l2_fast_path_stays_in_int64_with_narrow_keys():
         assert spy.object_calls == ["dot"] * 3
     # the spies see object arrays where there are some
     den = (1 << 45) + 7
-    _, spy = _spied_l2(PointSet2(np.array([[1, den], [den // 3, 17]], dtype=object), den))
+    _, spy = _spied_l2(PointSet(np.array([[1, den], [den // 3, 17]], dtype=object), den))
     assert "dot" in spy.object_calls and SpiedArray.objects
 
 
@@ -520,7 +543,7 @@ def test_l2_sweep_widens_its_key_past_2_16_ranks():
 # library computed non-even p before the Gauss–Kronrod rule was batched
 
 
-def per_piece_quad_lp(ps: PointSet2, p: float):
+def per_piece_quad_lp(ps: PointSet, p: float):
     """(value, error_bound) of L_p by a per-piece loop of scipy quad calls."""
     quad = pytest.importorskip("scipy.integrate").quad
     N, D = ps.n_points, ps.den
@@ -588,7 +611,7 @@ def run_point_sets(draw):
     right = draw(st.integers(0, den))
     column = [(right, y) for y in draw(st.lists(st.integers(0, den), min_size=3, max_size=10))]
     nums = low * draw(st.integers(1, 3)) + column
-    return PointSet2(np.array(nums, dtype=np.int64), den)
+    return PointSet(np.array(nums, dtype=np.int64), den)
 
 
 @settings(max_examples=120, deadline=None)
@@ -599,14 +622,14 @@ def test_batched_quadrature_matches_per_piece_quad(ps, p):
 
 def test_batched_quadrature_on_faces_ties_and_wide_denominators():
     sets = [
-        PointSet2(np.array([[x, y]], dtype=np.int64), 5)
+        PointSet(np.array([[x, y]], dtype=np.int64), 5)
         for x, y in [(0, 0), (0, 5), (5, 0), (5, 5), (2, 5), (0, 3)]
     ]
     # repeated x and y values, several points on x = 0 (the t1 -> 0 column)
-    sets.append(PointSet2(np.array([[0, 2], [0, 2], [0, 9], [4, 2], [4, 9], [9, 0], [9, 9]], dtype=np.int64), 9))
+    sets.append(PointSet(np.array([[0, 2], [0, 2], [0, 9], [4, 2], [4, 9], [9, 0], [9, 9]], dtype=np.int64), 9))
     # object numerators over den >= 2^45, with a column next to 0 of width 1/den
     den = (1 << 45) + 7
-    sets.append(PointSet2(np.array([[1, den], [den // 3, 17], [den // 3, den], [0, 17], [den - 1, 0]], dtype=object), den))
+    sets.append(PointSet(np.array([[1, den], [den // 3, 17], [den // 3, den], [0, 17], [den - 1, 0]], dtype=object), den))
     sets.append(hammersley_point_set(3, 2))
     sets.append(sym_hammersley_points(2, 2))
     for ps in sets:
@@ -706,7 +729,7 @@ def test_row_blocks_give_the_one_block_results(monkeypatch):
     sets = _random_sets(6, 9, 9, seed=41) + [
         sym_hammersley_points(2, 4),
         hammersley_point_set(3, 3),
-        PointSet2(np.array([[1, big], [big // 3, 17], [big // 3, big], [0, 17], [big - 1, 0]], dtype=object), big),
+        PointSet(np.array([[1, big], [big // 3, 17], [big // 3, big], [0, 17], [big - 1, 0]], dtype=object), big),
     ]
     whole = [(linf_star(ps), _lp_even_exact(ps, 4), _lp_quadrature(ps, 1.5)) for ps in sets]
     monkeypatch.setattr(discrepancy, "_BLOCK", 3 * 21)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from badicnet import (
     DigitalNet,
-    PointSet2,
+    PointSet,
     enumerate_points,
     hammersley_matrices,
     hammersley_point_set,
@@ -79,34 +79,56 @@ def test_enumerate_matches_point_set():
     assert net.n_points == 9
 
 
+@settings(max_examples=80, deadline=None)
+@given(digital_nets(max_s=4), st.data())
+def test_point_set_of_any_dimension_matches_the_per_point_fractions(net, data):
+    # to_point_set of a net, or of its shifted points, against project_pi_loop
+    # on every coordinate of the eagerly built digit vectors
+    points = eager_points(net)
+    shift = data.draw(st.none() | st.lists(st.integers(0, net.base - 1), min_size=net.s * net.n, max_size=net.s * net.n), label="shift")
+    if shift is None:
+        ps = to_point_set(net)
+    else:
+        rows = np.array(shift).reshape(net.s, net.n)
+        sigma = GVector(tuple(GElement(net.base, tuple(row), 0) for row in rows.tolist()))
+        ps, points = to_point_set(NetPoints(net, rows)), [gv_add(z, sigma) for z in points]
+    want = [gv_pi(z) for z in points]
+    assert ps.nums.shape == (net.n_points, net.s)
+    assert ps.fractions() == want
+    assert PointSet.from_fractions(ps.fractions()).fractions() == want
+
+
 def test_point_set_from_fractions_round_trips():
     pairs = [(Fraction(1, 3), Fraction(0)), (Fraction(5, 6), Fraction(1, 2))]
-    ps = PointSet2.from_fractions(pairs)
+    ps = PointSet.from_fractions(pairs)
     assert sorted(ps.fractions()) == sorted(pairs)
     assert ps.den % 6 == 0
+    rows = [(Fraction(1, 3), Fraction(0), Fraction(3, 4)), (Fraction(1), Fraction(5, 6), Fraction(1, 2))]
+    ps = PointSet.from_fractions(rows)
+    assert ps.den == 12 and ps.nums.tolist() == [[4, 0, 9], [12, 10, 6]] and ps.fractions() == rows
 
 
 def test_point_set_rejects_points_outside_the_unit_square():
     # linf_star read 1.5 for the point (3/2, 1/2), past any local discrepancy
-    for nums in ([[3, 1]], [[-1, 0]]):
-        with pytest.raises(ValueError, match="outside the unit square"):
-            PointSet2(np.array(nums), 2)
-    assert PointSet2(np.array([[0, 2]], dtype=np.uint8), 2).n_points == 1  # the faces are in
+    for nums in ([[3, 1]], [[-1, 0]], [[0, 1, 3]]):
+        with pytest.raises(ValueError, match=r"outside the unit cube \[0, 1\]\^s"):
+            PointSet(np.array(nums), 2)
+    assert PointSet(np.array([[0, 2]], dtype=np.uint8), 2).n_points == 1  # the faces are in
 
 
 def test_point_set_rejects_numerators_that_are_not_integers():
     # l2_star cast 0.5 and 0.25 to int64 and gave the value of the point (0, 0)
     for nums in (np.array([[0.5, 0.25]]), np.array([[Fraction(1, 2), 0]], dtype=object), np.array([[True, False]])):
         with pytest.raises(ValueError, match="numerators must be integers"):
-            PointSet2(nums, 1)
-    assert PointSet2(np.array([[1, 2**70]], dtype=object), 2**70).n_points == 1
+            PointSet(nums, 1)
+    assert PointSet(np.array([[1, 2**70]], dtype=object), 2**70).n_points == 1
 
 
 def test_point_set_rejects_a_denominator_that_is_not_positive():
     # den = 0 was a ZeroDivisionError in the first value read, and den = True was read as 1
     for den in (0, -3, 1.0, Fraction(1), True):
         with pytest.raises(ValueError, match="den must be a positive integer"):
-            PointSet2(np.array([[0, 0]]), den)
+            PointSet(np.array([[0, 0]]), den)
 
 
 @pytest.mark.parametrize(
@@ -499,10 +521,10 @@ def test_points_csv_over_several_blocks_matches_per_point_writer():
     ],
 )
 def test_deduplicated_csv_matches_per_point_writer(net, distinct):
-    from badicnet.nets import _ROW_BLOCK, point_numerators
+    from badicnet.nets import _ROW_BLOCK
 
     pts = enumerate_points(net)
-    nums, _ = point_numerators(pts)
+    nums = to_point_set(pts).nums
     counts = [len(set(col)) for col in nums.T.tolist()]
     assert max(counts) <= distinct and (min(counts) == len(pts)) == (distinct == len(pts))
     with no_point_objects():
@@ -541,7 +563,7 @@ def test_points_csv_matches_per_point_writer(pts):
 
 
 def test_points_csv_examples_cover_disjoint_and_wide_nets():
-    nums, _ = netsmod.point_numerators(_DISJOINT)
+    nums = to_point_set(_DISJOINT).nums
     assert not set(nums[:, 0].tolist()) & set(nums[:, 1].tolist())
     assert _FOUR_COORDINATES.net.s == 4
 
@@ -563,15 +585,16 @@ def test_point_set_past_int64_matches_projection():
 
 def test_point_set_and_csv_stay_in_int64_below_den_2_53():
     # pinned without timing: below den = 2^53 the only numpy calls that see
-    # an object array are the integer gate reading den as a 0-d array and
-    # the CSV building its table of cell strings
+    # an object array are the integer gate reading den as a 0-d array, in
+    # to_point_set and in the CSV that reads its PointSet, and the CSV
+    # building its table of cell strings
     for net in (truncated_sym_hammersley(2, 8, 41), truncated_sym_hammersley(3, 4, 25)):
         with numpy_spy(badicmod, netsmod) as spy:
             ps = to_point_set(net)
         assert ps.nums.dtype == np.int64 and spy.object_calls == ["array"]
         with numpy_spy(badicmod, netsmod) as spy:
             csv_text(enumerate_points(net))
-        assert spy.object_calls == ["array"]
+        assert spy.object_calls == ["array", "array"]
 
 
 def test_net_points_refuse_more_points_than_an_index_holds():

@@ -4,6 +4,7 @@ its Layout rows stay short and name what their modules hold."""
 import ast
 import builtins
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -71,13 +72,16 @@ NOT_ATTRIBUTES = {"max_candidates", "badicnet"}
 
 def resolves(module, name: str) -> bool:
     """Is name (dotted or not) an attribute of module, a builtin, or, for
-    a dotted name such as badic.integer_array, one of the package?"""
+    a dotted name such as badic.integer_array, one of the package?  A
+    class or function must bear the name itself, so an alias of another
+    name does not resolve."""
     head, *rest = name.split(".")
     roots = (module, builtins) + ((badicnet,) if rest else ())
     obj = next((getattr(root, head) for root in roots if hasattr(root, head)), None)
     for part in rest:
         obj = getattr(obj, part, None)
-    return obj is not None
+    named = inspect.isclass(obj) or inspect.isroutine(obj)
+    return obj is not None and (not named or obj.__name__ == name.rsplit(".", 1)[-1])
 
 
 def test_layout_names_resolve():

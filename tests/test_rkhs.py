@@ -17,7 +17,7 @@ from badicnet import (
     BandLimitedKernel,
     GElement,
     GVector,
-    PointSet2,
+    PointSet,
     SpectralDiagonalKernel,
     DigitalNet,
     character_sum_over,
@@ -39,7 +39,7 @@ from badicnet import (
 import badicnet
 from badicnet.badic import frequency_digits
 from badicnet.dual import GuardExceeded, _tuple_count, dual_scan
-from badicnet.nets import point_numerators
+from badicnet.nets import to_point_set
 from badicnet.rkhs import _diag_tail
 from badicnet.walsh import character_exponent_table, character_sums
 from oracles import (
@@ -666,9 +666,9 @@ def shift_by_objects(points, sigma):
 
 
 def fraction_rows(points):
-    """Exact coordinates as Fraction rows: PointSet2 pairs or project_pi_loop per coordinate."""
-    if isinstance(points, PointSet2):
-        return [tuple(pair) for pair in points.fractions()]
+    """Exact coordinates as Fraction rows: PointSet rows or project_pi_loop per coordinate."""
+    if isinstance(points, PointSet):
+        return points.fractions()
     return [gv_pi(z) for z in points]
 
 
@@ -776,7 +776,7 @@ def test_digital_shift_needs_net_points():
         ("character_sums", lambda p: character_sums(p, [(1, 0)])),
         ("character_sums", lambda p: character_sum_over(p, (1, 0))),
         ("character_exponent_table", lambda p: character_exponent_table(p, [(1, 0)])),
-        ("point_numerators", point_numerators),
+        ("to_point_set", to_point_set),
         ("points_to_csv", csv_text),
         ("qmc_integrate", lambda p: qmc_integrate(p, "prod-exp")),
     ],
@@ -804,14 +804,28 @@ def test_qmc_on_point_sets_matches_the_symmetrized_net():
             assert (got.value, got.exact) == qmc_by_fraction_rows(ps, integrand, **params)
             assert got == qmc_integrate(pts, integrand, **params)
     with pytest.raises(ValueError, match="empty point set"):
-        qmc_integrate(PointSet2(np.zeros((0, 2), dtype=np.int64), 1), "prod-exp")
+        qmc_integrate(PointSet(np.zeros((0, 2), dtype=np.int64), 1), "prod-exp")
     for k in [(), (1,), (1, 0, 1)]:
         with pytest.raises(ValueError, match="^incompatible elements: dimension mismatch$"):
             qmc_integrate(sym_hammersley_points(2, 2), "walsh", k=k, base=2)
     # 1/7 has no eventually constant binary expansion
     with pytest.raises(ValueError, match="unsupported expansion"):
-        qmc_integrate(PointSet2.from_fractions([(Fraction(1, 2), Fraction(1, 7))]), "walsh", k=(1, 1), base=2)
+        qmc_integrate(PointSet.from_fractions([(Fraction(1, 2), Fraction(1, 7))]), "walsh", k=(1, 1), base=2)
 
+
+def test_qmc_on_a_three_coordinate_point_set_matches_its_net_points():
+    net = symmetrize_matrices(DigitalNet(3, tuple(np.array([[1, 0], [j, 1], [1, j]]) for j in range(3))))
+    pts = random_digital_shift(enumerate_points(net), 5)
+    ps = to_point_set(pts)
+    assert ps.nums.shape == (3**5, 3)
+    for integrand, params in (
+        ("prod-quadratic", {"c": Fraction(1, 5)}),
+        ("prod-exp", {}),
+        ("walsh", {"k": (1, 3, 5), "base": 3}),
+    ):
+        got = qmc_integrate(ps, integrand, **params)
+        assert got == qmc_integrate(pts, integrand, **params)
+        assert (got.value, got.exact) == qmc_by_fraction_rows(ps, integrand, **params)
 
 
 def test_qmc_walsh_at_a_huge_base_builds_no_root_per_residue():
@@ -825,8 +839,8 @@ def test_qmc_walsh_at_a_huge_base_builds_no_root_per_residue():
         "import resource",
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
         "from fractions import Fraction",
-        "from badicnet import PointSet2, qmc_integrate",
-        f"ps = PointSet2.from_fractions([tuple(map(Fraction, {[str(v) for v in x]!r}))])",
+        "from badicnet import PointSet, qmc_integrate",
+        f"ps = PointSet.from_fractions([tuple(map(Fraction, {[str(v) for v in x]!r}))])",
         f"print(repr(qmc_integrate(ps, 'walsh', k={k!r}, base={b}).value))",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(badicnet.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}

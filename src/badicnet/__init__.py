@@ -9,13 +9,10 @@ Walsh-based kernel spaces.
 from .badic import (
     GElement,
     GVector,
-    delta_digit_sum,
     g_add,
     g_sub,
     in_E,
     int_digits,
-    is_prime,
-    minimal_precision,
     project_pi,
     section_sigma,
 )
@@ -64,7 +61,6 @@ from .rkhs import (
     IntegrationResult,
     SpectralDiagonalKernel,
     WceResult,
-    ds_invariant_coeffs,
     khat,
     ms_wce_spectral,
     qmc_integrate,

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .badic import frequency_digits, rows_in_E
+from .badic import frequency_digits, is_prime, rows_in_E
 from .dual import (
     GUARD_DEFAULT,
     GuardExceeded,
@@ -208,15 +208,10 @@ def cmd_verify_independence(args) -> int:
 def cmd_verify_rho2(args) -> int:
     net = _load_net(args)
     res = rho2_min_weight(net, args.cap, args.max_candidates)
-    certified = res.certified_by
-    if res.exceeded:
-        try:
-            if certify_rho2_via_independence(net, res.cap):
-                certified = "enumeration+independence"
-        except ValueError:
-            pass
     doc = res.to_json_dict()
-    doc["certified_by"] = certified
+    # the certificate applies at a prime base and 1 <= cap <= 2m; elsewhere enumeration stands alone
+    if res.exceeded and is_prime(net.base) and 1 <= res.cap <= 2 * net.m and certify_rho2_via_independence(net, res.cap):
+        doc["certified_by"] = "enumeration+independence"
     _dump_json(args, doc)
     return 0
 

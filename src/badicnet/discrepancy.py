@@ -86,15 +86,20 @@ def _dominance_sums(r: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     counts the 0s before it in its prefix group, which are the 0s before it
     less the 0s of all lower prefixes, and sums their weights from one
     running sum over the 0s.  O(N) per bit besides the sort, no Python loop
-    over points.  The sums keep the dtype of w.
+    over points.  Past 16 bits of rank, each prefix that fits 16 bits is
+    sorted as uint16, so radix sort again.  The sums keep the dtype of w.
     """
     N = r.shape[0]
     r = _narrow(r)
+    top = int(r.max())
     cnt = np.zeros(N, dtype=np.int64)
     tot = np.zeros(N, dtype=w.dtype)
-    for bit in reversed(range(int(r.max()).bit_length())):
+    for bit in reversed(range(top.bit_length())):
         key = r >> bit  # prefix, then the bit
-        order = np.argsort(key >> 1, kind="stable")  # index order inside a group
+        prefix = key >> 1
+        if r.dtype.itemsize > 2 and top >> (bit + 1) < 1 << 16:
+            prefix = prefix.astype(np.uint16)
+        order = np.argsort(prefix, kind="stable")  # index order inside a group
         ones = (key[order] & 1) == 1
         high = np.flatnonzero(ones)
         zeros_before = high - np.arange(len(high))

@@ -52,15 +52,6 @@ def dual_members(net: DigitalNet, digits: np.ndarray) -> np.ndarray:
     return ~mod_product(digits[..., :d].reshape(len(digits), net.s * d), rows, net.base).any(axis=1)
 
 
-def image_table(net: DigitalNet, j: int, k_digits: int) -> np.ndarray:
-    """(b^k_digits, m) array whose row k is vec(k) C_j mod b: the
-    badic.linear_table of the first k_digits rows of C_j, in its narrow
-    dtype, where rows of several tables add by badic.add_mod."""
-    if k_digits > net.n:
-        raise ValueError("digits exceed matrix rows")
-    return linear_table(net.matrices[j][:k_digits], net.base)
-
-
 def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per entry of runs of counts[0], counts[1], ... entries: its run and its place in it."""
     run = np.repeat(np.arange(len(counts)), counts)
@@ -139,15 +130,19 @@ def dual_scan(net: DigitalNet, k_digits: int, weighted: bool = False, max_candid
     Unweighted, every component ranges over k < b^k_digits; weighted,
     k_digits is a budget on the sum of the components' digit counts.  The
     s-tuples this admits are counted against max_candidates before any
-    image_table is built; the tables go through _half_join.
+    table is built.  Coordinate j's table, row k the image vec(k) C_j mod b,
+    is the badic.linear_table of the first k_digits rows of C_j, which
+    must exist; the tables go through _half_join.
     """
     b, s = net.base, net.s
     sizes, budget = ([1] + [(b - 1) * b**a for a in range(k_digits)], k_digits) if weighted else ([b**k_digits], 0)
     count = _tuple_count(sizes, s, budget)
     if count > max_candidates:
         raise GuardExceeded(f"guard exceeded: {count} candidates over cap {max_candidates}")
+    if k_digits > net.n:
+        raise ValueError("digits exceed matrix rows")
     levels = np.searchsorted(b ** np.arange(k_digits), np.arange(b**k_digits), side="right") * weighted
-    out = _half_join([image_table(net, j, k_digits) for j in range(s)], levels, net.m, b, budget)[0]
+    out = _half_join([linear_table(C[:k_digits], b) for C in net.matrices], levels, net.m, b, budget)[0]
     return out[np.lexsort(out.T[::-1])]
 
 
@@ -242,7 +237,7 @@ def _class_members(base: int, positions: tuple[int, ...]) -> np.ndarray:
 
 
 def _class_images(C: np.ndarray, base: int, positions: list[tuple[int, ...]]) -> np.ndarray:
-    """Image rows vec(k) C mod b (image_table's dtype) of the members of
+    """Image rows vec(k) C mod b (linear_table's dtype) of the members of
     the mu2 classes at these positions, in class and _class_members order.
     Member k1 b^(a1-1) + k2 b^(a2-1) + low adds rows k1 (n+1) + a1 and
     k2 (n+1) + a2 of one linear_table of C's multiples below a zero row

@@ -117,9 +117,6 @@ class BandLimitedKernel:
     def size(self) -> int:
         return self.box**self.s
 
-    def frequency(self, t: int) -> tuple[int, ...]:
-        return tuple((t // self.box**j) % self.box for j in range(self.s))
-
     @classmethod
     def random(cls, base: int, s: int, k_digits: int, rank: int, rng) -> "BandLimitedKernel":
         """Random real symmetric PSD kernel of the given Gram rank.
@@ -183,36 +180,22 @@ class SpectralDiagonalKernel:
         """Geometric ratio of one digit level: b^(1-2 alpha)."""
         return float(self.base) ** (1.0 - 2.0 * self.alpha)
 
-    def r1(self, k: int, j: int) -> float:
-        if k == 0:
-            return 1.0
-        a1 = len(int_digits(k, self.base))
-        return self.gammas[j] * float(self.base) ** (-2.0 * self.alpha * a1)
-
-    def r(self, ks: Sequence[int]) -> float:
-        """r_rows of the one frequency vector ks, its components read with
-        operator.index."""
-        row = [operator.index(k) for k in ks]
-        if min(row, default=0) < 0:
-            raise ValueError("negative integer has no digit expansion here")
-        return float(self.r_rows(integer_array([row], "frequencies", shape=(1, None)))[0])
-
     def r_rows(self, ks: np.ndarray) -> np.ndarray:
-        """The product of r1 over the components of every row of a (T, s)
-        array of frequency vectors (int64, or Python ints past 2^63), in
-        coordinate order from 1.0, bit for bit.  A component's level a1 is the
-        count of the powers b^0, ..., b^(d-1) at most it, d the digit count
-        of the largest component.  Each coordinate's r1 is gathered from a
-        table over the levels 0..d, built by r1 itself at k = 0 and
-        k = b^(a1 - 1).  Rows not of length s are a ValueError, as in khat."""
+        """r(k) of every row of a (T, s) array of frequency vectors (int64,
+        or Python ints past 2^63): the product over the components of
+        r_j(k_j), in coordinate order from 1.0.  A component's level a1 is
+        the count of the powers b^0, ..., b^(d-1) at most it, d the digit
+        count of the largest component, and r_j is gathered from the table
+        of levels 0..d, [1.0] + [gamma_j b^(-2 alpha a1) for a1 in 1..d].
+        Rows not of length s are a ValueError, as in khat."""
         if ks.shape[1:] != (self.s,):
             raise ValueError("incompatible elements: dimension mismatch")
         b = self.base
         d = len(int_digits(int(ks.max(initial=0)), b))
         levels = np.searchsorted(np.array([b**a for a in range(d)], dtype=ks.dtype), ks, side="right")
         out = np.ones(len(ks))
-        for j in range(ks.shape[1]):
-            table = np.array([self.r1(0, j)] + [self.r1(b ** (a - 1), j) for a in range(1, d + 1)])
+        for j, gamma in enumerate(self.gammas):
+            table = np.array([1.0] + [gamma * float(b) ** (-2.0 * self.alpha * a) for a in range(1, d + 1)])
             out *= table[levels[:, j]]
         return out
 
@@ -249,21 +232,11 @@ def khat(kernel, k: Sequence[int], l: Sequence[int]) -> complex:
     if min(ks + ls) < 0:
         raise ValueError("frequencies are nonnegative")
     if not band:
-        return complex(kernel.r(ks)) if ks == ls else 0j
+        return complex(kernel.r_rows(integer_array([ks], "frequencies", shape=(1, None)))[0]) if ks == ls else 0j
     if any(v >= kernel.box for v in ks + ls):
         return 0j
-    # the flat indices are the frequencies' digits read as one integer
-    digits = frequency_digits([ks, ls], kernel.base, kernel.s, kernel.k_digits)
-    t, u = digit_values(digits.reshape(2, -1), kernel.base).tolist()
+    t, u = digit_values(np.array([ks, ls]), kernel.box).tolist()  # flat indices, as in wce_spectral
     return complex(kernel.coeffs[t, u])
-
-
-def ds_invariant_coeffs(kernel):
-    """Digit-shift averaged version of a kernel: off-diagonal Walsh
-    coefficients vanish, the diagonal is untouched."""
-    if not _band_limited(kernel):
-        return kernel
-    return BandLimitedKernel(kernel.base, kernel.s, kernel.k_digits, np.diag(np.diag(kernel.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +354,12 @@ def _diag_tail(kernel: SpectralDiagonalKernel, cap: int) -> float:
 
 def ms_wce_spectral(net: DigitalNet, kernel, cap: int | None = None, max_candidates: int = dualmod.GUARD_DEFAULT) -> WceResult:
     """Mean squared error over all digital shifts: the spectral sum of
-    the shift-averaged kernel (diagonal coefficients only)."""
-    return wce_spectral(net, ds_invariant_coeffs(kernel), cap=cap, max_candidates=max_candidates)
+    the shift-averaged kernel, whose off-diagonal Walsh coefficients
+    vanish and whose diagonal is untouched (a diagonal kernel is its own
+    average)."""
+    if _band_limited(kernel):
+        kernel = BandLimitedKernel(kernel.base, kernel.s, kernel.k_digits, np.diag(np.diag(kernel.coeffs)))
+    return wce_spectral(net, kernel, cap=cap, max_candidates=max_candidates)
 
 
 # ---------------------------------------------------------------------------

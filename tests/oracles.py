@@ -5,10 +5,12 @@ arrays.  The functions here work on GElement and GVector digit vectors,
 one point, coordinate or pair at a time, as the definitions read; the
 tests compare the array paths against them.  The scalar loops of the
 group sum and difference, the characters W_k, the projection pi, the
-section sigma, the depth of a sequence, the diagonal coefficient r,
-wal_k, dual membership and the set E are here too: the library's entries
-of the same names are one-row calls of its array paths, and no function
-here calls one of them (tests/test_oracles.py checks that).  Also here:
+section sigma, the depth of a sequence, wal_k, dual membership and the
+set E are here too: the library's entries of the same names are one-row
+calls of its array paths, and no function here calls one of them
+(tests/test_oracles.py checks that).  So are the diagonal coefficient r
+and the flat index of a frequency box, which no function here reads
+through a kernel's r_rows or khat.  Also here:
 the closed forms of the two Hammersley point sets, the local discrepancy
 and the mu2 sum of a frequency vector, the random nets the property
 tests draw, the guard that fails a call building point objects, the
@@ -123,11 +125,13 @@ def section_sigma_loop(x, base: int, precision: int) -> GElement:
 
 
 def r_loop(kernel: SpectralDiagonalKernel, ks) -> float:
-    """The diagonal coefficient at a frequency vector: r1 of each
-    component, multiplied in coordinate order from 1.0."""
-    out = 1.0
-    for j, k in enumerate(ks):
-        out *= kernel.r1(operator.index(k), j)
+    """The diagonal coefficient at a frequency vector, as the definition
+    reads: gamma_j b^(-2 alpha a1(k_j)) of each nonzero component, a1 its
+    digit count from int_digits, multiplied in coordinate order from 1.0."""
+    b, out = kernel.base, 1.0
+    for gamma, k in zip(kernel.gammas, map(operator.index, ks)):
+        if k:
+            out *= gamma * float(b) ** (-2.0 * kernel.alpha * len(int_digits(k, b)))
     return out
 
 
@@ -324,9 +328,18 @@ def tuple_to_flat(ks, base: int, k_digits: int) -> int:
     return sum(d * base ** (j * k_digits + i) for j, k in enumerate(ks) for i, d in enumerate(int_digits(k, base)))
 
 
+def flat_to_tuple(t: int, base: int, k_digits: int, s: int) -> tuple[int, ...]:
+    """The frequency vector of flat index t in a box of b^k_digits per
+    coordinate, the inverse of tuple_to_flat: component j reads digits
+    j k_digits to (j+1) k_digits - 1 of t, from int_digits."""
+    digits = int_digits(t, base)
+    return tuple(sum(d * base**i for i, d in enumerate(digits[j * k_digits : (j + 1) * k_digits])) for j in range(s))
+
+
 def walsh_row(kernel: BandLimitedKernel, z: GVector) -> np.ndarray:
     """W_k(z) for every flat frequency of the kernel, one character_vec each."""
-    return np.array([character_vec(kernel.frequency(t), z).value for t in range(kernel.size)])
+    ks = [flat_to_tuple(t, kernel.base, kernel.k_digits, kernel.s) for t in range(kernel.size)]
+    return np.array([character_vec(k, z).value for k in ks])
 
 
 def kernel_eval(kernel, x: GVector, y: GVector):

@@ -13,22 +13,30 @@ from badicnet import (
     DigitalNet,
     GElement,
     GVector,
-    delta_digit_sum,
     dual_contains,
     g_add,
     g_sub,
     in_E,
     PointSet,
     int_digits,
-    is_prime,
-    minimal_precision,
     net_from_json,
     net_to_json,
     project_pi,
     section_sigma,
     walsh_exponent,
 )
-from badicnet.badic import add_mod, digit_values, first_nonzero_position, frequency_digits, linear_table, mod_product, rows_in_E
+from badicnet.badic import (
+    add_mod,
+    delta_digit_sum,
+    digit_values,
+    first_nonzero_position,
+    frequency_digits,
+    is_prime,
+    linear_table,
+    minimal_precision,
+    mod_product,
+    rows_in_E,
+)
 from badicnet.dual import dual_members, rank_mod_p
 from badicnet.nets import NetPoints
 from badicnet.walsh import character, residue_counts, sums_vanish, walsh_eval

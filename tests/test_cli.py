@@ -234,6 +234,28 @@ def test_verify_rho2_reports_exceeds_with_certificate(capsys):
     assert doc["cap"] == 5
 
 
+def test_verify_rho2_certifies_only_where_the_certificate_applies(capsys, monkeypatch):
+    # at b = 4 the certificate does not apply, so the enumeration stands alone
+    code, out, _ = run(
+        capsys, "verify", "rho2", "--kind", "sym-hammersley-truncated",
+        "--base", "4", "--m", "2", "--n", "6", "--cap", "2",
+    )
+    assert code == 0
+    assert out == '{\n "rho2": "exceeds",\n "cap": 2,\n "certified_by": "enumeration",\n "witness": null\n}\n'
+
+    # where it applies, whatever it raises is the command's error, not a
+    # silent "enumeration": a guard inside it exits 3
+    def tripped(net, rho):
+        raise GuardExceeded("guard exceeded: 2 selections over cap 1")
+
+    monkeypatch.setattr(cli, "certify_rho2_via_independence", tripped)
+    code, out, err = run(
+        capsys, "verify", "rho2", "--kind", "sym-hammersley-truncated",
+        "--base", "2", "--m", "2", "--n", "5", "--cap", "5",
+    )
+    assert (code, out, err) == (3, "", "error: guard exceeded: 2 selections over cap 1\n")
+
+
 def test_verify_rho2_finds_weight(capsys):
     code, out, _ = run(capsys, "verify", "rho2", "--kind", "hammersley", "--base", "2", "--m", "2")
     assert code == 0

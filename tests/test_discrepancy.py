@@ -270,11 +270,13 @@ SYM_L2_COEFFS = {
 }
 
 
-@pytest.mark.parametrize("b, top", [(2, 13), (3, 9), (5, 5), (7, 4)])
+@pytest.mark.parametrize("b, top", [(2, 16), (3, 9), (5, 5), (7, 4)])
 def test_symmetrized_l2_closed_form(b, top):
     # a measured identity, not a proved one: it holds exactly at every m
-    # computed, so it checks l2_star at N up to 2^15, 3^11, 5^7 and 7^6;
-    # N L_2 = sqrt(A log_b N + O(1)) is the paper's sqrt(log N) order
+    # computed, so it checks l2_star at N up to 2^18, 3^11, 5^7 and 7^6;
+    # N L_2 = sqrt(A log_b N + O(1)) is the paper's sqrt(log N) order.  At
+    # b = 2, m = 16 the sweep first ranks more than 2^16 distinct y values
+    # and sorts its high levels' prefixes as uint16
     A, B, C, D = SYM_L2_COEFFS[b]
     assert A == Fraction((b * b - 1) * (b * b + 6), 180)
     assert D == Fraction(-(b**4), 72 * (b - 1) ** 2)
@@ -283,6 +285,18 @@ def test_symmetrized_l2_closed_form(b, top):
         assert ps.n_points == b ** (m + 2)
         want = A * m + B + C / Fraction(b) ** m + D / Fraction(b) ** (2 * m)
         assert l2_star(ps).exact * ps.n_points**2 == want, (b, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(-(2**40), 2**40)), min_size=1, max_size=300))
+def test_dominance_sums_on_sparse_ranks_match_the_pair_loop(rows):
+    # ranks up to 2^20 take 21 levels, the top ones sorted as uint16
+    r = np.array([rank for rank, _ in rows], dtype=np.int64)
+    w = np.array([weight for _, weight in rows], dtype=np.int64)
+    cnt, tot = discrepancy._dominance_sums(r, w)
+    for k in range(len(rows)):
+        below = [i for i in range(k) if r[i] < r[k]]
+        assert (cnt[k], tot[k]) == (len(below), sum(int(w[i]) for i in below))
 
 
 def test_truncation_bound_values():

@@ -19,8 +19,8 @@ from badicnet import (
     symmetrize_matrices,
     truncated_sym_hammersley,
 )
-from badicnet.badic import frequency_digits, in_E, int_digits, mod_product
-from badicnet.dual import _class_images, _class_members, _profiles, dual_scan, image_table, rank_mod_p
+from badicnet.badic import frequency_digits, in_E, int_digits, linear_table, mod_product
+from badicnet.dual import _class_images, _class_members, _profiles, dual_scan, rank_mod_p
 from badicnet import dual, walsh
 from badicnet.dual import GuardExceeded, dual_members
 from badicnet.nets import DigitalNet
@@ -30,7 +30,7 @@ from oracles import brute_rho2, character_vec, digital_nets, loop_rank_mod_p, mu
 
 def _k_image(net, j, k):
     """vec(k) C_j mod b for one coordinate, from int_digits: the oracle of
-    image_table and dual_members."""
+    dual_scan's linear_table of C_j and of dual_members."""
     vec = np.zeros(net.n, dtype=np.int64)
     kd = int_digits(k, net.base)
     vec[: len(kd)] = kd
@@ -392,7 +392,7 @@ def test_batched_enumeration_matches_per_k_scan(case):
     got = dual_enumerate_below(net, k_digits)
     assert _tuples(got) == per_k_enumerate_below(net, k_digits)
     for j in range(net.s):
-        table = image_table(net, j, k_digits)
+        table = linear_table(net.matrices[j][:k_digits], net.base)
         for k in range(net.base**k_digits):
             assert np.array_equal(table[k], _k_image(net, j, k))
 
@@ -409,12 +409,12 @@ def test_weighted_scan_is_the_box_scan_within_budget(case):
     assert _tuples(dual_scan(net, budget, weighted=True)) == within
 
 
-def test_image_table_rows_for_a_base_past_one_byte():
+def test_linear_table_rows_for_a_base_past_one_byte():
     # residues up to 2(b-1) = 512 need more than a byte while the table is built
     b = 257
     rng = np.random.default_rng(3)
     net = DigitalNet(b, (rng.integers(0, b, size=(3, 2)),))
-    table = image_table(net, 0, 2)
+    table = linear_table(net.matrices[0][:2], b)
     assert table.shape == (b * b, 2)
     for k in [0, 1, b - 1, b, b * b - 1, *rng.integers(0, b * b, size=200)]:
         assert np.array_equal(table[k], _k_image(net, 0, int(k)))
@@ -424,7 +424,7 @@ def walk_dual_scan(net, k_digits, weighted=False):
     """dual_scan as it was: the first s-1 coordinates walked one value at
     a time, the last one's admissible block compared row by row."""
     b, s = net.base, net.s
-    tables = [image_table(net, j, k_digits) for j in range(s)]
+    tables = [linear_table(C[:k_digits], b) for C in net.matrices]
     out = []
 
     def rec(j, budget, need, prefix):
@@ -572,7 +572,7 @@ def test_join_for_a_base_past_one_byte(weighted):
     b = 257
     rng = np.random.default_rng(8)
     net = DigitalNet(b, tuple(rng.integers(0, b, size=(2, 1)) for _ in range(2)))
-    assert image_table(net, 0, 1).dtype == np.uint16
+    assert linear_table(net.matrices[0][:1], b).dtype == np.uint16
     got = _tuples(dual_scan(net, 1, weighted))
     assert got == walk_dual_scan(net, 1, weighted)
     # the box pairs every k1 with one k2; a budget of one digit leaves the origin
@@ -773,7 +773,7 @@ def matrices_and_classes(draw):
 def test_class_images_are_the_products_of_the_class_members(case):
     b, C, classes = case
     images = _class_images(C, b, classes)
-    assert images.dtype == image_table(DigitalNet(b, (C,)), 0, 0).dtype
+    assert images.dtype == linear_table(C[:0], b).dtype
     want = []
     for pos in classes:
         digits = frequency_digits([(int(k),) for k in _class_members(b, pos)], b, 1, len(C))[:, 0]

@@ -93,3 +93,16 @@ def test_layout_names_resolve():
         names = {v for v in names if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", v)} - NOT_ATTRIBUTES
         unresolved[module_name] = sorted(v for v in names if not resolves(module, v))
     assert unresolved == dict.fromkeys(unresolved, [])
+
+
+# result types of entries the README names, exempt from being named themselves
+RESULT_TYPES = {"DiscrepancyResult", "WceResult", "Rho2Result", "IndependenceReport", "IntegrationResult", "WeightProfile"}
+
+
+def test_package_exports_are_named_in_the_readme():
+    # an export the README names neither in backticks nor in the Library
+    # use block is one no reader is told of
+    text = README.read_text()
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`\n]+)`", text)) + library_use_block()))
+    exports = {name for name, value in vars(badicnet).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(exports - RESULT_TYPES - named) == []

@@ -21,7 +21,6 @@ from badicnet import (
     SpectralDiagonalKernel,
     DigitalNet,
     character_sum_over,
-    ds_invariant_coeffs,
     dual_contains,
     dual_enumerate_below,
     enumerate_points,
@@ -49,6 +48,7 @@ from oracles import (
     digit_negate,
     digital_nets,
     draw_shift,
+    flat_to_tuple,
     g_add_loop,
     g_sub_loop,
     gv_pi,
@@ -78,17 +78,18 @@ def test_digit_negate():
 def test_flat_negation_negates_each_component(b, s, k_digits):
     # each component fills k_digits digits of the flat index (box = b^k_digits)
     kern = BandLimitedKernel.random(b, s, k_digits, 1, np.random.default_rng(0))
-    flat = {kern.frequency(t): t for t in range(kern.size)}
+    freqs = [flat_to_tuple(t, b, k_digits, s) for t in range(kern.size)]
+    flat = {k: t for t, k in enumerate(freqs)}
     for t in range(kern.size):
-        assert tuple_to_flat(kern.frequency(t), b, k_digits) == t
-        neg = tuple(digit_negate(k, b) for k in kern.frequency(t))
+        assert tuple_to_flat(freqs[t], b, k_digits) == t
+        neg = tuple(digit_negate(k, b) for k in freqs[t])
         assert digit_negate(t, b) == flat[neg] == tuple_to_flat(neg, b, k_digits)
     # the kernel's digit rows are the frequencies' digits, by flat index
-    want = frequency_digits([kern.frequency(t) for t in range(kern.size)], b, s, k_digits)
+    want = frequency_digits(freqs, b, s, k_digits)
     assert np.array_equal(kern.digits, want)
-    # built once with the kernel, read-only like coeffs
+    # built once with the kernel, read-only like coeffs, whatever the coefficients
     assert kern.digits is kern.digits and not kern.digits.flags.writeable
-    assert np.array_equal(ds_invariant_coeffs(kern).digits, want)
+    assert np.array_equal(BandLimitedKernel(b, s, k_digits, np.eye(kern.size)).digits, want)
 
 
 @pytest.mark.parametrize("b, s, k_digits", [(2, 1, 3), (2, 2, 2), (3, 2, 1), (3, 3, 1), (5, 2, 1), (2, 3, 0)])
@@ -96,20 +97,17 @@ def test_random_kernel_has_the_negation_symmetry(b, s, k_digits):
     # coeffs[neg t, neg u] = conj(coeffs[t, u]), the flat negation read
     # from the scalar oracle; khat reads the same entries by frequency
     kern = BandLimitedKernel.random(b, s, k_digits, 2, np.random.default_rng(1))
-    neg = [tuple_to_flat([digit_negate(k, b) for k in kern.frequency(t)], b, k_digits) for t in range(kern.size)]
+    freqs = [flat_to_tuple(t, b, k_digits, s) for t in range(kern.size)]
+    neg = [tuple_to_flat([digit_negate(k, b) for k in ks], b, k_digits) for ks in freqs]
     for t in range(kern.size):
         for u in range(kern.size):
             assert kern.coeffs[neg[t], neg[u]] == kern.coeffs[t, u].conjugate()
-            assert khat(kern, kern.frequency(t), kern.frequency(u)) == kern.coeffs[t, u]
+            assert khat(kern, freqs[t], freqs[u]) == kern.coeffs[t, u]
 
 
 def test_negative_frequencies_raise():
     diag = SpectralDiagonalKernel(2, 1, 1.0, (1.0,))
     band = BandLimitedKernel.random(2, 2, 1, 2, np.random.default_rng(3))
-    with pytest.raises(ValueError, match="negative"):
-        diag.r((-1,))
-    with pytest.raises(ValueError, match="negative"):
-        diag.r1(-3, 0)
     for kern, k, l in [(diag, (-1,), (0,)), (diag, (-1,), (-1,)), (diag, (0,), (-2,)), (band, (-1, 0), (0, 0)), (band, (0, 0), (0, -1))]:
         with pytest.raises(ValueError, match="nonnegative"):
             khat(kern, k, l)
@@ -127,11 +125,8 @@ def test_band_limited_kernel_needs_points_of_its_base():
 def test_diagonal_kernel_weights():
     k = SpectralDiagonalKernel(2, 1, 1.0, (1.0,))
     assert k.q == 0.5
-    assert k.r1(0, 0) == 1.0
-    assert k.r1(1, 0) == 0.25  # top digit at position 1
-    assert k.r1(2, 0) == 0.0625
-    assert k.r1(3, 0) == 0.0625
-    assert k.r((6,)) == 2.0 ** (-2 * 3)
+    # digit levels a1 = 0, 1, 2, 2 and 3
+    assert k.r_rows(np.array([[0], [1], [2], [3], [6]])).tolist() == [1.0, 0.25, 0.0625, 0.0625, 2.0 ** (-2 * 3)]
 
 
 def test_diagonal_kernel_needs_convergent_alpha():
@@ -169,10 +164,11 @@ def test_phi_matches_walsh_series():
     # first nonzero digit sits at i0; truncate the series at 14 digit levels
     b, alpha = 2, 1.0
     kern = SpectralDiagonalKernel(b, 1, alpha, (1.0,))
+    r = kern.r_rows(np.arange(2**14)[:, None]).tolist()
     for i0, x in [(1, Fraction(1, 2)), (2, Fraction(1, 4)), (3, Fraction(1, 8))]:
         acc = 0.0
         for k in range(1, 2**14):
-            acc += kern.r1(k, 0) * walsh_eval_loop(k, x, b).real
+            acc += r[k] * walsh_eval_loop(k, x, b).real
         assert abs(acc - kern.phi(i0)) < 1e-3
 
 
@@ -210,20 +206,18 @@ def test_khat_reads_coefficients():
 
 
 def test_frequencies_must_be_integers():
-    # int() read the frequency 1.5 as 1, and 1.9 too: both gave r((1, 0)) = 0.25
+    # int() read the frequency 1.5 as 1: it gave the coefficient at (1, 0), 0.25
     k = SpectralDiagonalKernel(2, 2, 1.0, (1.0, 1.0))
     with pytest.raises(TypeError):
         khat(k, (1.5, 0), (1.5, 0))
-    with pytest.raises(TypeError):
-        k.r((1.9, 0))
-    assert khat(k, (np.int64(1), 0), (1, 0)) == k.r(np.array([1, 0])) == 0.25
+    assert khat(k, (np.int64(1), 0), (1, 0)) == khat(k, np.array([1, 0]), (1, 0)) == 0.25
 
 
 def test_coefficients_reject_a_vector_of_another_length():
-    # r((1,)) on a kernel with s = 2 read the vector as (1, 0) and gave 0.25
+    # a coefficient of (1,) on a kernel with s = 2 read the vector as (1, 0) and gave 0.25
     k = SpectralDiagonalKernel(2, 2, 1.0, (1.0, 1.0))
     for ks in [(1,), (1, 0, 0)]:
-        for entry in (lambda: k.r(ks), lambda: k.r_rows(np.array([ks])), lambda: khat(k, ks, ks)):
+        for entry in (lambda: k.r_rows(np.array([ks])), lambda: khat(k, ks, ks)):
             with pytest.raises(ValueError, match="^incompatible elements: dimension mismatch$"):
                 entry()
 
@@ -232,7 +226,7 @@ def test_non_kernels_are_a_type_error():
     net = _sym_net(2, 1, 4)
     routes = {
         "khat": lambda k: khat(k, (0, 0), (0, 0)),
-        "ds_invariant_coeffs": ds_invariant_coeffs,
+        "ms_wce_spectral": lambda k: ms_wce_spectral(net, k),
         "wce_direct": lambda k: wce_direct(enumerate_points(net), k),
         "wce_spectral": lambda k: wce_spectral(net, k),
     }
@@ -349,7 +343,7 @@ def test_table_weights_equal_r_bit_for_bit(b, s, data):
     ks = data.draw(st.lists(st.tuples(*[component] * s), min_size=1, max_size=20), label="ks")
     comps = np.array(ks, dtype=np.int64 if max(map(max, ks)) < 1 << 63 else object)
     got = kern.r_rows(comps).tolist()
-    assert got == [r_loop(kern, k) for k in ks] == [kern.r(k) for k in ks]  # float ==: the same bits
+    assert got == [r_loop(kern, k) for k in ks] == [khat(kern, k, k).real for k in ks]  # float ==: the same bits
     assert kern.r_rows(comps[:0]).shape == (0,)
 
 
@@ -465,7 +459,7 @@ def test_shift_average_equals_diagonalized_spectral():
     members = [k for k in dual_enumerate_below(net, 1).tolist() if k != [0, 0]]
     expected = sum(khat(kern, k, k).real for k in members)
     assert ms.value == pytest.approx(max(expected, 0.0), abs=1e-12)
-    diag = ds_invariant_coeffs(kern)
+    diag = BandLimitedKernel(2, 2, 1, np.diag(np.diag(kern.coeffs)))
     assert wce_spectral(net, diag).value == pytest.approx(ms.value, abs=1e-14)
 
 
@@ -550,7 +544,8 @@ def weighted_box(base, s, cap):
 def spectral_by_candidates(net, kernel, cap=None):
     """wce_spectral's (value, terms_used), one dual_contains call per candidate."""
     if isinstance(kernel, BandLimitedKernel):
-        members = [t for t in range(kernel.size) if t != 0 and dual_contains(net, kernel.frequency(t))]
+        freqs = [flat_to_tuple(t, kernel.base, kernel.k_digits, kernel.s) for t in range(kernel.size)]
+        members = [t for t in range(1, kernel.size) if dual_contains(net, freqs[t])]
         idx = np.array(members, dtype=np.intp)
         val = complex(kernel.coeffs[np.ix_(idx, idx)].sum()) if members else 0j
         return (0.0 if val.real < 0 else val.real), len(members) ** 2
@@ -867,9 +862,10 @@ def test_quadratic_rows_as_one_product_match_the_fraction_rows(c, s, sym, seed):
 
 def band_limited_by_character_sums(points, kernel):
     """wce_direct of a band-limited kernel as it was: the T frequencies as
-    tuples from kernel.frequency, u_k the value of each CharacterSum."""
+    tuples from flat_to_tuple, u_k the value of each CharacterSum."""
     N = len(points)
-    u = np.array([cs.value for cs in character_sums(points, [kernel.frequency(t) for t in range(kernel.size)])])
+    freqs = [flat_to_tuple(t, kernel.base, kernel.k_digits, kernel.s) for t in range(kernel.size)]
+    u = np.array([cs.value for cs in character_sums(points, freqs)])
     term2 = (complex(kernel.coeffs[:, 0] @ u) + complex(kernel.coeffs[0, :] @ u.conj())) / N
     e2 = complex(kernel.coeffs[0, 0]) - term2 + complex(u @ kernel.coeffs @ u.conj()) / (N * N)
     return max(e2.real, 0.0)

@@ -20,7 +20,6 @@ from badicnet import (
     character,
     DigitalNet,
     character_sum_over,
-    delta_digit_sum,
     enumerate_points,
     hammersley_matrices,
     random_digital_shift,
@@ -30,7 +29,7 @@ from badicnet import (
 )
 import badicnet
 from badicnet import walsh
-from badicnet.badic import frequency_digits
+from badicnet.badic import delta_digit_sum, frequency_digits
 from badicnet.nets import NetPoints
 from badicnet.walsh import (
     character_exponent_table,
